@@ -1,6 +1,8 @@
 // Package mailbox is the runtime's dataplane: a bounded, tuple-capacity-
 // accounted queue connecting one producer set to a single consumer actor.
-// It offers three interchangeable transports behind one API:
+// It offers three interchangeable transports behind one API — producers
+// deliver with Send/SendMany, the consumer takes a window of queued tuples
+// with Peek and releases it with Consume:
 //
 //   - PerTuple: each item is one bounded-channel operation — the classic
 //     Akka BoundedMailbox analog the cost models were validated against.
@@ -150,13 +152,21 @@ type Mailbox[T any] struct {
 	// wait (or shed): the BAS backpressure events the observability layer
 	// reports as credit stalls.
 	blocked atomic.Uint64
-	// pool recycles batch buffers between senders and the consumer.
-	pool sync.Pool
+	// free recycles batch buffers from the consumer back to the senders.
+	// A channel rather than a sync.Pool because a pool boxes the slice
+	// header on every Put — one allocation per batch on the consumer
+	// side. Sized like batches, which bounds the buffers in the queue; a
+	// put that still finds it full leaves the buffer to the GC.
+	free chan []T
 
-	// cur/idx is the consumer-side cursor over the batch in hand; only
-	// the single consumer touches them.
-	cur []T
-	idx int
+	// cur/idx is the consumer's window cursor on the copying transports:
+	// cur is the batch in hand (Batched) or slot[:] (PerTuple), idx the
+	// first tuple not yet released by Consume. Only the single consumer
+	// touches them. The ring has no cursor — its window is the slots
+	// between head and tail themselves.
+	cur  []T
+	idx  int
+	slot [1]T
 
 	// SPSC ring transport state (mode == SPSC); see spsc.go. The ring
 	// has exactly capacity slots, so slot accounting is tuple-capacity
@@ -183,8 +193,8 @@ type Mailbox[T any] struct {
 }
 
 // Mode reports the transport the mailbox was built with; the runtime's
-// per-inbox loop dispatch and the reconfiguration controller's demotion
-// scan both read it.
+// source loop reads it to decide whether it may reserve ring slots, the
+// reconfiguration controller's demotion scan to find the rings.
 func (m *Mailbox[T]) Mode() Mode { return m.mode }
 
 // New builds a mailbox with capacity cfg.Capacity tuples.
@@ -208,8 +218,7 @@ func New[T any](cfg Config) (*Mailbox[T], error) {
 		m.avail.Store(int64(cfg.Capacity))
 		m.wake = make(chan struct{}, 1)
 		m.batches = make(chan []T, cfg.Capacity)
-		batch := m.batch
-		m.pool.New = func() any { return make([]T, 0, batch) }
+		m.free = make(chan []T, cfg.Capacity)
 	case SPSC:
 		m.batch = cfg.Batch
 		if m.batch <= 0 {
@@ -218,8 +227,6 @@ func New[T any](cfg Config) (*Mailbox[T], error) {
 		m.ring = make([]T, cfg.Capacity)
 		m.notFull = make(chan struct{}, 1)
 		m.notEmpty = make(chan struct{}, 1)
-		batch := m.batch
-		m.pool.New = func() any { return make([]T, 0, batch) }
 	case Auto:
 		return nil, fmt.Errorf("mailbox: mode auto is a per-edge selection policy; resolve it to a concrete transport before construction")
 	default:
@@ -263,14 +270,16 @@ func (m *Mailbox[T]) Occupancy() (queued, capacity int) {
 }
 
 // Pending reports how many tuples the consumer can still receive: the
-// queued tuples plus, in batched mode, the unread tail of the batch the
-// consumer is part-way through (whose credits were already released at
-// receive time, so Queued misses it). It may only be called from the
-// consumer's goroutine; the runtime's drain-before-pause protocol uses it
-// to decide when a station has fully quiesced.
+// queued tuples plus, on the copying transports, the unreleased part of
+// the window in hand (a batch's credits are released when it is taken, a
+// channel item left the channel, so Queued misses both; an unreleased
+// ring window still occupies its slots and is already in Queued). It may
+// only be called from the consumer's goroutine; the runtime's
+// drain-before-pause protocol uses it to decide when a station has fully
+// quiesced.
 func (m *Mailbox[T]) Pending() int {
 	n := m.Queued()
-	if m.mode != PerTuple && m.cur != nil {
+	if m.mode != SPSC {
 		n += len(m.cur) - m.idx
 	}
 	return n
@@ -289,8 +298,16 @@ func (m *Mailbox[T]) Blocked() uint64 { return m.blocked.Load() }
 // in-flight tuples, and Queued() == 0 afterwards is the "credits
 // restored" invariant the chaos suite checks.
 func (m *Mailbox[T]) Drain() int {
+	// The unreleased part of the consumer's window left the queue when it
+	// was taken (the ring's never did: its slots sit between head and
+	// tail).
 	n := 0
-	if m.mode == PerTuple {
+	if m.mode != SPSC {
+		n = len(m.cur) - m.idx
+		m.cur, m.idx = nil, 0
+	}
+	switch m.mode {
+	case PerTuple:
 		for {
 			select {
 			case <-m.ch:
@@ -299,32 +316,24 @@ func (m *Mailbox[T]) Drain() int {
 				return n
 			}
 		}
-	}
-	// The consumer's in-hand batch already had its credits released at
-	// receive time; only count its unread tail. (The consumer nils cur
-	// on exit without resetting idx, so guard on cur, not idx.)
-	if m.cur != nil {
-		n += len(m.cur) - m.idx
-	}
-	m.cur, m.idx = nil, 0
-	if m.mode == SPSC {
+	case SPSC:
 		// Quiescent by contract, so head/tail are exact: everything
 		// between them is an admitted, undelivered tuple. Advancing head
 		// to tail frees every slot, which is the ring's "credits
 		// restored" state.
 		h, t := m.head.Load(), m.tail.Load()
-		n += int(t - h)
 		m.chead = t
 		m.head.Store(t)
-		return n
-	}
-	for {
-		select {
-		case b := <-m.batches:
-			n += len(b)
-			m.release(len(b))
-		default:
-			return n
+		return n + int(t-h)
+	default:
+		for {
+			select {
+			case b := <-m.batches:
+				n += len(b)
+				m.release(len(b))
+			default:
+				return n
+			}
 		}
 	}
 }
@@ -376,86 +385,93 @@ func (m *Mailbox[T]) signalWake() {
 	}
 }
 
-// Recv returns the next tuple, blocking until one is available or done is
-// closed (ok == false). Only one goroutine may call Recv.
-func (m *Mailbox[T]) Recv(done <-chan struct{}) (t T, ok bool) {
-	if m.mode == PerTuple {
-		select {
-		case t = <-m.ch:
-			return t, true
-		case <-done:
-			return t, false
-		}
-	}
-	for m.idx >= len(m.cur) {
-		if m.cur != nil {
-			m.pool.Put(m.cur[:0])
-			m.cur = nil
-		}
-		if m.mode == SPSC {
-			b, ok := m.recvRing(done)
-			if !ok {
-				return t, false
-			}
-			m.cur, m.idx = b, 0
-			continue
-		}
-		select {
-		case b := <-m.batches:
-			// The whole batch leaves the queue in one operation; its
-			// capacity credits are released together, which is what
-			// amortizes the queue synchronization over the batch.
-			m.release(len(b))
-			m.cur, m.idx = b, 0
-		case <-done:
-			return t, false
-		}
-	}
-	t = m.cur[m.idx]
-	m.idx++
-	return t, true
-}
-
-// RecvBatch returns the next whole micro-batch, blocking like Recv. The
-// caller owns the returned slice until it hands it back with Recycle. In
-// PerTuple mode it degrades to a single-item batch. Only the consumer
-// goroutine may call it; it may be mixed with Recv (a partially consumed
-// Recv batch is returned first).
-func (m *Mailbox[T]) RecvBatch(done <-chan struct{}) ([]T, bool) {
-	if m.mode == PerTuple {
-		t, ok := m.Recv(done)
-		if !ok {
-			return nil, false
-		}
-		return []T{t}, true
+// Peek takes the consumer's next window: a run of queued tuples, at most
+// Batch long, that the consumer reads (or mutates) in place and releases
+// with Consume. It is the one consumer protocol of every transport — the
+// ring hands out its slots themselves (no copy), Batched the micro-batch
+// in hand, PerTuple an inline one-tuple slot — and blocks while the
+// mailbox is empty until a producer delivers or done closes (ok ==
+// false). The window stays valid until its last tuple is released;
+// releasing fewer tuples than were taken is allowed, and the remainder
+// leads the next window. Only the single consumer goroutine may call it.
+func (m *Mailbox[T]) Peek(done <-chan struct{}) ([]T, bool) {
+	if m.mode == SPSC {
+		return m.peekRing(done)
 	}
 	if m.idx < len(m.cur) {
-		b := m.cur[m.idx:]
-		m.cur, m.idx = nil, 0
-		return b, true
+		return m.cur[m.idx:], true
+	}
+	if m.mode == PerTuple {
+		select {
+		case m.slot[0] = <-m.ch:
+			m.cur, m.idx = m.slot[:], 0
+			return m.cur, true
+		case <-done:
+			return nil, false
+		}
 	}
 	if m.cur != nil {
-		m.pool.Put(m.cur[:0])
-		m.cur = nil
-	}
-	if m.mode == SPSC {
-		return m.recvRing(done)
+		m.putBuf(m.cur)
+		m.cur, m.idx = nil, 0
 	}
 	select {
 	case b := <-m.batches:
-		// The whole batch leaves the queue in one operation and its
-		// capacity credits are released in one add.
+		// The whole batch leaves the queue in one operation; its capacity
+		// credits are released together, which is what amortizes the
+		// queue synchronization over the batch.
 		m.release(len(b))
+		m.cur, m.idx = b, 0
 		return b, true
 	case <-done:
 		return nil, false
 	}
 }
 
-// Recycle returns a batch obtained from RecvBatch to the buffer pool.
-func (m *Mailbox[T]) Recycle(b []T) {
-	if m.mode != PerTuple && b != nil {
-		m.pool.Put(b[:0])
+// Consume releases the first n tuples of the window Peek handed out; on
+// the ring that frees their slots and wakes a producer blocked on a full
+// ring.
+func (m *Mailbox[T]) Consume(n int) {
+	if m.mode == SPSC {
+		m.consumeRing(n)
+		return
+	}
+	m.idx += n
+}
+
+// Recv returns the next tuple — a one-tuple take and release — blocking
+// until one is available or done is closed (ok == false).
+func (m *Mailbox[T]) Recv(done <-chan struct{}) (t T, ok bool) {
+	w, ok := m.Peek(done)
+	if !ok {
+		return t, false
+	}
+	t = w[0]
+	m.Consume(1)
+	return t, true
+}
+
+// RecvBatch and Recycle are Peek and Consume under their historical
+// names: RecvBatch takes the next window, Recycle(b) releases all of it.
+func (m *Mailbox[T]) RecvBatch(done <-chan struct{}) ([]T, bool) { return m.Peek(done) }
+
+// Recycle releases the window RecvBatch returned.
+func (m *Mailbox[T]) Recycle(b []T) { m.Consume(len(b)) }
+
+// getBuf returns an empty batch buffer, recycled when one is free.
+func (m *Mailbox[T]) getBuf() []T {
+	select {
+	case b := <-m.free:
+		return b
+	default:
+		return make([]T, 0, m.batch)
+	}
+}
+
+// putBuf hands a consumed batch buffer back to the senders.
+func (m *Mailbox[T]) putBuf(b []T) {
+	select {
+	case m.free <- b[:0]:
+	default:
 	}
 }
 
@@ -499,7 +515,7 @@ func (s *Sender[T]) Send(t T, done <-chan struct{}) SendResult {
 	}
 	s.mu.Lock()
 	if s.buf == nil {
-		s.buf = s.m.pool.Get().([]T)
+		s.buf = s.m.getBuf()
 	}
 	s.buf = append(s.buf, t)
 	switch {
@@ -599,7 +615,7 @@ func (s *Sender[T]) SendMany(ts []T, done <-chan struct{}) (sent, dropped int, o
 		s.mu.Lock()
 		for k := 0; k < n; k++ {
 			if s.buf == nil {
-				s.buf = s.m.pool.Get().([]T)
+				s.buf = s.m.getBuf()
 			}
 			s.buf = append(s.buf, ts[i+k])
 			if len(s.buf) >= s.m.batch {

@@ -276,3 +276,107 @@ func TestNewValidation(t *testing.T) {
 		t.Error("unknown mode accepted")
 	}
 }
+
+// TestWindowProtocolAllTransports drives the one consumer protocol on
+// every transport against a concurrent producer: windows are at most
+// Batch long, a partial Consume leaves the remainder at the head of the
+// next window, Recv and Peek interleave, and delivery is exactly-once in
+// FIFO order.
+func TestWindowProtocolAllTransports(t *testing.T) {
+	const total, batch = 20000, 5
+	for _, mode := range modes() {
+		t.Run(mode.String(), func(t *testing.T) {
+			m, err := New[int](Config{Capacity: 7, Mode: mode, Batch: batch})
+			if err != nil {
+				t.Fatal(err)
+			}
+			done := make(chan struct{})
+			defer close(done)
+			go func() {
+				s := m.NewSender(0)
+				buf := make([]int, 0, 9)
+				for i := 0; i < total; {
+					buf = buf[:0]
+					for k := 0; k < 1+i%9 && i+k < total; k++ {
+						buf = append(buf, i+k)
+					}
+					if _, _, ok := s.SendMany(buf, done); !ok {
+						return
+					}
+					i += len(buf)
+				}
+			}()
+			next := 0
+			for step := 0; next < total; step++ {
+				if step%3 == 0 {
+					v, ok := m.Recv(done)
+					if !ok || v != next {
+						t.Fatalf("Recv = %d, %v; want %d", v, ok, next)
+					}
+					next++
+					continue
+				}
+				win, ok := m.Peek(done)
+				if !ok {
+					t.Fatal("Peek aborted")
+				}
+				if len(win) == 0 || len(win) > batch {
+					t.Fatalf("window of %d tuples, want 1..%d", len(win), batch)
+				}
+				n := len(win)
+				if step%4 == 0 {
+					n = 1 // release a strict prefix; the rest must reappear
+				}
+				for _, v := range win[:n] {
+					if v != next {
+						t.Fatalf("tuple %d arrived as %d", next, v)
+					}
+					next++
+				}
+				m.Consume(n)
+			}
+			// An aborted take on the drained mailbox must leave the books
+			// at zero (a stale window cursor once made Pending negative).
+			aborted := make(chan struct{})
+			close(aborted)
+			if _, ok := m.Peek(aborted); ok {
+				t.Fatal("Peek on an empty mailbox with done closed returned a window")
+			}
+			if p, d := m.Pending(), m.Drain(); p != 0 || d != 0 {
+				t.Fatalf("after exact delivery Pending = %d, Drain = %d; want 0, 0", p, d)
+			}
+		})
+	}
+}
+
+// TestConsumerSideAllocatesNothing pins the consumer half of every
+// transport at zero allocations per window. It enters through
+// RecvBatch/Recycle because that is where the per-tuple transport used to
+// allocate a fresh one-item slice per tuple — the default mode's hot path.
+func TestConsumerSideAllocatesNothing(t *testing.T) {
+	const capacity, batch, runs = 4096, 16, 200
+	for _, mode := range modes() {
+		t.Run(mode.String(), func(t *testing.T) {
+			m, err := New[int](Config{Capacity: capacity, Mode: mode, Batch: batch})
+			if err != nil {
+				t.Fatal(err)
+			}
+			fill := make([]int, capacity)
+			if sent, _, ok := m.NewSender(0).SendMany(fill, nil); !ok || sent != capacity {
+				t.Fatalf("prefill sent %d, ok %v", sent, ok)
+			}
+			taken := 0
+			allocs := testing.AllocsPerRun(runs, func() {
+				b, _ := m.RecvBatch(nil)
+				taken += len(b)
+				m.Recycle(b)
+			})
+			if allocs != 0 {
+				t.Errorf("%v allocations per window, want 0", allocs)
+			}
+			if taken == 0 || taken > capacity {
+				t.Fatalf("took %d tuples from %d queued", taken, capacity)
+			}
+		})
+	}
+}

@@ -32,61 +32,6 @@ package mailbox
 
 import "time"
 
-// recvRing takes the next run of queued items (at most one pooled
-// batch's worth), copies them out of the ring, advances head, and wakes
-// a producer blocked on a full ring. It returns a pooled buffer the
-// caller must hand back via Recycle; copying out before advancing head
-// is what lets the producer overwrite the slots the moment they are
-// freed.
-func (m *Mailbox[T]) recvRing(done <-chan struct{}) ([]T, bool) {
-	h := m.chead
-	for {
-		if t := m.tail.Load(); t != h {
-			n := int(t - h)
-			if n > m.batch {
-				n = m.batch
-			}
-			buf := m.pool.Get().([]T)
-			if cap(buf) < n {
-				// Recycled tails of partially consumed batches can carry
-				// a reduced capacity; replace, don't grow in place.
-				buf = make([]T, 0, m.batch)
-			}
-			buf = buf[:n]
-			start := int(h % uint64(m.capacity))
-			first := m.capacity - start
-			if first > n {
-				first = n
-			}
-			copy(buf[:first], m.ring[start:start+first])
-			copy(buf[first:], m.ring[:n-first])
-			m.chead = h + uint64(n)
-			m.head.Store(m.chead)
-			if m.prodWait.Load() && m.prodWait.Swap(false) {
-				select {
-				case m.notFull <- struct{}{}:
-				default:
-				}
-			}
-			return buf, true
-		}
-		// Park: flag first, then re-check tail so a publication racing
-		// with the flag store is never missed (the producer re-reads the
-		// flag after every tail store).
-		m.consWait.Store(true)
-		if m.tail.Load() != h {
-			m.consWait.Store(false)
-			continue
-		}
-		select {
-		case <-m.notEmpty:
-		case <-done:
-			m.consWait.Store(false)
-			return nil, false
-		}
-	}
-}
-
 // publishRing makes the producer's pending writes visible and wakes the
 // consumer if it is parked.
 func (m *Mailbox[T]) publishRing() {
@@ -193,43 +138,27 @@ func (m *Mailbox[T]) Publish(n int) {
 	m.publishRing()
 }
 
-// Peek hands the single consumer the next contiguous run of queued items
-// in place — the zero-copy consume path, dual to Reserve: the consumer
-// reads (or mutates) the items directly in the ring and frees the slots
-// with Consume, skipping the copy-out and pooled buffer that Recv/
-// RecvBatch pay. The run never wraps (the next Peek continues past the
-// wrap) and is not capped at the batch size — whole-run amortization is
-// the point. An empty ring blocks exactly like RecvBatch until the
-// producer publishes or done closes (ok == false). Panics on non-SPSC
-// mailboxes.
-//
-// The peeked window stays valid until Consume; consuming fewer slots
-// than peeked is allowed (the remainder reappears at the next Peek).
-func (m *Mailbox[T]) Peek(done <-chan struct{}) ([]T, bool) {
-	if m.mode != SPSC {
-		panic("mailbox: Peek on non-SPSC mailbox")
-	}
-	// Serve the in-hand batch a single-item Recv left behind before
-	// touching the ring (its slots were already freed at copy-out), so
-	// mixing Recv with Peek keeps FIFO — same rule as RecvBatch.
-	if m.cur != nil {
-		if m.idx < len(m.cur) {
-			return m.cur[m.idx:len(m.cur):len(m.cur)], true
-		}
-		m.pool.Put(m.cur[:0])
-		m.cur, m.idx = nil, 0
-	}
+// peekRing is Peek on the ring, dual to Reserve: the window is the next
+// contiguous run of published slots themselves — no copy-out, no buffer.
+// The run never wraps (the next window continues past the wrap) and is
+// capped at the batch size, so a consumer working through a full ring
+// frees slots for the producer a batch at a time instead of holding all
+// of them until it is done with the last. An empty ring blocks until the
+// producer publishes or done closes (ok == false).
+func (m *Mailbox[T]) peekRing(done <-chan struct{}) ([]T, bool) {
 	h := m.chead
 	for {
 		if t := m.tail.Load(); t != h {
-			n := int(t - h)
+			n := min(int(t-h), m.batch)
 			start := int(h % uint64(m.capacity))
 			if first := m.capacity - start; n > first {
 				n = first
 			}
 			return m.ring[start : start+n : start+n], true
 		}
-		// Park exactly as recvRing does: flag, re-check, wait.
+		// Park: flag first, then re-check tail so a publication racing
+		// with the flag store is never missed (the producer re-reads the
+		// flag after every tail store).
 		m.consWait.Store(true)
 		if m.tail.Load() != h {
 			m.consWait.Store(false)
@@ -244,19 +173,10 @@ func (m *Mailbox[T]) Peek(done <-chan struct{}) ([]T, bool) {
 	}
 }
 
-// Consume frees the first n slots of the current peek window and wakes a
-// producer blocked on a full ring. n == 0 is a no-op.
-func (m *Mailbox[T]) Consume(n int) {
-	if m.mode != SPSC {
-		panic("mailbox: Consume on non-SPSC mailbox")
-	}
+// consumeRing frees the first n slots of the current window and wakes a
+// producer blocked on a full ring.
+func (m *Mailbox[T]) consumeRing(n int) {
 	if n == 0 {
-		return
-	}
-	// A window served from the in-hand batch advances the batch cursor;
-	// its ring slots were freed when Recv copied the batch out.
-	if m.cur != nil {
-		m.idx += n
 		return
 	}
 	m.chead += uint64(n)

@@ -36,8 +36,8 @@ const maxRetryBackoff = 100 * time.Millisecond
 // station's bounded mailbox with a blocking send, so when the mailbox
 // fills the TCP reader stalls, the socket's flow-control window closes,
 // and the remote sender's write blocks — exactly the stall the cost model
-// assumes, with the socket buffers acting as a small amount of extra
-// mailbox capacity (kept tight via SetReadBuffer/SetWriteBuffer).
+// assumes, with the socket buffers acting as extra mailbox capacity (a
+// sliver at Batch 1, where tuneConn can keep them tight).
 type DistributedConfig struct {
 	Config
 	// Nodes is the number of nodes to partition the plan across
@@ -76,9 +76,9 @@ func AssignByOperator(p *plan.Plan, nodes int) []int {
 	return asg
 }
 
-// wire is the gob frame exchanged between nodes. In batched mode a frame
-// carries a whole micro-batch, amortizing the gob and syscall cost of a
-// TCP write over many tuples; in per-tuple mode every frame holds one.
+// wire is the gob frame exchanged between nodes: up to Batch tuples,
+// amortizing the gob and syscall cost of a TCP write over the window (at
+// Batch 1, the per-tuple transport, every frame holds one).
 type wire struct {
 	Tuples []operators.Tuple
 }
@@ -147,7 +147,6 @@ func RunDistributed(ctx context.Context, p *plan.Plan, binding *Binding, cfg Dis
 		retryBackoff: cfg.RetryBackoff,
 		sendDeadline: cfg.SendDeadline,
 	}
-	d.sendFn = d.send
 	d.sendManyFn = d.sendMany
 
 	if err := d.connect(); err != nil {
@@ -392,13 +391,9 @@ func (d *distEngine) connect() error {
 			if d.senders[from] == nil {
 				d.senders[from] = make(map[plan.StationID]*remoteOutbox)
 			}
-			batch := 1
-			if d.cfg.Mailbox == mailbox.Batched {
-				batch = d.cfg.Batch
-			}
 			d.senders[from][e.To] = &remoteOutbox{
 				d: d, from: from, target: e.To, addr: addr,
-				conn: conn, enc: enc, batch: batch, linger: d.cfg.Linger,
+				conn: conn, enc: enc, batch: d.cfg.Batch, linger: d.cfg.Linger,
 				backoff: d.retryBackoff, deadline: d.sendDeadline,
 				edge: d.edges[edgeKey(from, e.To)],
 			}
@@ -417,7 +412,7 @@ func (d *distEngine) dialEdge(from, to plan.StationID, addr string) (net.Conn, *
 	if err != nil {
 		return nil, nil, err
 	}
-	tuneConn(conn)
+	tuneConn(conn, d.cfg.Batch)
 	if d.cfg.Faults != nil {
 		conn = d.cfg.Faults.WrapConn(edgeKey(from, to), conn)
 	}
@@ -432,13 +427,24 @@ func (d *distEngine) dialEdge(from, to plan.StationID, addr string) (net.Conn, *
 	return conn, enc, nil
 }
 
-// tuneConn shrinks the socket buffers so network buffering adds as little
-// effective mailbox capacity as possible.
-func tuneConn(conn net.Conn) {
-	if tcp, ok := conn.(*net.TCPConn); ok {
+// tuneConn sizes the socket buffers from the frame the connection
+// carries. A one-tuple frame fits buffers shrunk to 4 KiB, which keeps
+// network buffering from adding more than a sliver of effective mailbox
+// capacity. A frame of several tuples does not: on loopback (64 KiB MSS) a
+// frame above roughly an eighth of the buffer waits out a window-update /
+// delayed-ACK exchange — 512 tuples/s at Batch 32 against ~90 000 at
+// Batch 1 — and buffers pinned anywhere between 8 and 64 KiB stalled
+// erratically when measured, so connections that carry larger frames keep
+// the kernel's autotuned buffers.
+func tuneConn(conn net.Conn, batch int) {
+	tcp, ok := conn.(*net.TCPConn)
+	if !ok {
+		return
+	}
+	_ = tcp.SetNoDelay(true)
+	if batch == 1 {
 		_ = tcp.SetReadBuffer(4 << 10)
 		_ = tcp.SetWriteBuffer(4 << 10)
-		_ = tcp.SetNoDelay(true)
 	}
 }
 
@@ -449,7 +455,7 @@ func (d *distEngine) acceptLoop(ln net.Listener) {
 		if err != nil {
 			return
 		}
-		tuneConn(conn)
+		tuneConn(conn, d.cfg.Batch)
 		d.mu.Lock()
 		d.conns = append(d.conns, conn)
 		d.mu.Unlock()
@@ -491,22 +497,19 @@ func (d *distEngine) readLoop(conn net.Conn) {
 			return
 		}
 		ed.Recvd.Add(uint64(len(w.Tuples)))
-		for i, t := range w.Tuples {
-			if snd.Send(t, d.done) != mailbox.Sent {
-				// Shutdown mid-frame: the undelivered remainder is
-				// decoded in-flight residue, accounted like mailbox
-				// drain residue.
-				tb.st[hs.Target].Drained.Add(uint64(len(w.Tuples) - i))
-				return
-			}
-			// Both ends of the edge are counted here: emission is only
-			// final once the item clears the network and lands in the
-			// target mailbox (TCP windowing makes sender-side counts
-			// bursty).
-			tb.st[hs.Target].Arrived.Add(1)
-			if int(hs.From) >= 0 && int(hs.From) < len(tb.st) {
-				tb.st[hs.From].Emitted.Add(1)
-			}
+		sent, _, ok := snd.SendMany(w.Tuples, d.done)
+		// Both ends of the edge are counted here: emission is only final
+		// once the item clears the network and lands in the target
+		// mailbox (TCP windowing makes sender-side counts bursty).
+		tb.st[hs.Target].Arrived.Add(uint64(sent))
+		if int(hs.From) >= 0 && int(hs.From) < len(tb.st) {
+			tb.st[hs.From].Emitted.Add(uint64(sent))
+		}
+		if !ok {
+			// Shutdown mid-frame: the undelivered remainder is decoded
+			// in-flight residue, accounted like mailbox drain residue.
+			tb.st[hs.Target].Drained.Add(uint64(len(w.Tuples) - sent))
+			return
 		}
 	}
 }
@@ -524,34 +527,9 @@ func (d *distEngine) shutdownTransport() {
 	d.readers.Wait()
 }
 
-// send routes one item: cross-node edges go over TCP, everything else
-// through the in-process mailbox.
-func (d *distEngine) send(from plan.StationID, edgeIdx int, edge *plan.Edge, t operators.Tuple) bool {
-	if outs := d.senders[from]; outs != nil {
-		if ob := outs[edge.To]; ob != nil {
-			tb := d.tab()
-			select {
-			case <-d.done:
-				tb.st[from].Abandoned.Add(1)
-				return false
-			default:
-			}
-			if f := tb.stFaults[from]; f != nil {
-				f.OnSend()
-			}
-			// Every error return from ob.send has already accounted the
-			// tuple; emission and arrival of delivered tuples are
-			// counted on the receiving node's read loop, once the item
-			// clears the network.
-			return ob.send(t) == nil
-		}
-	}
-	return d.localSend(from, edgeIdx, edge, t)
-}
-
-// sendMany routes one output batch: cross-node edges append to the
-// remote outbox (which frames whole micro-batches per TCP write),
-// everything else goes through the in-process bulk path.
+// sendMany routes one delivery: cross-node edges append to the remote
+// outbox (which frames up to Batch tuples per TCP write), everything else
+// goes through the in-process path.
 func (d *distEngine) sendMany(from plan.StationID, edgeIdx int, edge *plan.Edge, ts []operators.Tuple) bool {
 	if outs := d.senders[from]; outs != nil {
 		if ob := outs[edge.To]; ob != nil {

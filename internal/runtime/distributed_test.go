@@ -174,3 +174,32 @@ func TestDistributedBatchedPipeline(t *testing.T) {
 		t.Errorf("throughput = %v, predicted %v (err %.3f)", m.Throughput, a.Throughput(), e)
 	}
 }
+
+func TestDistributedBatchedKeepsUp(t *testing.T) {
+	// Unpadded, a cross-node frame of Batch tuples must move at least as
+	// well as single-tuple frames. With the socket buffers pinned at 4 KiB
+	// a 32-tuple frame did not fit and every frame waited out a
+	// delayed-ACK stall: ~500 tuples/s against ~90 000, so a floor of a
+	// tenth of the per-tuple rate is far from noise.
+	topo := pipeline(t, 0.0001, 0.0001, 0.0001, 0.0001)
+	p, err := plan.Build(topo, plan.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tps := map[mailbox.Mode]float64{}
+	for _, mode := range []mailbox.Mode{mailbox.PerTuple, mailbox.Batched} {
+		cfg := DistributedConfig{Config: shortCfg(43), Nodes: 2}
+		cfg.NoServicePadding = true
+		cfg.Mailbox = mode
+		cfg.Duration, cfg.Warmup = time.Second, 300*time.Millisecond
+		m, err := RunDistributed(context.Background(), p, nil, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tps[mode] = m.Throughput
+	}
+	if tps[mailbox.Batched] < 0.1*tps[mailbox.PerTuple] {
+		t.Errorf("batched moves %.0f tuples/s over loopback, per-tuple %.0f: frames are stalling",
+			tps[mailbox.Batched], tps[mailbox.PerTuple])
+	}
+}

@@ -214,14 +214,7 @@ func (e *engine) spawnStation(id plan.StationID, seed uint64, preset operators.O
 }
 
 // isShutdown reports whether the engine-wide done channel fired.
-func (e *engine) isShutdown() bool {
-	select {
-	case <-e.done:
-		return true
-	default:
-		return false
-	}
-}
+func (e *engine) isShutdown() bool { return stopped(e.done) }
 
 // interruptStations closes every station's stop channel so blocked
 // receives return; with e.done already closed the stations exit instead

@@ -484,11 +484,9 @@ func (c *Controller) demoteTransports(f *fence, nt *tables, retiring []plan.Stat
 		if _, err := f.pause(target, true); err != nil {
 			return demoted, rewired, fanIn, err
 		}
-		m, err := demoteInbox(c.e.cfg, fanIn[i])
-		if err != nil {
+		if nt.mailboxes[i], err = demoteInbox(c.e.cfg, fanIn[i]); err != nil {
 			return demoted, rewired, fanIn, err
 		}
-		nt.mailboxes[i] = m
 		demoted = append(demoted, target)
 	}
 	return demoted, rewired, fanIn, nil

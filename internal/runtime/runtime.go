@@ -7,8 +7,10 @@
 // channel sends, pooled micro-batches, and a lock-free SPSC ring for
 // inboxes the plan's producer-set analysis proves single-producer — all
 // accounting capacity in tuples, so BAS holds under any of them (see
-// transport.go for the per-inbox selection). Replicated operators execute
-// behind
+// transport.go for the per-inbox selection). One station loop and one
+// source loop (dataplane.go) serve all three through a single window
+// protocol: take a window of at most Batch tuples, process it, release
+// it, deliver what it produced. Replicated operators execute behind
 // emitter and collector actors; fused subgraphs execute inside a single
 // meta-operator actor per Algorithm 4.
 //
@@ -82,24 +84,28 @@ type Config struct {
 	// be migrated), so PreserveOrder and Controller.ApplyDelta are
 	// mutually exclusive.
 	PreserveOrder bool
-	// Mailbox selects the dataplane transport policy: mailbox.PerTuple
-	// (default) sends every item as one channel operation; mailbox.Batched
-	// moves pooled micro-batches while still accounting capacity in
-	// tuples, so BAS blocking — and with it the steady-state model — is
-	// unchanged. mailbox.Auto (and mailbox.SPSC, its alias as a policy)
-	// binds each inbox per edge from the deployed plan: inboxes the
-	// producer-set analysis proves single-producer run on the lock-free
-	// SPSC ring, all others on the batched MPSC path. A live
+	// Mailbox selects what the inboxes are made of; the station and source
+	// loops are the same under every choice. mailbox.PerTuple (default)
+	// is a bounded channel and fixes the window at one tuple;
+	// mailbox.Batched moves pooled micro-batches while still accounting
+	// capacity in tuples, so BAS blocking — and with it the steady-state
+	// model — is unchanged. mailbox.Auto (and mailbox.SPSC, its alias as a
+	// policy) binds each inbox per edge from the deployed plan: inboxes
+	// the producer-set analysis proves single-producer run on the
+	// lock-free SPSC ring, all others on the batched MPSC path. A live
 	// reconfiguration that turns a proven edge multi-producer demotes the
 	// inbox back to the batched path inside the same epoch fence; rings
 	// are never promoted mid-run.
 	Mailbox mailbox.Mode
-	// Batch is the micro-batch size in batched mode (default
-	// mailbox.DefaultBatch). Ignored in per-tuple mode.
+	// Batch is the window size: the most tuples a station takes from its
+	// inbox, a source generates, or a cross-node frame carries per
+	// take/release cycle (default mailbox.DefaultBatch). mailbox.PerTuple
+	// fixes it at 1.
 	Batch int
-	// Linger bounds how long a partial batch may wait before being
-	// flushed in batched mode (default mailbox.DefaultLinger), so
-	// low-rate edges don't stall. Ignored in per-tuple mode.
+	// Linger bounds how long a paced source or a cross-node edge may hold
+	// a partly filled window before delivering it (default
+	// mailbox.DefaultLinger), so low-rate edges don't stall. Nothing
+	// lingers at Batch 1.
 	Linger time.Duration
 	// MaxRestarts bounds how many times a station whose operator
 	// panicked is restarted with a fresh operator instance. 0 (the
@@ -180,6 +186,11 @@ func (c Config) withDefaults() (Config, error) {
 	}
 	if c.Batch == 0 {
 		c.Batch = mailbox.DefaultBatch
+	}
+	if c.Mailbox == mailbox.PerTuple {
+		// Per-tuple is Batch 1 of the one loop: a one-tuple window fills
+		// at once, so nothing is ever staged or lingers.
+		c.Batch = 1
 	}
 	if c.Linger < 0 {
 		return c, fmt.Errorf("runtime: negative Linger %v", c.Linger)
@@ -267,8 +278,8 @@ type Totals struct {
 	// send deadline expired (graceful degradation of a dead edge).
 	Shed uint64
 	// Failed counts tuples lost to operator panics: the tuple in hand
-	// when the panic fired, the unprocessed remainder of its input
-	// batch, and everything consumed by a degraded station.
+	// when the panic fired (the rest of its window stays queued for the
+	// restarted operator) and everything consumed by a degraded station.
 	Failed uint64
 	// Drained counts tuples still queued in mailboxes (or undecoded
 	// in-flight frame remainders) when the run stopped, collected by the
@@ -327,14 +338,13 @@ type engine struct {
 	ctlMu sync.Mutex
 	ctls  []*stationCtl
 
-	// sendFn delivers one routed item along a physical edge (edgeIdx
-	// indexes the station's Out slice); the local engine pushes into the
-	// in-process mailbox, the distributed engine routes cross-node edges
-	// over TCP. It returns false on shutdown.
-	sendFn func(from plan.StationID, edgeIdx int, edge *plan.Edge, t operators.Tuple) bool
-	// sendManyFn is the bulk counterpart used by the batched station
-	// loop: it delivers a whole output batch along one edge with the
-	// same per-tuple admission and shedding semantics as sendFn.
+	// sendManyFn is the one producer seam: it delivers a slice of tuples
+	// along a physical edge (edgeIdx indexes the station's Out slice)
+	// with per-tuple admission and shedding, copies them out before it
+	// returns, accounts every one of them (emitted and arrived or shed,
+	// or abandoned), and returns false on shutdown. The local engine
+	// pushes into the in-process mailbox; the distributed engine routes
+	// cross-node edges over TCP.
 	sendManyFn func(from plan.StationID, edgeIdx int, edge *plan.Edge, ts []operators.Tuple) bool
 
 	// reg is the observability registry every counter flows through (the
@@ -394,8 +404,7 @@ func newEngine(p *plan.Plan, binding *Binding, cfg Config) (*engine, error) {
 	// Transport selection is per inbox, derived from the plan: the
 	// producer-set analysis proves which inboxes have a single sending
 	// station, and those run on the lock-free SPSC ring when the policy
-	// allows it. The legacy uniform modes pass through resolveInboxMode
-	// unchanged, so a PerTuple or Batched config behaves exactly as before.
+	// allows it.
 	fanIn := liveFanIn(p, nil)
 	for i := range tb.mailboxes {
 		m, err := newInbox(cfg, fanIn[i])
@@ -428,45 +437,17 @@ func newEngine(p *plan.Plan, binding *Binding, cfg Config) (*engine, error) {
 			BlockedSends: m.Blocked(),
 		}
 	})
-	e.sendFn = e.localSend
 	e.sendManyFn = e.localSendMany
 	return e, nil
 }
 
-// localSend pushes into the in-process mailbox, blocking on a full buffer
-// (BAS) until shutdown — or, with a SendTimeout configured, discarding the
-// item once the timeout expires (Akka's BoundedMailbox semantics). The
-// timeout can only reject the item being admitted: tuples a mailbox has
-// already accepted are never dropped, in either transport mode.
-func (e *engine) localSend(from plan.StationID, edgeIdx int, edge *plan.Edge, t operators.Tuple) bool {
-	tb := e.tab()
-	if f := tb.stFaults[from]; f != nil {
-		f.OnSend()
-	}
-	switch tb.senders[from][edgeIdx].Send(t, e.done) {
-	case mailbox.Sent:
-		tb.st[from].Emitted.Add(1)
-		tb.st[edge.To].Arrived.Add(1)
-		if len(e.tracers) != 0 {
-			e.fireEmit(from, 1)
-		}
-		return true
-	case mailbox.Dropped:
-		tb.st[from].Emitted.Add(1)
-		tb.st[edge.To].Dropped.Add(1)
-		if len(e.tracers) != 0 {
-			e.fireEmit(from, 1)
-		}
-		return true
-	default: // mailbox.Closed: engine shutdown; the tuple was never admitted.
-		tb.st[from].Abandoned.Add(1)
-		return false
-	}
-}
-
-// localSendMany delivers a whole output batch along one edge. Counter
-// semantics match per-tuple sends exactly: every admitted tuple counts as
-// emitted and arrived, every shed tuple as emitted and dropped.
+// localSendMany pushes a slice into the in-process mailbox, blocking on a
+// full buffer (BAS) until shutdown — or, with a SendTimeout configured,
+// discarding a tuple once its timeout expires (Akka's BoundedMailbox
+// semantics). The timeout can only reject a tuple being admitted: tuples
+// a mailbox has already accepted are never dropped, on any transport.
+// Every admitted tuple counts as emitted and arrived, every shed tuple as
+// emitted and dropped.
 func (e *engine) localSendMany(from plan.StationID, edgeIdx int, edge *plan.Edge, ts []operators.Tuple) bool {
 	tb := e.tab()
 	if f := tb.stFaults[from]; f != nil {
@@ -579,6 +560,9 @@ func (p *probe) onReceiveSlow(n int) {
 
 // sampleService reports whether this tuple's service episode should be
 // timed: every 128th tuple, or every tuple while tracers are attached.
+// Episodes are per tuple on every transport — one operator call plus its
+// padding, never the delivery — so a service-rate observation means the
+// same thing whatever the window size.
 func (p *probe) sampleService() bool {
 	if p == nil {
 		return false
@@ -587,19 +571,12 @@ func (p *probe) sampleService() bool {
 	return p.traced || p.served&sampleMask == 1
 }
 
-// onServe records one timed service episode covering n tuples. The
-// recorded value is the mean per-tuple wall time of the episode; for
-// batched episodes that includes time blocked on downstream admission
-// (backpressure is part of the effective service time the cost model
-// predicts via BAS).
-func (p *probe) onServe(started time.Time, n int) {
-	if p == nil || n == 0 {
-		return
-	}
+// onServe records one tuple's timed service episode.
+func (p *probe) onServe(started time.Time) {
 	elapsed := time.Since(started)
-	p.st.Service.RecordN(uint64(elapsed.Nanoseconds())/uint64(n), uint64(n))
+	p.st.Service.Record(uint64(elapsed.Nanoseconds()))
 	for _, t := range p.tracers {
-		t.OnServe(p.id, n, elapsed)
+		t.OnServe(p.id, 1, elapsed)
 	}
 }
 
@@ -685,10 +662,10 @@ func (e *engine) execute(ctx context.Context) (*Metrics, error) {
 
 // drainMailboxes collects every tuple still queued after all stations
 // exited, so shutdown leaves no unaccounted in-flight item and every
-// capacity credit returns to its mailbox. Station goroutines flush their
-// partial sender batches on exit (flushStationSenders), which
-// happens-before wg.Wait, so by the time this runs all surviving tuples
-// sit in mailboxes — including the mailboxes of stations a live
+// capacity credit returns to its mailbox. Stations hold nothing between
+// windows (every delivery hands its tuples to a mailbox or accounts them
+// before it returns), so by the time this runs all surviving tuples sit
+// in mailboxes — including the mailboxes of stations a live
 // reconfiguration retired mid-run.
 func (e *engine) drainMailboxes() {
 	tb := e.tab()
@@ -816,12 +793,6 @@ func (e *engine) runStation(id plan.StationID, ctl *stationCtl, seed uint64) {
 	rng := stats.NewRNG(seed)
 	for {
 		e.stationSegment(id, ctl, rng)
-		// Hand partial output micro-batches to their target mailboxes on
-		// every segment exit — each buffered tuple already holds a
-		// capacity credit, so the flush cannot block — so either the
-		// controller (pause) or the final drain pass (shutdown) sees
-		// every surviving tuple in a mailbox.
-		e.flushStationSenders(e.tab(), id)
 		if e.isShutdown() {
 			return
 		}
@@ -868,534 +839,16 @@ func (e *engine) stationSegment(id plan.StationID, ctl *stationCtl, rng *stats.R
 	}
 }
 
-// flushStationSenders pushes the station's partial output batches into
-// their target mailboxes and stops the linger timers. Buffered items
-// hold credits, so this never blocks.
-func (e *engine) flushStationSenders(tb *tables, id plan.StationID) {
-	for _, s := range tb.senders[id] {
-		s.Flush()
-	}
-}
-
-// runDegraded drains the station's inbox after its restart budget is
-// exhausted, so upstream backpressure cannot deadlock on a dead
-// operator: every tuple is still consumed, counted as failed, and its
-// capacity credit returned.
-func (e *engine) runDegraded(tb *tables, st *plan.Station, ctl *stationCtl) {
-	inbox := tb.mailboxes[st.ID]
-	stop := ctl.stopCh()
-	for {
-		_, ok := inbox.Recv(stop)
-		if !ok {
-			if e.isShutdown() {
-				return
-			}
-			if !ctl.drainRequested() || inbox.Pending() == 0 {
-				return
-			}
-			if _, ok = inbox.Recv(e.done); !ok {
-				return
-			}
-		}
-		tb.st[st.ID].Consumed.Add(1)
-		tb.st[st.ID].Failed.Add(1)
-	}
-}
-
-// stationEpoch runs the operator until the segment ends (true) or a
-// recovered panic (false). Each epoch binds its operator instance through
-// the lifecycle seam: a pause presets the live instance so state survives
-// the park, a restart binds a fresh one so a panic cannot resurrect state
-// it may have corrupted.
-func (e *engine) stationEpoch(tb *tables, st *plan.Station, ctl *stationCtl, rng *stats.RNG) bool {
-	exec, selfPaced, inst, minst := e.bindStation(st, ctl)
-	pace := newPacer(st.ServiceTime)
-	// Without padding the clock read per item is pure dataplane overhead
-	// (the pacer never runs); skip it so raw throughput measures the
-	// transport, not the vDSO.
-	usePace := !e.cfg.NoServicePadding && !selfPaced
-	// Every non-per-tuple policy runs the batch-draining loop: RecvBatch
-	// drains whole micro-batches from a batched inbox and whole ring runs
-	// from an SPSC inbox, and the per-edge output buffers deliver in bulk
-	// to either transport downstream.
-	if e.cfg.Mailbox != mailbox.PerTuple {
-		return e.stationEpochBatched(tb, st, ctl, rng, exec, usePace, pace, inst, minst)
-	}
-	return e.stationEpochTuple(tb, st, ctl, rng, exec, usePace, pace, inst, minst)
-}
-
-// bindStation resolves the operator instance for one epoch: a preset
-// carried across a pause (or installed by a migration) wins; otherwise
-// the binding clones a fresh instance. Either way the live instance is
-// published on the ctl so the controller can migrate its state while the
-// station is parked.
-func (e *engine) bindStation(st *plan.Station, ctl *stationCtl) (exec func(operators.Tuple, *[]routed), selfPaced bool, inst operators.Operator, minst *metaInstance) {
-	if mi := ctl.presetMeta; mi != nil {
-		ctl.preset, ctl.presetMeta = nil, nil
-		ctl.publish(nil, mi)
-		return mi.process, true, nil, mi
-	}
-	if op := ctl.preset; op != nil {
-		ctl.preset, ctl.presetMeta = nil, nil
-		ctl.publish(op, nil)
-		return opExec(op), false, op, nil
-	}
-	exec, selfPaced, inst, minst = e.binding.executor(st, e.cfg)
-	ctl.publish(inst, minst)
-	return exec, selfPaced, inst, minst
-}
-
-// stationEpochTuple is one per-tuple-transport epoch of the actor loop.
-func (e *engine) stationEpochTuple(tb *tables, st *plan.Station, ctl *stationCtl, rng *stats.RNG, exec func(operators.Tuple, *[]routed), usePace bool, pace *pacer, inst operators.Operator, minst *metaInstance) (clean bool) {
-	rr := 0
-	outs := make([]routed, 0, 8)
-	fl := tb.stFaults[st.ID]
-	pr := e.newProbe(tb, st.ID)
-	inbox := tb.mailboxes[st.ID]
-	stop := ctl.stopCh()
-	inHand := 0
-	if e.cfg.MaxRestarts != 0 {
-		defer func() {
-			if r := recover(); r != nil {
-				// The tuple in hand left the mailbox but its processing
-				// died with the panic; its partial outputs die with it.
-				tb.st[st.ID].Consumed.Add(uint64(inHand))
-				tb.st[st.ID].Failed.Add(uint64(inHand))
-				clean = false
-			}
-		}()
-	}
-	if exec == nil {
-		exec = forward
-	}
-	for {
-		tup, ok := inbox.Recv(stop)
-		if !ok {
-			if e.isShutdown() {
-				return true
-			}
-			// Pause requested. A drain-before-pause keeps consuming with
-			// the engine-wide done channel until the inbox is empty
-			// (producers are already parked, so no new input arrives);
-			// otherwise the live instance is carried across the park so
-			// operator state survives the pause.
-			if !ctl.drainRequested() || inbox.Pending() == 0 {
-				ctl.carry(inst, minst)
-				return true
-			}
-			if tup, ok = inbox.Recv(e.done); !ok {
-				return true
-			}
-		}
-		if pr != nil {
-			pr.onReceive(1)
-		}
-		inHand = 1
-		sampleSvc := pr.sampleService()
-		var started time.Time
-		if usePace || sampleSvc {
-			started = time.Now()
-		}
-		if fl != nil {
-			fl.OnProcess()
-		}
-		outs = outs[:0]
-		exec(tup, &outs)
-		if usePace {
-			pace.wait(started)
-		}
-		if sampleSvc {
-			pr.onServe(started, 1)
-		}
-		tb.st[st.ID].Consumed.Add(1)
-		inHand = 0
-		if len(st.Out) == 0 {
-			// Sink: results leave the system.
-			tb.st[st.ID].Emitted.Add(uint64(len(outs)))
-			pr.onEmit(len(outs))
-			if e.cfg.OnSink != nil {
-				for _, o := range outs {
-					e.cfg.OnSink(st.Op, o.tuple)
-				}
-			}
-			continue
-		}
-		if !e.flush(tb, st, outs, rng, &rr) {
-			return true
-		}
-	}
-}
-
-// stationEpochBatched is one batched-transport epoch of the actor loop:
-// it drains whole micro-batches from the inbox, routes outputs into
-// per-edge buffers, and delivers them in bulk. Operator execution,
-// pacing, routing decisions, and shedding all remain per-tuple; only the
-// queue synchronization and counter updates are amortized over batches.
-// Output buffers never persist across input batches, so the engine holds
-// no tuples outside a mailbox while idle — the upstream linger chain
-// bounds end-to-end latency exactly as in per-tuple mode, and a pause
-// request always finds the buffers empty.
-func (e *engine) stationEpochBatched(tb *tables, st *plan.Station, ctl *stationCtl, rng *stats.RNG, exec func(operators.Tuple, *[]routed), usePace bool, pace *pacer, inst operators.Operator, minst *metaInstance) (clean bool) {
-	rr := 0
-	outs := make([]routed, 0, 8)
-	inbox := tb.mailboxes[st.ID]
-	stop := ctl.stopCh()
-	sink := len(st.Out) == 0
-	fl := tb.stFaults[st.ID]
-	pr := e.newProbe(tb, st.ID)
-	outBufs := make([][]operators.Tuple, len(st.Out))
-	for i := range outBufs {
-		outBufs[i] = make([]operators.Tuple, 0, e.cfg.Batch)
-	}
-	// abandonBufs counts (and clears) tuples stuck in the per-edge
-	// output buffers when the epoch aborts: their inputs were processed,
-	// but the outputs will never be admitted downstream.
-	abandonBufs := func(extra int) {
-		n := extra
-		for i := range outBufs {
-			n += len(outBufs[i])
-			outBufs[i] = outBufs[i][:0]
-		}
-		if n > 0 {
-			tb.st[st.ID].Abandoned.Add(uint64(n))
-		}
-	}
-	var batch []operators.Tuple
-	k := 0 // index of the tuple in hand within batch
-	if e.cfg.MaxRestarts != 0 {
-		defer func() {
-			if r := recover(); r != nil {
-				// batch[:k] processed fine (their unsent outputs are
-				// abandoned below); batch[k:] — the tuple in hand plus
-				// the unprocessed tail — died with the panic. The in-hand
-				// tuple's partial outputs in outs die with it.
-				tb.st[st.ID].Consumed.Add(uint64(len(batch)))
-				tb.st[st.ID].Failed.Add(uint64(len(batch) - k))
-				abandonBufs(0)
-				clean = false
-			}
-		}()
-	}
-	// Trivial pass-through on a single edge (the common pipeline shape):
-	// forward the input batch wholesale — no closure call, no routed
-	// slice, no per-tuple routing decision. Pacing still needs the
-	// per-tuple loop, and injected faults must observe every tuple for
-	// the schedule to stay deterministic, so both disable it.
-	forwardWhole := exec == nil && len(st.Out) == 1 && !usePace && fl == nil
-	// The sink analogue: an unbound pass-through sink just counts the
-	// batch out of the system — one Consumed/Emitted add per batch
-	// instead of a per-tuple exec loop. OnSink callbacks, pacing, and
-	// fault schedules all need to see individual tuples, so any of them
-	// disables it.
-	sinkWhole := exec == nil && sink && !usePace && fl == nil && e.cfg.OnSink == nil
-	// A whole-batch station on a proven ring skips the copy-out entirely
-	// and works on the ring slots in place.
-	if ringWhole(tb, st, sinkWhole, forwardWhole) {
-		return e.stationEpochRing(tb, st, ctl, sink, inst, minst)
-	}
-	if exec == nil {
-		exec = forward
-	}
-	for {
-		batch, k = nil, 0
-		if inbox.Queued() == 0 {
-			// About to go idle: hand partial output batches downstream
-			// so a quiet edge never strands tuples behind this
-			// station's empty inbox.
-			e.flushStationSenders(tb, st.ID)
-		}
-		var ok bool
-		batch, ok = inbox.RecvBatch(stop)
-		if !ok {
-			if e.isShutdown() {
-				return true
-			}
-			// Pause requested; see stationEpochTuple for the drain
-			// protocol. Output buffers are empty here (flushed after
-			// every input batch), so only the operator instance needs to
-			// cross the park.
-			if !ctl.drainRequested() || inbox.Pending() == 0 {
-				ctl.carry(inst, minst)
-				return true
-			}
-			if batch, ok = inbox.RecvBatch(e.done); !ok {
-				return true
-			}
-		}
-		if pr != nil {
-			pr.onReceive(len(batch))
-		}
-		if sinkWhole {
-			n := uint64(len(batch))
-			tb.st[st.ID].Consumed.Add(n)
-			tb.st[st.ID].Emitted.Add(n)
-			pr.onEmit(len(batch))
-			inbox.Recycle(batch)
-			continue
-		}
-		if forwardWhole {
-			for i := range batch {
-				batch[i].Port = st.Out[0].Port
-			}
-			ok := e.sendManyFn(st.ID, 0, &st.Out[0], batch)
-			tb.st[st.ID].Consumed.Add(uint64(len(batch)))
-			if !ok {
-				// Shutdown mid-delivery; the unsent tail was accounted
-				// as abandoned by the send path.
-				return true
-			}
-			inbox.Recycle(batch)
-			continue
-		}
-		// Batch service episodes are subsampled like per-tuple ones: a
-		// fast-draining station receives many tiny batches, so reading
-		// the clock on every one would dominate the probe's cost.
-		sampleBatch := pr.sampleService()
-		var batchStart time.Time
-		if sampleBatch {
-			batchStart = time.Now()
-		}
-		for k = 0; k < len(batch); k++ {
-			tup := batch[k]
-			var started time.Time
-			if usePace {
-				started = time.Now()
-			}
-			if fl != nil {
-				fl.OnProcess()
-			}
-			outs = outs[:0]
-			exec(tup, &outs)
-			if usePace {
-				pace.wait(started)
-			}
-			if sink {
-				// Sink: results leave the system.
-				tb.st[st.ID].Emitted.Add(uint64(len(outs)))
-				pr.onEmit(len(outs))
-				if e.cfg.OnSink != nil {
-					for _, o := range outs {
-						e.cfg.OnSink(st.Op, o.tuple)
-					}
-				}
-				continue
-			}
-			for oi := 0; oi < len(outs); oi++ {
-				idx := e.pickEdge(tb, st, outs[oi], rng, &rr)
-				if idx < 0 {
-					continue
-				}
-				t := outs[oi].tuple
-				t.Port = st.Out[idx].Port
-				outBufs[idx] = append(outBufs[idx], t)
-				if len(outBufs[idx]) >= e.cfg.Batch {
-					if !e.sendManyFn(st.ID, idx, &st.Out[idx], outBufs[idx]) {
-						// Shutdown mid-batch: batch[:k+1] were processed
-						// (stuck outputs become abandoned work), the
-						// unprocessed tail becomes drain residue. The
-						// failing buffer was already accounted by the
-						// send path.
-						outBufs[idx] = outBufs[idx][:0]
-						tb.st[st.ID].Consumed.Add(uint64(k + 1))
-						tb.st[st.ID].Drained.Add(uint64(len(batch) - k - 1))
-						abandonBufs(len(outs) - oi - 1)
-						return true
-					}
-					outBufs[idx] = outBufs[idx][:0]
-				}
-			}
-		}
-		tb.st[st.ID].Consumed.Add(uint64(len(batch)))
-		if sampleBatch {
-			pr.onServe(batchStart, len(batch))
-		}
-		inbox.Recycle(batch)
-		batch, k = nil, 0
-		for idx := range outBufs {
-			if len(outBufs[idx]) == 0 {
-				continue
-			}
-			if !e.sendManyFn(st.ID, idx, &st.Out[idx], outBufs[idx]) {
-				outBufs[idx] = outBufs[idx][:0]
-				abandonBufs(0)
-				return true
-			}
-			outBufs[idx] = outBufs[idx][:0]
-		}
-	}
-}
-
-// runSource generates the input stream at the source's service rate,
-// subject to backpressure on its output mailboxes. A pause request parks
-// the source between tuples (nothing is buffered in per-tuple mode).
-func (e *engine) runSource(tb *tables, st *plan.Station, ctl *stationCtl, rng *stats.RNG) {
-	rr := 0
-	pace := newPacer(st.ServiceTime)
-	usePace := !e.cfg.NoServicePadding
-	if e.cfg.Mailbox != mailbox.PerTuple {
-		// Unpadded sources feeding a proven single-producer ring generate
-		// straight into reserved ring slots (padding needs the per-tuple
-		// pacer, so it keeps the staging loop). Re-checked every segment:
-		// a reconfiguration that demotes the ring re-dispatches here.
-		if !usePace {
-			if ring := e.sourceRing(tb, st); ring != nil {
-				e.runSourceRing(tb, st, ctl, ring)
-				return
-			}
-		}
-		e.runSourceBatched(tb, st, ctl, rng, usePace, pace)
-		return
-	}
-	pr := e.newProbe(tb, st.ID)
-	one := make([]routed, 1)
-	stop := ctl.stopCh()
-	for {
-		select {
-		case <-stop:
-			return
-		default:
-		}
-		sampleSvc := pr.sampleService()
-		var started time.Time
-		if usePace || sampleSvc {
-			started = time.Now()
-		}
-		tup := e.cfg.Generator.Next()
-		if usePace {
-			pace.wait(started)
-		}
-		if sampleSvc {
-			pr.onServe(started, 1)
-		}
-		tb.st[st.ID].Consumed.Add(1)
-		one[0] = routed{tuple: tup, dest: -1}
-		if !e.flush(tb, st, one, rng, &rr) {
-			return
-		}
-	}
-}
-
-// runSourceBatched generates the stream in micro-batches: tuples are
-// paced and routed individually, then delivered per edge in bulk. Under
-// padding a linger bound flushes partial buffers so a slow source still
-// feeds the pipeline promptly. A pause flushes the buffers downstream
-// before parking (the tuples were generated and accounted); only
-// shutdown abandons them.
-func (e *engine) runSourceBatched(tb *tables, st *plan.Station, ctl *stationCtl, rng *stats.RNG, usePace bool, pace *pacer) {
-	rr := 0
-	pr := e.newProbe(tb, st.ID)
-	stop := ctl.stopCh()
-	outBufs := make([][]operators.Tuple, len(st.Out))
-	for i := range outBufs {
-		outBufs[i] = make([]operators.Tuple, 0, e.cfg.Batch)
-	}
-	buffered := 0
-	var firstBuffered time.Time
-	// abandonBufs accounts generated tuples stuck in the output buffers
-	// when shutdown aborts the source.
-	abandonBufs := func() {
-		n := 0
-		for i := range outBufs {
-			n += len(outBufs[i])
-			outBufs[i] = outBufs[i][:0]
-		}
-		if n > 0 {
-			tb.st[st.ID].Abandoned.Add(uint64(n))
-		}
-	}
-	flushAll := func() bool {
-		for idx := range outBufs {
-			if len(outBufs[idx]) == 0 {
-				continue
-			}
-			if !e.sendManyFn(st.ID, idx, &st.Out[idx], outBufs[idx]) {
-				// The failing buffer's tail was accounted by the send
-				// path; the remaining edges' buffers are abandoned here.
-				outBufs[idx] = outBufs[idx][:0]
-				abandonBufs()
-				return false
-			}
-			outBufs[idx] = outBufs[idx][:0]
-		}
-		buffered = 0
-		return true
-	}
-	for {
-		select {
-		case <-stop:
-			if e.isShutdown() {
-				abandonBufs()
-				return
-			}
-			// Pause: hand the buffered tuples downstream (consumers are
-			// still running) so nothing is lost across the park.
-			flushAll()
-			return
-		default:
-		}
-		sampleSvc := pr.sampleService()
-		var started time.Time
-		if usePace || sampleSvc {
-			started = time.Now()
-		}
-		tup := e.cfg.Generator.Next()
-		if usePace {
-			pace.wait(started)
-		}
-		if sampleSvc {
-			pr.onServe(started, 1)
-		}
-		tb.st[st.ID].Consumed.Add(1)
-		idx := e.pickEdge(tb, st, routed{tuple: tup, dest: -1}, rng, &rr)
-		if idx < 0 {
-			continue
-		}
-		tup.Port = st.Out[idx].Port
-		if buffered == 0 {
-			firstBuffered = started
-		}
-		outBufs[idx] = append(outBufs[idx], tup)
-		buffered++
-		if len(outBufs[idx]) >= e.cfg.Batch ||
-			(usePace && time.Since(firstBuffered) >= e.cfg.Linger) {
-			if !flushAll() {
-				return
-			}
-		}
-	}
-}
-
-// flush delivers outputs downstream; a full mailbox blocks (BAS). It
-// returns false when the engine is shutting down.
-func (e *engine) flush(tb *tables, st *plan.Station, outs []routed, rng *stats.RNG, rr *int) bool {
-	for i := range outs {
-		idx := e.pickEdge(tb, st, outs[i], rng, rr)
-		if idx < 0 {
-			continue
-		}
-		edge := &st.Out[idx]
-		t := outs[i].tuple
-		t.Port = edge.Port
-		if !e.sendFn(st.ID, idx, edge, t) {
-			// The failing tuple was accounted by sendFn; the rest of
-			// this output set never reached a mailbox.
-			tb.st[st.ID].Abandoned.Add(uint64(len(outs) - i - 1))
-			return false
-		}
-	}
-	return true
-}
-
 // pickEdge selects the index of the output edge for one item per the
 // station's routing discipline, or honors an explicit meta-operator
 // destination; -1 means the item has no destination.
-func (e *engine) pickEdge(tb *tables, st *plan.Station, o routed, rng *stats.RNG, rr *int) int {
+func (e *engine) pickEdge(tb *tables, st *plan.Station, dest core.OpID, key uint64, rng *stats.RNG, rr *int) int {
 	out := st.Out
 	if len(out) == 0 {
 		return -1
 	}
-	if o.dest >= 0 {
-		entry := tb.p.EntryOf[o.dest]
+	if dest >= 0 {
+		entry := tb.p.EntryOf[dest]
 		for i := range out {
 			if out[i].To == entry {
 				return i
@@ -1413,12 +866,12 @@ func (e *engine) pickEdge(tb *tables, st *plan.Station, o routed, rng *stats.RNG
 		return idx
 	case plan.KeyHash:
 		if n := len(st.KeyReplica); n > 0 {
-			r := st.KeyReplica[int(o.tuple.Key)%n]
+			r := st.KeyReplica[int(key)%n]
 			if r >= 0 && r < len(out) {
 				return r
 			}
 		}
-		return int(o.tuple.Key) % len(out)
+		return int(key) % len(out)
 	default:
 		u := rng.Float64()
 		acc := 0.0

@@ -2,12 +2,14 @@ package runtime
 
 import (
 	"context"
+	goruntime "runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"spinstreams/internal/core"
+	"spinstreams/internal/faultinject"
 	"spinstreams/internal/mailbox"
 	"spinstreams/internal/operators"
 	"spinstreams/internal/plan"
@@ -45,31 +47,45 @@ func pipeline(t *testing.T, times ...float64) *core.Topology {
 	return topo
 }
 
-func TestRunPipelineMatchesModel(t *testing.T) {
-	// Source at 200/s, stages faster: predicted throughput 200/s.
-	topo := pipeline(t, 0.005, 0.002, 0.001)
-	a, err := core.SteadyState(topo)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := RunTopology(context.Background(), topo, nil, nil, shortCfg(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e := stats.RelErr(m.Throughput, a.Throughput()); e > 0.15 {
-		t.Errorf("throughput = %v, predicted %v (err %.3f)", m.Throughput, a.Throughput(), e)
-	}
-}
+// allModes is every transport policy the one station loop runs under.
+var allModes = []mailbox.Mode{mailbox.PerTuple, mailbox.Batched, mailbox.Auto}
 
-func TestRunBackpressure(t *testing.T) {
-	// Middle stage at 100/s throttles the 500/s source via blocking sends.
-	topo := pipeline(t, 0.002, 0.010, 0.001)
-	m, err := RunTopology(context.Background(), topo, nil, nil, shortCfg(2))
-	if err != nil {
-		t.Fatal(err)
+func TestRunThroughputMatchesModel(t *testing.T) {
+	// Capacity is accounted in tuples on every transport, so BAS blocking
+	// — and with it the steady state — must come out the same under each.
+	cases := []struct {
+		name  string
+		times []float64
+		want  float64
+	}{
+		// Source at 200/s, stages faster: the source rate is the throughput.
+		{"source-bound", []float64{0.005, 0.002, 0.001}, 200},
+		// Middle stage at 100/s throttles the 500/s source via blocking sends.
+		{"backpressure", []float64{0.002, 0.010, 0.001}, 100},
 	}
-	if e := stats.RelErr(m.Throughput, 100); e > 0.15 {
-		t.Errorf("throughput = %v, want ~100 (err %.3f)", m.Throughput, e)
+	for ci, c := range cases {
+		topo := pipeline(t, c.times...)
+		a, err := core.SteadyState(topo)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if e := stats.RelErr(a.Throughput(), c.want); e > 1e-9 {
+			t.Fatalf("%s: model predicts %v, want %v", c.name, a.Throughput(), c.want)
+		}
+		for _, mode := range allModes {
+			cfg := shortCfg(uint64(1 + ci))
+			cfg.Mailbox = mode
+			t.Run(c.name+"/"+mode.String(), func(t *testing.T) {
+				t.Parallel()
+				m, err := RunTopology(context.Background(), topo, nil, nil, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if e := stats.RelErr(m.Throughput, c.want); e > 0.15 {
+					t.Errorf("throughput = %v, predicted %v (err %.3f)", m.Throughput, c.want, e)
+				}
+			})
+		}
 	}
 }
 
@@ -333,7 +349,8 @@ func TestRunBandJoinPorts(t *testing.T) {
 
 func TestRunPreserveOrder(t *testing.T) {
 	// Four replicas process in parallel; with PreserveOrder the collector
-	// must release items in the emitter's sequence order.
+	// must release items in the emitter's sequence order, on every
+	// transport (each keeps per-edge FIFO), paced or flat out.
 	topo := pipeline(t, 0.001, 0.004, 0.0001)
 	fis, err := core.EliminateBottlenecks(topo, core.FissionOptions{})
 	if err != nil {
@@ -342,32 +359,46 @@ func TestRunPreserveOrder(t *testing.T) {
 	if fis.Analysis.Replicas[1] != 4 {
 		t.Fatalf("replicas = %d, want 4", fis.Analysis.Replicas[1])
 	}
-	var mu sync.Mutex
-	var seqs []uint64
-	cfg := shortCfg(60)
-	cfg.PreserveOrder = true
-	cfg.OnSink = func(op core.OpID, tp operators.Tuple) {
-		mu.Lock()
-		seqs = append(seqs, tp.Seq)
-		mu.Unlock()
-	}
-	m, err := RunTopology(context.Background(), topo, fis.Analysis.Replicas, nil, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if len(seqs) < 100 {
-		t.Fatalf("sink observed only %d items", len(seqs))
-	}
-	for i := 1; i < len(seqs); i++ {
-		if seqs[i] != seqs[i-1]+1 {
-			t.Fatalf("order violated at %d: seq %d after %d", i, seqs[i], seqs[i-1])
+	for _, mode := range allModes {
+		for _, padded := range []bool{true, false} {
+			name := mode.String() + "/padded"
+			cfg := shortCfg(60)
+			if !padded {
+				name = mode.String() + "/unpadded"
+				cfg.NoServicePadding = true
+				cfg.Duration, cfg.Warmup = 400*time.Millisecond, 100*time.Millisecond
+			}
+			cfg.Mailbox = mode
+			cfg.PreserveOrder = true
+			t.Run(name, func(t *testing.T) {
+				t.Parallel()
+				var mu sync.Mutex
+				var seqs []uint64
+				cfg.OnSink = func(op core.OpID, tp operators.Tuple) {
+					mu.Lock()
+					seqs = append(seqs, tp.Seq)
+					mu.Unlock()
+				}
+				m, err := RunTopology(context.Background(), topo, fis.Analysis.Replicas, nil, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				mu.Lock()
+				defer mu.Unlock()
+				if len(seqs) < 100 {
+					t.Fatalf("sink observed only %d items", len(seqs))
+				}
+				for i := 1; i < len(seqs); i++ {
+					if seqs[i] != seqs[i-1]+1 {
+						t.Fatalf("order violated at %d: seq %d after %d", i, seqs[i], seqs[i-1])
+					}
+				}
+				// Order restoration must not cost throughput.
+				if e := stats.RelErr(m.Throughput, 1000); padded && e > 0.2 {
+					t.Errorf("throughput = %v, want ~1000", m.Throughput)
+				}
+			})
 		}
-	}
-	// Order restoration must not cost throughput.
-	if e := stats.RelErr(m.Throughput, 1000); e > 0.2 {
-		t.Errorf("throughput = %v, want ~1000", m.Throughput)
 	}
 }
 
@@ -397,35 +428,61 @@ func TestRunPreserveOrderSkipsNonUnitGain(t *testing.T) {
 	}
 }
 
-func TestRunSendTimeoutSheds(t *testing.T) {
-	// A short send timeout turns backpressure into load shedding: the
-	// source runs at full speed and the bottleneck's mailbox discards the
-	// excess (Akka BoundedMailbox semantics with a small timeout).
+func TestRunSheddingParity(t *testing.T) {
+	// A short send timeout turns backpressure into load shedding (Akka
+	// BoundedMailbox semantics with a small timeout), identically on
+	// every transport: only tuples awaiting admission are dropped, never
+	// tuples a mailbox (or a partial batch) already accepted. If admitted
+	// tuples were lost, the bottleneck would consume less than its
+	// measured admissions and the sink would fall below the shedding
+	// model's rate.
 	topo := pipeline(t, 0.001, 0.004, 0.0001)
 	model, err := core.SteadyStateShedding(topo)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := shortCfg(70)
-	cfg.SendTimeout = time.Millisecond
-	cfg.MailboxSize = 8
-	m, err := RunTopology(context.Background(), topo, nil, nil, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Akka's timeout semantics stall the sender for up to the timeout per
-	// dropped item, so the source does not reach its full 1000/s; it must
-	// still run far above the 250/s the pure-backpressure steady state
-	// would allow.
-	if m.Throughput < 400 {
-		t.Errorf("source rate = %v, want well above the backpressure 250/s", m.Throughput)
-	}
-	if m.Dropped[1] < 100 {
-		t.Errorf("drop rate = %v, want substantial shedding", m.Dropped[1])
-	}
-	// The sink still receives roughly the bottleneck-limited flow.
-	if e := stats.RelErr(m.Arrival[2], model.SinkRate); e > 0.3 {
-		t.Errorf("sink arrival = %v, model %v", m.Arrival[2], model.SinkRate)
+	for _, mode := range allModes {
+		t.Run(mode.String(), func(t *testing.T) {
+			t.Parallel()
+			cfg := shortCfg(83)
+			cfg.Mailbox = mode
+			cfg.SendTimeout = time.Millisecond
+			cfg.MailboxSize = 8
+			m, err := RunTopology(context.Background(), topo, nil, nil, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Akka's timeout semantics stall the sender for up to the
+			// timeout per dropped item, so the source does not reach its
+			// full 1000/s; it must still run far above the 250/s the
+			// pure-backpressure steady state would allow.
+			if m.Throughput < 400 {
+				t.Errorf("source rate = %v, want well above the backpressure 250/s", m.Throughput)
+			}
+			if m.Dropped[1] < 100 {
+				t.Errorf("drop rate = %v, want substantial shedding", m.Dropped[1])
+			}
+			// Conservation after admission: everything admitted into the
+			// bottleneck's mailbox is consumed (the queue residue over the
+			// window is at most MailboxSize items, negligible as a rate).
+			var bottleneck *StationMetrics
+			for i := range m.Stations {
+				if m.Stations[i].Name == "sB" {
+					bottleneck = &m.Stations[i]
+				}
+			}
+			if bottleneck == nil {
+				t.Fatal("bottleneck station not found")
+			}
+			if e := stats.RelErr(bottleneck.ConsumeRate, m.Arrival[1]); e > 0.1 {
+				t.Errorf("bottleneck consumed %v/s of %v/s admitted (err %.3f): admitted tuples were lost",
+					bottleneck.ConsumeRate, m.Arrival[1], e)
+			}
+			// And the sink still sees the bottleneck-limited flow.
+			if e := stats.RelErr(m.Arrival[2], model.SinkRate); e > 0.3 {
+				t.Errorf("sink arrival = %v, model %v", m.Arrival[2], model.SinkRate)
+			}
+		})
 	}
 }
 
@@ -478,120 +535,74 @@ func TestConfigRejectsNonsense(t *testing.T) {
 	}
 }
 
-func batchedCfg(seed uint64) Config {
-	cfg := shortCfg(seed)
-	cfg.Mailbox = mailbox.Batched
-	return cfg
-}
-
-func TestRunBatchedMatchesModel(t *testing.T) {
-	// The batched transport must carry the same steady state as the
-	// per-tuple one: tuple-accounted credits keep BAS blocking identical.
-	topo := pipeline(t, 0.005, 0.002, 0.001)
-	a, err := core.SteadyState(topo)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := RunTopology(context.Background(), topo, nil, nil, batchedCfg(80))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e := stats.RelErr(m.Throughput, a.Throughput()); e > 0.15 {
-		t.Errorf("throughput = %v, predicted %v (err %.3f)", m.Throughput, a.Throughput(), e)
-	}
-}
-
-func TestRunBatchedBackpressure(t *testing.T) {
-	// A bottleneck must throttle the source through blocked batched sends
-	// exactly as through blocked channel sends.
-	topo := pipeline(t, 0.002, 0.010, 0.001)
-	m, err := RunTopology(context.Background(), topo, nil, nil, batchedCfg(81))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e := stats.RelErr(m.Throughput, 100); e > 0.15 {
-		t.Errorf("throughput = %v, want ~100 (err %.3f)", m.Throughput, e)
-	}
-}
-
-func TestRunBatchedPreserveOrder(t *testing.T) {
-	// Order restoration composes with the batched transport: batches
-	// preserve per-edge FIFO, so the collector's sequence logic is
-	// unchanged.
-	topo := pipeline(t, 0.001, 0.004, 0.0001)
-	fis, err := core.EliminateBottlenecks(topo, core.FissionOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var mu sync.Mutex
-	var seqs []uint64
-	cfg := batchedCfg(82)
-	cfg.PreserveOrder = true
-	cfg.OnSink = func(op core.OpID, tp operators.Tuple) {
-		mu.Lock()
-		seqs = append(seqs, tp.Seq)
-		mu.Unlock()
-	}
-	if _, err := RunTopology(context.Background(), topo, fis.Analysis.Replicas, nil, cfg); err != nil {
-		t.Fatal(err)
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if len(seqs) < 100 {
-		t.Fatalf("sink observed only %d items", len(seqs))
-	}
-	for i := 1; i < len(seqs); i++ {
-		if seqs[i] != seqs[i-1]+1 {
-			t.Fatalf("order violated at %d: seq %d after %d", i, seqs[i], seqs[i-1])
+// TestRunPanicMidWindowSameOutputEveryMode replays one fixed fault
+// schedule — operator panics landing in the middle of input windows, with
+// recovery on — under every transport. A recovered panic loses exactly
+// the tuple in hand: the rest of its window is served by the restarted
+// operator and the outputs already staged are still delivered. So the
+// conservation identity holds, every panic fails one tuple, and (faults
+// fire on the n-th tuple a station serves, whatever the window size) the
+// sink sees the same per-key sequences in all three modes, up to where
+// each run happened to stop.
+func TestRunPanicMidWindowSameOutputEveryMode(t *testing.T) {
+	goroutines := goruntime.NumGoroutine()
+	topo := pipeline(t, 0.0002, 0.0002, 0.0001, 0.0001)
+	perKey := make([]map[uint64][]uint64, len(allModes))
+	for i, mode := range allModes {
+		inj := faultinject.New(faultinject.Config{Seed: 77, PanicProb: 0.002})
+		sink := map[uint64][]uint64{}
+		var mu sync.Mutex
+		cfg := Config{
+			Seed:             5,
+			Duration:         400 * time.Millisecond,
+			Warmup:           100 * time.Millisecond,
+			NoServicePadding: true,
+			Mailbox:          mode,
+			Batch:            16,
+			MaxRestarts:      1 << 30,
+			Faults:           inj,
+			OnSink: func(_ core.OpID, tp operators.Tuple) {
+				mu.Lock()
+				sink[tp.Key] = append(sink[tp.Key], tp.Seq)
+				mu.Unlock()
+			},
 		}
+		m, err := RunTopology(context.Background(), topo, nil, nil, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkConservation(t, m)
+		panics := inj.Counts().Panics
+		if panics == 0 || m.Restarts != panics {
+			t.Fatalf("%v: %d injected panics, %d restarts", mode, panics, m.Restarts)
+		}
+		if m.Totals.Failed != panics {
+			t.Errorf("%v: %d panics failed %d tuples, want one each", mode, panics, m.Totals.Failed)
+		}
+		if m.Totals.Delivered < 1000 {
+			t.Fatalf("%v: only %d tuples delivered", mode, m.Totals.Delivered)
+		}
+		perKey[i] = sink
 	}
-}
-
-func TestBatchedSheddingParity(t *testing.T) {
-	// Regression for the drop-accounting contract: with a send timeout,
-	// the batched transport sheds exactly like the per-tuple one — only
-	// tuples awaiting admission are dropped, never tuples a mailbox (or a
-	// partial batch) already accepted. If admitted tuples were lost, the
-	// bottleneck would consume less than its measured admissions and the
-	// sink would fall below the shedding model's rate.
-	topo := pipeline(t, 0.001, 0.004, 0.0001)
-	model, err := core.SteadyStateShedding(topo)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, mode := range []mailbox.Mode{mailbox.PerTuple, mailbox.Batched} {
-		t.Run(mode.String(), func(t *testing.T) {
-			cfg := shortCfg(83)
-			cfg.Mailbox = mode
-			cfg.SendTimeout = time.Millisecond
-			cfg.MailboxSize = 8
-			m, err := RunTopology(context.Background(), topo, nil, nil, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if m.Dropped[1] < 100 {
-				t.Errorf("drop rate = %v, want substantial shedding", m.Dropped[1])
-			}
-			// Conservation after admission: everything admitted into the
-			// bottleneck's mailbox is consumed (the queue residue over the
-			// window is at most MailboxSize items, negligible as a rate).
-			var bottleneck *StationMetrics
-			for i := range m.Stations {
-				if m.Stations[i].Name == "sB" {
-					bottleneck = &m.Stations[i]
+	for i := 1; i < len(allModes); i++ {
+		for key, want := range perKey[0] {
+			got := perKey[i][key]
+			n := min(len(got), len(want))
+			for j := 0; j < n; j++ {
+				if got[j] != want[j] {
+					t.Fatalf("key %d, position %d: %v delivered seq %d, %v seq %d",
+						key, j, allModes[i], got[j], allModes[0], want[j])
 				}
 			}
-			if bottleneck == nil {
-				t.Fatal("bottleneck station not found")
-			}
-			if e := stats.RelErr(bottleneck.ConsumeRate, m.Arrival[1]); e > 0.1 {
-				t.Errorf("bottleneck consumed %v/s of %v/s admitted (err %.3f): admitted tuples were lost",
-					bottleneck.ConsumeRate, m.Arrival[1], e)
-			}
-			// And the sink still sees the bottleneck-limited flow.
-			if e := stats.RelErr(m.Arrival[2], model.SinkRate); e > 0.3 {
-				t.Errorf("sink arrival = %v, model %v", m.Arrival[2], model.SinkRate)
-			}
-		})
+		}
+	}
+	// Every run has returned, so everything it started must be gone: a
+	// wedged sender or a leaked linger timer would still be here.
+	deadline := time.Now().Add(2 * time.Second)
+	for goruntime.NumGoroutine() > goroutines && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if n := goruntime.NumGoroutine(); n > goroutines {
+		t.Errorf("%d goroutines before the runs, %d after", goroutines, n)
 	}
 }

@@ -29,10 +29,10 @@ import (
 // Checked mutations: assignments (element or whole-field) reached
 // through a tables-typed expression, ImportKey calls (keyed-state
 // migration), and Store calls publishing a *tables. Additionally,
-// element writes X.mailboxes[i] = v on non-fresh tables must take v
-// from demoteInbox — the constructor that can only produce the MPSC
-// path — so a demoted edge cannot be re-promoted to a ring whose
-// single-producer proof no longer holds.
+// element writes into X.mailboxes[i] on non-fresh tables must assign a
+// demoteInbox call directly — the constructor that resolves every inbox
+// as multi-producer — so a demoted edge cannot be re-promoted to a ring
+// whose single-producer proof no longer holds.
 var EpochFence = &Analyzer{
 	Name: "epochfence",
 	Doc:  "require pause-fence domination for epoch-table and keyed-state mutations; demotions never re-promote a ring",
@@ -110,8 +110,6 @@ func epochFenceFunc(pass *Pass, fn *ast.FuncDecl) []Diagnostic {
 	var pausePos []token.Pos
 	// Function-fresh tables roots (x := &tables{...}).
 	fresh := map[types.Object]bool{}
-	// Idents bound from demoteInbox calls.
-	demoted := map[types.Object]bool{}
 	ast.Inspect(fn.Body, func(n ast.Node) bool {
 		switch x := n.(type) {
 		case *ast.CallExpr:
@@ -138,18 +136,6 @@ func epochFenceFunc(pass *Pass, fn *ast.FuncDecl) []Diagnostic {
 			if un, ok := x.Rhs[0].(*ast.UnaryExpr); ok && un.Op == token.AND {
 				if cl, ok := un.X.(*ast.CompositeLit); ok && isNamed(info.Types[cl].Type, "tables") {
 					fresh[obj] = true
-				}
-			}
-			if call, ok := x.Rhs[0].(*ast.CallExpr); ok {
-				name := ""
-				switch f := call.Fun.(type) {
-				case *ast.Ident:
-					name = f.Name
-				case *ast.SelectorExpr:
-					name = f.Sel.Name
-				}
-				if name == "demoteInbox" {
-					demoted[obj] = true
 				}
 			}
 		}
@@ -193,7 +179,7 @@ func epochFenceFunc(pass *Pass, fn *ast.FuncDecl) []Diagnostic {
 						"epoch-table field %s mutated outside a pause fence: pass the *fence in or pause before mutating", field)})
 				}
 				if field == "mailboxes" && element && !freshRoot {
-					if !fromDemoteInbox(info, x, lhs, demoted) {
+					if !fromDemoteInbox(x, lhs) {
 						diags = append(diags, Diagnostic{Pos: lhs.Pos(), Message: "replacing a live station's inbox must go through demoteInbox: a demoted edge may never be re-promoted to an SPSC ring"})
 					}
 				}
@@ -281,29 +267,23 @@ func baseIdent(e ast.Expr) *ast.Ident {
 }
 
 // fromDemoteInbox reports whether the value assigned into a mailboxes
-// slot is (or was bound from) a demoteInbox result.
-func fromDemoteInbox(info *types.Info, as *ast.AssignStmt, lhs ast.Expr, demoted map[types.Object]bool) bool {
-	var rhs ast.Expr
+// slot is a demoteInbox call.
+func fromDemoteInbox(as *ast.AssignStmt, lhs ast.Expr) bool {
+	rhs := as.Rhs[0] // a lone call may feed several targets (v, err = f())
 	for i, l := range as.Lhs {
 		if l == lhs && i < len(as.Rhs) {
 			rhs = as.Rhs[i]
 		}
 	}
-	if rhs == nil && len(as.Rhs) == 1 {
-		rhs = as.Rhs[0]
+	call, ok := rhs.(*ast.CallExpr)
+	if !ok {
+		return false
 	}
-	switch v := rhs.(type) {
-	case *ast.CallExpr:
-		switch f := v.Fun.(type) {
-		case *ast.Ident:
-			return f.Name == "demoteInbox"
-		case *ast.SelectorExpr:
-			return f.Sel.Name == "demoteInbox"
-		}
+	switch f := call.Fun.(type) {
 	case *ast.Ident:
-		if obj := info.Uses[v]; obj != nil {
-			return demoted[obj]
-		}
+		return f.Name == "demoteInbox"
+	case *ast.SelectorExpr:
+		return f.Sel.Name == "demoteInbox"
 	}
 	return false
 }

@@ -8,25 +8,26 @@ import (
 	"strings"
 )
 
-// RingAlias enforces the SPSC ring's zero-copy aliasing protocol: the
-// slice windows handed out by Peek and Reserve point straight into ring
-// slots and stay valid only until the matching Consume / Publish — after
-// the release the producer (or the next reservation) reuses the slots
-// under the window. The pass flags, per function:
+// RingAlias enforces the mailbox window protocol's aliasing rule: the
+// slice windows handed out by Peek and Reserve point straight into the
+// mailbox's own storage (ring slots, the batch in hand) and stay valid
+// only until the matching Consume / Publish — after the release the
+// producer (or the next reservation) reuses the slots under the window.
+// The pass flags, per function:
 //
-//   - any use of a window after a matching lexically-dominating release
-//     on the same mailbox (len/cap are exempt: they read the slice
-//     header, never the slots);
+//   - any use of a window lexically after a matching release on the same
+//     mailbox and before the window is rebound (len/cap are exempt: they
+//     read the slice header, never the slots);
 //   - any escape of the window or a subslice of it out of the local
 //     scope — returned, sent on a channel, stored into a field, index,
 //     global or composite literal, or captured by a go/defer closure —
 //     because nothing bounds the retention of an escaped alias.
 //
-// A release only dominates later uses when its innermost enclosing block
-// also encloses them, so the common `if sink { inbox.Consume(n);
-// continue }` shape does not poison the fall-through path. Passing the
-// window (or a slot pointer) as a plain call argument is allowed: calls
-// return before the caller releases.
+// The order is purely lexical — the station and source loops release each
+// window at one point, after its last use — so a release inside a branch
+// poisons the code below the branch too. Passing the window (or a slot
+// pointer) as a plain call argument is allowed: calls return before the
+// caller releases.
 var RingAlias = &Analyzer{
 	Name: "ringalias",
 	Doc:  "flag retention of SPSC Peek/Reserve windows past the matching Consume/Publish",
@@ -95,7 +96,6 @@ type ringRelease struct {
 	pos    token.Pos
 	recv   string
 	method string
-	blocks []*ast.BlockStmt // enclosing blocks, outermost first
 }
 
 func runRingAlias(pass *Pass) []Diagnostic {
@@ -174,26 +174,16 @@ func ringAliasFunc(pass *Pass, fn *ast.FuncDecl) []Diagnostic {
 		return nil
 	}
 
-	// Pass 2: releases, with their enclosing block chains.
+	// Pass 2: releases.
 	var releases []ringRelease
-	var walkBlocks func(n ast.Node, blocks []*ast.BlockStmt)
-	walkBlocks = func(n ast.Node, blocks []*ast.BlockStmt) {
-		if n == nil {
-			return
-		}
-		if b, ok := n.(*ast.BlockStmt); ok {
-			blocks = append(blocks[:len(blocks):len(blocks)], b)
-		}
+	ast.Inspect(fn.Body, func(n ast.Node) bool {
 		if call, ok := n.(*ast.CallExpr); ok {
 			if m, recv, isRing := ringCall(info, call, ringBindMethods, true); isRing {
-				releases = append(releases, ringRelease{pos: call.Pos(), recv: recv, method: m, blocks: blocks})
+				releases = append(releases, ringRelease{pos: call.Pos(), recv: recv, method: m})
 			}
 		}
-		for _, c := range childNodes(n) {
-			walkBlocks(c, blocks)
-		}
-	}
-	walkBlocks(fn.Body, nil)
+		return true
+	})
 
 	// Pass 3: uses, walked with the ancestor path in hand.
 	var diags []Diagnostic
@@ -246,7 +236,7 @@ func ringCheckUse(pass *Pass, fn *ast.FuncDecl, w *ringWindow, releases []ringRe
 	use := id.Pos()
 
 	// Use-after-release: a matching release between the latest binding
-	// and the use whose innermost block encloses the use.
+	// and the use.
 	var bind token.Pos
 	for _, p := range w.bindPos {
 		if p < use && p > bind {
@@ -254,21 +244,9 @@ func ringCheckUse(pass *Pass, fn *ast.FuncDecl, w *ringWindow, releases []ringRe
 		}
 	}
 	if bind != token.NoPos && !ringLenCapArg(path, id) {
-		useBlocks := map[*ast.BlockStmt]bool{}
-		for _, n := range path {
-			if b, ok := n.(*ast.BlockStmt); ok {
-				useBlocks[b] = true
-			}
-		}
 		for _, rel := range releases {
-			if rel.method != w.release || rel.recv != w.recv {
+			if rel.method != w.release || rel.recv != w.recv || rel.pos <= bind || rel.pos >= use {
 				continue
-			}
-			if rel.pos <= bind || rel.pos >= use {
-				continue
-			}
-			if len(rel.blocks) == 0 || !useBlocks[rel.blocks[len(rel.blocks)-1]] {
-				continue // release in a branch the use does not follow
 			}
 			diags = append(diags, Diagnostic{Pos: use, Message: fmt.Sprintf(
 				"use of ring window %q after %s.%s: the slots may already be reused (window is valid only until the release)",
