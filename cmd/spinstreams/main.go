@@ -517,7 +517,7 @@ func cmdRun(args []string) error {
 	warmup := fs.Duration("warmup", 0, "measurement warmup excluded from the window (0 = duration/4; must be < duration)")
 	maxRestarts := fs.Int("max-restarts", 0, "restart a panicked operator up to N times, then degrade (0 = crash, <0 = unlimited)")
 	retryBackoff := fs.Duration("retry-backoff", 0, "initial redial backoff for failed cross-node sends with -nodes > 1 (0 = default 2ms)")
-	sendDeadline := fs.Duration("send-deadline", 0, "per-frame retry deadline for cross-node sends with -nodes > 1 (0 = default 2s, <0 = fail fast)")
+	sendDeadline := fs.Duration("send-deadline", 0, "per-frame retry deadline for cross-node sends with -nodes > 1, after which the frame is shed (0 = default 2s)")
 	metricsAddr := fs.String("metrics-addr", "", "serve live metrics over HTTP on this address (/metrics Prometheus text, /snapshot JSON, /debug/vars expvar)")
 	drift := fs.Bool("drift", false, "after the run, compare the cost model's predictions against the measured rates")
 	reoptimize := fs.Bool("reoptimize", false, "after the run, re-run the optimizer on the measured profiles and print the delta plan")
@@ -555,6 +555,9 @@ func cmdRun(args []string) error {
 	}
 	if *estimatorInterval < 0 {
 		return fmt.Errorf("run: -estimator-interval %v, want >= 0", *estimatorInterval)
+	}
+	if *sendDeadline < 0 {
+		return fmt.Errorf("run: -send-deadline %v, want >= 0", *sendDeadline)
 	}
 	if *estimator && *nodes > 1 {
 		return fmt.Errorf("run: -estimator samples the in-process engine and is incompatible with -nodes > 1")

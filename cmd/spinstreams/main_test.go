@@ -196,6 +196,7 @@ func TestCLIRunValidation(t *testing.T) {
 		{"unknown mailbox mode", []string{"-mailbox-mode", "bogus"}},
 		{"negative estimator interval", []string{"-estimator", "-estimator-interval", "-1ms"}},
 		{"estimator with distributed nodes", []string{"-estimator", "-nodes", "2"}},
+		{"negative send deadline", []string{"-nodes", "2", "-send-deadline", "-1s"}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -58,11 +58,11 @@ type Config struct {
 
 	// ResetEveryWrites severs a wrapped connection on every Nth write
 	// (0 = never). The write counter is per edge and survives
-	// reconnects. Gob handshakes and frames each count as writes.
+	// reconnects. Handshakes and frames each count as writes.
 	ResetEveryWrites int
 	// PartialWriteBytes, when > 0, leaks up to that many bytes of the
 	// severed write before closing, exercising partial-frame handling on
-	// the receiver (gob discards incomplete messages atomically).
+	// the receiver (a length-prefixed frame is decoded whole or not at all).
 	PartialWriteBytes int
 
 	// Sleep replaces time.Sleep for slowdown/delay faults; tests use it

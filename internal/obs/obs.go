@@ -90,14 +90,45 @@ type Station struct {
 	BatchSize *stats.Histogram
 }
 
-// Edge is one cross-node physical edge's frame accounting (distributed
-// engine). Wrote counts tuples in successfully encoded frames, Recvd
-// tuples in decoded frames; the difference after shutdown is the network
-// in-flight loss.
+// Edge is one cross-node physical edge's accounting (distributed
+// engine), written by the edge's writer on one node and its reader on the
+// other. All counts are tuples over the edge's lifetime except Frames and
+// CreditStalls.
 type Edge struct {
 	From, To int
-	Wrote    atomic.Uint64
-	Recvd    atomic.Uint64
+	// Wrote counts tuples in frames whose write succeeded, Frames those
+	// frames: Wrote/Frames is the coalescing factor, 1 on an idle edge
+	// and growing as the wire becomes the bottleneck.
+	Wrote  atomic.Uint64
+	Frames atomic.Uint64
+	// CreditStalls counts the times the writer had tuples queued but no
+	// credit to send them: the edge was bound by its target, not the wire.
+	CreditStalls atomic.Uint64
+	// Recvd counts tuples in decoded frames, Acked those the reader has
+	// admitted to the target inbox — the cumulative credit it returns.
+	Recvd atomic.Uint64
+	Acked atomic.Uint64
+	// Lost counts tuples written on a connection that died before they
+	// were admitted, as established when the edge reconnects.
+	Lost atomic.Uint64
+}
+
+// InFlight is the edge's gauge of tuples written and neither admitted nor
+// known lost; the writer keeps it within the credit window. Wrote is
+// loaded first, so a reading taken while the edge runs can fall short of
+// the true figure but never exceed it.
+func (e *Edge) InFlight() uint64 {
+	w := e.Wrote.Load()
+	return unacked(w, e.Lost.Load()+e.Acked.Load())
+}
+
+// unacked is wrote - settled, clamped at zero: the reader may count a
+// frame admitted before the writer has counted it written.
+func unacked(wrote, settled uint64) uint64 {
+	if settled > wrote {
+		return 0
+	}
+	return wrote - settled
 }
 
 // Gauges are the point-in-time mailbox figures the engine's sampler
@@ -302,12 +333,18 @@ type StationSnapshot struct {
 	BatchSize    stats.HistogramSummary `json:"batch_size"`
 }
 
-// EdgeSnapshot is one cross-node edge's point-in-time frame accounting.
+// EdgeSnapshot is one cross-node edge's point-in-time accounting; see
+// Edge for the fields.
 type EdgeSnapshot struct {
-	From  int    `json:"from"`
-	To    int    `json:"to"`
-	Wrote uint64 `json:"wrote"`
-	Recvd uint64 `json:"recvd"`
+	From         int    `json:"from"`
+	To           int    `json:"to"`
+	Wrote        uint64 `json:"wrote"`
+	Frames       uint64 `json:"frames"`
+	CreditStalls uint64 `json:"credit_stalls"`
+	Recvd        uint64 `json:"recvd"`
+	Acked        uint64 `json:"acked"`
+	Lost         uint64 `json:"lost"`
+	InFlight     uint64 `json:"in_flight"`
 }
 
 // Snapshot is a consistent-enough point-in-time view of a registry:
@@ -362,7 +399,9 @@ func (r *Registry) Snapshot() *Snapshot {
 	for _, e := range edges {
 		s.Edges = append(s.Edges, EdgeSnapshot{
 			From: e.From, To: e.To,
-			Wrote: e.Wrote.Load(), Recvd: e.Recvd.Load(),
+			InFlight: e.InFlight(),
+			Wrote:    e.Wrote.Load(), Frames: e.Frames.Load(), CreditStalls: e.CreditStalls.Load(),
+			Recvd: e.Recvd.Load(), Acked: e.Acked.Load(), Lost: e.Lost.Load(),
 		})
 	}
 	return s
@@ -398,11 +437,9 @@ func (s *Snapshot) Totals() Totals {
 			t.Delivered += ss.Emitted
 		}
 	}
-	// Network in-flight loss: tuples in frames written but never decoded.
+	// Network loss: tuples written but never acknowledged as admitted.
 	for _, e := range s.Edges {
-		if e.Wrote > e.Recvd {
-			t.Abandoned += e.Wrote - e.Recvd
-		}
+		t.Abandoned += unacked(e.Wrote, e.Acked)
 	}
 	return t
 }

@@ -47,10 +47,21 @@ func goldenRegistry() *Registry {
 	r.SetSampler(func(i int) Gauges {
 		return Gauges{Queued: uint64(i), Capacity: 64, BlockedSends: uint64(3 * i)}
 	})
-	r.Edge(0, 1).Wrote.Add(500)
-	r.Edge(0, 1).Recvd.Add(498)
-	r.Edge(4, 5).Wrote.Add(321)
-	r.Edge(4, 5).Recvd.Add(321)
+	// Edge 0->1 coalesces (500 tuples in 40 frames), stalled on credit
+	// three times, lost 7 tuples to a reset and has 2 more unacknowledged;
+	// edge 4->5 is idle-paced: one tuple per frame, everything admitted.
+	e := r.Edge(0, 1)
+	e.Wrote.Add(500)
+	e.Frames.Add(40)
+	e.CreditStalls.Add(3)
+	e.Recvd.Add(495)
+	e.Acked.Add(491)
+	e.Lost.Add(7)
+	e = r.Edge(4, 5)
+	e.Wrote.Add(321)
+	e.Frames.Add(321)
+	e.Recvd.Add(321)
+	e.Acked.Add(321)
 	return r
 }
 
@@ -112,7 +123,7 @@ func TestSnapshotJSONGolden(t *testing.T) {
 
 // TestSnapshotTotals checks the recomputed lifetime accounting: sources
 // feed Generated, sinks feed Delivered, the loss buckets sum per station,
-// and undecoded frames count as abandoned.
+// and written-but-unacknowledged tuples count as abandoned.
 func TestSnapshotTotals(t *testing.T) {
 	tot := goldenRegistry().Snapshot().Totals()
 	want := Totals{
@@ -121,7 +132,7 @@ func TestSnapshotTotals(t *testing.T) {
 		Shed:      0 + 1 + 2 + 3 + 4 + 5,
 		Failed:    2 * (0 + 1 + 2 + 3 + 4 + 5),
 		Drained:   4 * (0 + 1 + 2 + 3 + 4 + 5),
-		Abandoned: 3*(0+1+2+3+4+5) + 2, // stations + edge 0->1 in-flight loss
+		Abandoned: 3*(0+1+2+3+4+5) + 9, // stations + edge 0->1 wrote-acked
 	}
 	if tot != want {
 		t.Errorf("totals = %+v, want %+v", tot, want)

@@ -119,13 +119,23 @@ func (s *Snapshot) WritePrometheus(w io.Writer) {
 		}
 	}
 	if len(s.Edges) > 0 {
-		fmt.Fprintf(w, "# TYPE spinstreams_edge_wrote_total counter\n")
-		for _, e := range s.Edges {
-			fmt.Fprintf(w, "spinstreams_edge_wrote_total{from=\"%d\",to=\"%d\"} %d\n", e.From, e.To, e.Wrote)
-		}
-		fmt.Fprintf(w, "# TYPE spinstreams_edge_recvd_total counter\n")
-		for _, e := range s.Edges {
-			fmt.Fprintf(w, "spinstreams_edge_recvd_total{from=\"%d\",to=\"%d\"} %d\n", e.From, e.To, e.Recvd)
+		for _, m := range []struct {
+			name, typ string
+			get       func(*EdgeSnapshot) uint64
+		}{
+			{"wrote_total", "counter", func(e *EdgeSnapshot) uint64 { return e.Wrote }},
+			{"frames_total", "counter", func(e *EdgeSnapshot) uint64 { return e.Frames }},
+			{"credit_stalls_total", "counter", func(e *EdgeSnapshot) uint64 { return e.CreditStalls }},
+			{"recvd_total", "counter", func(e *EdgeSnapshot) uint64 { return e.Recvd }},
+			{"acked_total", "counter", func(e *EdgeSnapshot) uint64 { return e.Acked }},
+			{"lost_total", "counter", func(e *EdgeSnapshot) uint64 { return e.Lost }},
+			{"in_flight", "gauge", func(e *EdgeSnapshot) uint64 { return e.InFlight }},
+		} {
+			fmt.Fprintf(w, "# TYPE spinstreams_edge_%s %s\n", m.name, m.typ)
+			for i := range s.Edges {
+				e := &s.Edges[i]
+				fmt.Fprintf(w, "spinstreams_edge_%s{from=\"%d\",to=\"%d\"} %d\n", m.name, e.From, e.To, m.get(e))
+			}
 		}
 	}
 }

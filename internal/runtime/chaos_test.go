@@ -422,23 +422,22 @@ func TestChaosDistributedConnReset(t *testing.T) {
 	}
 }
 
-// TestChaosDistributedLegacyStickyError pins the opt-out: a negative
-// SendDeadline restores the historical behaviour where the first write
-// error kills the edge — and the accounting still balances.
-func TestChaosDistributedLegacyStickyError(t *testing.T) {
+// TestChaosDistributedDeadlineSheds pins the one failure path: on an edge
+// whose every frame write is severed (the handshake before it goes
+// through, so redials succeed), each frame is retried until SendDeadline,
+// then shed at the target — the edge keeps taking traffic, nothing is
+// delivered twice or lost from the books, and the run still ends.
+func TestChaosDistributedDeadlineSheds(t *testing.T) {
 	topo := pipeline(t, 0.0005, 0.0002, 0.0001)
 	p, err := plan.Build(topo, plan.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	inj := faultinject.New(faultinject.Config{
-		Seed:             11,
-		ResetEveryWrites: 25,
-	})
+	inj := faultinject.New(faultinject.Config{Seed: 12, ResetEveryWrites: 2, PartialWriteBytes: 9})
 	reg := obs.New()
 	cfg := DistributedConfig{
 		Config: Config{
-			Seed:        11,
+			Seed:        12,
 			Duration:    900 * time.Millisecond,
 			Warmup:      200 * time.Millisecond,
 			MailboxSize: 32,
@@ -446,7 +445,8 @@ func TestChaosDistributedLegacyStickyError(t *testing.T) {
 			Obs:         reg,
 		},
 		Nodes:        2,
-		SendDeadline: -1,
+		RetryBackoff: time.Millisecond,
+		SendDeadline: 30 * time.Millisecond,
 	}
 	m, err := RunDistributed(context.Background(), p, nil, cfg)
 	if err != nil {
@@ -454,7 +454,10 @@ func TestChaosDistributedLegacyStickyError(t *testing.T) {
 	}
 	checkConservation(t, m)
 	checkRegistryConservation(t, m, reg)
-	if inj.Counts().ConnResets == 0 {
-		t.Fatal("no reset fired")
+	// At most one frame per deadline gets through to being shed, so a few
+	// dozen frames over the run; a dead edge would shed one at most.
+	if m.Totals.Shed < 100 || m.Totals.Delivered != 0 {
+		t.Errorf("shed %d, delivered %d of %d generated; want every frame shed at its deadline",
+			m.Totals.Shed, m.Totals.Delivered, m.Totals.Generated)
 	}
 }

@@ -1,12 +1,15 @@
 package runtime
 
 import (
+	"bufio"
 	"context"
-	"encoding/gob"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"spinstreams/internal/mailbox"
@@ -16,12 +19,9 @@ import (
 	"spinstreams/internal/stats"
 )
 
-var (
-	// errShutdown aborts a remote send when the run is stopping.
-	errShutdown = errors.New("runtime: shutdown")
-	// errEdgeDown is the sticky legacy-mode error after a fatal write.
-	errEdgeDown = errors.New("runtime: remote edge down")
-)
+// errShutdown refuses a connection dialled or accepted while the run is
+// stopping.
+var errShutdown = errors.New("runtime: shutdown")
 
 // maxRetryBackoff caps the exponential redial backoff.
 const maxRetryBackoff = 100 * time.Millisecond
@@ -31,13 +31,23 @@ const maxRetryBackoff = 100 * time.Millisecond
 // analog of running the generated application on Akka's Remoting layer,
 // which the paper names as its first future-work direction (Section 7).
 //
-// Backpressure keeps the Blocking-After-Service semantics across the
-// network: a receiving node pushes incoming items into the target
-// station's bounded mailbox with a blocking send, so when the mailbox
-// fills the TCP reader stalls, the socket's flow-control window closes,
-// and the remote sender's write blocks — exactly the stall the cost model
-// assumes, with the socket buffers acting as extra mailbox capacity (a
-// sliver at Batch 1, where tuneConn can keep them tight).
+// A cross-node edge is the TCP half of the dataplane's window protocol.
+// The sending station delivers into a bounded single-producer queue with
+// the ordinary SendMany; the edge's one writer goroutine takes everything
+// queued as a window, encodes it as one length-prefixed binary frame (see
+// wire.go), issues one Write and releases the window. Frames therefore
+// grow exactly when the wire is the bottleneck, and an idle edge ships a
+// one-tuple frame at once: there is no linger and no batch size to pick,
+// and Config.Batch and Config.Linger shape only the in-process mailboxes.
+//
+// Blocking-After-Service capacity across the network is accounted in
+// tuples. The reader admits each frame to the target station's inbox
+// with a blocking send and returns a cumulative tuple credit on the
+// connection's reverse direction; the writer never has more than one
+// target MailboxSize of tuples unacknowledged. When the target inbox
+// fills, credit stops, the queue fills and the sending station blocks —
+// the stall the cost model assumes, whatever the kernel's socket buffers
+// hold.
 type DistributedConfig struct {
 	Config
 	// Nodes is the number of nodes to partition the plan across
@@ -52,13 +62,14 @@ type DistributedConfig struct {
 	// connection after a write error; it doubles per attempt, capped at
 	// maxRetryBackoff. Zero or negative selects the default (2ms).
 	RetryBackoff time.Duration
-	// SendDeadline bounds the total retry time for one in-flight frame.
-	// When it expires, the frame's tuples are counted as dropped at the
-	// target operator and the edge keeps accepting traffic (graceful
-	// degradation instead of a dead pipeline). Zero selects the default
-	// (2s); negative disables retry entirely — the first write error
-	// permanently kills the edge and shuts its sender down, the
-	// behaviour before fault tolerance.
+	// SendDeadline bounds the total retry time for one frame. Only the
+	// frame whose Write failed is retried on the redialled connection
+	// (delivery is at most once per frame: a failed Write never leaves a
+	// decodable frame behind, and frames written earlier but not yet
+	// admitted are counted lost). When the deadline expires the frame's
+	// tuples are counted as dropped at the target operator and the edge
+	// keeps accepting traffic. Zero selects the default (2s); negative is
+	// an error.
 	SendDeadline time.Duration
 }
 
@@ -74,19 +85,6 @@ func AssignByOperator(p *plan.Plan, nodes int) []int {
 		asg[i] = int(st.Op) % nodes
 	}
 	return asg
-}
-
-// wire is the gob frame exchanged between nodes: up to Batch tuples,
-// amortizing the gob and syscall cost of a TCP write over the window (at
-// Batch 1, the per-tuple transport, every frame holds one).
-type wire struct {
-	Tuples []operators.Tuple
-}
-
-// handshake opens a cross-node stream for one physical edge.
-type handshake struct {
-	From   plan.StationID
-	Target plan.StationID
 }
 
 // RunDistributed executes the plan partitioned across TCP-connected nodes
@@ -126,6 +124,9 @@ func RunDistributed(ctx context.Context, p *plan.Plan, binding *Binding, cfg Dis
 	if cfg.RetryBackoff <= 0 {
 		cfg.RetryBackoff = 2 * time.Millisecond
 	}
+	if cfg.SendDeadline < 0 {
+		return nil, fmt.Errorf("runtime: negative SendDeadline %v", cfg.SendDeadline)
+	}
 	if cfg.SendDeadline == 0 {
 		cfg.SendDeadline = 2 * time.Second
 	}
@@ -153,9 +154,7 @@ func RunDistributed(ctx context.Context, p *plan.Plan, binding *Binding, cfg Dis
 		d.shutdownTransport()
 		return nil, err
 	}
-	metrics, err := d.run(ctx)
-	d.shutdownTransport()
-	return metrics, err
+	return d.run(ctx)
 }
 
 // distEngine extends the local engine with the TCP data plane.
@@ -166,173 +165,81 @@ type distEngine struct {
 	retryBackoff time.Duration
 	sendDeadline time.Duration
 
-	mu        sync.Mutex
-	listeners []net.Listener
-	conns     []net.Conn
-	// senders maps station ID -> target station ID -> remote outbox.
-	senders map[plan.StationID]map[plan.StationID]*remoteOutbox
-	readers sync.WaitGroup
+	// edges holds every cross-node physical edge by edgeKey, and out the
+	// sending stations' handles on the edge queues, indexed like
+	// tables.senders (nil for in-process edges). Both are fully built
+	// before any listener accepts and only read afterwards.
+	edges map[int]*remoteEdge
+	out   [][]*mailbox.Sender[operators.Tuple]
 
-	// edges maps edgeKey to the registry's per-cross-node-edge frame
-	// accounting (tuples in successfully encoded / decoded frames); the
-	// wrote-recvd difference after shutdown is the network in-flight
-	// loss, folded into Totals.Abandoned. The map is fully built before
-	// any listener accepts and is only read afterwards.
-	edges map[int]*obs.Edge
+	// transport counts the accept loops, edge writers, ack readers and
+	// frame readers. Each of them is started by a goroutine that is
+	// itself counted (or, in connect, before anything waits), so an Add
+	// never races the Wait in shutdownTransport.
+	transport sync.WaitGroup
+	// mu guards closed, listeners and every edge's live connection ends.
+	mu        sync.Mutex
+	closed    bool
+	listeners []net.Listener
 }
 
-// edgeKey identifies one cross-node physical edge in the counter maps
-// and toward the fault injector.
+// edgeKey identifies one cross-node physical edge in the edge map and
+// toward the fault injector.
 func edgeKey(from, to plan.StationID) int { return int(from)<<16 | int(to) }
 
-// remoteOutbox frames tuples onto one cross-node TCP stream. With batch 1
-// every tuple is its own frame (the per-tuple transport); with a larger
-// batch it accumulates a micro-batch, bounded by the linger so low-rate
-// edges keep flowing. The blocking gob write is what propagates
-// backpressure to the sending station.
-//
-// A write error triggers redial with exponential backoff: the failed
-// frame is re-encoded on the fresh connection (a frame is only counted
-// written after a successful Encode, and an injected partial write can
-// never deliver a decodable frame, so the retry cannot duplicate
-// delivery). Past the per-frame deadline the frame's tuples are counted
-// as shed at the target and the edge stays alive. Accounting invariant:
-// every error return from send means the tuple has already been counted,
-// so callers just stop.
-type remoteOutbox struct {
-	d            *distEngine
+// remoteEdge is one cross-node physical edge: the queue its sending
+// station fills, the writer that drains the queue onto a TCP stream, and
+// the live connection at either end.
+type remoteEdge struct {
 	from, target plan.StationID
-	addr         string
-	batch        int
-	linger       time.Duration
-	// backoff is the initial redial pause; deadline bounds total retry
-	// time per frame. deadline < 0 selects the legacy sticky-error mode.
-	backoff  time.Duration
-	deadline time.Duration
-	// edge is the registry's frame accounting for this cross-node edge
-	// (Wrote side written here, shared across reconnects).
-	edge *obs.Edge
+	// addr is the target node's listener.
+	addr string
+	// window is the credit window in tuples — the target's MailboxSize —
+	// and the queue's capacity, so a queued window always fits one frame.
+	window int
+	queue  *mailbox.Mailbox[operators.Tuple]
+	stats  *obs.Edge
+	// credit wakes the writer: an ack arrived or the connection died.
+	credit chan struct{}
 
-	mu    sync.Mutex
-	conn  net.Conn
-	enc   *gob.Encoder
-	buf   []operators.Tuple
-	timer *time.Timer
-	err   error
+	// out is the live dialled connection and in the live accepted stream
+	// (distEngine.mu): one per end, replaced on redial, so a run that
+	// resets connections all day holds two sockets per edge.
+	out *outConn
+	in  *inStream
 }
 
-// send enqueues one tuple, flushing when the frame is full.
-func (o *remoteOutbox) send(t operators.Tuple) error {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	if o.err != nil {
-		// Dead edge (legacy mode) or shutdown: account the tuple here so
-		// the caller doesn't have to.
-		o.d.tab().st[o.from].Abandoned.Add(1)
-		return o.err
-	}
-	o.buf = append(o.buf, t)
-	if len(o.buf) >= o.batch {
-		return o.flushLocked()
-	}
-	if len(o.buf) == 1 {
-		o.armTimerLocked()
-	}
-	return nil
+// outConn is the writer's end of one connection.
+type outConn struct {
+	net.Conn
+	// acked is the latest cumulative credit the reader returned (ackLoop
+	// stores it); dead is set once the reverse direction fails or the
+	// writer gives the connection up.
+	acked atomic.Uint64
+	dead  atomic.Bool
 }
 
-func (o *remoteOutbox) flushLocked() error {
-	if o.timer != nil {
-		o.timer.Stop()
-	}
-	if len(o.buf) == 0 {
-		return o.err
-	}
-	if err := o.enc.Encode(wire{Tuples: o.buf}); err == nil {
-		o.edge.Wrote.Add(uint64(len(o.buf)))
-		o.buf = o.buf[:0]
-		return nil
-	}
-	if o.deadline < 0 {
-		// Legacy mode: the first write error permanently kills the edge
-		// and its sending station; the frame never left.
-		o.err = errEdgeDown
-		o.d.tab().st[o.from].Abandoned.Add(uint64(len(o.buf)))
-		o.buf = o.buf[:0]
-		return o.err
-	}
-	return o.retryLocked()
+// inStream is the reader's end of one connection.
+type inStream struct {
+	conn net.Conn
+	// stop aborts an admission blocked on a full inbox; exited closes
+	// when the reader is gone.
+	stop, exited chan struct{}
 }
 
-// retryLocked redials the edge with exponential backoff until the failed
-// frame is delivered, the per-frame deadline expires (the frame is
-// counted as shed at the target and the edge stays alive — graceful
-// degradation), or the run shuts down (the frame is abandoned).
-func (o *remoteOutbox) retryLocked() error {
-	start := time.Now()
-	back := o.backoff
-	for {
-		o.conn.Close()
-		if !o.d.sleepBackoff(back) {
-			o.err = errShutdown
-			o.d.tab().st[o.from].Abandoned.Add(uint64(len(o.buf)))
-			o.buf = o.buf[:0]
-			return o.err
-		}
-		if back < maxRetryBackoff {
-			back *= 2
-		}
-		if time.Since(start) >= o.deadline {
-			o.d.tab().st[o.from].Emitted.Add(uint64(len(o.buf)))
-			o.d.tab().st[o.target].Dropped.Add(uint64(len(o.buf)))
-			o.buf = o.buf[:0]
-			return nil
-		}
-		conn, enc, err := o.d.dialEdge(o.from, o.target, o.addr)
-		if err != nil {
-			continue
-		}
-		o.conn, o.enc = conn, enc
-		// The fresh encoder re-sends gob type descriptors, which is
-		// exactly what the receiver's fresh decoder on the new
-		// connection expects.
-		if o.enc.Encode(wire{Tuples: o.buf}) != nil {
-			continue
-		}
-		o.edge.Wrote.Add(uint64(len(o.buf)))
-		o.buf = o.buf[:0]
-		return nil
-	}
+// interrupt makes the stream's reader exit. Whoever takes the stream out
+// of remoteEdge.in calls it, once.
+func (in *inStream) interrupt() {
+	in.conn.Close()
+	close(in.stop)
 }
 
-// abort accounts any frame still buffered at shutdown and kills the edge.
-func (o *remoteOutbox) abort() {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	if o.timer != nil {
-		o.timer.Stop()
+// signal leaves one pending wakeup on a 1-buffered channel.
+func signal(c chan struct{}) {
+	select {
+	case c <- struct{}{}:
+	default:
 	}
-	if n := len(o.buf); n > 0 {
-		o.d.tab().st[o.from].Abandoned.Add(uint64(n))
-		o.buf = nil
-	}
-	if o.err == nil {
-		o.err = errShutdown
-	}
-}
-
-func (o *remoteOutbox) flush() {
-	o.mu.Lock()
-	_ = o.flushLocked()
-	o.mu.Unlock()
-}
-
-func (o *remoteOutbox) armTimerLocked() {
-	if o.timer == nil {
-		o.timer = time.AfterFunc(o.linger, o.flush)
-		return
-	}
-	o.timer.Reset(o.linger)
 }
 
 // sleepBackoff pauses between redial attempts; it returns false when the
@@ -348,217 +255,415 @@ func (d *distEngine) sleepBackoff(dur time.Duration) bool {
 	}
 }
 
-// connect builds listeners per node and dials one stream per cross-node
-// physical edge.
+// connect builds one listener per node and, per cross-node physical
+// edge, the queue, the connection and the writer.
 func (d *distEngine) connect() error {
-	// The per-edge frame counters must exist before any acceptLoop can
-	// hand a connection to a readLoop. The distributed engine never
-	// reconfigures, so its initial tables stay current for the whole run.
+	// The distributed engine never reconfigures, so its initial tables
+	// stay current for the whole run.
 	p := d.tab().p
-	d.edges = make(map[int]*obs.Edge)
-	for i := range p.Stations {
-		for _, e := range p.Stations[i].Out {
-			if d.assignment[i] != d.assignment[e.To] {
-				k := edgeKey(plan.StationID(i), e.To)
-				d.edges[k] = d.reg.Edge(i, int(e.To))
-			}
-		}
-	}
-
 	addrs := make([]string, d.nodes)
-	for n := 0; n < d.nodes; n++ {
+	for n := range addrs {
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			return fmt.Errorf("runtime: node %d listen: %w", n, err)
 		}
 		d.listeners = append(d.listeners, ln)
 		addrs[n] = ln.Addr().String()
-		go d.acceptLoop(ln)
 	}
-
-	d.senders = make(map[plan.StationID]map[plan.StationID]*remoteOutbox)
+	d.edges = make(map[int]*remoteEdge)
+	d.out = make([][]*mailbox.Sender[operators.Tuple], len(p.Stations))
 	for i := range p.Stations {
 		from := plan.StationID(i)
-		for _, e := range p.Stations[i].Out {
-			if d.assignment[from] == d.assignment[e.To] {
+		d.out[i] = make([]*mailbox.Sender[operators.Tuple], len(p.Stations[i].Out))
+		for j, pe := range p.Stations[i].Out {
+			if d.assignment[from] == d.assignment[pe.To] {
 				continue
 			}
-			addr := addrs[d.assignment[e.To]]
-			conn, enc, err := d.dialEdge(from, e.To, addr)
-			if err != nil {
-				return fmt.Errorf("runtime: dial edge %d->%d: %w", from, e.To, err)
+			e := d.edges[edgeKey(from, pe.To)]
+			if e == nil {
+				// The sending station is the queue's only producer, which
+				// is what the ring asks for; a window is everything queued
+				// up to where the ring wraps.
+				q, err := mailbox.New[operators.Tuple](mailbox.Config{
+					Capacity: d.cfg.MailboxSize, Mode: mailbox.SPSC, Batch: d.cfg.MailboxSize,
+				})
+				if err != nil {
+					return err
+				}
+				e = &remoteEdge{
+					from: from, target: pe.To, addr: addrs[d.assignment[pe.To]],
+					window: d.cfg.MailboxSize, queue: q,
+					stats:  d.reg.Edge(i, int(pe.To)),
+					credit: make(chan struct{}, 1),
+				}
+				d.edges[edgeKey(from, pe.To)] = e
 			}
-			if d.senders[from] == nil {
-				d.senders[from] = make(map[plan.StationID]*remoteOutbox)
-			}
-			d.senders[from][e.To] = &remoteOutbox{
-				d: d, from: from, target: e.To, addr: addr,
-				conn: conn, enc: enc, batch: d.cfg.Batch, linger: d.cfg.Linger,
-				backoff: d.retryBackoff, deadline: d.sendDeadline,
-				edge: d.edges[edgeKey(from, e.To)],
-			}
+			d.out[i][j] = e.queue.NewSender(0)
 		}
+	}
+	for _, ln := range d.listeners {
+		d.transport.Add(1)
+		go d.acceptLoop(ln)
+	}
+	// Dial every edge before awaiting any handshake reply, so set-up pays
+	// one round trip, not one per edge.
+	for _, e := range d.edges {
+		if _, err := d.dial(e); err != nil {
+			return fmt.Errorf("runtime: dial edge %d->%d: %w", e.from, e.target, err)
+		}
+	}
+	for _, e := range d.edges {
+		if err := d.resync(e, e.out, time.Now().Add(d.sendDeadline)); err != nil {
+			return fmt.Errorf("runtime: open edge %d->%d: %w", e.from, e.target, err)
+		}
+	}
+	// Writers only stop on d.done, which a failed connect never closes:
+	// start them once nothing can fail any more.
+	for _, e := range d.edges {
+		d.transport.Add(1)
+		go (&edgeWriter{d: d, e: e, oc: e.out}).run()
 	}
 	return nil
 }
 
-// dialEdge opens (or re-opens, during retry) the TCP stream for one
-// cross-node edge: dial, tune, optionally wrap with the fault injector,
-// and send the handshake. The same encoder carries the handshake and the
-// payload so the byte stream stays aligned with the receiver's single
-// decoder.
-func (d *distEngine) dialEdge(from, to plan.StationID, addr string) (net.Conn, *gob.Encoder, error) {
-	conn, err := net.Dial("tcp", addr)
+// dial opens (or re-opens, during retry) the TCP stream of one edge,
+// optionally wrapped by the fault injector, registers it as the edge's
+// live connection and sends the handshake.
+func (d *distEngine) dial(e *remoteEdge) (*outConn, error) {
+	conn, err := net.Dial("tcp", e.addr)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	tuneConn(conn, d.cfg.Batch)
 	if d.cfg.Faults != nil {
-		conn = d.cfg.Faults.WrapConn(edgeKey(from, to), conn)
+		conn = d.cfg.Faults.WrapConn(edgeKey(e.from, e.target), conn)
 	}
+	oc := &outConn{Conn: conn}
 	d.mu.Lock()
-	d.conns = append(d.conns, conn)
-	d.mu.Unlock()
-	enc := gob.NewEncoder(conn)
-	if err := enc.Encode(handshake{From: from, Target: to}); err != nil {
+	if d.closed {
+		d.mu.Unlock()
 		conn.Close()
-		return nil, nil, err
+		return nil, errShutdown
 	}
-	return conn, enc, nil
+	e.out = oc
+	d.mu.Unlock()
+	if _, err := oc.Write(appendHandshake(nil, e.from, e.target, e.window)); err != nil {
+		oc.Close()
+		return nil, err
+	}
+	return oc, nil
 }
 
-// tuneConn sizes the socket buffers from the frame the connection
-// carries. A one-tuple frame fits buffers shrunk to 4 KiB, which keeps
-// network buffering from adding more than a sliver of effective mailbox
-// capacity. A frame of several tuples does not: on loopback (64 KiB MSS) a
-// frame above roughly an eighth of the buffer waits out a window-update /
-// delayed-ACK exchange — 512 tuples/s at Batch 32 against ~90 000 at
-// Batch 1 — and buffers pinned anywhere between 8 and 64 KiB stalled
-// erratically when measured, so connections that carry larger frames keep
-// the kernel's autotuned buffers.
-func tuneConn(conn net.Conn, batch int) {
-	tcp, ok := conn.(*net.TCPConn)
-	if !ok {
-		return
+// resync awaits the handshake reply — the reader's cumulative credit, final
+// for every earlier connection of the edge because the reader has stopped
+// their streams — settles what those connections lost, and starts reading
+// acks. From here on nothing written is in flight, so the connection
+// starts with a full window.
+func (d *distEngine) resync(e *remoteEdge, oc *outConn, deadline time.Time) error {
+	var b [ackLen]byte
+	_ = oc.SetReadDeadline(deadline)
+	if _, err := io.ReadFull(oc, b[:]); err != nil {
+		oc.Close()
+		return err
 	}
-	_ = tcp.SetNoDelay(true)
-	if batch == 1 {
-		_ = tcp.SetReadBuffer(4 << 10)
-		_ = tcp.SetWriteBuffer(4 << 10)
+	_ = oc.SetReadDeadline(time.Time{})
+	acked, wrote := binary.LittleEndian.Uint64(b[:]), e.stats.Wrote.Load()
+	if acked > wrote {
+		oc.Close()
+		return fmt.Errorf("runtime: edge %d->%d acknowledges %d of %d tuples written", e.from, e.target, acked, wrote)
+	}
+	oc.acked.Store(acked)
+	e.stats.Lost.Store(wrote - acked)
+	d.transport.Add(1)
+	go d.ackLoop(e, oc)
+	return nil
+}
+
+// ackLoop reads the reverse direction of one connection: cumulative
+// credits, of which only the newest matters.
+func (d *distEngine) ackLoop(e *remoteEdge, oc *outConn) {
+	defer d.transport.Done()
+	br := bufio.NewReaderSize(oc, 64*ackLen)
+	var b [ackLen]byte
+	for {
+		if _, err := io.ReadFull(br, b[:]); err != nil {
+			break
+		}
+		if br.Buffered() >= ackLen {
+			continue
+		}
+		oc.acked.Store(binary.LittleEndian.Uint64(b[:]))
+		signal(e.credit)
+	}
+	oc.dead.Store(true)
+	signal(e.credit)
+}
+
+// edgeWriter is the one goroutine that writes an edge's frames. It is
+// self-clocking: whatever the sending station queued while the previous
+// Write was in progress is the next frame.
+type edgeWriter struct {
+	d   *distEngine
+	e   *remoteEdge
+	oc  *outConn
+	buf []byte
+}
+
+func (w *edgeWriter) run() {
+	defer w.d.transport.Done()
+	e := w.e
+	for {
+		win, ok := e.queue.Peek(w.d.done)
+		if !ok {
+			return
+		}
+		// No credit comes back from a dead connection; the frame is then
+		// sized for the full window a redial opens.
+		n := w.awaitCredit(len(win))
+		live := n > 0
+		if !live {
+			n = len(win)
+		}
+		w.buf, n = appendFrame(w.buf[:0], win[:n])
+		if n == 0 {
+			// The tuple in front is wider than a frame may carry.
+			w.shed(1)
+			e.queue.Consume(1)
+			continue
+		}
+		if !(live && w.write(n)) && !w.retry(n) {
+			// Shutdown: the frame stays queued for the drain to account.
+			return
+		}
+		e.queue.Consume(n)
+	}
+}
+
+// awaitCredit blocks until the next frame may be written and returns its
+// size: all want queued tuples if the window has room for them, otherwise
+// at least half a window, so a target-bound edge does not degenerate into
+// one tiny frame per returning credit. Zero means the connection died or
+// the run shut down.
+func (w *edgeWriter) awaitCredit(want int) int {
+	e := w.e
+	stalled := false
+	for !w.oc.dead.Load() {
+		// Everything this goroutine has written is admitted, lost or in
+		// flight; the clamp only guards against a peer acknowledging
+		// what was never sent.
+		inflight := int(e.stats.Wrote.Load() - e.stats.Lost.Load() - w.oc.acked.Load())
+		n := min(want, e.window-max(inflight, 0))
+		if n == want || 2*n >= e.window {
+			return n
+		}
+		if !stalled {
+			stalled = true
+			e.stats.CreditStalls.Add(1)
+		}
+		select {
+		case <-e.credit:
+		case <-w.d.done:
+			return 0
+		}
+	}
+	return 0
+}
+
+// write issues the encoded frame as one Write — so a failed or partial
+// write never leaves a decodable frame behind — and counts it written.
+func (w *edgeWriter) write(n int) bool {
+	if _, err := w.oc.Write(w.buf); err != nil {
+		return false
+	}
+	w.e.stats.Wrote.Add(uint64(n))
+	w.e.stats.Frames.Add(1)
+	return true
+}
+
+// shed counts the first n queued tuples dropped at the target operator:
+// the edge degrades instead of dying.
+func (w *edgeWriter) shed(n int) {
+	tb := w.d.tab()
+	tb.st[w.e.from].Emitted.Add(uint64(n))
+	tb.st[w.e.target].Dropped.Add(uint64(n))
+}
+
+// retry redials the edge with exponential backoff until the encoded frame
+// is written, the per-frame deadline expires (the frame is shed and the
+// edge stays alive) or the run shuts down (false: the frame was not
+// accounted). Only this frame is retried: what earlier frames of the dead
+// connection had not delivered is settled as lost by resync.
+func (w *edgeWriter) retry(n int) bool {
+	start := time.Now()
+	back := w.d.retryBackoff
+	for {
+		// Marked here as well as by ackLoop: a connection that never got
+		// as far as reading acks must not be waited on for credit.
+		w.oc.dead.Store(true)
+		w.oc.Close()
+		if !w.d.sleepBackoff(back) {
+			return false
+		}
+		back = min(2*back, maxRetryBackoff)
+		if time.Since(start) >= w.d.sendDeadline {
+			w.shed(n)
+			return true
+		}
+		oc, err := w.d.dial(w.e)
+		if err != nil {
+			continue
+		}
+		w.oc = oc
+		if w.d.resync(w.e, oc, start.Add(w.d.sendDeadline)) == nil && w.write(n) {
+			return true
+		}
 	}
 }
 
 // acceptLoop receives cross-node streams for one node.
 func (d *distEngine) acceptLoop(ln net.Listener) {
+	defer d.transport.Done()
 	for {
 		conn, err := ln.Accept()
 		if err != nil {
 			return
 		}
-		tuneConn(conn, d.cfg.Batch)
-		d.mu.Lock()
-		d.conns = append(d.conns, conn)
-		d.mu.Unlock()
-		d.readers.Add(1)
+		d.transport.Add(1)
 		go d.readLoop(conn)
 	}
 }
 
-// readLoop decodes items from one incoming stream and pushes them into the
-// target mailbox. The blocking push is what propagates backpressure onto
-// the TCP stream.
+// readLoop serves one incoming stream: it decodes frames, admits their
+// tuples to the target mailbox and returns the credit.
 func (d *distEngine) readLoop(conn net.Conn) {
-	defer d.readers.Done()
+	defer d.transport.Done()
 	// A decode error (including an injected partial frame) abandons the
-	// connection; closing it makes the remote writer fail fast into its
-	// retry path instead of blocking on a half-dead stream.
+	// connection; closing it fails the remote writer into its retry path.
 	defer conn.Close()
-	dec := gob.NewDecoder(conn)
-	var hs handshake
-	if err := dec.Decode(&hs); err != nil {
+	// A stream that never introduces itself must not outlive shutdown.
+	_ = conn.SetReadDeadline(time.Now().Add(d.sendDeadline))
+	from, target, window, err := readHandshake(conn)
+	if err != nil {
+		return
+	}
+	_ = conn.SetReadDeadline(time.Time{})
+	e := d.edges[edgeKey(from, target)]
+	if e == nil || e.from != from || e.target != target || window != e.window {
+		// Not a planned cross-node edge, or not its window; refuse.
+		return
+	}
+	in := &inStream{conn: conn, stop: make(chan struct{}), exited: make(chan struct{})}
+	defer close(in.exited)
+	d.mu.Lock()
+	if d.closed {
+		d.mu.Unlock()
+		return
+	}
+	old := e.in
+	e.in = in
+	d.mu.Unlock()
+	defer func() {
+		d.mu.Lock()
+		if e.in == in {
+			e.in = nil
+		}
+		d.mu.Unlock()
+	}()
+	if old != nil {
+		// One stream per edge: the connection this one replaces must
+		// have stopped admitting before the credit below is reported as
+		// final, and before newer tuples can overtake its own.
+		old.interrupt()
+		<-old.exited
+	}
+	var ack [ackLen]byte
+	sendAck := func() bool {
+		binary.LittleEndian.PutUint64(ack[:], e.stats.Acked.Load())
+		_, err := conn.Write(ack[:])
+		return err == nil
+	}
+	if !sendAck() {
 		return
 	}
 	tb := d.tab()
-	if int(hs.Target) < 0 || int(hs.Target) >= len(tb.mailboxes) {
-		return
-	}
-	ed := d.edges[edgeKey(hs.From, hs.Target)]
-	if ed == nil {
-		// Not a planned cross-node edge; refuse the stream.
-		return
-	}
-	// The reader gets its own producer handle on the target mailbox; a
-	// blocking admission (no timeout) is what stalls the TCP stream and
-	// propagates backpressure to the remote writer.
-	snd := tb.mailboxes[hs.Target].NewSender(0)
+	// The reader is one more producer of the target inbox. Its admission
+	// blocks (no timeout) while the inbox is full, and only admitted
+	// tuples are acknowledged: that is what carries backpressure to the
+	// remote writer.
+	snd := tb.mailboxes[target].NewSender(0)
+	br := bufio.NewReaderSize(conn, 64<<10)
+	fr := frameReader{r: br, window: window}
+	unreturned := 0
 	for {
-		var w wire
-		if err := dec.Decode(&w); err != nil {
+		batch, err := fr.next()
+		if err != nil {
 			return
 		}
-		ed.Recvd.Add(uint64(len(w.Tuples)))
-		sent, _, ok := snd.SendMany(w.Tuples, d.done)
+		e.stats.Recvd.Add(uint64(len(batch)))
+		sent, _, ok := snd.SendMany(batch, in.stop)
 		// Both ends of the edge are counted here: emission is only final
 		// once the item clears the network and lands in the target
-		// mailbox (TCP windowing makes sender-side counts bursty).
-		tb.st[hs.Target].Arrived.Add(uint64(sent))
-		if int(hs.From) >= 0 && int(hs.From) < len(tb.st) {
-			tb.st[hs.From].Emitted.Add(uint64(sent))
-		}
+		// mailbox.
+		tb.st[target].Arrived.Add(uint64(sent))
+		tb.st[from].Emitted.Add(uint64(sent))
+		e.stats.Acked.Add(uint64(sent))
 		if !ok {
-			// Shutdown mid-frame: the undelivered remainder is decoded
-			// in-flight residue, accounted like mailbox drain residue.
-			tb.st[hs.Target].Drained.Add(uint64(len(w.Tuples) - sent))
+			// Replaced or shut down mid-frame: the remainder stays
+			// unacknowledged, which is how it is accounted.
 			return
+		}
+		// Return credit before blocking on the socket, or half a window
+		// at a time while frames keep coming.
+		if unreturned += sent; br.Buffered() == 0 || 2*unreturned >= window {
+			if !sendAck() {
+				return
+			}
+			unreturned = 0
 		}
 	}
 }
 
-// shutdownTransport closes the data plane.
+// shutdownTransport closes the data plane and waits for its goroutines.
 func (d *distEngine) shutdownTransport() {
 	d.mu.Lock()
+	d.closed = true
 	for _, ln := range d.listeners {
 		ln.Close()
 	}
-	for _, c := range d.conns {
-		c.Close()
-	}
-	d.mu.Unlock()
-	d.readers.Wait()
-}
-
-// sendMany routes one delivery: cross-node edges append to the remote
-// outbox (which frames up to Batch tuples per TCP write), everything else
-// goes through the in-process path.
-func (d *distEngine) sendMany(from plan.StationID, edgeIdx int, edge *plan.Edge, ts []operators.Tuple) bool {
-	if outs := d.senders[from]; outs != nil {
-		if ob := outs[edge.To]; ob != nil {
-			tb := d.tab()
-			select {
-			case <-d.done:
-				tb.st[from].Abandoned.Add(uint64(len(ts)))
-				return false
-			default:
-			}
-			if f := tb.stFaults[from]; f != nil {
-				f.OnSend()
-			}
-			for i := range ts {
-				if ob.send(ts[i]) != nil {
-					// ts[i] was accounted by the outbox; the tail never
-					// went anywhere.
-					tb.st[from].Abandoned.Add(uint64(len(ts) - i - 1))
-					return false
-				}
-			}
-			return true
+	for _, e := range d.edges {
+		if e.out != nil {
+			e.out.Close()
+		}
+		if e.in != nil {
+			e.in.interrupt()
+			e.in = nil
 		}
 	}
-	return d.localSendMany(from, edgeIdx, edge, ts)
+	d.mu.Unlock()
+	d.transport.Wait()
 }
 
-// run starts the actors and measures, mirroring the local engine but
-// unblocking TCP writers on shutdown.
+// sendMany routes one delivery: a cross-node edge takes it into its queue
+// (blocking while the queue is full, which is BAS toward the network),
+// everything else goes through the in-process path. The reader counts a
+// cross-node tuple emitted and arrived when the target inbox admits it.
+func (d *distEngine) sendMany(from plan.StationID, edgeIdx int, edge *plan.Edge, ts []operators.Tuple) bool {
+	q := d.out[from][edgeIdx]
+	if q == nil {
+		return d.localSendMany(from, edgeIdx, edge, ts)
+	}
+	tb := d.tab()
+	if f := tb.stFaults[from]; f != nil {
+		f.OnSend()
+	}
+	sent, _, ok := q.SendMany(ts, d.done)
+	if !ok {
+		tb.st[from].Abandoned.Add(uint64(len(ts) - sent))
+	}
+	return ok
+}
+
+// run starts the actors and measures, mirroring the local engine, then
+// stops stations and transport together.
 func (d *distEngine) run(ctx context.Context) (*Metrics, error) {
 	rng := stats.NewRNG(d.cfg.Seed + 0x517c)
 	for i := range d.tab().p.Stations {
@@ -573,34 +678,21 @@ func (d *distEngine) run(ctx context.Context) (*Metrics, error) {
 	d.reg.MarkWindowEnd()
 	window := time.Since(start).Seconds()
 	close(d.done)
-	// Waking actors stalled inside TCP writes: expire every connection.
-	d.mu.Lock()
-	for _, c := range d.conns {
-		_ = c.SetDeadline(time.Now())
-	}
-	d.mu.Unlock()
 	d.interruptStations()
-	d.wg.Wait()
-	// Drain-on-shutdown: stations are gone, so tear the transport down
-	// and wait for the readers (they are the last producers into the
-	// mailboxes), account the outbox residue, then collect what is still
-	// queued — in that order, so no producer races the drain.
 	d.shutdownTransport()
-	for _, outs := range d.senders {
-		for _, ob := range outs {
-			ob.abort()
-		}
+	d.wg.Wait()
+	// Drain-on-shutdown: every producer is gone. What a station queued
+	// for a writer that never wrote it is abandoned at the station; what
+	// sits in mailboxes is drained; what was written and never admitted
+	// is the network's loss.
+	tb := d.tab()
+	var lost uint64
+	for _, e := range d.edges {
+		tb.st[e.from].Abandoned.Add(uint64(e.queue.Drain()))
+		lost += e.stats.Wrote.Load() - e.stats.Acked.Load()
 	}
 	d.drainMailboxes()
 	m := d.buildMetrics(window, snap1, snap2)
-	// Network in-flight loss: tuples in frames written but never
-	// decoded (severed connections, discarded socket buffers).
-	var loss uint64
-	for _, e := range d.edges {
-		if wv, rv := e.Wrote.Load(), e.Recvd.Load(); wv > rv {
-			loss += wv - rv
-		}
-	}
-	m.Totals.Abandoned += loss
+	m.Totals.Abandoned += lost
 	return m, nil
 }
