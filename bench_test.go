@@ -10,7 +10,6 @@
 package spinstreams_test
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -21,8 +20,6 @@ import (
 	"spinstreams/internal/core"
 	"spinstreams/internal/experiments"
 	"spinstreams/internal/keypart"
-	"spinstreams/internal/mailbox"
-	"spinstreams/internal/obs"
 	"spinstreams/internal/operators"
 	"spinstreams/internal/opt"
 	"spinstreams/internal/qsim"
@@ -225,135 +222,14 @@ func BenchmarkAblationBufferSize(b *testing.B) {
 	}
 }
 
-// BenchmarkRuntimeRawThroughput measures the dataplane itself: a linear
-// 4-operator pipeline with service padding disabled, so tuples/sec is
-// bounded by per-item synchronization overhead rather than operator
-// service time. The per-tuple, batched, and spsc mailbox transports run
-// the same plan (the spsc series uses the Auto policy — every edge of the
-// linear pipeline is analyzer-proven single-producer, so all inboxes bind
-// to the lock-free ring); the reported tuples/s are the source departure
-// rate. The *-obs
-// variants bind a metrics registry (the counters always run — the
-// variants add the sampled histogram probes), pinning the documented
-// <5% observability overhead. The *-est variants additionally run the
-// probe-free occupancy sampler (1 ms tick); est_overhead compares them
-// against the *-obs baseline to isolate the sampler's cost, pinning the
-// "cheaper than probes" claim. Set SS_BENCH_JSON=<path> to also record
-// the comparison as a JSON bench trajectory point (CI uploads it as
-// BENCH_runtime.json and gates regressions with cmd/benchgate).
-func BenchmarkRuntimeRawThroughput(b *testing.B) {
-	topo := core.NewTopology()
-	var prev core.OpID
-	for i, spec := range []struct {
-		name string
-		kind core.Kind
-	}{
-		{"src", core.KindSource},
-		{"stage1", core.KindStateless},
-		{"stage2", core.KindStateless},
-		{"sink", core.KindSink},
-	} {
-		id := topo.MustAddOperator(core.Operator{Name: spec.name, Kind: spec.kind, ServiceTime: 0.001})
-		if i > 0 {
-			topo.MustConnect(prev, id, 1)
-		}
-		prev = id
-	}
-	run := func(b *testing.B, mode mailbox.Mode, withObs, withEst bool) float64 {
-		var tps float64
-		for i := 0; i < b.N; i++ {
-			// A lean generator (one payload field, tiny key domain) keeps
-			// source-side tuple construction from masking the dataplane
-			// cost under measurement.
-			gen, err := operators.NewGenerator(operators.GeneratorConfig{
-				Seed: uint64(i + 1), NumKeys: 4, NumFields: 1,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			cfg := runtime.Config{
-				Seed:             uint64(i + 1),
-				Duration:         800 * time.Millisecond,
-				Warmup:           200 * time.Millisecond,
-				MailboxSize:      512,
-				NoServicePadding: true,
-				Mailbox:          mode,
-				Batch:            128,
-				Generator:        gen,
-			}
-			if withObs {
-				cfg.Obs = obs.New()
-			}
-			if withEst {
-				cfg.Estimator = true
-			}
-			m, err := runtime.RunTopology(context.Background(), topo, nil, nil, cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			tps = m.Throughput
-		}
-		b.ReportMetric(tps, "tuples/s")
-		return tps
-	}
-	results := map[string]float64{}
-	b.Run("per-tuple", func(b *testing.B) { results["per-tuple"] = run(b, mailbox.PerTuple, false, false) })
-	b.Run("batched", func(b *testing.B) { results["batched"] = run(b, mailbox.Batched, false, false) })
-	// The linear pipeline is all single-producer edges, so the Auto policy
-	// binds every inbox to the lock-free SPSC ring: this series is the
-	// ring transport's headline number.
-	b.Run("spsc", func(b *testing.B) { results["spsc"] = run(b, mailbox.Auto, false, false) })
-	b.Run("per-tuple-obs", func(b *testing.B) { results["per-tuple-obs"] = run(b, mailbox.PerTuple, true, false) })
-	b.Run("batched-obs", func(b *testing.B) { results["batched-obs"] = run(b, mailbox.Batched, true, false) })
-	b.Run("spsc-obs", func(b *testing.B) { results["spsc-obs"] = run(b, mailbox.Auto, true, false) })
-	b.Run("per-tuple-est", func(b *testing.B) { results["per-tuple-est"] = run(b, mailbox.PerTuple, true, true) })
-	b.Run("batched-est", func(b *testing.B) { results["batched-est"] = run(b, mailbox.Batched, true, true) })
-	if path := os.Getenv("SS_BENCH_JSON"); path != "" && results["per-tuple"] > 0 {
-		point := struct {
-			Benchmark string             `json:"benchmark"`
-			Pipeline  int                `json:"pipeline_operators"`
-			Padding   bool               `json:"service_padding"`
-			TuplesPer map[string]float64 `json:"tuples_per_sec"`
-			Speedup   float64            `json:"batched_speedup"`
-			SPSCSpeed float64            `json:"spsc_speedup"`
-			ObsOver   map[string]float64 `json:"obs_overhead"`
-			EstOver   map[string]float64 `json:"est_overhead"`
-		}{
-			Benchmark: "BenchmarkRuntimeRawThroughput",
-			Pipeline:  topo.Len(),
-			Padding:   false,
-			TuplesPer: results,
-			Speedup:   results["batched"] / results["per-tuple"],
-			SPSCSpeed: results["spsc"] / results["batched"],
-			ObsOver: map[string]float64{
-				"per-tuple": 1 - results["per-tuple-obs"]/results["per-tuple"],
-				"batched":   1 - results["batched-obs"]/results["batched"],
-				"spsc":      1 - results["spsc-obs"]/results["spsc"],
-			},
-			EstOver: map[string]float64{
-				"per-tuple": 1 - results["per-tuple-est"]/results["per-tuple-obs"],
-				"batched":   1 - results["batched-est"]/results["batched-obs"],
-			},
-		}
-		data, err := json.MarshalIndent(point, "", "  ")
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkReconfigStall measures the cost of live reconfiguration: each
 // iteration starts a controller on an unpadded 4-operator pipeline,
 // applies a grow/grow/shrink rescale sequence while tuples flow, and
 // collects every pause-fence stall. The reported metric is the p99 fence
 // stall in milliseconds — the time reconfigured stations (and only they)
 // were paused; unaffected stations keep running throughout. Set
-// SS_BENCH_JSON=<path> to merge the p99 into the bench trajectory record
-// (CI gates it against the committed BENCH_runtime.json baseline with
-// cmd/benchgate).
+// SS_BENCH_JSON=<path> to record the p99 (CI gates it against the
+// committed BENCH_runtime.json baseline with cmd/benchgate).
 func BenchmarkReconfigStall(b *testing.B) {
 	topo := core.NewTopology()
 	var prev core.OpID
@@ -409,16 +285,7 @@ func BenchmarkReconfigStall(b *testing.B) {
 	p99 := float64(stalls[idx-1]) / float64(time.Millisecond)
 	b.ReportMetric(p99, "stall-p99-ms")
 	if path := os.Getenv("SS_BENCH_JSON"); path != "" {
-		// Merge into the record BenchmarkRuntimeRawThroughput wrote (the
-		// benchmarks run in declaration order, so that file exists by now
-		// when both are selected), preserving its series.
-		doc := map[string]any{}
-		if data, err := os.ReadFile(path); err == nil {
-			if err := json.Unmarshal(data, &doc); err != nil {
-				b.Fatal(err)
-			}
-		}
-		doc["reconfig_stall_p99_ms"] = p99
+		doc := map[string]any{"benchmark": "BenchmarkReconfigStall", "reconfig_stall_p99_ms": p99}
 		data, err := json.MarshalIndent(doc, "", "  ")
 		if err != nil {
 			b.Fatal(err)

@@ -28,7 +28,6 @@ import (
 	"spinstreams/internal/codegen"
 	"spinstreams/internal/core"
 	"spinstreams/internal/dot"
-	mbox "spinstreams/internal/mailbox"
 	"spinstreams/internal/obs"
 	"spinstreams/internal/operators"
 	"spinstreams/internal/opt"
@@ -511,9 +510,8 @@ func cmdRun(args []string) error {
 	seed := fs.Uint64("seed", 1, "random seed")
 	optimize := fs.Bool("optimize", false, "apply bottleneck elimination before running")
 	nodes := fs.Int("nodes", 1, "partition the plan across N TCP-connected nodes")
-	mode := fs.String("mailbox-mode", "tuple", "dataplane transport: tuple (one channel send per item), batch (pooled micro-batches), spsc or auto (lock-free ring on analyzer-proven single-producer edges, batch elsewhere)")
-	batch := fs.Int("batch", 0, "micro-batch size in batch mode (0 = runtime default)")
-	linger := fs.Duration("linger", 0, "max wait before a partial batch is flushed (0 = runtime default)")
+	batch := fs.Int("batch", 0, "window size: most tuples a station takes or a source generates per cycle (0 = runtime default 32; 1 = per-tuple delivery)")
+	linger := fs.Duration("linger", 0, "longest a paced source keeps a window open before delivering it; bounds nothing else (0 = runtime default 1ms)")
 	warmup := fs.Duration("warmup", 0, "measurement warmup excluded from the window (0 = duration/4; must be < duration)")
 	maxRestarts := fs.Int("max-restarts", 0, "restart a panicked operator up to N times, then degrade (0 = crash, <0 = unlimited)")
 	retryBackoff := fs.Duration("retry-backoff", 0, "initial redial backoff for failed cross-node sends with -nodes > 1 (0 = default 2ms)")
@@ -562,10 +560,6 @@ func cmdRun(args []string) error {
 	if *estimator && *nodes > 1 {
 		return fmt.Errorf("run: -estimator samples the in-process engine and is incompatible with -nodes > 1")
 	}
-	transport, err := mbox.ParseMode(*mode)
-	if err != nil {
-		return err
-	}
 	t, err := loadTopology(*in)
 	if err != nil {
 		return err
@@ -602,7 +596,6 @@ func cmdRun(args []string) error {
 		Warmup:              *warmup,
 		MailboxSize:         *mailbox,
 		Seed:                *seed,
-		Mailbox:             transport,
 		Batch:               *batch,
 		Linger:              *linger,
 		MaxRestarts:         *maxRestarts,

@@ -193,7 +193,7 @@ func TestCLIRunValidation(t *testing.T) {
 		{"negative mailbox", []string{"-mailbox", "-3"}},
 		{"negative batch", []string{"-batch", "-8"}},
 		{"negative linger", []string{"-linger", "-1ms"}},
-		{"unknown mailbox mode", []string{"-mailbox-mode", "bogus"}},
+		{"removed -mailbox-mode flag", []string{"-mailbox-mode", "batch"}},
 		{"negative estimator interval", []string{"-estimator", "-estimator-interval", "-1ms"}},
 		{"estimator with distributed nodes", []string{"-estimator", "-nodes", "2"}},
 		{"negative send deadline", []string{"-nodes", "2", "-send-deadline", "-1s"}},
@@ -214,7 +214,7 @@ func TestCLIRunValidation(t *testing.T) {
 func TestCLIRunWithFaultToleranceFlags(t *testing.T) {
 	out, err := capture(t, "run", "-in", writePaperTopology(t),
 		"-duration", "400ms", "-warmup", "100ms", "-max-restarts", "2",
-		"-mailbox-mode", "batch", "-batch", "8", "-linger", "200us")
+		"-batch", "8", "-linger", "200us")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,7 +25,6 @@ import (
 	"time"
 
 	"spinstreams/internal/experiments"
-	"spinstreams/internal/mailbox"
 	"spinstreams/internal/qsim"
 )
 
@@ -49,9 +48,8 @@ func run(args []string, stdout io.Writer) error {
 	outDir := fs.String("out", "", "write each scenario's data series as CSV and JSON (with run metadata) into this directory")
 	liveTopologies := fs.Int("live-topologies", 8, "testbed entries for fig7live")
 	liveDuration := fs.Duration("live-duration", 3*time.Second, "wall-clock run per topology for fig7live")
-	liveMailbox := fs.String("mailbox", "tuple", "live dataplane transport: tuple, batch, spsc or auto (per-edge ring selection)")
-	liveBatch := fs.Int("batch", 0, "live micro-batch size in batch mode (0 = runtime default)")
-	liveLinger := fs.Duration("linger", 0, "live max wait before a partial batch flushes (0 = runtime default)")
+	liveBatch := fs.Int("batch", 0, "live window size in tuples (0 = runtime default 32; 1 = per-tuple delivery)")
+	liveLinger := fs.Duration("linger", 0, "live: longest a paced source keeps a window open (0 = runtime default 1ms)")
 	liveRestarts := fs.Int("max-restarts", 0, "live runs: restart a panicked operator up to N times, then degrade (0 = crash, <0 = unlimited)")
 	driftTable := fs.Int("drift-table", 2, "drift: paper-example service-time variant (1 or 2)")
 	reoptSlow := fs.Float64("reopt-slow", 3, "reopt/autotune: factor by which the deployed hot operator is slower than declared")
@@ -61,8 +59,6 @@ func run(args []string, stdout io.Writer) error {
 	corpusRounds := fs.Int("corpus-rounds", 8, "corpus: autotune hill-climb measurement rounds")
 	corpusWorkloads := fs.String("workloads", "", "corpus: comma-separated workload shapes (default steady,bursty,diurnal,hotkey)")
 	estimatorSeeds := fs.Int("estimator-seeds", 0, "estimator: corpus seeds for the probe-free sweep (0 = default 34)")
-	dataplaneDepth := fs.Int("dataplane-depth", 0, "dataplane: operators in the single-producer chain (0 = default 8)")
-	dataplaneDuration := fs.Duration("dataplane-duration", 0, "dataplane: wall-clock run per transport (0 = default 2s)")
 	fs.SetOutput(stdout)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -70,10 +66,6 @@ func run(args []string, stdout io.Writer) error {
 	if *list {
 		fmt.Fprint(stdout, experiments.DescribeRegistry())
 		return nil
-	}
-	liveTransport, err := mailbox.ParseMode(*liveMailbox)
-	if err != nil {
-		return err
 	}
 
 	setup := experiments.Setup{
@@ -105,17 +97,12 @@ func run(args []string, stdout io.Writer) error {
 		Live: experiments.LiveOptions{
 			Topologies:  *liveTopologies,
 			Duration:    *liveDuration,
-			Transport:   liveTransport,
 			Batch:       *liveBatch,
 			Linger:      *liveLinger,
 			MaxRestarts: *liveRestarts,
 		},
-		Corpus:    corpus,
-		Estimator: estimator,
-		Dataplane: experiments.DataplaneOptions{
-			Depth:    *dataplaneDepth,
-			Duration: *dataplaneDuration,
-		},
+		Corpus:           corpus,
+		Estimator:        estimator,
 		DriftTable:       *driftTable,
 		SlowFactor:       *reoptSlow,
 		AutotuneRounds:   *autotuneRounds,

@@ -52,8 +52,7 @@ func TestGeneratePlain(t *testing.T) {
 		"core.SteadyState(t)",
 		// The generated program exposes the dataplane knobs and routes
 		// them into the runtime config.
-		`flag.String("mailbox-mode"`, `flag.Int("batch"`, `flag.Duration("linger"`,
-		"mbox.ParseMode", "Mailbox:     transport",
+		`flag.Int("batch"`, `flag.Duration("linger"`, "Batch:       batch",
 		// Fault-tolerance knob: bounded operator restart.
 		`flag.Int("max-restarts"`, "MaxRestarts: maxRestarts",
 	} {
@@ -169,12 +168,13 @@ func TestGeneratedProgramBuildsAndRuns(t *testing.T) {
 	if out, err := build.CombinedOutput(); err != nil {
 		t.Fatalf("go build failed: %v\n%s\n--- generated source ---\n%s", err, out, src)
 	}
-	// Every dataplane transport must work in generated programs,
-	// including the per-edge auto policy.
+	// The default (per-edge ring selection) and both ends of the window
+	// knob — -batch 1 is per-tuple delivery — must work in generated
+	// programs.
 	for _, args := range [][]string{
 		{"-duration", "400ms"},
-		{"-duration", "400ms", "-mailbox-mode", "batch", "-batch", "16", "-linger", "500us"},
-		{"-duration", "400ms", "-mailbox-mode", "auto", "-batch", "16"},
+		{"-duration", "400ms", "-batch", "16", "-linger", "500us"},
+		{"-duration", "400ms", "-batch", "1"},
 	} {
 		run := exec.Command(bin, args...)
 		out, err := run.CombinedOutput()

@@ -81,7 +81,6 @@ func AutotuneDemo(ctx context.Context, slowFactor float64, rounds int, opts Live
 		Seed:        1,
 		Warmup:      interval / 2,
 		MailboxSize: opts.MailboxSize,
-		Mailbox:     opts.Transport,
 		Batch:       opts.Batch,
 		Linger:      opts.Linger,
 		MaxRestarts: opts.MaxRestarts,

@@ -61,7 +61,6 @@ func DriftDemo(ctx context.Context, variant core.PaperExampleVariant, opts LiveO
 		Duration:    opts.Duration,
 		Warmup:      opts.Duration / 3,
 		MailboxSize: opts.MailboxSize,
-		Mailbox:     opts.Transport,
 		Batch:       opts.Batch,
 		Linger:      opts.Linger,
 		MaxRestarts: opts.MaxRestarts,

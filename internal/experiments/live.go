@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"spinstreams/internal/core"
-	"spinstreams/internal/mailbox"
 	"spinstreams/internal/runtime"
 	"spinstreams/internal/stats"
 )
@@ -22,7 +21,7 @@ type LiveRow struct {
 }
 
 // LiveResult is Figure 7 measured on the live goroutine runtime instead of
-// the simulator: real actors, real bounded channels, service times
+// the simulator: real actors, real bounded mailboxes, service times
 // emulated by pacing. Wall-clock cost limits it to a subset of the testbed
 // (each topology runs for LiveDuration of real time).
 type LiveResult struct {
@@ -42,11 +41,10 @@ type LiveOptions struct {
 	// steady-state model is capacity-independent; see the buffer
 	// ablation).
 	MailboxSize int
-	// Transport selects the dataplane (per-tuple or batched); capacity
-	// stays tuple-accounted either way, so predictions must hold under
-	// both.
-	Transport mailbox.Mode
-	// Batch and Linger tune the batched transport (0 = runtime default).
+	// Batch is the window size (0 = runtime default, 1 = per-tuple
+	// delivery); capacity stays tuple-accounted at every size, so
+	// predictions must hold under all of them. Linger bounds a paced
+	// source's window (0 = runtime default).
 	Batch  int
 	Linger time.Duration
 	// MaxRestarts bounds operator restart after a panic (0 = crash the
@@ -94,7 +92,6 @@ func Fig7Live(ctx context.Context, s Setup, opts LiveOptions) (*LiveResult, erro
 			Duration:    opts.Duration,
 			Warmup:      opts.Duration / 3,
 			MailboxSize: opts.MailboxSize,
-			Mailbox:     opts.Transport,
 			Batch:       opts.Batch,
 			Linger:      opts.Linger,
 			MaxRestarts: opts.MaxRestarts,

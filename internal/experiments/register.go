@@ -158,15 +158,6 @@ func init() {
 		},
 	})
 	Register(Scenario{
-		Name:    "dataplane",
-		Tags:    []string{"live", "extension"},
-		Summary: "dataplane transports: per-tuple vs batched vs analyzer-proven SPSC ring",
-		Run: func(ctx context.Context, o Options) (Result, error) {
-			return Dataplane(ctx, o.Dataplane)
-		},
-		Check: CheckDataplane,
-	})
-	Register(Scenario{
 		Name:    "chaos",
 		Tags:    []string{"live", "extension"},
 		Summary: "fault-injection soak: tuple conservation under panics and stalls",

@@ -83,7 +83,6 @@ func ReoptimizeDemo(ctx context.Context, slowFactor float64, opts LiveOptions) (
 		Duration:    opts.Duration,
 		Warmup:      opts.Duration / 3,
 		MailboxSize: opts.MailboxSize,
-		Mailbox:     opts.Transport,
 		Batch:       opts.Batch,
 		Linger:      opts.Linger,
 		MaxRestarts: opts.MaxRestarts,

@@ -28,8 +28,6 @@ type Options struct {
 	Chaos ChaosOptions
 	// Estimator tunes the probe-free estimation sweep.
 	Estimator EstimatorOptions
-	// Dataplane tunes the transport-comparison scenario.
-	Dataplane DataplaneOptions
 	// DriftTable selects the paper-example variant for the drift
 	// walkthrough (1 or 2; default 2).
 	DriftTable int

@@ -56,7 +56,6 @@ func TestChaosMailboxConservation(t *testing.T) {
 					Capacity: capacity,
 					Mode:     mode,
 					Batch:    8,
-					Linger:   200 * time.Microsecond,
 				})
 				if err != nil {
 					t.Fatal(err)
@@ -97,7 +96,6 @@ func TestChaosMailboxConservation(t *testing.T) {
 								return
 							}
 						}
-						snd.Flush()
 					}(p)
 				}
 				wg.Wait()
@@ -163,7 +161,6 @@ func TestChaosScheduleParityAcrossModes(t *testing.T) {
 				t.Fatal("send failed")
 			}
 		}
-		snd.Flush()
 		// Let the consumer finish everything so OnProcess sees all 2000.
 		for m.Queued() > 0 {
 			time.Sleep(time.Millisecond)

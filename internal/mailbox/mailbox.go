@@ -1,110 +1,87 @@
 // Package mailbox is the runtime's dataplane: a bounded, tuple-capacity-
 // accounted queue connecting one producer set to a single consumer actor.
-// It offers three interchangeable transports behind one API — producers
-// deliver with Send/SendMany, the consumer takes a window of queued tuples
-// with Peek and releases it with Consume:
+// It has two implementations behind one protocol — producers deliver with
+// Send/SendMany, the consumer takes a window of queued tuples with Peek
+// and releases it with Consume:
 //
-//   - PerTuple: each item is one bounded-channel operation — the classic
-//     Akka BoundedMailbox analog the cost models were validated against.
-//   - Batched: senders accumulate items into pooled micro-batches (flushed
-//     on batch-full or after a linger timeout so low-rate edges don't
-//     stall) and the consumer drains whole batches, amortizing the
-//     synchronization cost of a queue operation over many tuples.
+//   - Batched: the multi-producer queue. A delivery takes one capacity
+//     credit per tuple, copies the tuples into recycled micro-batches of
+//     at most Batch and queues them before it returns; the consumer takes
+//     one micro-batch per window, so the synchronization cost of a queue
+//     operation is amortized over the batch. PerTuple is this queue with
+//     Batch forced to 1.
 //   - SPSC: a lock-free cached-index ring for inboxes the topology
-//     analyzer proves have a single producer station — no mutex, no
-//     channel, no credit CAS on the hot path; the ring's slot count is
-//     the capacity, so slot accounting is tuple accounting (see spsc.go).
+//     analyzer proves have a single producer station — no channel and no
+//     credit CAS on the hot path; the ring's slot count is the capacity,
+//     so slot accounting is tuple accounting (see spsc.go).
 //
-// All transports preserve Blocking-After-Service semantics exactly: a
-// mailbox of capacity C admits at most C tuples before senders block
-// (or, with a send timeout, shed), regardless of batch size. Capacity is
-// accounted in tuples via a credit token per admitted item (a ring slot
-// in SPSC mode), never in batches, so the steady-state model's
-// predictions remain valid under any transport. Items already admitted
-// (holding a credit) are never dropped — a send timeout can only reject
-// the item being admitted.
+// Both preserve Blocking-After-Service semantics exactly: a mailbox of
+// capacity C admits at most C tuples before senders block (or, with a
+// send timeout, shed), regardless of batch size. Capacity is accounted in
+// tuples via a credit per admitted item (a ring slot in SPSC mode), never
+// in batches, so the steady-state model's predictions remain valid under
+// either. Items already admitted are never dropped — a send timeout can
+// only reject the item being admitted — and a sender holds nothing
+// between calls: every admitted tuple is visible to the consumer by the
+// time its Send/SendMany returns, so Queued counts exactly the tuples the
+// consumer can take.
 package mailbox
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"time"
 )
 
-// Mode selects the transport of a mailbox.
+// Mode names a mailbox implementation, or the policy that picks one.
 type Mode int
 
 const (
-	// PerTuple delivers each item as an individual channel send.
-	PerTuple Mode = iota
-	// Batched delivers items in pooled micro-batches.
+	// Auto is not a transport but the selection policy, and the zero
+	// value: the runtime binds each inbox per edge from the plan's
+	// producer-set analysis — the SPSC ring where the inbox is provably
+	// single-producer, the batched queue everywhere else. New rejects it;
+	// resolve before construction.
+	Auto Mode = iota
+	// Batched delivers items in recycled micro-batches of at most Batch.
 	Batched
+	// PerTuple is Batched with Batch forced to 1: every tuple is its own
+	// queue operation and its own window.
+	PerTuple
 	// SPSC delivers items through a lock-free single-producer ring. A
 	// mailbox may only run in this mode when exactly one station sends
 	// to it; the runtime derives that proof from the deployed plan.
 	SPSC
-	// Auto is not a transport but a selection policy: the runtime binds
-	// each inbox per-edge from the plan's producer-set analysis — the
-	// SPSC ring where the inbox is provably single-producer, the batched
-	// transport everywhere else. New rejects it; resolve before
-	// construction.
-	Auto
 )
 
-// String returns the canonical flag spelling of the mode.
+// String returns the short name of the mode.
 func (m Mode) String() string {
 	switch m {
-	case PerTuple:
-		return "tuple"
-	case Batched:
-		return "batch"
-	case SPSC:
-		return "spsc"
 	case Auto:
 		return "auto"
+	case Batched:
+		return "batch"
+	case PerTuple:
+		return "tuple"
+	case SPSC:
+		return "spsc"
 	default:
 		return fmt.Sprintf("Mode(%d)", int(m))
 	}
 }
 
-// ParseMode parses a -mailbox flag value.
-func ParseMode(s string) (Mode, error) {
-	switch s {
-	case "", "tuple", "per-tuple", "pertuple":
-		return PerTuple, nil
-	case "batch", "batched":
-		return Batched, nil
-	case "spsc", "ring":
-		return SPSC, nil
-	case "auto", "plan":
-		return Auto, nil
-	default:
-		return 0, fmt.Errorf("mailbox: unknown mode %q (valid modes: tuple, batch, spsc, auto)", s)
-	}
-}
-
-// Transport defaults; a zero Config field selects these.
-const (
-	// DefaultBatch is the micro-batch size of the batched transport.
-	DefaultBatch = 32
-	// DefaultLinger bounds how long a partial batch may wait before it is
-	// flushed to the consumer.
-	DefaultLinger = time.Millisecond
-)
+// DefaultBatch is the window size a zero Config.Batch selects.
+const DefaultBatch = 32
 
 // Config sizes a mailbox.
 type Config struct {
 	// Capacity is the BAS bound: the maximum number of admitted tuples.
 	Capacity int
-	// Mode selects the transport.
+	// Mode selects the implementation.
 	Mode Mode
-	// Batch is the micro-batch size in Batched mode (default DefaultBatch).
+	// Batch is the most tuples one window holds (default DefaultBatch;
+	// PerTuple forces 1).
 	Batch int
-	// Linger bounds the wait of a partial batch in Batched mode (default
-	// DefaultLinger). It must be positive: partial batches hold capacity
-	// credits, so an unbounded linger could stall the consumer forever.
-	Linger time.Duration
 }
 
 // SendResult reports the outcome of one send.
@@ -121,16 +98,12 @@ const (
 )
 
 // Mailbox is a bounded single-consumer queue. Producers send through
-// Sender values (one per producer, from NewSender); the consumer calls
+// Sender values (from NewSender); the consumer calls Peek/Consume or
 // Recv. The zero value is not usable; construct with New.
 type Mailbox[T any] struct {
-	mode     Mode
+	mode     Mode // Batched or SPSC; New folds PerTuple into Batched
 	capacity int
 	batch    int
-	linger   time.Duration
-
-	// ch is the PerTuple transport.
-	ch chan T
 
 	// avail counts free capacity credits; one credit is taken per
 	// admitted tuple, so avail == 0 is exactly "C tuples queued" and
@@ -143,9 +116,9 @@ type Mailbox[T any] struct {
 	// exhausted credits; a woken sender re-signals while credits remain,
 	// so one release fans out to every waiter that can proceed.
 	wake chan struct{}
-	// batches carries flushed micro-batches. Its capacity equals the
+	// batches carries the queued micro-batches. Its capacity equals the
 	// tuple capacity: every queued batch holds at least one credited
-	// tuple, so at most Capacity batches can be outstanding and a flush
+	// tuple, so at most Capacity batches can be outstanding and queueing
 	// by a credit-holding sender never blocks.
 	batches chan []T
 	// blocked counts send episodes that found the mailbox full and had to
@@ -159,14 +132,12 @@ type Mailbox[T any] struct {
 	// put that still finds it full leaves the buffer to the GC.
 	free chan []T
 
-	// cur/idx is the consumer's window cursor on the copying transports:
-	// cur is the batch in hand (Batched) or slot[:] (PerTuple), idx the
-	// first tuple not yet released by Consume. Only the single consumer
-	// touches them. The ring has no cursor — its window is the slots
-	// between head and tail themselves.
-	cur  []T
-	idx  int
-	slot [1]T
+	// cur/idx is the consumer's window cursor on the batched queue: cur is
+	// the micro-batch in hand, idx the first tuple not yet released by
+	// Consume. Only the single consumer touches them. The ring has no
+	// cursor — its window is the slots between head and tail themselves.
+	cur []T
+	idx int
 
 	// SPSC ring transport state (mode == SPSC); see spsc.go. The ring
 	// has exactly capacity slots, so slot accounting is tuple-capacity
@@ -192,9 +163,10 @@ type Mailbox[T any] struct {
 	ring []T
 }
 
-// Mode reports the transport the mailbox was built with; the runtime's
-// source loop reads it to decide whether it may reserve ring slots, the
-// reconfiguration controller's demotion scan to find the rings.
+// Mode reports the implementation the mailbox runs on — Batched or SPSC;
+// the runtime's source loop reads it to decide whether it may reserve
+// ring slots, the reconfiguration controller's demotion scan to find the
+// rings.
 func (m *Mailbox[T]) Mode() Mode { return m.mode }
 
 // New builds a mailbox with capacity cfg.Capacity tuples.
@@ -202,28 +174,20 @@ func New[T any](cfg Config) (*Mailbox[T], error) {
 	if cfg.Capacity <= 0 {
 		return nil, fmt.Errorf("mailbox: capacity %d, want > 0", cfg.Capacity)
 	}
-	m := &Mailbox[T]{mode: cfg.Mode, capacity: cfg.Capacity}
+	m := &Mailbox[T]{mode: cfg.Mode, capacity: cfg.Capacity, batch: cfg.Batch}
+	if m.batch <= 0 {
+		m.batch = DefaultBatch
+	}
 	switch cfg.Mode {
 	case PerTuple:
-		m.ch = make(chan T, cfg.Capacity)
+		m.mode, m.batch = Batched, 1
+		fallthrough
 	case Batched:
-		m.batch = cfg.Batch
-		if m.batch <= 0 {
-			m.batch = DefaultBatch
-		}
-		m.linger = cfg.Linger
-		if m.linger <= 0 {
-			m.linger = DefaultLinger
-		}
 		m.avail.Store(int64(cfg.Capacity))
 		m.wake = make(chan struct{}, 1)
 		m.batches = make(chan []T, cfg.Capacity)
 		m.free = make(chan []T, cfg.Capacity)
 	case SPSC:
-		m.batch = cfg.Batch
-		if m.batch <= 0 {
-			m.batch = DefaultBatch
-		}
 		m.ring = make([]T, cfg.Capacity)
 		m.notFull = make(chan struct{}, 1)
 		m.notEmpty = make(chan struct{}, 1)
@@ -236,25 +200,22 @@ func New[T any](cfg Config) (*Mailbox[T], error) {
 }
 
 // Queued reports the number of admitted tuples not yet taken by the
-// consumer (approximate under concurrency; exact when quiescent).
+// consumer (approximate under concurrency; exact when quiescent). Every
+// one of them is deliverable: a sender holds nothing between calls.
 func (m *Mailbox[T]) Queued() int {
-	switch m.mode {
-	case PerTuple:
-		return len(m.ch)
-	case SPSC:
-		// The two loads are not a consistent snapshot when sampled from
-		// a third goroutine; clamp the transient skew so a reading never
-		// leaves [0, capacity] (exact whenever either side is quiescent).
-		q := int(m.tail.Load() - m.head.Load())
-		if q < 0 {
-			q = 0
-		} else if q > m.capacity {
-			q = m.capacity
-		}
-		return q
-	default:
+	if m.mode != SPSC {
 		return m.capacity - int(m.avail.Load())
 	}
+	// The two loads are not a consistent snapshot when sampled from a
+	// third goroutine; clamp the transient skew so a reading never leaves
+	// [0, capacity] (exact whenever either side is quiescent).
+	q := int(m.tail.Load() - m.head.Load())
+	if q < 0 {
+		q = 0
+	} else if q > m.capacity {
+		q = m.capacity
+	}
+	return q
 }
 
 // Capacity returns the BAS bound the mailbox was built with.
@@ -262,21 +223,20 @@ func (m *Mailbox[T]) Capacity() int { return m.capacity }
 
 // Occupancy reports the instantaneous depth together with the BAS bound
 // in one call — the sampling hook the online service-rate estimator
-// polls. Like Queued it is a single atomic read (channel length or credit
-// counter) in either transport mode, so a high-frequency sampler costs
-// the dataplane nothing.
+// polls. Like Queued it costs one atomic read of the credit counter (two
+// of the ring's indices), so a high-frequency sampler costs the dataplane
+// nothing.
 func (m *Mailbox[T]) Occupancy() (queued, capacity int) {
 	return m.Queued(), m.capacity
 }
 
 // Pending reports how many tuples the consumer can still receive: the
-// queued tuples plus, on the copying transports, the unreleased part of
-// the window in hand (a batch's credits are released when it is taken, a
-// channel item left the channel, so Queued misses both; an unreleased
-// ring window still occupies its slots and is already in Queued). It may
-// only be called from the consumer's goroutine; the runtime's
-// drain-before-pause protocol uses it to decide when a station has fully
-// quiesced.
+// queued tuples plus, on the batched queue, the unreleased part of the
+// micro-batch in hand (a batch's credits are released when it is taken,
+// so Queued misses it; an unreleased ring window still occupies its slots
+// and is already in Queued). It may only be called from the consumer's
+// goroutine; the runtime's drain-before-pause protocol uses it to decide
+// when a station has fully quiesced.
 func (m *Mailbox[T]) Pending() int {
 	n := m.Queued()
 	if m.mode != SPSC {
@@ -298,25 +258,7 @@ func (m *Mailbox[T]) Blocked() uint64 { return m.blocked.Load() }
 // in-flight tuples, and Queued() == 0 afterwards is the "credits
 // restored" invariant the chaos suite checks.
 func (m *Mailbox[T]) Drain() int {
-	// The unreleased part of the consumer's window left the queue when it
-	// was taken (the ring's never did: its slots sit between head and
-	// tail).
-	n := 0
-	if m.mode != SPSC {
-		n = len(m.cur) - m.idx
-		m.cur, m.idx = nil, 0
-	}
-	switch m.mode {
-	case PerTuple:
-		for {
-			select {
-			case <-m.ch:
-				n++
-			default:
-				return n
-			}
-		}
-	case SPSC:
+	if m.mode == SPSC {
 		// Quiescent by contract, so head/tail are exact: everything
 		// between them is an admitted, undelivered tuple. Advancing head
 		// to tail frees every slot, which is the ring's "credits
@@ -324,29 +266,19 @@ func (m *Mailbox[T]) Drain() int {
 		h, t := m.head.Load(), m.tail.Load()
 		m.chead = t
 		m.head.Store(t)
-		return n + int(t-h)
-	default:
-		for {
-			select {
-			case b := <-m.batches:
-				n += len(b)
-				m.release(len(b))
-			default:
-				return n
-			}
-		}
+		return int(t - h)
 	}
-}
-
-// tryAcquire takes one capacity credit if any remain.
-func (m *Mailbox[T]) tryAcquire() bool {
+	// The unreleased part of the batch in hand left the queue when it was
+	// taken.
+	n := len(m.cur) - m.idx
+	m.cur, m.idx = nil, 0
 	for {
-		v := m.avail.Load()
-		if v <= 0 {
-			return false
-		}
-		if m.avail.CompareAndSwap(v, v-1) {
-			return true
+		select {
+		case b := <-m.batches:
+			n += len(b)
+			m.release(len(b))
+		default:
+			return n
 		}
 	}
 }
@@ -361,10 +293,7 @@ func (m *Mailbox[T]) tryAcquireN(want int) int {
 		if v <= 0 {
 			return 0
 		}
-		n := int64(want)
-		if n > v {
-			n = v
-		}
+		n := min(int64(want), v)
 		if m.avail.CompareAndSwap(v, v-n) {
 			return int(n)
 		}
@@ -387,28 +316,26 @@ func (m *Mailbox[T]) signalWake() {
 
 // Peek takes the consumer's next window: a run of queued tuples, at most
 // Batch long, that the consumer reads (or mutates) in place and releases
-// with Consume. It is the one consumer protocol of every transport — the
-// ring hands out its slots themselves (no copy), Batched the micro-batch
-// in hand, PerTuple an inline one-tuple slot — and blocks while the
-// mailbox is empty until a producer delivers or done closes (ok ==
-// false). The window stays valid until its last tuple is released;
-// releasing fewer tuples than were taken is allowed, and the remainder
-// leads the next window. Only the single consumer goroutine may call it.
+// with Consume. It is the one consumer protocol of both implementations —
+// the ring hands out its slots themselves (no copy), the batched queue
+// the micro-batch in hand — and blocks while the mailbox is empty until a
+// producer delivers or done closes (ok == false). A closed done wins over
+// queued tuples, so a consumer whose inbox never runs empty still sees
+// its stop signal at the next window; the tuples stay queued. The window
+// stays valid until its last tuple is released; releasing fewer tuples
+// than were taken is allowed, and the remainder leads the next window.
+// Only the single consumer goroutine may call it.
 func (m *Mailbox[T]) Peek(done <-chan struct{}) ([]T, bool) {
+	select {
+	case <-done:
+		return nil, false
+	default:
+	}
 	if m.mode == SPSC {
 		return m.peekRing(done)
 	}
 	if m.idx < len(m.cur) {
 		return m.cur[m.idx:], true
-	}
-	if m.mode == PerTuple {
-		select {
-		case m.slot[0] = <-m.ch:
-			m.cur, m.idx = m.slot[:], 0
-			return m.cur, true
-		case <-done:
-			return nil, false
-		}
 	}
 	if m.cur != nil {
 		m.putBuf(m.cur)
@@ -475,66 +402,36 @@ func (m *Mailbox[T]) putBuf(b []T) {
 	}
 }
 
-// Sender is one producer's handle on a mailbox. In Batched mode it owns
-// the producer's partial batch, so each producing goroutine needs its own
-// Sender; a Sender itself is safe against its own linger timer only.
+// Sender is one producer's handle on a mailbox: the mailbox plus that
+// producer's shedding timeout. It holds no tuples, so on the batched
+// queue any number of goroutines may share one; the ring's
+// single-producer contract is the caller's to keep.
 type Sender[T any] struct {
 	m *Mailbox[T]
-	// timeout bounds how long Send may block on a full mailbox before
+	// timeout bounds how long a send may block on a full mailbox before
 	// dropping the item; zero blocks forever (pure backpressure).
 	timeout time.Duration
-
-	mu    sync.Mutex
-	buf   []T
-	timer *time.Timer
 }
 
 // NewSender returns a producer handle. A non-zero timeout gives Akka
-// BoundedMailbox shedding semantics: Send drops the item (Dropped) when no
-// capacity credit frees up within the timeout.
+// BoundedMailbox shedding semantics: a send drops the item (Dropped) when
+// no capacity credit frees up within the timeout.
 func (m *Mailbox[T]) NewSender(timeout time.Duration) *Sender[T] {
 	return &Sender[T]{m: m, timeout: timeout}
 }
 
-// Send admits one item, blocking while the mailbox holds its full
-// capacity in tuples. done aborts a blocked send (Closed).
+// Send admits one item — the one-tuple form of SendMany — blocking while
+// the mailbox holds its full capacity in tuples. done aborts a blocked
+// send (Closed).
 func (s *Sender[T]) Send(t T, done <-chan struct{}) SendResult {
-	if s.m.mode == PerTuple {
-		return s.sendTuple(t, done)
+	one := [1]T{t}
+	switch _, dropped, ok := s.SendMany(one[:], done); {
+	case !ok:
+		return Closed
+	case dropped > 0:
+		return Dropped
 	}
-	if s.m.mode == SPSC {
-		return s.sendRing(t, done)
-	}
-	// Admission: one credit per tuple, acquired before the item enters
-	// the partial batch. Fast path first: an immediate credit avoids the
-	// flush and the timer.
-	if !s.m.tryAcquire() {
-		if r := s.acquireSlow(done); r != Sent {
-			return r
-		}
-	}
-	s.mu.Lock()
-	if s.buf == nil {
-		s.buf = s.m.getBuf()
-	}
-	s.buf = append(s.buf, t)
-	switch {
-	case len(s.buf) >= s.m.batch:
-		s.flushLocked()
-	case len(s.buf) == 1:
-		s.armTimerLocked()
-	}
-	s.mu.Unlock()
 	return Sent
-}
-
-// acquireSlow blocks for a capacity credit after the fast path failed.
-func (s *Sender[T]) acquireSlow(done <-chan struct{}) SendResult {
-	// About to block: hand the partial batch to the consumer first, both
-	// so it can make progress draining the queue and so the items we
-	// already admitted aren't held back by our stall.
-	s.Flush()
-	return s.m.waitCredit(s.timeout, done)
 }
 
 // waitCredit blocks until one capacity credit is acquired (Sent), the
@@ -551,7 +448,7 @@ func (m *Mailbox[T]) waitCredit(timeout time.Duration, done <-chan struct{}) Sen
 	for {
 		select {
 		case <-m.wake:
-			got := m.tryAcquire()
+			got := m.tryAcquireN(1) == 1
 			// Pass the wakeup on while credits remain: one bulk release
 			// must reach every waiter it can satisfy, and a waiter that
 			// lost the race must not strand the token it consumed.
@@ -570,40 +467,25 @@ func (m *Mailbox[T]) waitCredit(timeout time.Duration, done <-chan struct{}) Sen
 }
 
 // SendMany admits a slice of items with the exact per-tuple semantics of
-// repeated Send calls — capacity is still accounted per tuple, a full
-// mailbox blocks at the same queue depth, and with a timeout each blocked
-// tuple gets its own timeout window and is shed individually (items
-// already admitted are never dropped). What the bulk path buys is
-// amortization: free credits are taken in one CAS for a whole run of
-// items and the sender's batch lock is taken once per run instead of once
-// per tuple.
+// repeated Send calls — capacity is accounted per tuple, a full mailbox
+// blocks at the same queue depth, and with a timeout each blocked tuple
+// gets its own timeout window and is shed individually (items already
+// admitted are never dropped). Every admitted item is queued before the
+// call returns. What the bulk path buys is amortization: free credits are
+// taken in one CAS and queued as one micro-batch per run of items.
 func (s *Sender[T]) SendMany(ts []T, done <-chan struct{}) (sent, dropped int, ok bool) {
-	if s.m.mode == PerTuple {
-		for _, t := range ts {
-			switch s.sendTuple(t, done) {
-			case Sent:
-				sent++
-			case Dropped:
-				dropped++
-			default:
-				return sent, dropped, false
-			}
-		}
-		return sent, dropped, true
-	}
-	if s.m.mode == SPSC {
+	m := s.m
+	if m.mode == SPSC {
 		return s.sendManyRing(ts, done)
 	}
-	i := 0
-	for i < len(ts) {
-		n := s.m.tryAcquireN(len(ts) - i)
+	for i := 0; i < len(ts); {
+		n := m.tryAcquireN(len(ts) - i)
 		if n == 0 {
-			// Blocked: hand the partial batch over first, then wait for
-			// one credit at a time so shedding stays per-tuple.
-			s.Flush()
-			switch s.m.waitCredit(s.timeout, done) {
+			// Blocked: wait for one credit at a time so shedding stays
+			// per-tuple, then take whatever else the release freed.
+			switch m.waitCredit(s.timeout, done) {
 			case Sent:
-				n = 1
+				n = 1 + m.tryAcquireN(len(ts)-i-1)
 			case Dropped:
 				dropped++
 				i++
@@ -612,87 +494,15 @@ func (s *Sender[T]) SendMany(ts []T, done <-chan struct{}) (sent, dropped int, o
 				return sent, dropped, false
 			}
 		}
-		s.mu.Lock()
-		for k := 0; k < n; k++ {
-			if s.buf == nil {
-				s.buf = s.m.getBuf()
-			}
-			s.buf = append(s.buf, ts[i+k])
-			if len(s.buf) >= s.m.batch {
-				s.flushLocked()
-			}
+		// Every tuple queued holds a credit, so at most Capacity batches
+		// exist and the channel send cannot block (see the batches field).
+		for run := ts[i : i+n]; len(run) > 0; {
+			k := min(len(run), m.batch)
+			m.batches <- append(m.getBuf(), run[:k]...)
+			run = run[k:]
 		}
-		s.mu.Unlock()
 		sent += n
 		i += n
 	}
-	// The caller hands over complete output batches, so anything left in
-	// the buffer is the tail of this delivery: push it now rather than
-	// waiting for a linger.
-	s.Flush()
 	return sent, dropped, true
-}
-
-// sendTuple is the PerTuple transport: the existing bounded-channel dance.
-func (s *Sender[T]) sendTuple(t T, done <-chan struct{}) SendResult {
-	select {
-	case s.m.ch <- t:
-		return Sent
-	default:
-	}
-	s.m.blocked.Add(1)
-	if s.timeout > 0 {
-		timer := time.NewTimer(s.timeout)
-		defer timer.Stop()
-		select {
-		case s.m.ch <- t:
-			return Sent
-		case <-timer.C:
-			return Dropped
-		case <-done:
-			return Closed
-		}
-	}
-	select {
-	case s.m.ch <- t:
-		return Sent
-	case <-done:
-		return Closed
-	}
-}
-
-// Flush hands the partial batch to the consumer immediately. A no-op in
-// PerTuple mode, on an empty batch, and in SPSC mode (the ring publishes
-// every admitted item at send time; there is never a held-back partial).
-func (s *Sender[T]) Flush() {
-	if s.m.mode != Batched {
-		return
-	}
-	s.mu.Lock()
-	s.flushLocked()
-	s.mu.Unlock()
-}
-
-// flushLocked pushes the batch into the mailbox. Every buffered item
-// holds a credit, so at most Capacity batches exist and the channel send
-// cannot block (see the batches field).
-func (s *Sender[T]) flushLocked() {
-	if len(s.buf) > 0 {
-		s.m.batches <- s.buf
-		s.buf = nil
-	}
-	if s.timer != nil {
-		s.timer.Stop()
-	}
-}
-
-// armTimerLocked schedules the linger flush for a freshly started batch.
-// A stale fire after a batch-full flush only flushes whatever partial
-// batch exists then — harmless, just a smaller batch.
-func (s *Sender[T]) armTimerLocked() {
-	if s.timer == nil {
-		s.timer = time.AfterFunc(s.m.linger, s.Flush)
-		return
-	}
-	s.timer.Reset(s.m.linger)
 }

@@ -14,8 +14,7 @@
 // Publication is batched: SendMany copies a whole run of items into the
 // ring (at most two memcpy segments across the wrap) and publishes them
 // with a single tail store, then checks the consumer's waiting flag.
-// Because every admitted item is published immediately there is no
-// partial-batch linger state and Flush is a no-op — which is also what
+// Every admitted item is published immediately, which is also what
 // makes the cross-epoch producer handoff safe: the ring keeps no
 // producer-goroutine-local state (the mirrors live on the mailbox), so a
 // reconfiguration can retarget the single producer role to a new station
@@ -187,20 +186,6 @@ func (m *Mailbox[T]) consumeRing(n int) {
 		default:
 		}
 	}
-}
-
-// sendRing admits one item through the ring.
-func (s *Sender[T]) sendRing(t T, done <-chan struct{}) SendResult {
-	m := s.m
-	if m.freeRing() == 0 {
-		if r := m.waitRingSpace(s.timeout, done); r != Sent {
-			return r
-		}
-	}
-	m.ring[m.ptail%uint64(m.capacity)] = t
-	m.ptail++
-	m.publishRing()
-	return Sent
 }
 
 // sendManyRing admits a slice of items with the exact per-tuple

@@ -11,9 +11,8 @@
 // a lock or a map lookup, so routing the accounting through it costs the
 // same as the engine-private counters it replaced. Histograms are only
 // recorded when a run is bound to a caller-supplied registry, and the
-// engine samples them (every receive event in batched mode, every 16th
-// tuple in per-tuple mode) so instrumentation stays within the documented
-// overhead budget; see DESIGN.md "Observability".
+// engine subsamples them (one receive event and one service episode in
+// 128) so instrumentation stays cheap; see DESIGN.md "Observability".
 package obs
 
 import (
@@ -67,8 +66,8 @@ type Station struct {
 	Drained atomic.Uint64
 	// Restarts counts panic-recovery restarts.
 	Restarts atomic.Uint64
-	// Receives counts mailbox receive events (batches in batched mode,
-	// tuples in per-tuple mode). Maintained only when sampling is active.
+	// Receives counts mailbox receive events — windows of at most Batch
+	// tuples. Maintained only when sampling is active.
 	Receives atomic.Uint64
 	// Degraded reports whether the station exhausted its restart budget.
 	Degraded atomic.Bool
@@ -77,9 +76,8 @@ type Station struct {
 	// drift measurements skip it so rates reflect the live structure.
 	Retired atomic.Bool
 
-	// Service holds sampled per-tuple service times in nanoseconds. In
-	// batched mode one sample is the batch's mean per-tuple time and
-	// includes downstream admission stalls (busy + blocked).
+	// Service holds sampled per-tuple service times in nanoseconds: one
+	// operator call plus its padding, never the delivery.
 	Service *stats.Histogram
 	// InterArrival holds sampled per-tuple inter-arrival times in
 	// nanoseconds (mean over the sampling window).
@@ -145,8 +143,8 @@ type Gauges struct {
 
 // Tracer observes station lifecycle events. Implementations must be safe
 // for concurrent use and fast — hooks fire from station goroutines on the
-// data path. Receive and Serve fire per receive event / served batch (per
-// tuple in per-tuple mode); Emit fires per admission call.
+// data path. Receive fires per window taken, Serve per tuple served, Emit
+// per admission call.
 type Tracer interface {
 	// OnReceive fires when a station takes n tuples from its inbox.
 	OnReceive(station, n int)

@@ -15,9 +15,9 @@ import (
 // most Batch queued tuples (Peek), processes it in place, releases it
 // (Consume) and delivers what it produced along its out-edges
 // (sendManyFn, which copies the tuples out before it returns). Per-tuple
-// is Batch 1 of the same loop; the transports differ only in what a
-// window is made of (ring slots, the micro-batch in hand, an inline
-// slot). Between windows a station holds no tuple outside a mailbox, so a
+// is Batch 1 of the same loop; the two mailbox implementations differ
+// only in what a window is made of (ring slots, the micro-batch in
+// hand). Between windows a station holds no tuple outside a mailbox, so a
 // pause or a shutdown never finds anything to flush.
 
 // drainPending reports whether a station whose take was interrupted must

@@ -38,7 +38,7 @@ const maxRetryBackoff = 100 * time.Millisecond
 // wire.go), issues one Write and releases the window. Frames therefore
 // grow exactly when the wire is the bottleneck, and an idle edge ships a
 // one-tuple frame at once: there is no linger and no batch size to pick,
-// and Config.Batch and Config.Linger shape only the in-process mailboxes.
+// and Config.Batch and Config.Linger shape only the stations' windows.
 //
 // Blocking-After-Service capacity across the network is accounted in
 // tuples. The reader admits each frame to the target station's inbox
@@ -99,13 +99,11 @@ func RunDistributed(ctx context.Context, p *plan.Plan, binding *Binding, cfg Dis
 		return nil, err
 	}
 	cfg.Config = base
-	if cfg.Mailbox == mailbox.SPSC || cfg.Mailbox == mailbox.Auto {
-		// The network read loops push decoded frames into local inboxes
-		// alongside the plan's own stations, so the plan-derived
-		// single-producer proof does not cover a partitioned deployment;
-		// every inbox runs on the MPSC batched path instead.
-		cfg.Mailbox = mailbox.Batched
-	}
+	// The network read loops push decoded frames into local inboxes
+	// alongside the plan's own stations, so the plan-derived
+	// single-producer proof does not cover a partitioned deployment;
+	// every inbox runs on the batched multi-producer queue.
+	cfg.Mailbox = mailbox.Batched
 	if cfg.Nodes <= 0 {
 		cfg.Nodes = 2
 	}

@@ -291,10 +291,11 @@ func TestDistributedInflightBounded(t *testing.T) {
 func TestDistributedIdleEdgeSendsImmediately(t *testing.T) {
 	// The middle stage releases a tuple every millisecond at most (the
 	// runtime's own pacer catches up on sleep overshoot with back-to-back
-	// tuples, which a writer rightly puts in one frame), so its edge to
-	// the sink is idle between tuples: each frame must carry one tuple, at
-	// once. Linger is set far above the latency bound, so any linger term
-	// in the path would show.
+	// tuples, which a writer rightly puts in one frame; Batch 1 so the
+	// station delivers each output as it is produced, not a window's worth
+	// at a time), so its edge to the sink is idle between tuples: each
+	// frame must carry one tuple, at once. Linger is set far above the
+	// latency bound, so any linger term in the path would show.
 	topo := pipeline(t, 0.001, 0.001, 0.0001)
 	p, err := plan.Build(topo, plan.Options{})
 	if err != nil {
@@ -306,6 +307,7 @@ func TestDistributedIdleEdgeSendsImmediately(t *testing.T) {
 	reg := obs.New()
 	cfg := DistributedConfig{Config: shortCfg(46), Nodes: 2}
 	cfg.NoServicePadding = true
+	cfg.Batch = 1
 	cfg.Linger = 50 * time.Millisecond
 	cfg.Obs = reg
 	cfg.OnSink = func(_ core.OpID, tp operators.Tuple) {

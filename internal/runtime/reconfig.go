@@ -484,7 +484,7 @@ func (c *Controller) demoteTransports(f *fence, nt *tables, retiring []plan.Stat
 		if _, err := f.pause(target, true); err != nil {
 			return demoted, rewired, fanIn, err
 		}
-		if nt.mailboxes[i], err = demoteInbox(c.e.cfg, fanIn[i]); err != nil {
+		if nt.mailboxes[i], err = demoteInbox(c.e.cfg); err != nil {
 			return demoted, rewired, fanIn, err
 		}
 		demoted = append(demoted, target)

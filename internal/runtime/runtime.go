@@ -3,12 +3,12 @@
 // (Section 4.2). Each station runs as one goroutine (an actor) with a
 // bounded mailbox (internal/mailbox); a send into a full mailbox blocks
 // the sender, which is exactly the Blocking-After-Service semantics the
-// cost models assume. The mailbox offers three transports — per-tuple
-// channel sends, pooled micro-batches, and a lock-free SPSC ring for
-// inboxes the plan's producer-set analysis proves single-producer — all
-// accounting capacity in tuples, so BAS holds under any of them (see
+// cost models assume. The mailbox has two implementations — a lock-free
+// SPSC ring for inboxes the plan's producer-set analysis proves
+// single-producer, a batched multi-producer queue for the rest — both
+// accounting capacity in tuples, so BAS holds under either (see
 // transport.go for the per-inbox selection). One station loop and one
-// source loop (dataplane.go) serve all three through a single window
+// source loop (dataplane.go) serve both through a single window
 // protocol: take a window of at most Batch tuples, process it, release
 // it, deliver what it produced. Replicated operators execute behind
 // emitter and collector actors; fused subgraphs execute inside a single
@@ -45,6 +45,10 @@ import (
 	"spinstreams/internal/plan"
 	"spinstreams/internal/stats"
 )
+
+// DefaultLinger is the longest a paced source keeps a window open when
+// Config.Linger is zero.
+const DefaultLinger = time.Millisecond
 
 // Config tunes an execution.
 type Config struct {
@@ -84,28 +88,26 @@ type Config struct {
 	// be migrated), so PreserveOrder and Controller.ApplyDelta are
 	// mutually exclusive.
 	PreserveOrder bool
-	// Mailbox selects what the inboxes are made of; the station and source
-	// loops are the same under every choice. mailbox.PerTuple (default)
-	// is a bounded channel and fixes the window at one tuple;
-	// mailbox.Batched moves pooled micro-batches while still accounting
-	// capacity in tuples, so BAS blocking — and with it the steady-state
-	// model — is unchanged. mailbox.Auto (and mailbox.SPSC, its alias as a
-	// policy) binds each inbox per edge from the deployed plan: inboxes
-	// the producer-set analysis proves single-producer run on the
-	// lock-free SPSC ring, all others on the batched MPSC path. A live
-	// reconfiguration that turns a proven edge multi-producer demotes the
-	// inbox back to the batched path inside the same epoch fence; rings
-	// are never promoted mid-run.
+	// Mailbox is the inbox policy. The zero value, mailbox.Auto, binds each
+	// inbox per edge from the deployed plan: inboxes the producer-set
+	// analysis proves single-producer run on the lock-free SPSC ring, all
+	// others on the batched multi-producer queue. A live reconfiguration
+	// that turns a proven edge multi-producer demotes the inbox to the
+	// batched queue inside the same epoch fence; rings are never promoted
+	// mid-run. mailbox.Batched puts every inbox on the batched queue;
+	// mailbox.PerTuple does too and fixes Batch at 1. Capacity is
+	// accounted in tuples under every choice, so BAS blocking — and with
+	// it the steady-state model — does not depend on it. mailbox.SPSC is
+	// rejected: a ring needs the single-producer proof only Auto consults.
 	Mailbox mailbox.Mode
 	// Batch is the window size: the most tuples a station takes from its
-	// inbox, a source generates, or a cross-node frame carries per
-	// take/release cycle (default mailbox.DefaultBatch). mailbox.PerTuple
-	// fixes it at 1.
+	// inbox or a source generates per take/release cycle (default
+	// mailbox.DefaultBatch). 1 is per-tuple delivery.
 	Batch int
-	// Linger bounds how long a paced source or a cross-node edge may hold
-	// a partly filled window before delivering it (default
-	// mailbox.DefaultLinger), so low-rate edges don't stall. Nothing
-	// lingers at Batch 1.
+	// Linger bounds how long a paced source may keep a window open before
+	// delivering what it has generated so far (default DefaultLinger), so
+	// a slow source still feeds the pipeline promptly. It bounds nothing
+	// else: stations and senders hold no tuples between windows.
 	Linger time.Duration
 	// MaxRestarts bounds how many times a station whose operator
 	// panicked is restarted with a fresh operator instance. 0 (the
@@ -187,16 +189,20 @@ func (c Config) withDefaults() (Config, error) {
 	if c.Batch == 0 {
 		c.Batch = mailbox.DefaultBatch
 	}
-	if c.Mailbox == mailbox.PerTuple {
-		// Per-tuple is Batch 1 of the one loop: a one-tuple window fills
-		// at once, so nothing is ever staged or lingers.
+	switch c.Mailbox {
+	case mailbox.Auto, mailbox.Batched:
+	case mailbox.PerTuple:
+		// Per-tuple is Batch 1 of the one loop; like every policy but
+		// Auto it resolves to the batched queue.
 		c.Batch = 1
+	default:
+		return c, fmt.Errorf("runtime: Mailbox %v is not a policy (want mailbox.Auto, Batched or PerTuple)", c.Mailbox)
 	}
 	if c.Linger < 0 {
 		return c, fmt.Errorf("runtime: negative Linger %v", c.Linger)
 	}
 	if c.Linger == 0 {
-		c.Linger = mailbox.DefaultLinger
+		c.Linger = DefaultLinger
 	}
 	if c.ReconfigStallBudget < 0 {
 		return c, fmt.Errorf("runtime: negative ReconfigStallBudget %v", c.ReconfigStallBudget)
@@ -501,10 +507,8 @@ type probe struct {
 // that every station records a service sample on its first tuple (the
 // mask fires at event 1) and a drift window still collects several
 // samples per operator, sparse enough that the amortized
-// histogram-and-clock cost stays inside the documented <5% dataplane
-// overhead budget. Measured on the contended per-tuple transport, 1-in-64
-// cost ~13% end-to-end (the sampled pauses disturb the channel convoy),
-// 1-in-128 ~2%.
+// histogram-and-clock cost stays small (bench/ reports it as
+// obs.overhead_pct).
 const sampleMask = 127
 
 // newProbe returns a probe for the station, or nil when timed sampling is

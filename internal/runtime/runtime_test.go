@@ -47,8 +47,20 @@ func pipeline(t *testing.T, times ...float64) *core.Topology {
 	return topo
 }
 
-// allModes is every transport policy the one station loop runs under.
-var allModes = []mailbox.Mode{mailbox.PerTuple, mailbox.Batched, mailbox.Auto}
+// dataplanes is every knob setting the one station loop is held to: tuple
+// is per-tuple delivery (Batch 1), batch puts every inbox on the batched
+// queue, auto is the zero value (rings on proven single-producer edges),
+// and small is the shape experiments.LiveOptions deploys — an 8-tuple
+// mailbox under the default 32-tuple window, so no window ever fills.
+var dataplanes = []struct {
+	name string
+	set  func(*Config)
+}{
+	{"tuple", func(c *Config) { c.Batch = 1 }},
+	{"batch", func(c *Config) { c.Mailbox = mailbox.Batched }},
+	{"auto", func(*Config) {}},
+	{"small", func(c *Config) { c.MailboxSize, c.Batch = 8, 32 }},
+}
 
 func TestRunThroughputMatchesModel(t *testing.T) {
 	// Capacity is accounted in tuples on every transport, so BAS blocking
@@ -72,10 +84,10 @@ func TestRunThroughputMatchesModel(t *testing.T) {
 		if e := stats.RelErr(a.Throughput(), c.want); e > 1e-9 {
 			t.Fatalf("%s: model predicts %v, want %v", c.name, a.Throughput(), c.want)
 		}
-		for _, mode := range allModes {
+		for _, dp := range dataplanes {
 			cfg := shortCfg(uint64(1 + ci))
-			cfg.Mailbox = mode
-			t.Run(c.name+"/"+mode.String(), func(t *testing.T) {
+			dp.set(&cfg)
+			t.Run(c.name+"/"+dp.name, func(t *testing.T) {
 				t.Parallel()
 				m, err := RunTopology(context.Background(), topo, nil, nil, cfg)
 				if err != nil {
@@ -359,16 +371,16 @@ func TestRunPreserveOrder(t *testing.T) {
 	if fis.Analysis.Replicas[1] != 4 {
 		t.Fatalf("replicas = %d, want 4", fis.Analysis.Replicas[1])
 	}
-	for _, mode := range allModes {
+	for _, dp := range dataplanes {
 		for _, padded := range []bool{true, false} {
-			name := mode.String() + "/padded"
+			name := dp.name + "/padded"
 			cfg := shortCfg(60)
 			if !padded {
-				name = mode.String() + "/unpadded"
+				name = dp.name + "/unpadded"
 				cfg.NoServicePadding = true
 				cfg.Duration, cfg.Warmup = 400*time.Millisecond, 100*time.Millisecond
 			}
-			cfg.Mailbox = mode
+			dp.set(&cfg)
 			cfg.PreserveOrder = true
 			t.Run(name, func(t *testing.T) {
 				t.Parallel()
@@ -431,8 +443,8 @@ func TestRunPreserveOrderSkipsNonUnitGain(t *testing.T) {
 func TestRunSheddingParity(t *testing.T) {
 	// A short send timeout turns backpressure into load shedding (Akka
 	// BoundedMailbox semantics with a small timeout), identically on
-	// every transport: only tuples awaiting admission are dropped, never
-	// tuples a mailbox (or a partial batch) already accepted. If admitted
+	// every dataplane: only tuples awaiting admission are dropped, never
+	// tuples a mailbox already accepted. If admitted
 	// tuples were lost, the bottleneck would consume less than its
 	// measured admissions and the sink would fall below the shedding
 	// model's rate.
@@ -441,13 +453,15 @@ func TestRunSheddingParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, mode := range allModes {
-		t.Run(mode.String(), func(t *testing.T) {
+	// Every row runs an 8-tuple mailbox here, so auto already is the small
+	// row (MailboxSize 8 under Batch 32).
+	for _, dp := range dataplanes[:3] {
+		t.Run(dp.name, func(t *testing.T) {
 			t.Parallel()
 			cfg := shortCfg(83)
-			cfg.Mailbox = mode
 			cfg.SendTimeout = time.Millisecond
 			cfg.MailboxSize = 8
+			dp.set(&cfg)
 			m, err := RunTopology(context.Background(), topo, nil, nil, cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -498,6 +512,10 @@ func TestConfigRejectsNonsense(t *testing.T) {
 		"negative mailbox":     {MailboxSize: -1},
 		"negative batch":       {Batch: -8},
 		"negative linger":      {Linger: -time.Millisecond},
+		// A ring needs a single-producer proof; only the Auto policy
+		// consults the plan for one.
+		"spsc as a policy": {Mailbox: mailbox.SPSC},
+		"unknown mailbox":  {Mailbox: mailbox.Mode(42)},
 
 		"negative reconfig stall budget": {ReconfigStallBudget: -time.Second},
 		"negative autotune interval":     {AutotuneInterval: -time.Second},
@@ -527,8 +545,14 @@ func TestConfigRejectsNonsense(t *testing.T) {
 	if got.MailboxSize != 64 || got.Duration != 3*time.Second || got.Warmup != got.Duration/4 {
 		t.Errorf("defaults not applied: %+v", got)
 	}
-	if got.Batch == 0 || got.Linger == 0 {
-		t.Errorf("batch/linger defaults not applied: %+v", got)
+	if got.Batch != mailbox.DefaultBatch || got.Linger != DefaultLinger || got.Mailbox != mailbox.Auto {
+		t.Errorf("dataplane defaults not applied: %+v", got)
+	}
+	// PerTuple is a spelling of Batch 1 on the batched queue, nothing more.
+	got, err = Config{Mailbox: mailbox.PerTuple, Batch: 64}.withDefaults()
+	if err != nil || got.Batch != 1 || resolveInboxMode(got.Mailbox, 1) != mailbox.Batched {
+		t.Errorf("PerTuple resolved to Batch %d on %v (%v), want 1 on the batched queue",
+			got.Batch, resolveInboxMode(got.Mailbox, 1), err)
 	}
 	if got.ReconfigStallBudget != time.Second || got.AutotuneInterval != 2*time.Second {
 		t.Errorf("reconfiguration defaults not applied: %+v", got)
@@ -542,13 +566,14 @@ func TestConfigRejectsNonsense(t *testing.T) {
 // operator and the outputs already staged are still delivered. So the
 // conservation identity holds, every panic fails one tuple, and (faults
 // fire on the n-th tuple a station serves, whatever the window size) the
-// sink sees the same per-key sequences in all three modes, up to where
+// sink sees the same per-key sequences on every dataplane, up to where
 // each run happened to stop.
 func TestRunPanicMidWindowSameOutputEveryMode(t *testing.T) {
 	goroutines := goruntime.NumGoroutine()
 	topo := pipeline(t, 0.0002, 0.0002, 0.0001, 0.0001)
-	perKey := make([]map[uint64][]uint64, len(allModes))
-	for i, mode := range allModes {
+	perKey := make([]map[uint64][]uint64, len(dataplanes))
+	for i, dp := range dataplanes {
+		mode := dp.name
 		inj := faultinject.New(faultinject.Config{Seed: 77, PanicProb: 0.002})
 		sink := map[uint64][]uint64{}
 		var mu sync.Mutex
@@ -557,7 +582,6 @@ func TestRunPanicMidWindowSameOutputEveryMode(t *testing.T) {
 			Duration:         400 * time.Millisecond,
 			Warmup:           100 * time.Millisecond,
 			NoServicePadding: true,
-			Mailbox:          mode,
 			Batch:            16,
 			MaxRestarts:      1 << 30,
 			Faults:           inj,
@@ -567,6 +591,7 @@ func TestRunPanicMidWindowSameOutputEveryMode(t *testing.T) {
 				mu.Unlock()
 			},
 		}
+		dp.set(&cfg)
 		m, err := RunTopology(context.Background(), topo, nil, nil, cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -584,20 +609,20 @@ func TestRunPanicMidWindowSameOutputEveryMode(t *testing.T) {
 		}
 		perKey[i] = sink
 	}
-	for i := 1; i < len(allModes); i++ {
+	for i := 1; i < len(dataplanes); i++ {
 		for key, want := range perKey[0] {
 			got := perKey[i][key]
 			n := min(len(got), len(want))
 			for j := 0; j < n; j++ {
 				if got[j] != want[j] {
 					t.Fatalf("key %d, position %d: %v delivered seq %d, %v seq %d",
-						key, j, allModes[i], got[j], allModes[0], want[j])
+						key, j, dataplanes[i].name, got[j], dataplanes[0].name, want[j])
 				}
 			}
 		}
 	}
 	// Every run has returned, so everything it started must be gone: a
-	// wedged sender or a leaked linger timer would still be here.
+	// wedged sender or a leaked timer would still be here.
 	deadline := time.Now().Add(2 * time.Second)
 	for goruntime.NumGoroutine() > goroutines && time.Now().Before(deadline) {
 		time.Sleep(10 * time.Millisecond)

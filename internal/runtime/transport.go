@@ -41,22 +41,14 @@ func liveFanIn(p *plan.Plan, retired []bool) []int {
 	return in
 }
 
-// resolveInboxMode maps the configured transport policy and one inbox's
-// live producer count to the concrete transport the inbox runs on.
-// PerTuple and Batched are uniform transports and pass through unchanged;
-// SPSC and Auto are per-edge policies — the lock-free ring
-// exactly where the plan proves a single producer, the batched MPSC path
-// everywhere else. The result is always constructible (never Auto).
-func resolveInboxMode(global mailbox.Mode, producers int) mailbox.Mode {
-	switch global {
-	case mailbox.PerTuple, mailbox.Batched:
-		return global
-	default: // mailbox.SPSC, mailbox.Auto
-		if producers <= 1 {
-			return mailbox.SPSC
-		}
-		return mailbox.Batched
+// resolveInboxMode picks one inbox's implementation: the lock-free ring
+// iff the policy is Auto and the plan proves at most one producer, the
+// batched multi-producer queue otherwise.
+func resolveInboxMode(policy mailbox.Mode, producers int) mailbox.Mode {
+	if policy == mailbox.Auto && producers <= 1 {
+		return mailbox.SPSC
 	}
+	return mailbox.Batched
 }
 
 // newInbox builds one station's inbox in the resolved transport.
@@ -65,16 +57,15 @@ func newInbox(cfg Config, producers int) (*mailbox.Mailbox[operators.Tuple], err
 		Capacity: cfg.MailboxSize,
 		Mode:     resolveInboxMode(cfg.Mailbox, producers),
 		Batch:    cfg.Batch,
-		Linger:   cfg.Linger,
 	})
 }
 
 // demoteInbox builds the replacement inbox for an edge whose SPSC proof
 // a reconfiguration invalidated. It is the only constructor live
 // reconfiguration may use to swap an existing station's inbox (the
-// epochfence analyzer pins this): it resolves the inbox as multi-producer
-// whatever the count says, so it never yields a ring and a demoted edge
-// can never be re-promoted to SPSC.
-func demoteInbox(cfg Config, producers int) (*mailbox.Mailbox[operators.Tuple], error) {
-	return newInbox(cfg, max(producers, 2))
+// epochfence analyzer pins this): it resolves the inbox as multi-producer,
+// so it never yields a ring and a demoted edge can never be re-promoted
+// to SPSC.
+func demoteInbox(cfg Config) (*mailbox.Mailbox[operators.Tuple], error) {
+	return newInbox(cfg, 2)
 }

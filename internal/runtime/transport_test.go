@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -9,28 +10,71 @@ import (
 	"spinstreams/internal/operators"
 	"spinstreams/internal/opt"
 	"spinstreams/internal/plan"
+	"spinstreams/internal/stats"
 )
 
 func TestResolveInboxMode(t *testing.T) {
 	cases := []struct {
-		global    mailbox.Mode
+		policy    mailbox.Mode
 		producers int
 		want      mailbox.Mode
 	}{
-		{mailbox.PerTuple, 1, mailbox.PerTuple},
-		{mailbox.PerTuple, 3, mailbox.PerTuple},
-		{mailbox.Batched, 1, mailbox.Batched},
-		{mailbox.Batched, 3, mailbox.Batched},
-		{mailbox.SPSC, 0, mailbox.SPSC},
-		{mailbox.SPSC, 1, mailbox.SPSC},
-		{mailbox.SPSC, 2, mailbox.Batched},
+		{mailbox.Auto, 0, mailbox.SPSC},
 		{mailbox.Auto, 1, mailbox.SPSC},
 		{mailbox.Auto, 2, mailbox.Batched},
+		{mailbox.Batched, 1, mailbox.Batched},
+		{mailbox.Batched, 3, mailbox.Batched},
 	}
 	for _, c := range cases {
-		if got := resolveInboxMode(c.global, c.producers); got != c.want {
-			t.Errorf("resolveInboxMode(%v, %d) = %v, want %v", c.global, c.producers, got, c.want)
+		if got := resolveInboxMode(c.policy, c.producers); got != c.want {
+			t.Errorf("resolveInboxMode(%v, %d) = %v, want %v", c.policy, c.producers, got, c.want)
 		}
+	}
+}
+
+// TestZeroConfigDeploysThePlansVerdict runs the paper's Table 1 topology
+// with nothing set but seed and run length: every inbox must be on the
+// transport plan.Transports proves for it — a ring wherever there is a
+// single producer — and throughput must meet the model inside
+// TestRunThroughputMatchesModel's tolerance.
+func TestZeroConfigDeploysThePlansVerdict(t *testing.T) {
+	topo, _ := core.PaperExampleTopology(core.PaperExampleTable1)
+	a, err := core.SteadyState(topo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := plan.Build(topo, plan.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg, err := shortCfg(92).withDefaults()
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := newEngine(p, &Binding{}, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rings := 0
+	for i, tr := range plan.Transports(p) {
+		want := mailbox.Batched
+		if tr == plan.TransportSPSC {
+			want = mailbox.SPSC
+			rings++
+		}
+		if got := e.tab().mailboxes[i].Mode(); got != want {
+			t.Errorf("station %q: inbox mode %v, plan proves %v", p.Stations[i].Name, got, want)
+		}
+	}
+	if rings == 0 || rings == len(p.Stations) {
+		t.Fatalf("%d of %d inboxes are rings; the topology should exercise both transports", rings, len(p.Stations))
+	}
+	m, err := e.execute(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e := stats.RelErr(m.Throughput, a.Throughput()); e > 0.15 {
+		t.Errorf("throughput = %v, predicted %v (err %.3f)", m.Throughput, a.Throughput(), e)
 	}
 }
 
@@ -82,14 +126,13 @@ func TestLiveFanIn(t *testing.T) {
 	}
 }
 
-// TestAutoTransportBinding checks that an Auto-policy deployment binds
+// TestAutoTransportBinding checks that a default (Auto) deployment binds
 // every inbox to the transport the analyzer proves: the replicated
 // operator's collector (three worker producers) runs batched MPSC, every
 // single-producer inbox runs the SPSC ring.
 func TestAutoTransportBinding(t *testing.T) {
 	topo := pipeline(t, 0.002, 0.004, 0.001)
 	cfg := ctlCfg(90)
-	cfg.Mailbox = mailbox.Auto
 	c, err := StartTopology(topo, []int{1, 3, 1}, nil, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -149,7 +192,6 @@ func TestControllerUnfuseDemotesSPSC(t *testing.T) {
 	}
 	binding := &Binding{Meta: map[core.OpID]*MetaOperator{report.FusedID: meta}}
 	cfg := ctlCfg(91)
-	cfg.Mailbox = mailbox.Auto
 	c, err := StartTopology(fused, nil, binding, cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -31,7 +31,6 @@ type SendResult int
 type Sender struct{}
 func (s *Sender) Send(v int) SendResult                { return 0 }
 func (s *Sender) SendMany(vs []int) (int, int, bool)   { return 0, 0, false }
-func (s *Sender) Flush()                               {}
 type Mailbox struct{}
 func (m *Mailbox) Drain() int { return 0 }
 func (m *Mailbox) Peek(done chan struct{}) ([]int, bool)    { return nil, false }
@@ -155,7 +154,6 @@ func ok(s *mb.Sender, m *mb.Mailbox) int {
 		return 0
 	}
 	sent, dropped, _ := s.SendMany(nil)
-	s.Flush()
 	return sent + dropped + m.Drain()
 }
 `, mailboxPkgPath))
