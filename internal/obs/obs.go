@@ -188,25 +188,15 @@ func New() *Registry {
 // returns the Station slice the engine writes through. Any previous run's
 // stations, edges, sampler and window marks are discarded.
 func (r *Registry) Bind(infos []StationInfo) []*Station {
-	sts := make([]*Station, len(infos))
-	for i := range infos {
-		sts[i] = &Station{
-			Info:         infos[i],
-			Service:      stats.NewHistogram(),
-			InterArrival: stats.NewHistogram(),
-			QueueDepth:   stats.NewHistogram(),
-			BatchSize:    stats.NewHistogram(),
-		}
-	}
 	r.mu.Lock()
 	r.start = time.Now()
-	r.stations = sts
+	r.stations = nil
 	r.edges = nil
 	r.edgeIdx = nil
 	r.sampler = nil
 	r.winBegin, r.winEnd = nil, nil
 	r.mu.Unlock()
-	return sts
+	return r.Extend(infos)
 }
 
 // Extend appends stations to a bound registry without resetting it; the

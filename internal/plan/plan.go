@@ -194,105 +194,45 @@ func Build(t *core.Topology, opts Options) (*Plan, error) {
 	for i := 0; i < t.Len(); i++ {
 		id := core.OpID(i)
 		op := t.Op(id)
-		n := replicas(id)
-		if op.Kind == core.KindSource {
-			sid := add(Station{
-				Name: op.Name, Role: RoleSource, Op: id,
-				ServiceTime: op.ServiceTime, Gain: op.Gain(),
-				InputSelectivity:  op.InputSelectivity,
-				OutputSelectivity: op.OutputSelectivity,
-				Discipline:        Probabilistic,
-			})
-			p.SourceID = sid
-			p.WorkersOf[i] = []StationID{sid}
-			p.EntryOf[i] = sid
-			continue
-		}
-		if n == 1 {
-			sid := add(Station{
-				Name: op.Name, Role: RoleWorker, Op: id,
-				ServiceTime: op.ServiceTime, Gain: op.Gain(),
-				InputSelectivity:  op.InputSelectivity,
-				OutputSelectivity: op.OutputSelectivity,
-				Discipline:        Probabilistic,
-				KeyFreq:           keyFreq(op),
-			})
-			p.WorkersOf[i] = []StationID{sid}
-			p.EntryOf[i] = sid
-			continue
-		}
-		if !op.Kind.CanReplicate() {
-			return nil, fmt.Errorf("plan: operator %q of kind %s cannot be replicated", op.Name, op.Kind)
-		}
-		// Emitter + workers + collector. Partitioned-stateful operators
-		// may consolidate to fewer replicas than requested, so partition
-		// before creating worker stations.
-		var keyReplica []int
-		var loads []float64
-		discipline := RoundRobin
-		if op.Kind == core.KindPartitionedStateful {
-			asg, err := opts.Partitioner.Partition(op.Keys.Freq, n)
-			if err != nil {
-				return nil, fmt.Errorf("plan: partition %q: %w", op.Name, err)
+		w := Unreplicated(id, op)
+		asg := keypart.Assignment{Replicas: 1}
+		if n := replicas(id); n > 1 && op.Kind != core.KindSource {
+			if !op.Kind.CanReplicate() {
+				return nil, fmt.Errorf("plan: operator %q of kind %s cannot be replicated", op.Name, op.Kind)
 			}
-			discipline = KeyHash
-			keyReplica = append([]int(nil), asg.Replica...)
-			loads = append([]float64(nil), asg.Load...)
-			n = asg.Replicas
+			asg.Replicas = n
+			// Partitioned-stateful operators may consolidate to fewer
+			// replicas than requested, so partition before laying out.
+			if op.Kind == core.KindPartitionedStateful {
+				var err error
+				if asg, err = opts.Partitioner.Partition(op.Keys.Freq, n); err != nil {
+					return nil, fmt.Errorf("plan: partition %q: %w", op.Name, err)
+				}
+			}
 		}
-		if n == 1 {
-			// Consolidation collapsed the fission: a single plain worker.
-			sid := add(Station{
-				Name: op.Name, Role: RoleWorker, Op: id,
-				ServiceTime: op.ServiceTime, Gain: op.Gain(),
-				InputSelectivity:  op.InputSelectivity,
-				OutputSelectivity: op.OutputSelectivity,
-				Discipline:        Probabilistic,
-				KeyFreq:           keyFreq(op),
-			})
+		if asg.Replicas < 2 {
+			sid := add(w)
+			if w.Role == RoleSource {
+				p.SourceID = sid
+			}
 			p.WorkersOf[i] = []StationID{sid}
 			p.EntryOf[i] = sid
 			continue
 		}
-		emitter := add(Station{
-			Name: op.Name + "/emitter", Role: RoleEmitter, Op: id,
-			ServiceTime: opts.EmitterServiceTime, Gain: 1,
-			Discipline: discipline,
-			KeyReplica: keyReplica,
-			KeyFreq:    keyFreq(op),
-		})
-		var workers []StationID
-		for r := 0; r < n; r++ {
-			workers = append(workers, add(Station{
-				Name: fmt.Sprintf("%s/replica%d", op.Name, r), Role: RoleWorker, Op: id, Replica: r,
-				ServiceTime: op.ServiceTime, Gain: op.Gain(),
-				InputSelectivity:  op.InputSelectivity,
-				OutputSelectivity: op.OutputSelectivity,
-				Discipline:        Probabilistic,
-			}))
+		base := StationID(len(p.Stations))
+		scaffold := Fission(w, asg, opts.EmitterServiceTime)
+		for _, s := range scaffold {
+			for j := range s.Out {
+				s.Out[j].To += base
+			}
+			add(s)
 		}
-		collector := add(Station{
-			Name: op.Name + "/collector", Role: RoleCollector, Op: id,
-			ServiceTime: opts.EmitterServiceTime, Gain: 1,
-			InputSelectivity:  op.InputSelectivity,
-			OutputSelectivity: op.OutputSelectivity,
-			Discipline:        Probabilistic,
-		})
-		p.WorkersOf[i] = workers
+		collector := base + StationID(len(scaffold)-1)
+		for sid := base + 1; sid < collector; sid++ {
+			p.WorkersOf[i] = append(p.WorkersOf[i], sid)
+		}
 		p.CollectorOf[i] = collector
-		p.EntryOf[i] = emitter
-
-		est := &p.Stations[emitter]
-		for r, w := range workers {
-			share := 1 / float64(n)
-			if loads != nil && r < len(loads) {
-				share = loads[r]
-			}
-			est.Out = append(est.Out, Edge{To: w, Prob: share})
-		}
-		for _, w := range workers {
-			p.Stations[w].Out = []Edge{{To: collector, Prob: 1}}
-		}
+		p.EntryOf[i] = base
 	}
 
 	// Second pass: wire logical edges from each operator's output side
@@ -317,6 +257,71 @@ func Build(t *core.Topology, opts Options) (*Plan, error) {
 		}
 	}
 	return p, nil
+}
+
+// Unreplicated returns the one station that runs logical operator op
+// (ID id) when it is not replicated — Build's plain worker, or the source
+// — which is also the template Fission replicates.
+func Unreplicated(id core.OpID, op *core.Operator) Station {
+	role := RoleWorker
+	if op.Kind == core.KindSource {
+		role = RoleSource
+	}
+	return Station{
+		Name: op.Name, Role: role, Op: id,
+		ServiceTime: op.ServiceTime, Gain: op.Gain(),
+		InputSelectivity:  op.InputSelectivity,
+		OutputSelectivity: op.OutputSelectivity,
+		Discipline:        Probabilistic,
+		KeyFreq:           keyFreq(op),
+	}
+}
+
+// Fission returns the stations Algorithm 2 runs worker w on once it is
+// replicated over asg.Replicas workers, in the order Build lays them out:
+// the emitter, replicas 0..m-1, the collector. The emitter routes by key
+// hash through asg.Replica when asg maps keys (round-robin otherwise) and
+// records each replica's load share on its edge; every replica feeds the
+// collector. Edge targets index the returned slice — the caller maps
+// them to station IDs — and the collector's out-edges, the operator's
+// logical ones, are left to the caller. Build and the live rescale both
+// lay a scaffold out from here.
+func Fission(w Station, asg keypart.Assignment, emitterTime float64) []Station {
+	m := asg.Replicas
+	discipline := RoundRobin
+	if len(asg.Replica) > 0 {
+		discipline = KeyHash
+	}
+	ss := []Station{{
+		Name: w.Name + "/emitter", Role: RoleEmitter, Op: w.Op,
+		ServiceTime: emitterTime, Gain: 1,
+		Discipline: discipline,
+		KeyReplica: append([]int(nil), asg.Replica...),
+		KeyFreq:    w.KeyFreq,
+	}}
+	collector := StationID(m + 1)
+	for r := 0; r < m; r++ {
+		share := 1 / float64(m)
+		if r < len(asg.Load) {
+			share = asg.Load[r]
+		}
+		ss[0].Out = append(ss[0].Out, Edge{To: StationID(r + 1), Prob: share})
+		ss = append(ss, Station{
+			Name: fmt.Sprintf("%s/replica%d", w.Name, r), Role: RoleWorker, Op: w.Op, Replica: r,
+			ServiceTime: w.ServiceTime, Gain: w.Gain,
+			InputSelectivity:  w.InputSelectivity,
+			OutputSelectivity: w.OutputSelectivity,
+			Discipline:        Probabilistic,
+			Out:               []Edge{{To: collector, Prob: 1}},
+		})
+	}
+	return append(ss, Station{
+		Name: w.Name + "/collector", Role: RoleCollector, Op: w.Op,
+		ServiceTime: emitterTime, Gain: 1,
+		InputSelectivity:  w.InputSelectivity,
+		OutputSelectivity: w.OutputSelectivity,
+		Discipline:        Probabilistic,
+	})
 }
 
 // keyFreq copies the key frequency distribution of partitioned-stateful

@@ -128,12 +128,6 @@ func RunDistributed(ctx context.Context, p *plan.Plan, binding *Binding, cfg Dis
 	if cfg.SendDeadline == 0 {
 		cfg.SendDeadline = 2 * time.Second
 	}
-	if binding == nil {
-		binding = &Binding{}
-	}
-	if err := binding.validate(p); err != nil {
-		return nil, err
-	}
 
 	eng, err := newEngine(p, binding, cfg.Config)
 	if err != nil {

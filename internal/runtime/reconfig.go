@@ -3,8 +3,8 @@ package runtime
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 
@@ -25,7 +25,8 @@ import (
 // of the paper's autonomic loop: obs.Drift feeds opt.Reoptimize, whose
 // DeltaPlan the controller applies in-flight — replica rescales with
 // keyed-state migration, and fusion undos that split a fused station
-// back into its members — without restarting the topology.
+// back into its members — without restarting the topology. Every change
+// is one plan diff applied by one fenced procedure (applyDiff).
 //
 // All reconfiguration entry points are serialized on an internal mutex;
 // Stop wins over a concurrent ApplyDelta. A controller serves one run.
@@ -46,10 +47,7 @@ type Controller struct {
 	// stalls records the fence duration of every applied change, for the
 	// reconfiguration-stall benchmark.
 	stalls []time.Duration
-	// demoted accumulates the SPSC->MPSC inbox demotions of the ApplyDelta
-	// in progress (ApplyReport.Demoted); guarded by mu like the rest.
-	demoted int
-	seeds   *stats.RNG
+	seeds  *stats.RNG
 	// snap1/winStart bracket the current measurement window.
 	snap1    counterSnapshot
 	winStart time.Time
@@ -89,12 +87,6 @@ func Start(p *plan.Plan, binding *Binding, cfg Config) (*Controller, error) {
 	if err != nil {
 		return nil, err
 	}
-	if binding == nil {
-		binding = &Binding{}
-	}
-	if err := binding.validate(p); err != nil {
-		return nil, err
-	}
 	e, err := newEngine(p, binding, cfg)
 	if err != nil {
 		return nil, err
@@ -122,16 +114,11 @@ func StartTopology(t *core.Topology, replicas []int, binding *Binding, cfg Confi
 		return nil, err
 	}
 	c.topo = t
+	// An operator's degree is its worker count in the plan, which already
+	// reflects any keyed fission the planner consolidated.
 	c.replicas = make([]int, t.Len())
 	for i := range c.replicas {
-		c.replicas[i] = 1
-		if replicas != nil && i < len(replicas) && replicas[i] > 1 {
-			c.replicas[i] = replicas[i]
-		}
-		// The planner may have consolidated a keyed fission.
-		if ws := p.WorkersOf[i]; len(ws) > 0 {
-			c.replicas[i] = len(ws)
-		}
+		c.replicas[i] = len(p.WorkersOf[i])
 	}
 	return c, nil
 }
@@ -185,23 +172,23 @@ func (c *Controller) Stop() (*Metrics, error) {
 	return c.e.buildMetrics(window, snap1, snap2), nil
 }
 
-// ApplyDelta applies a re-optimization delta to the running topology:
-// each replica change and fusion undo is applied as one epoch fence —
-// pause the affected stations, rebuild the routing tables copy-on-write,
-// migrate keyed state, swap, release. Tuples keep flowing through every
-// unaffected station. Changes apply sequentially in deterministic
-// (name-sorted) order; on error the already-applied prefix stays applied
-// and the failing change's fence is fully released, so the topology is
-// always left running.
+// ApplyDelta applies a re-optimization delta to the running topology.
+// Each replica change and fusion undo is first rewritten as a plan diff
+// (rescaleDiff, unfuseDiff) and then applied by applyDiff under its own
+// epoch fence: pause the affected stations, rebuild the routing tables
+// copy-on-write, hand keyed state over, swap, release. Tuples keep
+// flowing through every unaffected station. Changes apply sequentially in
+// deterministic (name-sorted) order, rescales before undos; on error the
+// already-applied prefix stays applied and the failing change's fence is
+// fully released, so the topology is always left running.
 func (c *Controller) ApplyDelta(d *opt.DeltaPlan) (*ApplyReport, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.stopped || c.e.isShutdown() {
 		return nil, errors.New("runtime: controller is stopped")
 	}
-	rep := &ApplyReport{Epoch: c.e.tab().epoch}
-	c.demoted = 0
-	defer func() { rep.Demoted = c.demoted }()
+	rep := &ApplyReport{}
+	defer func() { rep.Epoch = c.e.tab().epoch }()
 	if d == nil || d.Empty() {
 		return rep, nil
 	}
@@ -216,39 +203,90 @@ func (c *Controller) ApplyDelta(d *opt.DeltaPlan) (*ApplyReport, error) {
 	undos := append([]opt.FusionUndo(nil), d.Undo...)
 	sort.Slice(undos, func(i, j int) bool { return undos[i].Operator < undos[j].Operator })
 	for _, ch := range changes {
-		stall, moved, err := c.applyRescale(ch)
-		c.noteStall(rep, stall)
-		rep.MigratedKeys += moved
+		dd, err := c.rescaleChange(ch)
+		if err == nil {
+			err = c.apply(rep, dd)
+		}
 		if err != nil {
-			rep.Epoch = c.e.tab().epoch
 			return rep, fmt.Errorf("runtime: rescale %q: %w", ch.Operator, err)
+		}
+		if dd.next != nil {
+			c.replicas[dd.op] = len(dd.next.WorkersOf[dd.op])
 		}
 		rep.Rescaled++
 	}
 	for _, u := range undos {
-		stall, err := c.applyUnfuse(u)
-		c.noteStall(rep, stall)
+		dd, err := c.unfuseChange(u)
+		if err == nil {
+			err = c.apply(rep, dd)
+		}
 		if err != nil {
-			rep.Epoch = c.e.tab().epoch
 			return rep, fmt.Errorf("runtime: unfuse %q: %w", u.Operator, err)
 		}
 		rep.Unfused++
 	}
-	rep.Epoch = c.e.tab().epoch
 	return rep, nil
 }
 
-// noteDemoted records a change's inbox demotions for the apply report.
-func (c *Controller) noteDemoted(ids []plan.StationID) { c.demoted += len(ids) }
+// apply runs one change's diff under a fresh fence and folds its outcome
+// into rep; a diff with nothing to change applies trivially.
+func (c *Controller) apply(rep *ApplyReport, d diff) error {
+	if d.next == nil {
+		return nil
+	}
+	r, err := c.applyDiff(c.newFence(), d)
+	if r.Stall > 0 {
+		c.stalls = append(c.stalls, r.Stall)
+		rep.Stall = max(rep.Stall, r.Stall)
+	}
+	rep.MigratedKeys += r.MigratedKeys
+	rep.Demoted += r.Demoted
+	return err
+}
 
-func (c *Controller) noteStall(rep *ApplyReport, stall time.Duration) {
-	if stall <= 0 {
-		return
+// rescaleChange validates one replica change against the live plan and
+// rewrites it as a diff.
+func (c *Controller) rescaleChange(ch opt.ReplicaChange) (diff, error) {
+	id, ok := c.topo.Lookup(ch.Operator)
+	if !ok {
+		return diff{}, errors.New("unknown operator")
 	}
-	c.stalls = append(c.stalls, stall)
-	if stall > rep.Stall {
-		rep.Stall = stall
+	op := c.topo.Op(id)
+	if ch.To < 1 {
+		return diff{}, fmt.Errorf("replica degree %d out of range", ch.To)
 	}
+	p := c.e.tab().p
+	if int(id) >= len(p.EntryOf) || p.EntryOf[id] < 0 {
+		return diff{}, errors.New("operator has no station in the plan")
+	}
+	if p.Stations[p.EntryOf[id]].Role == plan.RoleSource {
+		return diff{}, errors.New("the source cannot be rescaled")
+	}
+	if ch.To > 1 && !op.Kind.CanReplicate() {
+		return diff{}, fmt.Errorf("operator kind %s cannot be replicated", op.Kind)
+	}
+	return rescaleDiff(p, plan.Unreplicated(id, op), ch.To, c.part)
+}
+
+// unfuseChange validates one fusion undo against the live plan and the
+// binding, and rewrites it as a diff. Known limitation: the per-operator
+// departure rate of an unfused operator sums all member stations, so
+// internal member-to-member traffic is counted (vet's drift replay
+// tolerates this via the operator's gain).
+func (c *Controller) unfuseChange(u opt.FusionUndo) (diff, error) {
+	id, ok := c.topo.Lookup(u.Operator)
+	if !ok {
+		return diff{}, errors.New("unknown operator")
+	}
+	meta := c.e.binding.Meta[id]
+	if meta == nil {
+		return diff{}, errors.New("operator has no meta-operator binding")
+	}
+	p := c.e.tab().p
+	if int(id) >= len(p.EntryOf) || p.EntryOf[id] < 0 {
+		return diff{}, errors.New("operator has no station in the plan")
+	}
+	return unfuseDiff(p, id, meta)
 }
 
 // fence tracks the stations one change paused, so success releases them
@@ -271,12 +309,6 @@ func (c *Controller) newFence() *fence {
 		deadline: time.Now().Add(c.e.cfg.ReconfigStallBudget),
 		pausedID: make(map[plan.StationID]*stationCtl),
 	}
-}
-
-// holds reports whether the fence already paused the station.
-func (f *fence) holds(id plan.StationID) bool {
-	_, ok := f.pausedID[id]
-	return ok
 }
 
 // pause requests a pause (draining the inbox first when drain is set) and
@@ -362,35 +394,14 @@ func topoIndex(p *plan.Plan) ([]int, error) {
 	return order, nil
 }
 
-// producersOf lists the live stations with an edge into target, sorted
-// topologically. Pausing them in that order cannot deadlock: a producer
-// only ever blocks sending to stations later in the order, which are
-// still running when it is paused.
-func producersOf(tb *tables, target plan.StationID, order []int) []plan.StationID {
-	var prods []plan.StationID
-	for i := range tb.p.Stations {
-		if tb.retired[i] {
-			continue
-		}
-		for _, e := range tb.p.Stations[i].Out {
-			if e.To == target {
-				prods = append(prods, plan.StationID(i))
-				break
-			}
-		}
-	}
-	sort.Slice(prods, func(a, b int) bool { return order[prods[a]] < order[prods[b]] })
-	return prods
-}
-
-// cloneTables copies the routing tables for a new epoch. Slices are
-// copied one level deep; stations the change does not touch keep their
-// mailbox, sender-row and counter-cell pointers, which is what makes
-// stale reads by unaffected stations safe.
-func cloneTables(tb *tables) *tables {
+// cloneTables copies the routing tables for a new epoch that runs plan
+// next. Slices are copied one level deep; stations the change does not
+// touch keep their mailbox, sender-row and counter-cell pointers, which
+// is what makes stale reads by unaffected stations safe.
+func cloneTables(tb *tables, next *plan.Plan) *tables {
 	return &tables{
 		epoch:     tb.epoch + 1,
-		p:         clonePlan(tb.p),
+		p:         next,
 		mailboxes: append([]*mailbox.Mailbox[operators.Tuple](nil), tb.mailboxes...),
 		senders:   append([][]*mailbox.Sender[operators.Tuple](nil), tb.senders...),
 		st:        append([]*obs.Station(nil), tb.st...),
@@ -399,34 +410,139 @@ func cloneTables(tb *tables) *tables {
 	}
 }
 
-// clonePlan deep-copies the plan's station list and operator maps; Out
-// slices are copied per station so edge retargeting never mutates the
-// plan a running station may still be reading.
-func clonePlan(p *plan.Plan) *plan.Plan {
-	q := &plan.Plan{
-		Stations:    append([]plan.Station(nil), p.Stations...),
-		SourceID:    p.SourceID,
-		WorkersOf:   make([][]plan.StationID, len(p.WorkersOf)),
-		CollectorOf: append([]plan.StationID(nil), p.CollectorOf...),
-		EntryOf:     append([]plan.StationID(nil), p.EntryOf...),
+// quiesced lists the stations of p, live under the retired mask, that
+// applyDiff parks without draining before it drains d.drained: the
+// producers of every drained station and every rewired station.
+func quiesced(p *plan.Plan, retired []bool, d diff) []plan.StationID {
+	var hold []plan.StationID
+	for i := range p.Stations {
+		id := plan.StationID(i)
+		if retired[i] || slices.Contains(d.drained, id) {
+			continue
+		}
+		feeds := slices.Contains(d.rewired, id)
+		for _, ed := range p.Stations[i].Out {
+			feeds = feeds || slices.Contains(d.drained, ed.To)
+		}
+		if feeds {
+			hold = append(hold, id)
+		}
 	}
-	for i := range q.Stations {
-		q.Stations[i].Out = append([]plan.Edge(nil), p.Stations[i].Out...)
-	}
-	for i := range p.WorkersOf {
-		q.WorkersOf[i] = append([]plan.StationID(nil), p.WorkersOf[i]...)
-	}
-	return q
+	return hold
 }
 
-// addStation appends a station to the new epoch's plan and returns its
-// id. The fence is the capability proving the change's stations are
-// paused — routing-table growth must not race running senders.
-func addStation(f *fence, nt *tables, s plan.Station) plan.StationID {
-	_ = f // capability only: callers must hold the change's fence
-	s.ID = plan.StationID(len(nt.p.Stations))
-	nt.p.Stations = append(nt.p.Stations, s)
-	return s.ID
+// applyDiff applies one diff under fence f. Every live change runs this
+// one sequence; the rewrites differ only in which lists are empty.
+//
+//  1. Pause, without draining and in topological order, the live
+//     producers of every drained station and every rewired station; then
+//     drain-pause the drained stations, also in topological order.
+//  2. Clone the tables and install d.next.
+//  3. Demote the inboxes d.next makes multi-producer (demoteTransports).
+//  4. Allocate the added stations and rebind the sender rows of every
+//     station whose out-edges or their targets' inboxes changed.
+//  5. Hand state over: an added worker gets a fresh clone of the
+//     operator — a member station, that member of the drained
+//     meta-instance — and then every key a drained station holds moves to
+//     its owner under d.keys unless the owner is the station itself.
+//  6. Retire, publish the tables, spawn the added stations, and release
+//     the fence, retiring the retired stations.
+//
+// On error the fence is released unchanged and the old epoch keeps
+// running. The report carries the fence stall, the keys moved and the
+// inboxes demoted.
+func (c *Controller) applyDiff(f *fence, d diff) (ApplyReport, error) {
+	e := c.e
+	tb := e.tab()
+	fail := func(err error) (ApplyReport, error) {
+		f.abort()
+		return ApplyReport{Stall: f.stall()}, err
+	}
+	order, err := topoIndex(tb.p)
+	if err != nil {
+		return fail(err)
+	}
+	// A paused producer only ever blocks sending to stations later in the
+	// order, which are still running when it is paused, so the sequential
+	// pauses cannot deadlock.
+	hold := quiesced(tb.p, tb.retired, d)
+	byOrder := func(ids []plan.StationID) []plan.StationID {
+		sort.SliceStable(ids, func(a, b int) bool { return order[ids[a]] < order[ids[b]] })
+		return ids
+	}
+	for _, id := range byOrder(hold) {
+		if _, err := f.pause(id, false); err != nil {
+			return fail(err)
+		}
+	}
+	for _, id := range byOrder(slices.Clone(d.drained)) {
+		if _, err := f.pause(id, true); err != nil {
+			return fail(err)
+		}
+	}
+
+	nt := cloneTables(tb, d.next)
+	demoted, extra, fanIn, err := c.demoteTransports(f, nt, d.retired)
+	if err != nil {
+		return fail(err)
+	}
+	rows, err := e.allocStations(d.next, nt.mailboxes, fanIn)
+	if err != nil {
+		return fail(err)
+	}
+	nt.mailboxes = append(nt.mailboxes, rows.mailboxes...)
+	nt.senders = append(nt.senders, rows.senders...)
+	nt.st = append(nt.st, rows.st...)
+	nt.stFaults = append(nt.stFaults, rows.stFaults...)
+	nt.retired = append(nt.retired, rows.retired...)
+	for _, id := range slices.Concat(d.rewired, extra) {
+		nt.senders[id] = e.senderRow(nt.mailboxes, &d.next.Stations[id])
+	}
+
+	rep := ApplyReport{Demoted: len(demoted)}
+	var members *metaInstance
+	for _, id := range d.drained {
+		if mi := f.pausedID[id].minst; mi != nil {
+			members = mi
+		}
+	}
+	proto := e.binding.Ops[d.op]
+	presets := make(map[plan.StationID]operators.Operator, len(d.added))
+	for _, id := range d.added {
+		switch st := &d.next.Stations[id]; {
+		case st.Member > 0 && members != nil:
+			presets[id] = members.ops[core.OpID(st.Member-1)]
+		case st.Member == 0 && st.Role == plan.RoleWorker && proto != nil:
+			presets[id] = proto.Clone()
+		}
+	}
+	slots := d.next.WorkersOf[d.op]
+	owners := make([]operators.Operator, len(slots))
+	for r, id := range slots {
+		owners[r] = presets[id]
+		if ctl := f.pausedID[id]; ctl != nil {
+			owners[r] = ctl.inst
+		}
+	}
+	for _, id := range d.drained {
+		rep.MigratedKeys += migrateKeys(f, f.pausedID[id].inst, slices.Index(slots, id), owners, d.keys)
+	}
+
+	retire := make(map[*stationCtl]bool, len(d.retired))
+	for _, id := range d.retired {
+		nt.retired[id] = true
+		nt.st[id].Retired.Store(true)
+		retire[f.pausedID[id]] = true
+	}
+	e.live.Store(nt)
+	for _, id := range d.added {
+		e.spawnStation(id, c.seeds.Uint64(), presets[id], nil)
+	}
+	for _, ctl := range f.paused {
+		ctl.resume(retire[ctl])
+	}
+	rep.Stall = f.stall()
+	return rep, nil
 }
 
 // demoteTransports re-derives the per-inbox transports for the new epoch
@@ -436,16 +552,16 @@ func addStation(f *fence, nt *tables, s plan.Station) plan.StationID {
 // old single producer is being retired (or is paused), and any new
 // producers are added stations that have not spawned yet — so a
 // drain-pause of the target empties the ring exactly, and the swap
-// conserves every admitted tuple. It runs before finishTables so the
-// added producers' sender rows bind to the replacement mailbox; it
+// conserves every admitted tuple. It runs before the added stations are
+// allocated so their sender rows bind to the replacement mailbox; it
 // returns the demoted targets, the live pre-existing producers whose
 // sender rows must be rebuilt against the new mailbox, and the
-// retiring-masked fan-in vector finishTables sizes added inboxes with.
-// Rings are never promoted back (a rescale to degree 1 keeps the batched
+// retiring-masked fan-in vector the added inboxes are sized with. Rings
+// are never promoted back (a rescale to degree 1 keeps the batched
 // path), which keeps every fence local to the operator being changed.
 func (c *Controller) demoteTransports(f *fence, nt *tables, retiring []plan.StationID) (demoted, rewired []plan.StationID, fanIn []int, err error) {
-	// nt.retired does not yet cover the added stations (finishTables
-	// appends their slots later); extend the mask to the rewritten plan.
+	// nt.retired does not yet cover the added stations (they are
+	// allocated later); extend the mask to the rewritten plan.
 	retired := make([]bool, len(nt.p.Stations))
 	copy(retired, nt.retired)
 	for _, id := range retiring {
@@ -457,7 +573,7 @@ func (c *Controller) demoteTransports(f *fence, nt *tables, retiring []plan.Stat
 			continue
 		}
 		target := plan.StationID(i)
-		if f.holds(target) {
+		if f.pausedID[target] != nil {
 			// The target parked without draining; swapping its inbox now
 			// would strand whatever the ring still holds. No current
 			// change shape pauses a demotion target itself — refuse and
@@ -468,7 +584,7 @@ func (c *Controller) demoteTransports(f *fence, nt *tables, retiring []plan.Stat
 		// no lifecycle handle yet and cannot send before the swap), so
 		// nothing publishes into the old ring after the drain.
 		for j := range nt.p.Stations {
-			if retired[j] || c.e.ctl(plan.StationID(j)) == nil || f.holds(plan.StationID(j)) {
+			if retired[j] || c.e.ctl(plan.StationID(j)) == nil || f.pausedID[plan.StationID(j)] != nil {
 				continue
 			}
 			for _, e := range nt.p.Stations[j].Out {
@@ -492,523 +608,13 @@ func (c *Controller) demoteTransports(f *fence, nt *tables, retiring []plan.Stat
 	return demoted, rewired, fanIn, nil
 }
 
-// finishTables allocates the runtime state behind stations added to the
-// new epoch — mailboxes, observability cells, fault streams — and builds
-// sender rows for the added stations plus every station whose output
-// edges the change rewired. fanIn is the retiring-masked producer count
-// per station (from demoteTransports), which resolves each added inbox's
-// transport under a per-edge policy. The fence is the capability proving
-// every producer the new sender rows touch is paused.
-func (c *Controller) finishTables(f *fence, nt *tables, added, rewired []plan.StationID, fanIn []int) error {
-	_ = f // capability only: callers must hold the change's fence
-	cfg := c.e.cfg
-	infos := make([]obs.StationInfo, len(added))
-	for i, id := range added {
-		st := &nt.p.Stations[id]
-		infos[i] = obs.StationInfo{
-			Name:   st.Name,
-			Role:   st.Role.String(),
-			Op:     int(st.Op),
-			Source: st.Role == plan.RoleSource,
-			Sink:   len(st.Out) == 0,
-		}
-	}
-	cells := c.e.reg.Extend(infos)
-	for i, id := range added {
-		m, err := newInbox(cfg, fanIn[id])
-		if err != nil {
-			return fmt.Errorf("station %d: %w", id, err)
-		}
-		nt.mailboxes = append(nt.mailboxes, m)
-		nt.st = append(nt.st, cells[i])
-		var fs *faultinject.StationFaults
-		if cfg.Faults != nil {
-			fs = cfg.Faults.Station(int(id))
-		}
-		nt.stFaults = append(nt.stFaults, fs)
-		nt.retired = append(nt.retired, false)
-		nt.senders = append(nt.senders, nil)
-	}
-	for _, id := range append(append([]plan.StationID(nil), added...), rewired...) {
-		out := nt.p.Stations[id].Out
-		row := make([]*mailbox.Sender[operators.Tuple], len(out))
-		for j := range out {
-			row[j] = nt.mailboxes[out[j].To].NewSender(cfg.SendTimeout)
-		}
-		nt.senders[id] = row
-	}
-	return nil
-}
-
-// retireStation marks a station retired in the new epoch; its lifetime
-// counters stay in every sum. The fence is the capability proving the
-// station is parked and drained before it is marked off the plan.
-func retireStation(f *fence, nt *tables, id plan.StationID) {
-	_ = f // capability only: callers must hold the change's fence
-	nt.retired[id] = true
-	nt.st[id].Retired.Store(true)
-}
-
-// retargetEdges points every edge into old at new instead, returning the
-// ids of the stations whose rows changed. The fence is the capability
-// proving the rewired producers are paused while their edges move.
-func retargetEdges(f *fence, nt *tables, old, new plan.StationID) []plan.StationID {
-	_ = f // capability only: callers must hold the change's fence
-	var rewired []plan.StationID
-	for i := range nt.p.Stations {
-		changed := false
-		for j := range nt.p.Stations[i].Out {
-			if nt.p.Stations[i].Out[j].To == old {
-				nt.p.Stations[i].Out[j].To = new
-				changed = true
-			}
-		}
-		if changed {
-			rewired = append(rewired, plan.StationID(i))
-		}
-	}
-	return rewired
-}
-
-// applyRescale routes one replica change to the matching structural
-// operation: expand a single worker into an emitter/replicas/collector
-// scaffold, or rescale an existing scaffold to a new replica count. A
-// scaffold is never collapsed back to a plain worker (a change to 1
-// keeps emitter and collector with one replica), a documented deviation
-// that keeps the fence local to one operator.
-func (c *Controller) applyRescale(ch opt.ReplicaChange) (time.Duration, int, error) {
-	id, ok := c.topo.Lookup(ch.Operator)
-	if !ok {
-		return 0, 0, fmt.Errorf("unknown operator")
-	}
-	op := c.topo.Op(id)
-	if ch.To < 1 {
-		return 0, 0, fmt.Errorf("replica degree %d out of range", ch.To)
-	}
-	tb := c.e.tab()
-	if int(id) >= len(tb.p.EntryOf) || tb.p.EntryOf[id] < 0 {
-		return 0, 0, fmt.Errorf("operator has no station in the plan")
-	}
-	entry := tb.p.EntryOf[id]
-	if tb.p.Stations[entry].Role == plan.RoleSource {
-		return 0, 0, fmt.Errorf("the source cannot be rescaled")
-	}
-	if ch.To > 1 && !op.Kind.CanReplicate() {
-		return 0, 0, fmt.Errorf("operator kind %s cannot be replicated", op.Kind)
-	}
-	if tb.p.CollectorOf[id] >= 0 {
-		return c.rescale(id, ch.To)
-	}
-	if ch.To == 1 {
-		return 0, 0, nil // already a single worker
-	}
-	return c.expand(id, ch.To)
-}
-
-// expand replaces operator op's single worker station with an emitter +
-// m replicas + collector scaffold, migrating the worker's keyed state
-// onto the replicas.
-func (c *Controller) expand(op core.OpID, m int) (time.Duration, int, error) {
-	e := c.e
-	tb := e.tab()
-	w := tb.p.EntryOf[op]
-	wst := tb.p.Stations[w] // copied: the old plan stays untouched
-	freq := wst.KeyFreq
-	keyed := len(freq) > 0
-	var asg keypart.Assignment
-	if keyed {
-		var err error
-		asg, err = c.part.Partition(freq, m)
-		if err != nil {
-			return 0, 0, err
-		}
-		m = asg.Replicas
-	}
-	if m < 2 {
-		// Consolidation says one replica carries the whole key load.
-		return 0, 0, nil
-	}
-	order, err := topoIndex(tb.p)
-	if err != nil {
-		return 0, 0, err
-	}
-	f := c.newFence()
-	for _, pid := range producersOf(tb, w, order) {
-		if _, err := f.pause(pid, false); err != nil {
-			f.abort()
-			return f.stall(), 0, err
-		}
-	}
-	wctl, err := f.pause(w, true)
-	if err != nil {
-		f.abort()
-		return f.stall(), 0, err
-	}
-
-	nt := cloneTables(tb)
-	disc := plan.RoundRobin
-	if keyed {
-		disc = plan.KeyHash
-	}
-	emitter := addStation(f, nt, plan.Station{
-		Name: wst.Name + "/emitter", Role: plan.RoleEmitter, Op: op,
-		ServiceTime: plan.DefaultEmitterServiceTime, Gain: 1,
-		Discipline: disc,
-		KeyReplica: append([]int(nil), asg.Replica...),
-		KeyFreq:    freq,
-	})
-	workers := make([]plan.StationID, m)
-	for r := 0; r < m; r++ {
-		workers[r] = addStation(f, nt, plan.Station{
-			Name: fmt.Sprintf("%s/replica%d", wst.Name, r), Role: plan.RoleWorker, Op: op, Replica: r,
-			ServiceTime: wst.ServiceTime, Gain: wst.Gain,
-			InputSelectivity:  wst.InputSelectivity,
-			OutputSelectivity: wst.OutputSelectivity,
-			Discipline:        plan.Probabilistic,
-		})
-	}
-	collector := addStation(f, nt, plan.Station{
-		Name: wst.Name + "/collector", Role: plan.RoleCollector, Op: op,
-		ServiceTime: plan.DefaultEmitterServiceTime, Gain: 1,
-		InputSelectivity:  wst.InputSelectivity,
-		OutputSelectivity: wst.OutputSelectivity,
-		Discipline:        plan.Probabilistic,
-		Out:               append([]plan.Edge(nil), wst.Out...),
-	})
-	est := &nt.p.Stations[emitter]
-	for r, wid := range workers {
-		share := 1 / float64(m)
-		if keyed && r < len(asg.Load) {
-			share = asg.Load[r]
-		}
-		est.Out = append(est.Out, plan.Edge{To: wid, Prob: share})
-		nt.p.Stations[wid].Out = []plan.Edge{{To: collector, Prob: 1}}
-	}
-	nt.p.EntryOf[op] = emitter
-	nt.p.CollectorOf[op] = collector
-	nt.p.WorkersOf[op] = workers
-	rewired := retargetEdges(f, nt, w, emitter)
-	added := append(append([]plan.StationID{emitter}, workers...), collector)
-	demoted, extraRewired, fanIn, err := c.demoteTransports(f, nt, []plan.StationID{w})
-	if err != nil {
-		f.abort()
-		return f.stall(), 0, err
-	}
-	c.noteDemoted(demoted)
-	rewired = append(rewired, extraRewired...)
-	if err := c.finishTables(f, nt, added, rewired, fanIn); err != nil {
-		f.abort()
-		return f.stall(), 0, err
-	}
-
-	// Migrate the old worker's keyed state onto fresh replica instances.
-	presets := make([]operators.Operator, m)
-	moved := 0
-	if proto, ok := e.binding.Ops[op]; ok && proto != nil {
-		for r := range presets {
-			presets[r] = proto.Clone()
-		}
-		moved = migrateKeys(f, wctl.inst, presets, asg.Replica)
-	}
-
-	retireStation(f, nt, w)
-	e.live.Store(nt)
-	e.spawnStation(emitter, c.seeds.Uint64(), nil, nil)
-	for r, wid := range workers {
-		e.spawnStation(wid, c.seeds.Uint64(), presets[r], nil)
-	}
-	e.spawnStation(collector, c.seeds.Uint64(), nil, nil)
-	wctl.resume(true)
-	for _, ctl := range f.paused {
-		if ctl != wctl {
-			ctl.resume(false)
-		}
-	}
-	stall := f.stall()
-	if int(op) < len(c.replicas) {
-		c.replicas[op] = m
-	}
-	return stall, moved, nil
-}
-
-// rescale changes the replica count of an already-expanded operator from
-// n to m, reusing the first min(n, m) worker stations and migrating only
-// the keys whose owner changed.
-func (c *Controller) rescale(op core.OpID, m int) (time.Duration, int, error) {
-	e := c.e
-	tb := e.tab()
-	entry := tb.p.EntryOf[op]
-	collector := tb.p.CollectorOf[op]
-	oldWorkers := append([]plan.StationID(nil), tb.p.WorkersOf[op]...)
-	n := len(oldWorkers)
-	est := tb.p.Stations[entry]
-	freq := est.KeyFreq
-	keyed := len(freq) > 0
-	var asg keypart.Assignment
-	if keyed {
-		var err error
-		asg, err = c.part.Partition(freq, m)
-		if err != nil {
-			return 0, 0, err
-		}
-		m = asg.Replicas
-	}
-	if m == n {
-		return 0, 0, nil
-	}
-	keep := n
-	if m < n {
-		keep = m
-	}
-	opName := strings.TrimSuffix(est.Name, "/emitter")
-
-	f := c.newFence()
-	// The emitter is the workers' only producer: pause it first (its own
-	// producers keep running against its mailbox), then drain the workers.
-	_, err := f.pause(entry, false)
-	if err != nil {
-		f.abort()
-		return f.stall(), 0, err
-	}
-	wctls := make([]*stationCtl, n)
-	for i, wid := range oldWorkers {
-		if wctls[i], err = f.pause(wid, true); err != nil {
-			f.abort()
-			return f.stall(), 0, err
-		}
-	}
-
-	nt := cloneTables(tb)
-	newWorkers := append([]plan.StationID(nil), oldWorkers[:keep]...)
-	for r := n; r < m; r++ {
-		wid := addStation(f, nt, plan.Station{
-			Name: fmt.Sprintf("%s/replica%d", opName, r), Role: plan.RoleWorker, Op: op, Replica: r,
-			ServiceTime: est.ServiceTime, Gain: 1,
-			Discipline: plan.Probabilistic,
-			Out:        []plan.Edge{{To: collector, Prob: 1}},
-		})
-		newWorkers = append(newWorkers, wid)
-	}
-	if len(oldWorkers) > 0 {
-		// New replicas mirror the surviving workers, not the emitter.
-		src := nt.p.Stations[oldWorkers[0]]
-		for _, wid := range newWorkers[keep:] {
-			st := &nt.p.Stations[wid]
-			st.ServiceTime = src.ServiceTime
-			st.Gain = src.Gain
-			st.InputSelectivity = src.InputSelectivity
-			st.OutputSelectivity = src.OutputSelectivity
-		}
-	}
-	nest := &nt.p.Stations[entry]
-	nest.Out = make([]plan.Edge, len(newWorkers))
-	for r, wid := range newWorkers {
-		share := 1 / float64(m)
-		if keyed && r < len(asg.Load) {
-			share = asg.Load[r]
-		}
-		nest.Out[r] = plan.Edge{To: wid, Prob: share}
-	}
-	nest.KeyReplica = append([]int(nil), asg.Replica...)
-	nt.p.WorkersOf[op] = newWorkers
-	added := append([]plan.StationID(nil), newWorkers[keep:]...)
-	demoted, extraRewired, fanIn, err := c.demoteTransports(f, nt, oldWorkers[keep:])
-	if err != nil {
-		f.abort()
-		return f.stall(), 0, err
-	}
-	c.noteDemoted(demoted)
-	rewired := append([]plan.StationID{entry}, extraRewired...)
-	if err := c.finishTables(f, nt, added, rewired, fanIn); err != nil {
-		f.abort()
-		return f.stall(), 0, err
-	}
-
-	// Destinations per new replica slot: surviving instances in place,
-	// fresh clones for added slots. Only keys whose owner changed move.
-	moved := 0
-	dests := make([]operators.Operator, m)
-	for r := 0; r < keep; r++ {
-		dests[r] = wctls[r].inst
-	}
-	presets := make([]operators.Operator, len(newWorkers))
-	if proto, ok := e.binding.Ops[op]; ok && proto != nil {
-		for r := keep; r < m; r++ {
-			inst := proto.Clone()
-			dests[r] = inst
-			presets[r] = inst
-		}
-	}
-	if keyed {
-		for i := 0; i < n; i++ {
-			src, ok := wctls[i].inst.(operators.KeyedState)
-			if !ok {
-				continue
-			}
-			for _, k := range src.StateKeys() {
-				nd := asg.Replica[int(k)%len(asg.Replica)]
-				if nd == i && i < keep {
-					continue
-				}
-				dst, ok := dests[nd].(operators.KeyedState)
-				if !ok {
-					continue
-				}
-				if v := src.ExportKey(k); v != nil {
-					dst.ImportKey(k, v)
-					moved++
-				}
-			}
-		}
-	}
-
-	for _, wid := range oldWorkers[keep:] {
-		retireStation(f, nt, wid)
-	}
-	e.live.Store(nt)
-	for r := keep; r < len(newWorkers); r++ {
-		e.spawnStation(newWorkers[r], c.seeds.Uint64(), presets[r], nil)
-	}
-	// Release the whole fence — emitter, workers (retiring the dropped
-	// ones), and any station demoteTransports pulled in.
-	retiree := make(map[*stationCtl]bool, n-keep)
-	for i := keep; i < n; i++ {
-		retiree[wctls[i]] = true
-	}
-	for _, ctl := range f.paused {
-		ctl.resume(retiree[ctl])
-	}
-	stall := f.stall()
-	if int(op) < len(c.replicas) {
-		c.replicas[op] = m
-	}
-	return stall, moved, nil
-}
-
-// applyUnfuse splits a fused station back into one station per member
-// sub-operator, handing each member its live instance from the paused
-// meta-operator so accumulated state survives the split. Known
-// limitation: the per-operator departure rate of an unfused operator
-// sums all member stations, so internal member-to-member traffic is
-// counted (vet's drift replay tolerates this via the operator's gain).
-func (c *Controller) applyUnfuse(u opt.FusionUndo) (time.Duration, error) {
-	id, ok := c.topo.Lookup(u.Operator)
-	if !ok {
-		return 0, fmt.Errorf("unknown operator")
-	}
-	var meta *MetaOperator
-	if c.e.binding.Meta != nil {
-		meta = c.e.binding.Meta[id]
-	}
-	if meta == nil {
-		return 0, fmt.Errorf("operator has no meta-operator binding")
-	}
-	tb := c.e.tab()
-	if int(id) >= len(tb.p.EntryOf) || tb.p.EntryOf[id] < 0 {
-		return 0, fmt.Errorf("operator has no station in the plan")
-	}
-	w := tb.p.EntryOf[id]
-	if tb.p.CollectorOf[id] >= 0 || len(tb.p.WorkersOf[id]) != 1 || tb.p.Stations[w].Member > 0 {
-		return 0, fmt.Errorf("operator is not a single fused station")
-	}
-	wst := tb.p.Stations[w]
-	order, err := topoIndex(tb.p)
-	if err != nil {
-		return 0, err
-	}
-	f := c.newFence()
-	for _, pid := range producersOf(tb, w, order) {
-		if _, err := f.pause(pid, false); err != nil {
-			f.abort()
-			return f.stall(), err
-		}
-	}
-	wctl, err := f.pause(w, true)
-	if err != nil {
-		f.abort()
-		return f.stall(), err
-	}
-	minst := wctl.minst
-	if minst == nil {
-		// The station never bound (or degraded): members start fresh.
-		minst = meta.instance(c.e.cfg)
-	}
-
-	nt := cloneTables(tb)
-	sub := meta.Sub
-	stationOf := make(map[core.OpID]plan.StationID, len(meta.Members))
-	memberIDs := make([]plan.StationID, 0, len(meta.Members))
-	for _, v := range meta.Members {
-		sop := sub.Op(v)
-		sid := addStation(f, nt, plan.Station{
-			Name: wst.Name + "/" + sop.Name, Role: plan.RoleWorker, Op: id,
-			Member:      int(v) + 1,
-			ServiceTime: sop.ServiceTime, Gain: sop.Gain(),
-			InputSelectivity:  sop.InputSelectivity,
-			OutputSelectivity: sop.OutputSelectivity,
-			Discipline:        plan.Probabilistic,
-		})
-		stationOf[v] = sid
-		memberIDs = append(memberIDs, sid)
-	}
-	for _, v := range meta.Members {
-		st := &nt.p.Stations[stationOf[v]]
-		for _, se := range sub.Out(v) {
-			if mid, ok := stationOf[se.To]; ok {
-				st.Out = append(st.Out, plan.Edge{To: mid, Prob: se.Prob})
-				continue
-			}
-			survivor, ok := meta.SurvivorIDs[se.To]
-			if !ok {
-				continue
-			}
-			target := nt.p.EntryOf[survivor]
-			port := 0
-			for _, we := range wst.Out {
-				if we.To == target {
-					port = we.Port
-					break
-				}
-			}
-			st.Out = append(st.Out, plan.Edge{To: target, Prob: se.Prob, Port: port})
-		}
-	}
-	front := stationOf[meta.Front]
-	nt.p.EntryOf[id] = front
-	nt.p.WorkersOf[id] = memberIDs
-	rewired := retargetEdges(f, nt, w, front)
-	demoted, extraRewired, fanIn, err := c.demoteTransports(f, nt, []plan.StationID{w})
-	if err != nil {
-		f.abort()
-		return f.stall(), err
-	}
-	c.noteDemoted(demoted)
-	rewired = append(rewired, extraRewired...)
-	if err := c.finishTables(f, nt, memberIDs, rewired, fanIn); err != nil {
-		f.abort()
-		return f.stall(), err
-	}
-
-	retireStation(f, nt, w)
-	c.e.live.Store(nt)
-	for _, v := range meta.Members {
-		c.e.spawnStation(stationOf[v], c.seeds.Uint64(), minst.ops[v], nil)
-	}
-	wctl.resume(true)
-	for _, ctl := range f.paused {
-		if ctl != wctl {
-			ctl.resume(false)
-		}
-	}
-	return f.stall(), nil
-}
-
-// migrateKeys moves every keyed entry of src onto the destination chosen
-// by the key->replica assignment; it reports how many keys moved. The
+// migrateKeys moves every keyed entry of src onto the destination the
+// key->replica assignment chooses, except keys whose owner is src's own
+// slot self (-1 when src owns none); it reports how many keys moved. The
 // fence is the capability proving src's station is paused and drained —
 // exporting keys from a running operator would race its own updates.
 // (Unit tests exercising the bare data movement may pass nil.)
-func migrateKeys(f *fence, src operators.Operator, dests []operators.Operator, assignment []int) int {
+func migrateKeys(f *fence, src operators.Operator, self int, dests []operators.Operator, assignment []int) int {
 	_ = f // capability only: callers must hold the change's fence
 	ks, ok := src.(operators.KeyedState)
 	if !ok || len(assignment) == 0 {
@@ -1017,7 +623,7 @@ func migrateKeys(f *fence, src operators.Operator, dests []operators.Operator, a
 	moved := 0
 	for _, k := range ks.StateKeys() {
 		r := assignment[int(k)%len(assignment)]
-		if r < 0 || r >= len(dests) {
+		if r == self || r < 0 || r >= len(dests) {
 			continue
 		}
 		dst, ok := dests[r].(operators.KeyedState)

@@ -2,7 +2,6 @@ package runtime
 
 import (
 	"testing"
-	"time"
 
 	"spinstreams/internal/core"
 	"spinstreams/internal/operators"
@@ -67,7 +66,8 @@ func TestControllerHotKeyRescaleAffinity(t *testing.T) {
 	const numKeys = 10
 	topo := hotKeyTopology(numKeys, 0.55)
 	c := hotKeyController(t, topo, 31)
-	time.Sleep(150 * time.Millisecond) // accumulate keyed state
+	aggID, _ := topo.Lookup("agg")
+	flowed(t, c, aggID, 500) // accumulate keyed state
 
 	rep, err := c.ApplyDelta(&opt.DeltaPlan{Changes: []opt.ReplicaChange{{Operator: "agg", From: 1, To: 3}}})
 	if err != nil {
@@ -79,11 +79,10 @@ func TestControllerHotKeyRescaleAffinity(t *testing.T) {
 	if rep.MigratedKeys == 0 {
 		t.Error("rescale migrated no keys despite accumulated state")
 	}
-	time.Sleep(100 * time.Millisecond)
+	flowed(t, c, aggID, 200)
 	m := mustStop(t, c)
 	checkConserved(t, m)
 
-	aggID, _ := topo.Lookup("agg")
 	tb := c.e.tab()
 	entry := tb.p.EntryOf[aggID]
 	kr := tb.p.Stations[entry].KeyReplica
@@ -134,14 +133,14 @@ func TestControllerHotKeyRescaleAffinity(t *testing.T) {
 func TestControllerHotKeyRescaleConservesTuples(t *testing.T) {
 	topo := hotKeyTopology(10, 0.55)
 	c := hotKeyController(t, topo, 33)
-	time.Sleep(120 * time.Millisecond)
+	aggID, _ := topo.Lookup("agg")
+	flowed(t, c, aggID, 500)
 
 	if _, err := c.ApplyDelta(&opt.DeltaPlan{Changes: []opt.ReplicaChange{{Operator: "agg", From: 1, To: 3}}}); err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(120 * time.Millisecond)
+	flowed(t, c, aggID, 200)
 
-	aggID, _ := topo.Lookup("agg")
 	cur := c.Replicas()[aggID]
 	if cur < 2 {
 		t.Fatalf("replicas after expand = %d, want >= 2", cur)
@@ -153,7 +152,7 @@ func TestControllerHotKeyRescaleConservesTuples(t *testing.T) {
 	if rep.Epoch != 2 {
 		t.Errorf("epoch = %d, want 2", rep.Epoch)
 	}
-	time.Sleep(120 * time.Millisecond)
+	flowed(t, c, aggID, 200)
 
 	m := mustStop(t, c)
 	checkConserved(t, m)

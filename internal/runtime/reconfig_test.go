@@ -30,6 +30,40 @@ func mustStop(t *testing.T, c *Controller) *Metrics {
 	return m
 }
 
+// waitUntil polls cond until it holds or timeout passes and reports
+// whether it held, so tests wait on registry counters instead of sleeping
+// for a guess at how long tuples take to flow.
+func waitUntil(t *testing.T, cond func() bool, timeout time.Duration) bool {
+	t.Helper()
+	deadline := time.Now().Add(timeout)
+	for !cond() {
+		if time.Now().After(deadline) {
+			return false
+		}
+		time.Sleep(time.Millisecond)
+	}
+	return true
+}
+
+// consumedBy sums the Consumed counters of op's current worker stations.
+func consumedBy(c *Controller, op core.OpID) uint64 {
+	tb := c.e.tab()
+	var n uint64
+	for _, w := range tb.p.WorkersOf[op] {
+		n += tb.st[w].Consumed.Load()
+	}
+	return n
+}
+
+// flowed waits until op's current workers have consumed n more tuples.
+func flowed(t *testing.T, c *Controller, op core.OpID, n uint64) {
+	t.Helper()
+	start := consumedBy(c, op)
+	if !waitUntil(t, func() bool { return consumedBy(c, op) >= start+n }, 10*time.Second) {
+		t.Fatalf("operator %d consumed %d of %d tuples in time", op, consumedBy(c, op)-start, n)
+	}
+}
+
 func checkConserved(t *testing.T, m *Metrics) {
 	t.Helper()
 	got := m.Totals.Delivered + m.Totals.Shed + m.Totals.Failed + m.Totals.Drained + m.Totals.Abandoned
@@ -44,7 +78,8 @@ func TestControllerExpandStateless(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(100 * time.Millisecond)
+	mid, _ := topo.Lookup("sB")
+	flowed(t, c, mid, 200)
 	rep, err := c.ApplyDelta(&opt.DeltaPlan{Changes: []opt.ReplicaChange{{Operator: "sB", From: 1, To: 3}}})
 	if err != nil {
 		t.Fatal(err)
@@ -55,11 +90,10 @@ func TestControllerExpandStateless(t *testing.T) {
 	if rep.Stall <= 0 {
 		t.Errorf("expected a positive fence stall, got %v", rep.Stall)
 	}
-	mid, _ := topo.Lookup("sB")
 	if got := c.Replicas()[mid]; got != 3 {
 		t.Errorf("replicas = %d, want 3", got)
 	}
-	time.Sleep(150 * time.Millisecond)
+	flowed(t, c, mid, 200)
 	m := mustStop(t, c)
 
 	byName := map[string]StationMetrics{}
@@ -88,20 +122,8 @@ func TestControllerExpandStateless(t *testing.T) {
 
 func TestControllerKeyedRescaleMigratesState(t *testing.T) {
 	const numKeys = 8
-	freq := make([]float64, numKeys)
-	for i := range freq {
-		freq[i] = 1.0 / numKeys
-	}
-	topo := core.NewTopology()
-	src := topo.MustAddOperator(core.Operator{Name: "src", Kind: core.KindSource, ServiceTime: 0.001})
-	agg := topo.MustAddOperator(core.Operator{
-		Name: "agg", Kind: core.KindPartitionedStateful, ServiceTime: 0.002,
-		Keys: &core.KeyDistribution{Freq: freq},
-	})
-	sink := topo.MustAddOperator(core.Operator{Name: "sink", Kind: core.KindSink, ServiceTime: 0.0005})
-	topo.MustConnect(src, agg, 1)
-	topo.MustConnect(agg, sink, 1)
-
+	topo := keyedAggTopology(numKeys)
+	agg, _ := topo.Lookup("agg")
 	binding := &Binding{Ops: map[core.OpID]operators.Operator{
 		agg: operators.MustBuild(operators.Spec{Impl: "wsum", WindowLen: 64, Slide: 32, NumKeys: numKeys}),
 	}}
@@ -115,7 +137,7 @@ func TestControllerKeyedRescaleMigratesState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(150 * time.Millisecond) // accumulate keyed window state
+	flowed(t, c, agg, 500) // accumulate keyed window state
 
 	rep, err := c.ApplyDelta(&opt.DeltaPlan{Changes: []opt.ReplicaChange{{Operator: "agg", From: 1, To: 2}}})
 	if err != nil {
@@ -127,7 +149,7 @@ func TestControllerKeyedRescaleMigratesState(t *testing.T) {
 	if rep.MigratedKeys == 0 {
 		t.Error("expand migrated no keys despite accumulated state")
 	}
-	time.Sleep(100 * time.Millisecond)
+	flowed(t, c, agg, 200)
 
 	rep, err = c.ApplyDelta(&opt.DeltaPlan{Changes: []opt.ReplicaChange{{Operator: "agg", From: 2, To: 4}}})
 	if err != nil {
@@ -136,7 +158,7 @@ func TestControllerKeyedRescaleMigratesState(t *testing.T) {
 	if rep.Epoch != 2 {
 		t.Errorf("epoch = %d, want 2", rep.Epoch)
 	}
-	time.Sleep(100 * time.Millisecond)
+	flowed(t, c, agg, 200)
 	mustStop(t, c)
 
 	// Every surviving replica instance must only hold keys the final
@@ -192,7 +214,8 @@ func TestControllerUnfuseLive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(100 * time.Millisecond)
+	sinkID, _ := fused.Lookup("op6")
+	flowed(t, c, sinkID, 100)
 	rep, err := c.ApplyDelta(&opt.DeltaPlan{Undo: []opt.FusionUndo{{Operator: "F", Rho: 1.5}}})
 	if err != nil {
 		t.Fatal(err)
@@ -204,13 +227,10 @@ func TestControllerUnfuseLive(t *testing.T) {
 	// The split must keep the stream flowing: the sink's arrivals advance
 	// after the fence released.
 	tb := c.e.tab()
-	sinkID, _ := fused.Lookup("op6")
 	sinkStation := tb.p.EntryOf[sinkID]
 	before := tb.st[sinkStation].Arrived.Load()
-	time.Sleep(150 * time.Millisecond)
-	after := tb.st[sinkStation].Arrived.Load()
-	if after <= before {
-		t.Errorf("sink arrivals stalled after unfuse: %d -> %d", before, after)
+	if !waitUntil(t, func() bool { return tb.st[sinkStation].Arrived.Load() > before }, 10*time.Second) {
+		t.Errorf("sink arrivals stalled after unfuse: %d -> %d", before, tb.st[sinkStation].Arrived.Load())
 	}
 	m := mustStop(t, c)
 	names := map[string]bool{}
@@ -279,7 +299,7 @@ func TestApplyDeltaRefusals(t *testing.T) {
 	if rep, err := c.ApplyDelta(&opt.DeltaPlan{}); err != nil || rep.Epoch != 0 {
 		t.Errorf("empty delta: rep=%+v err=%v", rep, err)
 	}
-	time.Sleep(50 * time.Millisecond)
+	flowed(t, c, 0, 100) // operator 0 is the source, sA
 	m := mustStop(t, c)
 	if m.Totals.Generated == 0 {
 		t.Error("topology generated nothing")
@@ -318,7 +338,7 @@ func TestMigrateKeys(t *testing.T) {
 	}
 	dests := []operators.Operator{build(), build()}
 	assignment := []int{0, 1, 0, 1}
-	moved := migrateKeys(nil, src, dests, assignment)
+	moved := migrateKeys(nil, src, -1, dests, assignment)
 	if moved != 4 {
 		t.Fatalf("moved %d keys, want 4", moved)
 	}
@@ -333,7 +353,7 @@ func TestMigrateKeys(t *testing.T) {
 		}
 	}
 	// Non-keyed operators migrate nothing.
-	if n := migrateKeys(nil, operators.MustBuild(operators.Spec{Impl: "identity"}), dests, assignment); n != 0 {
+	if n := migrateKeys(nil, operators.MustBuild(operators.Spec{Impl: "identity"}), -1, dests, assignment); n != 0 {
 		t.Errorf("identity migrated %d keys", n)
 	}
 }

@@ -370,8 +370,15 @@ type engine struct {
 	est *obs.Estimator
 }
 
-// newEngine allocates the shared engine state.
+// newEngine validates the binding (nil binds nothing) and allocates the
+// shared engine state.
 func newEngine(p *plan.Plan, binding *Binding, cfg Config) (*engine, error) {
+	if binding == nil {
+		binding = &Binding{}
+	}
+	if err := binding.validate(p); err != nil {
+		return nil, err
+	}
 	e := &engine{
 		cfg:     cfg,
 		binding: binding,
@@ -382,50 +389,23 @@ func newEngine(p *plan.Plan, binding *Binding, cfg Config) (*engine, error) {
 	if e.reg == nil {
 		e.reg = obs.New()
 	}
-	tb := &tables{
-		p:         p,
-		mailboxes: make([]*mailbox.Mailbox[operators.Tuple], len(p.Stations)),
-		senders:   make([][]*mailbox.Sender[operators.Tuple], len(p.Stations)),
-		stFaults:  make([]*faultinject.StationFaults, len(p.Stations)),
-		retired:   make([]bool, len(p.Stations)),
-	}
-	infos := make([]obs.StationInfo, len(p.Stations))
-	for i := range p.Stations {
-		st := &p.Stations[i]
-		infos[i] = obs.StationInfo{
-			Name:   st.Name,
-			Role:   st.Role.String(),
-			Op:     int(st.Op),
-			Source: st.Role == plan.RoleSource,
-			Sink:   len(st.Out) == 0,
-		}
-	}
-	tb.st = e.reg.Bind(infos)
-	e.tracers = e.reg.Tracers()
-	if cfg.Faults != nil {
-		for i := range tb.stFaults {
-			tb.stFaults[i] = cfg.Faults.Station(i)
-		}
-	}
 	// Transport selection is per inbox, derived from the plan: the
 	// producer-set analysis proves which inboxes have a single sending
 	// station, and those run on the lock-free SPSC ring when the policy
 	// allows it.
-	fanIn := liveFanIn(p, nil)
-	for i := range tb.mailboxes {
-		m, err := newInbox(cfg, fanIn[i])
-		if err != nil {
-			return nil, fmt.Errorf("runtime: station %d: %w", i, err)
-		}
-		tb.mailboxes[i] = m
+	rows, err := e.allocStations(p, nil, liveFanIn(p, nil))
+	if err != nil {
+		return nil, fmt.Errorf("runtime: %w", err)
 	}
-	for i := range p.Stations {
-		out := p.Stations[i].Out
-		tb.senders[i] = make([]*mailbox.Sender[operators.Tuple], len(out))
-		for j := range out {
-			tb.senders[i][j] = tb.mailboxes[out[j].To].NewSender(cfg.SendTimeout)
-		}
+	tb := &tables{
+		p:         p,
+		mailboxes: rows.mailboxes,
+		senders:   rows.senders,
+		st:        rows.st,
+		stFaults:  rows.stFaults,
+		retired:   rows.retired,
 	}
+	e.tracers = e.reg.Tracers()
 	e.live.Store(tb)
 	// Mailbox gauges (queue depth, capacity, blocked sends) reach
 	// snapshots through the sampler — the mailboxes outlive the run, so
@@ -445,6 +425,63 @@ func newEngine(p *plan.Plan, binding *Binding, cfg Config) (*engine, error) {
 	})
 	e.sendManyFn = e.localSendMany
 	return e, nil
+}
+
+// allocStations allocates the runtime state behind the stations of p past
+// the len(inboxes) that already have it — every station of the initial
+// deployment, or the stations an epoch adds: an inbox whose transport
+// follows the station's fan-in, an observability cell (the deployment
+// binds the registry afresh, an epoch extends it), a fault stream, and a
+// sender row bound against inboxes and the new inboxes together. It
+// returns them as a tables fragment indexed from len(inboxes), which the
+// caller installs.
+func (e *engine) allocStations(p *plan.Plan, inboxes []*mailbox.Mailbox[operators.Tuple], fanIn []int) (*tables, error) {
+	from := len(inboxes)
+	added := p.Stations[from:]
+	rows := &tables{
+		mailboxes: make([]*mailbox.Mailbox[operators.Tuple], len(added)),
+		senders:   make([][]*mailbox.Sender[operators.Tuple], len(added)),
+		stFaults:  make([]*faultinject.StationFaults, len(added)),
+		retired:   make([]bool, len(added)),
+	}
+	infos := make([]obs.StationInfo, len(added))
+	for i := range added {
+		st := &added[i]
+		infos[i] = obs.StationInfo{
+			Name:   st.Name,
+			Role:   st.Role.String(),
+			Op:     int(st.Op),
+			Source: st.Role == plan.RoleSource,
+			Sink:   len(st.Out) == 0,
+		}
+		m, err := newInbox(e.cfg, fanIn[from+i])
+		if err != nil {
+			return nil, fmt.Errorf("station %d: %w", from+i, err)
+		}
+		rows.mailboxes[i] = m
+		if e.cfg.Faults != nil {
+			rows.stFaults[i] = e.cfg.Faults.Station(from + i)
+		}
+	}
+	if from == 0 {
+		rows.st = e.reg.Bind(infos)
+	} else {
+		rows.st = e.reg.Extend(infos)
+	}
+	all := append(inboxes[:from:from], rows.mailboxes...)
+	for i := range added {
+		rows.senders[i] = e.senderRow(all, &added[i])
+	}
+	return rows, nil
+}
+
+// senderRow binds one producer handle per out-edge of st against inboxes.
+func (e *engine) senderRow(inboxes []*mailbox.Mailbox[operators.Tuple], st *plan.Station) []*mailbox.Sender[operators.Tuple] {
+	row := make([]*mailbox.Sender[operators.Tuple], len(st.Out))
+	for j, ed := range st.Out {
+		row[j] = inboxes[ed.To].NewSender(e.cfg.SendTimeout)
+	}
+	return row
 }
 
 // localSendMany pushes a slice into the in-process mailbox, blocking on a
@@ -619,12 +656,6 @@ func Run(ctx context.Context, p *plan.Plan, binding *Binding, cfg Config) (*Metr
 	}
 	cfg, err := cfg.withDefaults()
 	if err != nil {
-		return nil, err
-	}
-	if binding == nil {
-		binding = &Binding{}
-	}
-	if err := binding.validate(p); err != nil {
 		return nil, err
 	}
 	e, err := newEngine(p, binding, cfg)

@@ -7,35 +7,19 @@ import (
 )
 
 // liveFanIn counts, per station, the distinct live stations holding an
-// out-edge into it — the runtime's version of plan.FanIn, minus stations
-// the mask marks retired (a retired station keeps its plan slot and its
-// stale out-edges, but no longer sends). A nil mask counts everything,
+// out-edge into it — plan.FanIn minus the stations the mask marks
+// retired (a retired station keeps its plan slot and its stale
+// out-edges, but no longer sends). A nil mask counts everything,
 // which is correct for the initial deployment. The count is what proves
 // an inbox single-producer: each station is one goroutine, so fan-in <= 1
 // means at most one sending goroutine ever touches the inbox.
 func liveFanIn(p *plan.Plan, retired []bool) []int {
 	in := make([]int, len(p.Stations))
-	var targets []plan.StationID
-	for i := range p.Stations {
-		if retired != nil && retired[i] {
-			continue
-		}
-		// A station with several edges to the same target (multi-port
-		// routing) is still one producer of that inbox.
-		targets = targets[:0]
-		for _, e := range p.Stations[i].Out {
-			dup := false
-			for _, t := range targets {
-				if t == e.To {
-					dup = true
-					break
-				}
+	for i, producers := range plan.FanIn(p) {
+		for _, from := range producers {
+			if retired == nil || !retired[from] {
+				in[i]++
 			}
-			if dup {
-				continue
-			}
-			targets = append(targets, e.To)
-			in[e.To]++
 		}
 	}
 	return in

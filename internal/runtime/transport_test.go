@@ -166,7 +166,7 @@ func TestAutoTransportBinding(t *testing.T) {
 	if got := tb.mailboxes[coll].Mode(); got != mailbox.Batched {
 		t.Errorf("collector inbox mode = %v, want Batched", got)
 	}
-	time.Sleep(100 * time.Millisecond)
+	flowed(t, c, mid, 200)
 	checkConserved(t, mustStop(t, c))
 }
 
@@ -203,7 +203,7 @@ func TestControllerUnfuseDemotesSPSC(t *testing.T) {
 		t.Fatalf("sink inbox mode before unfuse = %v, want SPSC (fused F is the sole producer)", got)
 	}
 
-	time.Sleep(100 * time.Millisecond)
+	flowed(t, c, sinkID, 100)
 	rep, err := c.ApplyDelta(&opt.DeltaPlan{Undo: []opt.FusionUndo{{Operator: "F", Rho: 1.5}}})
 	if err != nil {
 		t.Fatal(err)
@@ -236,10 +236,8 @@ func TestControllerUnfuseDemotesSPSC(t *testing.T) {
 
 	// The demotion must keep the stream flowing through the swapped inbox.
 	before := tb.st[sinkStation].Arrived.Load()
-	time.Sleep(150 * time.Millisecond)
-	after := tb.st[sinkStation].Arrived.Load()
-	if after <= before {
-		t.Errorf("sink arrivals stalled after demotion: %d -> %d", before, after)
+	if !waitUntil(t, func() bool { return tb.st[sinkStation].Arrived.Load() > before }, 10*time.Second) {
+		t.Errorf("sink arrivals stalled after demotion: %d -> %d", before, tb.st[sinkStation].Arrived.Load())
 	}
 	checkConserved(t, mustStop(t, c))
 }

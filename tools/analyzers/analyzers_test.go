@@ -297,17 +297,26 @@ func newInbox() int    { return 0 }
 func demoteInbox() (int, error) { return 0, nil }
 `
 
-func TestEpochFenceFlagsUnfencedMutations(t *testing.T) {
-	ds := analyzeAt(t, EpochFence, runtimePkgPath, `package runtime
-`+epochStub+`
-func bad(nt *tables, e *engine, k *keyed) {
-	nt.epoch = 1
-	nt.p.Stations = append(nt.p.Stations, 1)
+// applyDiffShape mirrors the runtime's one fenced apply: tables cloned by
+// a helper (so not function-fresh), a demoted inbox swapped in, added
+// inboxes appended, a station retired, keyed state handed over and the
+// tables published. %s is the parameter list.
+const applyDiffShape = `
+type diff struct{ next *planT }
+func cloneTables(tb *tables, next *planT) *tables { return &tables{epoch: tb.epoch + 1, p: next} }
+func applyDiff(%s) {
+	nt := cloneTables(tb, d.next)
+	nt.mailboxes[0], _ = demoteInbox()
+	nt.mailboxes = append(nt.mailboxes, newInbox())
 	nt.retired[0] = true
 	k.ImportKey(1, 2)
 	e.live.Store(nt)
 }
-`)
+`
+
+func TestEpochFenceFlagsUnfencedMutations(t *testing.T) {
+	ds := analyzeAt(t, EpochFence, runtimePkgPath, `package runtime
+`+epochStub+fmt.Sprintf(applyDiffShape, "e *engine, tb *tables, d diff, k *keyed"))
 	if len(ds) != 5 {
 		t.Fatalf("want 5 diagnostics, got %d: %v", len(ds), ds)
 	}
@@ -315,14 +324,7 @@ func bad(nt *tables, e *engine, k *keyed) {
 
 func TestEpochFenceAllowsFenceParam(t *testing.T) {
 	ds := analyzeAt(t, EpochFence, runtimePkgPath, `package runtime
-`+epochStub+`
-func ok(f *fence, nt *tables, e *engine, k *keyed) {
-	nt.epoch = 1
-	nt.p.Stations = append(nt.p.Stations, 1)
-	k.ImportKey(1, 2)
-	e.live.Store(nt)
-}
-`)
+`+epochStub+fmt.Sprintf(applyDiffShape, "f *fence, e *engine, tb *tables, d diff, k *keyed"))
 	if len(ds) != 0 {
 		t.Fatalf("fence-holding code flagged: %v", ds)
 	}

@@ -16,6 +16,13 @@ import (
 // fence acquire, and the atomic table swap publishes it" — and a
 // demotion path must never hand a station back a fresh SPSC ring.
 //
+// Every live change reaches the tables through one function,
+// applyDiff(f *fence, d diff), which pauses the stations the diff names
+// and then clones, grows, retires and publishes the tables; the helpers
+// it hands the fence to (demoteTransports, migrateKeys) are the only
+// other fence holders, and the initial deployment builds its tables
+// fresh in newEngine.
+//
 // Per function, a mutation is considered fence-dominated when one holds:
 //
 //   - the function receives a *fence (parameter or receiver) — a static
