@@ -353,18 +353,10 @@ func cmdDot(args []string) error {
 		return err
 	}
 	opts := dot.Options{Name: "spinstreams", RankLR: true}
-	if *optimize {
-		fis, err := core.EliminateBottlenecks(t, core.FissionOptions{})
-		if err != nil {
+	if *optimize || *annotate {
+		if _, opts.Analysis, err = planReplicas(t, *optimize); err != nil {
 			return err
 		}
-		opts.Analysis = fis.Analysis
-	} else if *annotate {
-		a, err := core.SteadyState(t)
-		if err != nil {
-			return err
-		}
-		opts.Analysis = a
 	}
 	w := os.Stdout
 	if *out != "" {
@@ -484,11 +476,9 @@ func cmdGenerate(args []string) error {
 		}
 	}
 	if *optimize {
-		fis, err := core.EliminateBottlenecks(t, core.FissionOptions{})
-		if err != nil {
+		if input.Replicas, _, err = planReplicas(t, true); err != nil {
 			return err
 		}
-		input.Replicas = fis.Analysis.Replicas
 	}
 	w := os.Stdout
 	if *out != "" {
@@ -500,6 +490,21 @@ func cmdGenerate(args []string) error {
 		w = f
 	}
 	return codegen.Generate(w, input)
+}
+
+// planReplicas returns the replication degrees to deploy — Algorithm 2's
+// with optimize, nil (all ones) without — and the steady state the model
+// predicts under them.
+func planReplicas(t *core.Topology, optimize bool) ([]int, *core.Analysis, error) {
+	if !optimize {
+		a, err := core.SteadyState(t)
+		return nil, a, err
+	}
+	fis, err := core.EliminateBottlenecks(t, core.FissionOptions{})
+	if err != nil {
+		return nil, nil, err
+	}
+	return fis.Analysis.Replicas, fis.Analysis, nil
 }
 
 func cmdRun(args []string) error {
@@ -517,13 +522,11 @@ func cmdRun(args []string) error {
 	retryBackoff := fs.Duration("retry-backoff", 0, "initial redial backoff for failed cross-node sends with -nodes > 1 (0 = default 2ms)")
 	sendDeadline := fs.Duration("send-deadline", 0, "per-frame retry deadline for cross-node sends with -nodes > 1, after which the frame is shed (0 = default 2s)")
 	metricsAddr := fs.String("metrics-addr", "", "serve live metrics over HTTP on this address (/metrics Prometheus text, /snapshot JSON, /debug/vars expvar)")
-	drift := fs.Bool("drift", false, "after the run, compare the cost model's predictions against the measured rates")
-	reoptimize := fs.Bool("reoptimize", false, "after the run, re-run the optimizer on the measured profiles and print the delta plan")
+	drift := fs.Bool("drift", false, "after the run, compare the cost model's predictions against the measured rates and the estimator's profiles")
+	reoptimize := fs.Bool("reoptimize", false, "after the run, re-run the optimizer on the estimator's measured profiles and print the delta plan")
 	autotune := fs.Bool("autotune", false, "close the loop live: measure, re-optimize, and apply delta plans in-flight without a restart")
 	autotuneRounds := fs.Int("autotune-rounds", 2, "measure/re-optimize/apply rounds with -autotune")
 	autotuneInterval := fs.Duration("autotune-interval", 2*time.Second, "measurement window per autotune round")
-	estimator := fs.Bool("estimator", false, "probe-free measurement: reconstruct service rates online from periodic mailbox-occupancy sampling instead of timed probes")
-	estimatorInterval := fs.Duration("estimator-interval", 0, "occupancy sampling tick with -estimator (0 = 1ms default)")
 	stallBudget := fs.Duration("reconfig-stall-budget", time.Second, "max pause a live reconfiguration may hold before it aborts")
 	vet := fs.Bool("vet", false, "print positioned vet diagnostics for the input before running")
 	if err := fs.Parse(args); err != nil {
@@ -551,34 +554,16 @@ func cmdRun(args []string) error {
 	if *autotune && *nodes > 1 {
 		return fmt.Errorf("run: -autotune reconfigures the in-process engine and is incompatible with -nodes > 1")
 	}
-	if *estimatorInterval < 0 {
-		return fmt.Errorf("run: -estimator-interval %v, want >= 0", *estimatorInterval)
-	}
 	if *sendDeadline < 0 {
 		return fmt.Errorf("run: -send-deadline %v, want >= 0", *sendDeadline)
-	}
-	if *estimator && *nodes > 1 {
-		return fmt.Errorf("run: -estimator samples the in-process engine and is incompatible with -nodes > 1")
 	}
 	t, err := loadTopology(*in)
 	if err != nil {
 		return err
 	}
-	var replicas []int
-	var predicted float64
-	if *optimize {
-		fis, err := core.EliminateBottlenecks(t, core.FissionOptions{})
-		if err != nil {
-			return err
-		}
-		replicas = fis.Analysis.Replicas
-		predicted = fis.Analysis.Throughput()
-	} else {
-		a, err := core.SteadyState(t)
-		if err != nil {
-			return err
-		}
-		predicted = a.Throughput()
+	replicas, a, err := planReplicas(t, *optimize)
+	if err != nil {
+		return err
 	}
 	binding := &runtime.Binding{Ops: map[core.OpID]operators.Operator{}}
 	for i, spec := range specsFromImpls(t) {
@@ -601,11 +586,11 @@ func cmdRun(args []string) error {
 		MaxRestarts:         *maxRestarts,
 		ReconfigStallBudget: *stallBudget,
 		AutotuneInterval:    *autotuneInterval,
-		Estimator:           *estimator,
-		EstimatorInterval:   *estimatorInterval,
+		// The estimator is the only source of measured profiles.
+		Estimator: *drift || *reoptimize || *autotune,
 	}
 	var reg *obs.Registry
-	if *metricsAddr != "" || *drift || *reoptimize || *autotune || *estimator {
+	if *metricsAddr != "" || runCfg.Estimator {
 		reg = obs.New()
 		runCfg.Obs = reg
 	}
@@ -618,9 +603,6 @@ func cmdRun(args []string) error {
 		fmt.Printf("metrics: http://%s/metrics\n", bound)
 	}
 	var m *runtime.Metrics
-	// em carries the estimator's probe-free measurement into the drift /
-	// re-optimization report when -estimator is set.
-	var em *obs.Measurement
 	if *autotune {
 		c, err := runtime.StartTopology(t, replicas, binding, runCfg)
 		if err != nil {
@@ -645,12 +627,6 @@ func cmdRun(args []string) error {
 			},
 		})
 		replicas = c.Replicas()
-		if *estimator && (*drift || *reoptimize) {
-			if em, err = c.Estimator().Measure(); err != nil {
-				c.Stop()
-				return fmt.Errorf("run: estimator: %w", err)
-			}
-		}
 		m, err = c.Stop()
 		if aerr != nil {
 			return aerr
@@ -673,29 +649,13 @@ func cmdRun(args []string) error {
 		if err != nil {
 			return err
 		}
-	} else if *estimator && (*drift || *reoptimize) {
-		// The probe-free measurement lives on the controller; run the
-		// plain duration through it so the report below can be built from
-		// occupancy-derived profiles instead of (absent) probe histograms.
-		c, err := runtime.StartTopology(t, replicas, binding, runCfg)
-		if err != nil {
-			return err
-		}
-		time.Sleep(*duration)
-		if em, err = c.Estimator().Measure(); err != nil {
-			c.Stop()
-			return fmt.Errorf("run: estimator: %w", err)
-		}
-		if m, err = c.Stop(); err != nil {
-			return err
-		}
 	} else {
 		m, err = runtime.RunTopology(context.Background(), t, replicas, binding, runCfg)
 		if err != nil {
 			return err
 		}
 	}
-	fmt.Printf("predicted throughput: %.1f items/s\n", predicted)
+	fmt.Printf("predicted throughput: %.1f items/s\n", a.Throughput())
 	fmt.Printf("measured  throughput: %.1f items/s\n", m.Throughput)
 	if m.Restarts > 0 || m.Degraded > 0 {
 		fmt.Printf("operator restarts: %d (degraded stations: %d)\n", m.Restarts, m.Degraded)
@@ -705,13 +665,7 @@ func cmdRun(args []string) error {
 			t.Op(core.OpID(op)).Name, d, m.Arrival[op])
 	}
 	if *drift || *reoptimize {
-		var rep *obs.DriftReport
-		var err error
-		if em != nil {
-			rep, err = obs.DriftFromProfiles(t, replicas, em.Rates, em.Profiles, em.Confidence)
-		} else {
-			rep, err = obs.Drift(t, replicas, reg)
-		}
+		rep, err := obs.Drift(t, replicas, reg)
 		if err != nil {
 			return fmt.Errorf("run: drift: %w", err)
 		}
@@ -745,22 +699,11 @@ func cmdSimulate(args []string) error {
 	if err != nil {
 		return err
 	}
-	var replicas []int
-	var predicted float64
-	if *optimize {
-		fis, err := core.EliminateBottlenecks(t, core.FissionOptions{})
-		if err != nil {
-			return err
-		}
-		replicas = fis.Analysis.Replicas
-		predicted = fis.Analysis.Throughput()
-	} else {
-		a, err := core.SteadyState(t)
-		if err != nil {
-			return err
-		}
-		predicted = a.Throughput()
+	replicas, a, err := planReplicas(t, *optimize)
+	if err != nil {
+		return err
 	}
+	predicted := a.Throughput()
 	if *shedding {
 		shed, err := core.SteadyStateShedding(t)
 		if err != nil {

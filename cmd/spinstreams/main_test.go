@@ -194,8 +194,8 @@ func TestCLIRunValidation(t *testing.T) {
 		{"negative batch", []string{"-batch", "-8"}},
 		{"negative linger", []string{"-linger", "-1ms"}},
 		{"removed -mailbox-mode flag", []string{"-mailbox-mode", "batch"}},
-		{"negative estimator interval", []string{"-estimator", "-estimator-interval", "-1ms"}},
-		{"estimator with distributed nodes", []string{"-estimator", "-nodes", "2"}},
+		{"removed -estimator flag", []string{"-estimator"}},
+		{"removed -estimator-interval flag", []string{"-estimator-interval", "1ms"}},
 		{"negative send deadline", []string{"-nodes", "2", "-send-deadline", "-1s"}},
 	}
 	for _, tc := range cases {
@@ -313,31 +313,43 @@ func TestCLIRunReoptimize(t *testing.T) {
 	}
 }
 
-// TestCLIRunEstimatorReoptimize exercises the probe-free path end to end:
-// with -estimator the drift and re-optimization reports are built from
-// occupancy-derived profiles instead of timed-probe histograms, so the
-// same reports must come out without any probe machinery running.
+// TestCLIRunEstimatorReoptimize exercises run -drift -reoptimize end to
+// end: the run measures through the online estimator, the drift report
+// carries its profiles with a re-analysis on them, and opt.Reoptimize turns
+// the report into the printed delta plan.
 func TestCLIRunEstimatorReoptimize(t *testing.T) {
 	out, err := capture(t, "run", "-in", writePaperTopology(t),
-		"-duration", "700ms", "-warmup", "150ms", "-estimator", "-drift", "-reoptimize")
+		"-duration", "700ms", "-warmup", "150ms", "-drift", "-reoptimize")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(out, "Model-vs-measured drift") {
-		t.Errorf("run output missing the drift report:\n%s", out)
+	for _, want := range []string{"Model-vs-measured drift", "re-analysis on measured profiles:", "re-optimization on measured profiles:"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("run output missing %q:\n%s", want, out)
+		}
 	}
-	if !strings.Contains(out, "re-optimization on measured profiles:") {
-		t.Errorf("run output missing the delta plan:\n%s", out)
+}
+
+// TestCLIRunDriftDistributed runs the same measurement procedure across two
+// TCP-connected nodes: the estimator samples the distributed run too, so
+// the drift report still re-analyzes on measured profiles.
+func TestCLIRunDriftDistributed(t *testing.T) {
+	out, err := capture(t, "run", "-in", writePaperTopology(t),
+		"-duration", "700ms", "-warmup", "150ms", "-nodes", "2", "-drift")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(out, "re-analysis on measured profiles:") {
+		t.Errorf("distributed run output missing the re-analysis:\n%s", out)
 	}
 }
 
 // TestCLIRunAutotuneEstimator drives the full autonomic loop from the
-// command line with probe-free measurement: autotune rounds fed by the
-// estimator must complete and report their outcome.
+// command line: autotune rounds fed by the estimator must complete and
+// report their outcome.
 func TestCLIRunAutotuneEstimator(t *testing.T) {
 	out, err := capture(t, "run", "-in", writePaperTopology(t),
-		"-autotune", "-autotune-rounds", "2", "-autotune-interval", "300ms",
-		"-estimator", "-estimator-interval", "1ms")
+		"-autotune", "-autotune-rounds", "2", "-autotune-interval", "300ms")
 	if err != nil {
 		t.Fatal(err)
 	}

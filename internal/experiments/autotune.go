@@ -85,6 +85,7 @@ func AutotuneDemo(ctx context.Context, slowFactor float64, rounds int, opts Live
 		Linger:      opts.Linger,
 		MaxRestarts: opts.MaxRestarts,
 		Obs:         obs.New(),
+		Estimator:   true,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("autotune demo: start: %w", err)

@@ -34,8 +34,8 @@ type DriftDemoResult struct {
 
 // DriftDemo closes the loop the paper's workflow promises: predict with
 // Algorithm 1, optimize with Algorithm 2, execute on the live runtime
-// with a metrics registry bound, and verify the prediction against the
-// registry's measured rates. Variant selects the Table 1 (no bottleneck:
+// with a metrics registry and the online estimator bound, and verify the
+// prediction against the registry's measured rates and profiles. Variant selects the Table 1 (no bottleneck:
 // drift validates a clean prediction) or Table 2 (fusion-grade
 // bottleneck: drift confirms the saturated operator from measurements)
 // service times.
@@ -65,6 +65,7 @@ func DriftDemo(ctx context.Context, variant core.PaperExampleVariant, opts LiveO
 		Linger:      opts.Linger,
 		MaxRestarts: opts.MaxRestarts,
 		Obs:         reg,
+		Estimator:   true,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("drift demo: live run: %w", err)

@@ -116,14 +116,7 @@ func estimatorSimulate(deployed *core.Topology, w Workload, seed uint64, o Estim
 	}
 	infos := make([]obs.StationInfo, len(p.Stations))
 	for i := range p.Stations {
-		st := &p.Stations[i]
-		infos[i] = obs.StationInfo{
-			Name:   st.Name,
-			Role:   st.Role.String(),
-			Op:     int(st.Op),
-			Source: st.Role == plan.RoleSource,
-			Sink:   len(st.Out) == 0,
-		}
+		infos[i] = obs.InfoOf(&p.Stations[i])
 	}
 	est := obs.NewEstimator(obs.EstimatorConfig{})
 	prev := 0.0

@@ -87,6 +87,7 @@ func ReoptimizeDemo(ctx context.Context, slowFactor float64, opts LiveOptions) (
 		Linger:      opts.Linger,
 		MaxRestarts: opts.MaxRestarts,
 		Obs:         reg,
+		Estimator:   true,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("reoptimize demo: live run: %w", err)

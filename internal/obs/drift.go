@@ -163,42 +163,6 @@ func (r *Registry) WindowRates() (*MeasuredRates, error) {
 	return RatesBetween(begin, end, seconds)
 }
 
-// Profiles converts the snapshot back into per-operator measured profiles,
-// the inverse of the paper's profiling step: ServiceTime is the sampled
-// service-time mean of the operator's workers (0 when no samples were
-// recorded, e.g. sampling disabled), Consumed/Emitted are the lifetime
-// tuple counts, and the measured gain is reported as the output
-// selectivity (the cost model only consumes the ratio).
-func (s *Snapshot) Profiles() ([]profiler.Profile, error) {
-	groups, err := groupOps(s.Stations)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]profiler.Profile, len(groups))
-	for op, g := range groups {
-		p := &out[op]
-		var stSum, stCount uint64
-		for _, i := range g.workers {
-			ss := &s.Stations[i]
-			p.Consumed += ss.Consumed
-			stSum += ss.Service.Sum
-			stCount += ss.Service.Count
-		}
-		for _, i := range g.outSide {
-			p.Emitted += s.Stations[i].Emitted
-		}
-		if stCount > 0 {
-			p.ServiceTime = float64(stSum) / float64(stCount) * 1e-9
-		}
-		if p.Consumed > 0 {
-			p.Gain = float64(p.Emitted) / float64(p.Consumed)
-		}
-		p.InputSelectivity = 1
-		p.OutputSelectivity = p.Gain
-	}
-	return out, nil
-}
-
 // DriftRow is one logical operator's predicted-vs-measured comparison.
 type DriftRow struct {
 	Op   int
@@ -208,8 +172,8 @@ type DriftRow struct {
 	// RelErr is |measured-predicted|/predicted.
 	RelErr float64
 	// PredictedRho is the model's utilization; MeasuredRho is the measured
-	// consume rate times the measured mean service time (0 when no service
-	// samples exist).
+	// consume rate times the measured service time (0 without a measured
+	// profile).
 	PredictedRho, MeasuredRho float64
 	// Saturated marks operators the model puts at (or next to) full
 	// utilization; their measured rates ride the backpressure boundary and
@@ -232,17 +196,16 @@ type DriftReport struct {
 	Reanalyzed            *core.Analysis
 	RepredictedThroughput float64
 	RepredictionErr       float64
-	// MeasuredProfiles are the per-operator profiles rebuilt from the
-	// end-of-window snapshot (nil when no snapshot was supplied). They are
-	// what opt.Reoptimize substitutes into the topology before re-running
-	// the optimizer.
+	// MeasuredProfiles are the per-operator profiles the online estimator
+	// reconstructed (nil when the run had none). They are what
+	// opt.Reoptimize substitutes into the topology before re-running the
+	// optimizer.
 	MeasuredProfiles []profiler.Profile
-	// ProfileConfidence, when non-nil, weights MeasuredProfiles per
-	// operator in [0,1]: 1 means trust the measurement outright, 0 means
-	// keep the declared profile. The probe path leaves it nil (timed
-	// samples are direct measurements); the online estimator fills it so
-	// opt.Reoptimize can blend low-evidence estimates toward the declared
-	// model instead of acting on noise.
+	// ProfileConfidence weights MeasuredProfiles per operator in [0,1]: 1
+	// means trust the measurement outright, 0 means keep the declared
+	// profile, so opt.Reoptimize can blend low-evidence estimates toward
+	// the declared model instead of acting on noise. nil trusts every
+	// profile outright.
 	ProfileConfidence []float64
 	// Replicas are the replication degrees the prediction (and the live
 	// run) used; nil means all ones.
@@ -255,17 +218,27 @@ type DriftReport struct {
 // saturated for drift banding.
 const saturationRho = 0.95
 
-// Drift runs the full report for a finished run: predicted rates from the
-// topology (under the given replication degrees; nil means all ones),
-// measured rates from the registry's measurement window, and a re-analysis
-// on profiles rebuilt from the end-of-window snapshot.
+// Drift runs the full report for a measured window: predicted rates from
+// the topology (under the given replication degrees; nil means all ones),
+// measured rates from the registry's window marks, and — when the run has
+// an estimator — its reconstructed profiles and confidences with a
+// re-analysis on them. Without an estimator the report carries no
+// profiles, and opt.Reoptimize refuses it.
 func Drift(t *core.Topology, replicas []int, r *Registry) (*DriftReport, error) {
 	m, err := r.WindowRates()
 	if err != nil {
 		return nil, err
 	}
-	_, end, _, _ := r.Window()
-	return DriftFrom(t, replicas, m, end)
+	var profiles []profiler.Profile
+	var confidence []float64
+	if est := r.Estimator(); est != nil {
+		em, err := est.Measure()
+		if err != nil {
+			return nil, err
+		}
+		profiles, confidence = em.Profiles, em.Confidence
+	}
+	return DriftFromProfiles(t, replicas, m, profiles, confidence)
 }
 
 // analyze dispatches to the replica-aware steady state when replication
@@ -277,26 +250,11 @@ func analyze(t *core.Topology, replicas []int) (*core.Analysis, error) {
 	return core.SteadyStateWithReplicas(t, replicas, nil)
 }
 
-// DriftFrom builds the report from explicit measured rates and an optional
-// snapshot (used for measured service times and the reprofiled
-// re-analysis; nil skips both).
-func DriftFrom(t *core.Topology, replicas []int, m *MeasuredRates, snap *Snapshot) (*DriftReport, error) {
-	var profiles []profiler.Profile
-	if snap != nil {
-		var err error
-		if profiles, err = snap.Profiles(); err != nil {
-			return nil, err
-		}
-	}
-	return DriftFromProfiles(t, replicas, m, profiles, nil)
-}
-
 // DriftFromProfiles builds the report from explicit measured rates and
-// pre-built measured profiles — the provider seam shared by the probe path
-// (profiles rebuilt from snapshot histograms, nil confidence) and the
-// online estimator (profiles reconstructed from occupancy samples, with
-// per-operator confidences). profiles may be nil to skip the reprofiled
-// re-analysis.
+// measured profiles with their per-operator confidences (nil trusts every
+// profile outright) — the one report builder, fed by Drift on live runs
+// and by simulated estimator sweeps. profiles may be nil to skip the
+// reprofiled re-analysis.
 func DriftFromProfiles(t *core.Topology, replicas []int, m *MeasuredRates, profiles []profiler.Profile, confidence []float64) (*DriftReport, error) {
 	if m == nil {
 		return nil, errors.New("obs: nil measured rates")

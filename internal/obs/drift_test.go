@@ -11,6 +11,7 @@ import (
 	"spinstreams/internal/core"
 	"spinstreams/internal/mailbox"
 	"spinstreams/internal/obs"
+	"spinstreams/internal/opt"
 	"spinstreams/internal/qsim"
 	"spinstreams/internal/randtopo"
 	"spinstreams/internal/runtime"
@@ -128,11 +129,11 @@ func TestPredictedVsSimulatedRates(t *testing.T) {
 }
 
 // TestLiveDriftAgainstModel runs each corpus topology on the live runtime
-// with a registry bound, then checks the three-way agreement: the drift
-// report's per-operator errors stay inside the live band, the registry's
-// window rates match the engine's Metrics, and the registry's recomputed
-// totals equal the engine's exactly (any difference is a tuple counted
-// twice or not at all).
+// with a registry and the estimator bound, then checks the three-way
+// agreement: the drift report's per-operator errors stay inside the live
+// band, the registry's window rates match the engine's Metrics, and the
+// registry's recomputed totals equal the engine's exactly (any difference
+// is a tuple counted twice or not at all).
 func TestLiveDriftAgainstModel(t *testing.T) {
 	for _, tc := range driftCorpus(t) {
 		tc := tc
@@ -146,6 +147,7 @@ func TestLiveDriftAgainstModel(t *testing.T) {
 				MailboxSize: 8,
 				Mailbox:     tc.transport,
 				Obs:         reg,
+				Estimator:   true,
 			})
 			if err != nil {
 				t.Fatalf("run: %v", err)
@@ -242,56 +244,51 @@ func ratesClose(a, b, seconds float64) bool {
 	return stats.RelErr(a, b) <= rateSkewTol
 }
 
-// TestProfilesRoundTrip checks Snapshot.Profiles against hand-built
-// counters: service means, gains and the worker/collector aggregation.
-func TestProfilesRoundTrip(t *testing.T) {
-	r := obs.New()
-	sts := r.Bind([]obs.StationInfo{
-		{Name: "src", Role: "source", Op: 0, Source: true},
-		{Name: "f/emitter", Role: "emitter", Op: 1},
-		{Name: "f/1", Role: "worker", Op: 1},
-		{Name: "f/2", Role: "worker", Op: 1},
-		{Name: "f/collector", Role: "collector", Op: 1},
-		{Name: "sink", Role: "worker", Op: 2, Sink: true},
-	})
-	sts[0].Consumed.Add(1000)
-	// Workers: 600 + 400 consumed, collector emits 500 (gain 0.5).
-	sts[2].Consumed.Add(600)
-	sts[3].Consumed.Add(400)
-	sts[4].Emitted.Add(500)
-	// Per-tuple service samples: worker 1 at 2ms, worker 2 at 4ms.
-	for i := 0; i < 10; i++ {
-		sts[2].Service.Record(2_000_000)
+// TestDriftProfilesComeFromTheEstimator pins the one measurement path: a
+// run bound to a registry without the estimator reports measured rates
+// but no measured profiles — and Reoptimize refuses that report — while
+// the same run with Config.Estimator carries a profile and a confidence
+// for every operator.
+func TestDriftProfilesComeFromTheEstimator(t *testing.T) {
+	if testing.Short() {
+		t.Skip("live runs skipped in -short mode")
 	}
-	for i := 0; i < 10; i++ {
-		sts[3].Service.Record(4_000_000)
-	}
-	sts[5].Consumed.Add(500)
-	sts[5].Emitted.Add(500)
-
-	profiles, err := r.Snapshot().Profiles()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(profiles) != 3 {
-		t.Fatalf("got %d profiles, want 3", len(profiles))
-	}
-	p := profiles[1]
-	if p.Consumed != 1000 || p.Emitted != 500 {
-		t.Errorf("op 1 consumed/emitted = %d/%d, want 1000/500", p.Consumed, p.Emitted)
-	}
-	if got, want := p.ServiceTime, 3e-3; math.Abs(got-want)/want > HistogramRoundTripTol() {
-		t.Errorf("op 1 service time %.4fms, want ~3ms", got*1e3)
-	}
-	if math.Abs(p.Gain-0.5) > 1e-9 {
-		t.Errorf("op 1 gain %.3f, want 0.5", p.Gain)
-	}
-	if profiles[0].Consumed != 1000 {
-		t.Errorf("source consumed %d, want 1000", profiles[0].Consumed)
+	topo := genTopology(t, 1)
+	for _, estimator := range []bool{false, true} {
+		reg := obs.New()
+		if _, err := runtime.RunTopology(context.Background(), topo, nil, nil, runtime.Config{
+			Seed:        1,
+			Duration:    600 * time.Millisecond,
+			MailboxSize: 8,
+			Obs:         reg,
+			Estimator:   estimator,
+		}); err != nil {
+			t.Fatalf("estimator=%v: run: %v", estimator, err)
+		}
+		rep, err := obs.Drift(topo, nil, reg)
+		if err != nil {
+			t.Fatalf("estimator=%v: drift: %v", estimator, err)
+		}
+		if rep.MeasuredThroughput <= 0 {
+			t.Errorf("estimator=%v: no measured throughput", estimator)
+		}
+		_, rerr := opt.Reoptimize(opt.NewSnapshot(topo), rep, opt.Options{})
+		if !estimator {
+			if rep.MeasuredProfiles != nil || rep.ProfileConfidence != nil || rep.Reanalyzed != nil {
+				t.Errorf("Obs-only run reported measured profiles: %d profiles, %d confidences",
+					len(rep.MeasuredProfiles), len(rep.ProfileConfidence))
+			}
+			if rerr == nil {
+				t.Error("Reoptimize accepted a report without measured profiles")
+			}
+			continue
+		}
+		if len(rep.MeasuredProfiles) != topo.Len() || len(rep.ProfileConfidence) != topo.Len() {
+			t.Errorf("estimator run: %d profiles and %d confidences for %d operators",
+				len(rep.MeasuredProfiles), len(rep.ProfileConfidence), topo.Len())
+		}
+		if rerr != nil {
+			t.Errorf("Reoptimize refused an estimator report: %v", rerr)
+		}
 	}
 }
-
-// HistogramRoundTripTol is the histogram's documented mean error: Sum is
-// exact, so the mean carries no bucketing error at all — only float
-// conversion.
-func HistogramRoundTripTol() float64 { return 1e-9 }

@@ -10,8 +10,8 @@ import (
 
 // Online service-rate estimation, after Beard & Chamberlain ("Run Time
 // Approximation of Non-blocking Service Rates for Streaming Systems"):
-// instead of timing individual tuple services (the probe path) or running
-// an offline profiling pass, the estimator periodically samples every
+// instead of timing individual tuple services or running an offline
+// profiling pass, the estimator periodically samples every
 // station's mailbox occupancy — a cheap atomic read the dataplane already
 // accounts — and classifies each inter-sample interval into a regime:
 //
@@ -155,8 +155,8 @@ type estStation struct {
 
 // Estimator reconstructs non-blocking service rates and selectivities from
 // periodic occupancy samples. All methods are safe for concurrent use; the
-// runtime's sampler goroutine feeds Observe while the autotune loop calls
-// BeginWindow/Measure.
+// runtime's sampler goroutine feeds Observe while the registry's window
+// marks call BeginWindow and Drift calls Measure.
 type Estimator struct {
 	cfg EstimatorConfig
 
@@ -255,8 +255,8 @@ func (e *Estimator) Observe(dtSeconds float64, samples []StationSample) error {
 
 // BeginWindow starts a new measurement window: counter baselines move to
 // each station's latest sample, the regime diagnostics reset, and the rate
-// evidence decays by CarryDecay. The autotune loop calls it at the start of
-// each measurement round.
+// evidence decays by CarryDecay. Registry.MarkWindowBegin calls it at the
+// start of each measurement window.
 func (e *Estimator) BeginWindow() {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -309,8 +309,8 @@ type RateEstimate struct {
 type Measurement struct {
 	// Seconds is the accumulated sampling time in the window.
 	Seconds float64
-	// Rates are per-operator windowed counter rates (probe-free — derived
-	// purely from sampled cumulative counters).
+	// Rates are per-operator windowed counter rates, derived purely from
+	// the sampled cumulative counters.
 	Rates *MeasuredRates
 	// Profiles are the reconstructed per-operator profiles; ServiceTime is
 	// 0 for operators with no busy evidence (profiler.Apply keeps the
@@ -417,28 +417,8 @@ func (e *Estimator) Measure() (*Measurement, error) {
 	return m, nil
 }
 
-// Estimates returns the current window's per-operator estimates (a
-// convenience wrapper over Measure for displays and tests).
-func (e *Estimator) Estimates() ([]RateEstimate, error) {
-	m, err := e.Measure()
-	if err != nil {
-		return nil, err
-	}
-	return m.Estimates, nil
-}
-
-// WindowSeconds returns the accumulated sampling time in the current
-// window.
-func (e *Estimator) WindowSeconds() float64 {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.windowSeconds
-}
-
 // syntheticSnapshot lifts a station sample into the snapshot shape the
-// rate/profile machinery consumes (counters and gauges only — histogram
-// summaries stay empty: the whole point is that no per-tuple timing
-// exists).
+// rate machinery consumes.
 func syntheticSnapshot(info StationInfo, s StationSample, retired bool) StationSnapshot {
 	return StationSnapshot{
 		StationInfo: info,

@@ -24,8 +24,8 @@ import (
 // periodic occupancy sampling enabled, and feeds every sample into an
 // obs.Estimator exactly the way the runtime's sampler goroutine would —
 // mailbox depth, cumulative counters, blocked-downstream regime — with no
-// access to qsim's internal service clocks (the live estimator has no
-// probes either). The reconstructed per-operator service rate is then
+// access to qsim's internal service clocks (the live estimator times no
+// tuple either). The reconstructed per-operator service rate is then
 // compared with the rate the simulator was actually configured with
 // (1/ServiceTime): the busy-interval conditioning must recover the
 // non-blocking rate even for operators that are idle or backpressured
@@ -57,7 +57,7 @@ import (
 // idling through a burst trough is indistinguishable from a slow one
 // without probes). Two operators within 10% utilization of each other
 // count as a tie: at that separation the est-fed and true-fed runs pick
-// interchangeable bottlenecks, and so would two probe runs.
+// interchangeable bottlenecks, and so would two runs on exact profiles.
 const (
 	estDiffMedianTol  = 0.10 // pooled per-operator rate error, median
 	estDiffP95Tol     = 0.25 // pooled per-operator rate error, p95
@@ -82,11 +82,11 @@ func estDiffWorkloads() []experiments.Workload {
 
 // estDiffRun is one seed x workload outcome.
 type estDiffRun struct {
-	errs       []float64 // rate errors of confident non-source operators
-	lowConf    int       // operators excluded by the confidence floor
-	orderOK    bool      // est-fed and true-fed Reoptimize agree on the bottleneck
-	confident  int
-	totalOps   int
+	errs      []float64 // rate errors of confident non-source operators
+	lowConf   int       // operators excluded by the confidence floor
+	orderOK   bool      // est-fed and true-fed Reoptimize agree on the bottleneck
+	confident int
+	totalOps  int
 }
 
 // simulateEstimator runs qsim over the deployed topology's plan and feeds
@@ -101,14 +101,7 @@ func simulateEstimator(t *testing.T, deployed *core.Topology, w experiments.Work
 	// estimator groups and pools by Info, not by qsim internals.
 	infos := make([]obs.StationInfo, len(p.Stations))
 	for i := range p.Stations {
-		st := &p.Stations[i]
-		infos[i] = obs.StationInfo{
-			Name:   st.Name,
-			Role:   st.Role.String(),
-			Op:     int(st.Op),
-			Source: st.Role == plan.RoleSource,
-			Sink:   len(st.Out) == 0,
-		}
+		infos[i] = obs.InfoOf(&p.Stations[i])
 	}
 	est := obs.NewEstimator(obs.EstimatorConfig{})
 	prev := 0.0
@@ -292,9 +285,9 @@ func TestEstimatorDifferentialQsim(t *testing.T) {
 
 // TestEstimatorDifferentialNoProbes pins the probe-free claim on the
 // differential path itself: the estimator's profiles must carry service
-// times reconstructed purely from occupancy samples — the qsim feed has
-// no Service histogram at all, so a regression that silently falls back
-// to probe data would surface here as zero service times everywhere.
+// times reconstructed purely from occupancy samples — the qsim feed
+// carries no per-tuple timing at all, so an estimator that needed any
+// would surface here as zero service times everywhere.
 func TestEstimatorDifferentialNoProbes(t *testing.T) {
 	w := experiments.Steady()
 	deployed := w.Apply(genTopology(t, 1))

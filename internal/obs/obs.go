@@ -1,18 +1,18 @@
-// Package obs is the runtime's observability layer: a low-overhead
-// per-station metrics registry the engines route all tuple accounting
-// through, with sampled histograms (service time, inter-arrival time,
-// queue depth, batch size), pluggable Tracer hooks fired at station
-// lifecycle points, point-in-time Snapshots, Prometheus/expvar HTTP
-// exposition (prom.go), and a drift reporter that closes the paper's
+// Package obs is the runtime's observability layer: a per-station metrics
+// registry the engines route all tuple accounting through, pluggable
+// Tracer hooks fired at station lifecycle points, point-in-time
+// Snapshots, Prometheus/expvar HTTP exposition (prom.go), the online
+// service-rate estimator — the only source of measured profiles
+// (estimator.go) — and a drift reporter that closes the paper's
 // measure -> predict -> verify loop (drift.go).
 //
 // Design: counters are exported atomic fields on Station, written directly
 // by the engine's hot paths — the registry adds a pointer indirection, not
 // a lock or a map lookup, so routing the accounting through it costs the
-// same as the engine-private counters it replaced. Histograms are only
-// recorded when a run is bound to a caller-supplied registry, and the
-// engine subsamples them (one receive event and one service episode in
-// 128) so instrumentation stays cheap; see DESIGN.md "Observability".
+// same as the engine-private counters it replaced. Binding a registry adds
+// no per-tuple work: service rates come from the estimator's periodic
+// occupancy samples, and only attached tracers time individual tuples;
+// see DESIGN.md "Observability".
 package obs
 
 import (
@@ -21,7 +21,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"spinstreams/internal/stats"
+	"spinstreams/internal/plan"
 )
 
 // StationInfo is the immutable identity of one physical station.
@@ -38,11 +38,21 @@ type StationInfo struct {
 	Sink bool `json:"sink,omitempty"`
 }
 
+// InfoOf returns the identity of one plan station.
+func InfoOf(st *plan.Station) StationInfo {
+	return StationInfo{
+		Name:   st.Name,
+		Role:   st.Role.String(),
+		Op:     int(st.Op),
+		Source: st.Role == plan.RoleSource,
+		Sink:   len(st.Out) == 0,
+	}
+}
+
 // Station is one physical station's live metrics. The counter fields are
 // written directly by the engine (a single atomic add per event — the
 // registry is the accounting path, not a copy of it) and may be read at
-// any time. Histograms record sampled timings; see the package comment
-// for the sampling policy.
+// any time.
 type Station struct {
 	Info StationInfo
 
@@ -66,26 +76,12 @@ type Station struct {
 	Drained atomic.Uint64
 	// Restarts counts panic-recovery restarts.
 	Restarts atomic.Uint64
-	// Receives counts mailbox receive events — windows of at most Batch
-	// tuples. Maintained only when sampling is active.
-	Receives atomic.Uint64
 	// Degraded reports whether the station exhausted its restart budget.
 	Degraded atomic.Bool
 	// Retired reports that a live reconfiguration drained and stopped the
 	// station; its lifetime counters stay in the totals, but windowed
 	// drift measurements skip it so rates reflect the live structure.
 	Retired atomic.Bool
-
-	// Service holds sampled per-tuple service times in nanoseconds: one
-	// operator call plus its padding, never the delivery.
-	Service *stats.Histogram
-	// InterArrival holds sampled per-tuple inter-arrival times in
-	// nanoseconds (mean over the sampling window).
-	InterArrival *stats.Histogram
-	// QueueDepth holds inbox depths sampled at receive events.
-	QueueDepth *stats.Histogram
-	// BatchSize holds the tuple counts of receive events.
-	BatchSize *stats.Histogram
 }
 
 // Edge is one cross-node physical edge's accounting (distributed
@@ -141,10 +137,12 @@ type Gauges struct {
 	BlockedSends uint64
 }
 
-// Tracer observes station lifecycle events. Implementations must be safe
-// for concurrent use and fast — hooks fire from station goroutines on the
-// data path. Receive fires per window taken, Serve per tuple served, Emit
-// per admission call.
+// Tracer observes station lifecycle events: the opt-in debug hook. While
+// one is attached the stations time every tuple they serve — the only
+// per-tuple clock reads a run makes beyond service padding.
+// Implementations must be safe for concurrent use and fast — hooks fire
+// from station goroutines on the data path. Receive fires per window
+// taken, Serve per tuple served, Emit per admission call.
 type Tracer interface {
 	// OnReceive fires when a station takes n tuples from its inbox.
 	OnReceive(station, n int)
@@ -161,11 +159,11 @@ type Tracer interface {
 }
 
 // Registry is the root of the observability layer: one bound run's
-// stations and cross-node edges, plus the tracers and the mailbox sampler.
-// A Registry serves one run at a time — the engine (re)binds it at run
-// start, which resets stations, edges and window marks. All methods are
-// safe for concurrent use; Snapshot may be called while the run is live
-// (the HTTP endpoints do).
+// stations and cross-node edges, plus the tracers, the mailbox sampler and
+// the run's estimator. A Registry serves one run at a time — the engine
+// (re)binds it at run start, which resets stations, edges, estimator and
+// window marks. All methods are safe for concurrent use; Snapshot may be
+// called while the run is live (the HTTP endpoints do).
 type Registry struct {
 	mu       sync.Mutex
 	start    time.Time
@@ -174,6 +172,7 @@ type Registry struct {
 	edgeIdx  map[[2]int]*Edge
 	tracers  []Tracer
 	sampler  func(station int) Gauges
+	est      *Estimator
 
 	winBegin, winEnd     *Snapshot
 	winBeginAt, winEndAt time.Time
@@ -186,7 +185,7 @@ func New() *Registry {
 
 // Bind (re)initializes the registry for a run with the given stations and
 // returns the Station slice the engine writes through. Any previous run's
-// stations, edges, sampler and window marks are discarded.
+// stations, edges, sampler, estimator and window marks are discarded.
 func (r *Registry) Bind(infos []StationInfo) []*Station {
 	r.mu.Lock()
 	r.start = time.Now()
@@ -194,6 +193,7 @@ func (r *Registry) Bind(infos []StationInfo) []*Station {
 	r.edges = nil
 	r.edgeIdx = nil
 	r.sampler = nil
+	r.est = nil
 	r.winBegin, r.winEnd = nil, nil
 	r.mu.Unlock()
 	return r.Extend(infos)
@@ -205,13 +205,7 @@ func (r *Registry) Bind(infos []StationInfo) []*Station {
 func (r *Registry) Extend(infos []StationInfo) []*Station {
 	sts := make([]*Station, len(infos))
 	for i := range infos {
-		sts[i] = &Station{
-			Info:         infos[i],
-			Service:      stats.NewHistogram(),
-			InterArrival: stats.NewHistogram(),
-			QueueDepth:   stats.NewHistogram(),
-			BatchSize:    stats.NewHistogram(),
-		}
+		sts[i] = &Station{Info: infos[i]}
 	}
 	r.mu.Lock()
 	r.stations = append(r.stations, sts...)
@@ -267,14 +261,35 @@ func (r *Registry) SetSampler(f func(station int) Gauges) {
 	r.mu.Unlock()
 }
 
+// SetEstimator installs the run's online estimator (the engine does when
+// Config.Estimator is set): the window marks then bracket its measurement
+// windows too, and Drift reads its profiles.
+func (r *Registry) SetEstimator(e *Estimator) {
+	r.mu.Lock()
+	r.est = e
+	r.mu.Unlock()
+}
+
+// Estimator returns the run's online estimator, or nil when the run
+// measures no profiles.
+func (r *Registry) Estimator() *Estimator {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.est
+}
+
 // MarkWindowBegin snapshots the registry at the start of the engine's
-// measurement window (after warmup).
+// measurement window (after warmup) and begins the estimator's window.
 func (r *Registry) MarkWindowBegin() {
 	s := r.Snapshot()
 	r.mu.Lock()
 	r.winBegin, r.winBeginAt = s, time.Now()
 	r.winEnd = nil
+	est := r.est
 	r.mu.Unlock()
+	if est != nil {
+		est.BeginWindow()
+	}
 }
 
 // MarkWindowEnd snapshots the registry at the end of the measurement
@@ -308,17 +323,11 @@ type StationSnapshot struct {
 	Abandoned    uint64 `json:"abandoned"`
 	Drained      uint64 `json:"drained"`
 	Restarts     uint64 `json:"restarts"`
-	Receives     uint64 `json:"receives"`
 	Degraded     bool   `json:"degraded"`
 	Retired      bool   `json:"retired,omitempty"`
 	Queued       uint64 `json:"queued"`
 	Capacity     uint64 `json:"capacity"`
 	BlockedSends uint64 `json:"blocked_sends"`
-
-	Service      stats.HistogramSummary `json:"service_ns"`
-	InterArrival stats.HistogramSummary `json:"interarrival_ns"`
-	QueueDepth   stats.HistogramSummary `json:"queue_depth"`
-	BatchSize    stats.HistogramSummary `json:"batch_size"`
 }
 
 // EdgeSnapshot is one cross-node edge's point-in-time accounting; see
@@ -361,22 +370,17 @@ func (r *Registry) Snapshot() *Snapshot {
 	}
 	for i, st := range sts {
 		ss := StationSnapshot{
-			StationInfo:  st.Info,
-			Consumed:     st.Consumed.Load(),
-			Emitted:      st.Emitted.Load(),
-			Arrived:      st.Arrived.Load(),
-			Dropped:      st.Dropped.Load(),
-			Failed:       st.Failed.Load(),
-			Abandoned:    st.Abandoned.Load(),
-			Drained:      st.Drained.Load(),
-			Restarts:     st.Restarts.Load(),
-			Receives:     st.Receives.Load(),
-			Degraded:     st.Degraded.Load(),
-			Retired:      st.Retired.Load(),
-			Service:      st.Service.Summary(),
-			InterArrival: st.InterArrival.Summary(),
-			QueueDepth:   st.QueueDepth.Summary(),
-			BatchSize:    st.BatchSize.Summary(),
+			StationInfo: st.Info,
+			Consumed:    st.Consumed.Load(),
+			Emitted:     st.Emitted.Load(),
+			Arrived:     st.Arrived.Load(),
+			Dropped:     st.Dropped.Load(),
+			Failed:      st.Failed.Load(),
+			Abandoned:   st.Abandoned.Load(),
+			Drained:     st.Drained.Load(),
+			Restarts:    st.Restarts.Load(),
+			Degraded:    st.Degraded.Load(),
+			Retired:     st.Retired.Load(),
 		}
 		if sampler != nil {
 			g := sampler(i)

@@ -13,7 +13,7 @@ import (
 )
 
 // goldenRegistry builds a registry with fully deterministic contents: every
-// counter, histogram sample and gauge is fixed, so the rendered Prometheus
+// counter and gauge is fixed, so the rendered Prometheus
 // exposition and Snapshot JSON are byte-stable across runs and platforms.
 func goldenRegistry() *Registry {
 	r := New()
@@ -34,16 +34,9 @@ func goldenRegistry() *Registry {
 		st.Failed.Add(uint64(2 * i))
 		st.Abandoned.Add(uint64(3 * i))
 		st.Drained.Add(uint64(4 * i))
-		st.Receives.Add(base / 10)
 	}
 	sts[3].Restarts.Add(2)
 	sts[5].Degraded.Store(true)
-	for v := uint64(1); v <= 1<<20; v *= 2 {
-		sts[2].Service.Record(v * 1000)
-		sts[2].InterArrival.Record(v * 500)
-		sts[2].QueueDepth.Record(v % 64)
-		sts[2].BatchSize.Record(v % 32)
-	}
 	r.SetSampler(func(i int) Gauges {
 		return Gauges{Queued: uint64(i), Capacity: 64, BlockedSends: uint64(3 * i)}
 	})
@@ -127,7 +120,7 @@ func TestSnapshotJSONGolden(t *testing.T) {
 func TestSnapshotTotals(t *testing.T) {
 	tot := goldenRegistry().Snapshot().Totals()
 	want := Totals{
-		Generated: 1000,     // src consumed
+		Generated: 1000,      // src consumed
 		Delivered: 6000 - 10, // sink emitted
 		Shed:      0 + 1 + 2 + 3 + 4 + 5,
 		Failed:    2 * (0 + 1 + 2 + 3 + 4 + 5),

@@ -13,9 +13,8 @@ import (
 // Prometheus text-exposition of a registry. Metric names and labels are a
 // stable interface (golden-tested): station counters are
 // spinstreams_station_<counter>_total{station,role,op}, mailbox gauges are
-// spinstreams_station_queue_{depth,capacity}, histograms export as
-// summaries (_sum/_count plus quantile series), and cross-node edges as
-// spinstreams_edge_{wrote,recvd}_total{from,to}.
+// spinstreams_station_queue_{depth,capacity}, and cross-node edges
+// spinstreams_edge_<counter>{from,to}.
 
 // promCounter is one exported station counter.
 type promCounter struct {
@@ -32,7 +31,6 @@ var promCounters = []promCounter{
 	{"abandoned", func(s *StationSnapshot) uint64 { return s.Abandoned }},
 	{"drained", func(s *StationSnapshot) uint64 { return s.Drained }},
 	{"restarts", func(s *StationSnapshot) uint64 { return s.Restarts }},
-	{"receives", func(s *StationSnapshot) uint64 { return s.Receives }},
 	{"blocked_sends", func(s *StationSnapshot) uint64 { return s.BlockedSends }},
 }
 
@@ -83,41 +81,6 @@ func (s *Snapshot) WritePrometheus(w io.Writer) {
 		ss := &s.Stations[i]
 		fmt.Fprintf(w, "ss_mailbox_depth{%s} %d\n", promLabels(ss), ss.Queued)
 	}
-	for _, h := range []struct {
-		name string
-		get  func(*StationSnapshot) *HistSummaryRef
-	}{
-		{"service_time_ns", func(ss *StationSnapshot) *HistSummaryRef {
-			return &HistSummaryRef{ss.Service.Count, ss.Service.Sum, ss.Service.P50, ss.Service.P90, ss.Service.P99}
-		}},
-		{"interarrival_ns", func(ss *StationSnapshot) *HistSummaryRef {
-			return &HistSummaryRef{ss.InterArrival.Count, ss.InterArrival.Sum, ss.InterArrival.P50, ss.InterArrival.P90, ss.InterArrival.P99}
-		}},
-		{"queue_depth_sampled", func(ss *StationSnapshot) *HistSummaryRef {
-			return &HistSummaryRef{ss.QueueDepth.Count, ss.QueueDepth.Sum, ss.QueueDepth.P50, ss.QueueDepth.P90, ss.QueueDepth.P99}
-		}},
-		{"batch_size", func(ss *StationSnapshot) *HistSummaryRef {
-			return &HistSummaryRef{ss.BatchSize.Count, ss.BatchSize.Sum, ss.BatchSize.P50, ss.BatchSize.P90, ss.BatchSize.P99}
-		}},
-	} {
-		fmt.Fprintf(w, "# TYPE spinstreams_station_%s summary\n", h.name)
-		for i := range s.Stations {
-			ss := &s.Stations[i]
-			v := h.get(ss)
-			if v.Count == 0 {
-				continue
-			}
-			labels := promLabels(ss)
-			for _, q := range []struct {
-				q string
-				v float64
-			}{{"0.5", v.P50}, {"0.9", v.P90}, {"0.99", v.P99}} {
-				fmt.Fprintf(w, "spinstreams_station_%s{%s,quantile=%q} %g\n", h.name, labels, q.q, q.v)
-			}
-			fmt.Fprintf(w, "spinstreams_station_%s_sum{%s} %d\n", h.name, labels, v.Sum)
-			fmt.Fprintf(w, "spinstreams_station_%s_count{%s} %d\n", h.name, labels, v.Count)
-		}
-	}
 	if len(s.Edges) > 0 {
 		for _, m := range []struct {
 			name, typ string
@@ -138,13 +101,6 @@ func (s *Snapshot) WritePrometheus(w io.Writer) {
 			}
 		}
 	}
-}
-
-// HistSummaryRef is the slice of a histogram summary the Prometheus
-// exposition needs.
-type HistSummaryRef struct {
-	Count, Sum    uint64
-	P50, P90, P99 float64
 }
 
 // promLabels renders the station label set.

@@ -7,7 +7,6 @@ import (
 	"spinstreams/internal/core"
 	"spinstreams/internal/obs"
 	"spinstreams/internal/profiler"
-	"spinstreams/internal/stats"
 )
 
 // driftPipeline builds a small topology where the deployed profile says
@@ -147,21 +146,15 @@ func TestReoptimizeErrors(t *testing.T) {
 }
 
 // TestDriftReportCarriesProfiles checks the obs side of the loop: a
-// report built from a snapshot exposes the measured profiles and the
-// replication degrees Reoptimize diffs against.
+// report built from measured rates and profiles exposes the profiles and
+// the replication degrees Reoptimize diffs against.
 func TestDriftReportCarriesProfiles(t *testing.T) {
 	topo := driftPipeline()
-	snap := &obs.Snapshot{Stations: []obs.StationSnapshot{
-		{StationInfo: obs.StationInfo{Name: "source", Op: 0, Role: "source", Source: true},
-			Emitted: 1000,
-			Service: stats.HistogramSummary{Sum: 1_000_000_000, Count: 1000}},
-		{StationInfo: obs.StationInfo{Name: "map", Op: 1, Role: "worker"},
-			Consumed: 1000, Arrived: 1000, Emitted: 1000,
-			Service: stats.HistogramSummary{Sum: 2_500_000_000, Count: 1000}},
-		{StationInfo: obs.StationInfo{Name: "sink", Op: 2, Role: "worker", Sink: true},
-			Consumed: 1000, Arrived: 1000,
-			Service: stats.HistogramSummary{Sum: 100_000_000, Count: 1000}},
-	}}
+	profiles := []profiler.Profile{
+		{ServiceTime: 1e-3, Emitted: 1000, InputSelectivity: 1},
+		{ServiceTime: 2.5e-3, Consumed: 1000, Emitted: 1000, Gain: 1, InputSelectivity: 1, OutputSelectivity: 1},
+		{ServiceTime: 1e-4, Consumed: 1000, InputSelectivity: 1},
+	}
 	m := &obs.MeasuredRates{
 		Seconds:    1,
 		Departure:  []float64{1000, 400, 0},
@@ -170,7 +163,7 @@ func TestDriftReportCarriesProfiles(t *testing.T) {
 		Consumed:   []float64{1000, 400, 400},
 		Throughput: 1000,
 	}
-	rep, err := obs.DriftFrom(topo, []int{1, 1, 1}, m, snap)
+	rep, err := obs.DriftFromProfiles(topo, []int{1, 1, 1}, m, profiles, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -61,12 +61,16 @@ func (r *AutotuneReport) Applied() int {
 // applied delta is recorded as a live_apply step on the re-optimization's
 // rewrite trace (and as a standalone trace in the round), so provenance
 // replay covers live runs. The loop needs a controller started with
-// StartTopology and returns after Rounds iterations, a context cancel, or
-// the first error; the topology keeps running either way (call Stop for
-// metrics).
+// StartTopology and Config.Estimator (the measured profiles it
+// re-optimizes on come from the online estimator), and returns after
+// Rounds iterations, a context cancel, or the first error; the topology
+// keeps running either way (call Stop for metrics).
 func (c *Controller) Autotune(ctx context.Context, o AutotuneOptions) (*AutotuneReport, error) {
 	if c.topo == nil {
 		return nil, errors.New("runtime: Autotune needs a controller started with StartTopology")
+	}
+	if !c.e.cfg.Estimator {
+		return nil, errors.New("runtime: Autotune re-optimizes on estimator profiles; set Config.Estimator")
 	}
 	interval := o.Interval
 	if interval <= 0 {
@@ -83,12 +87,9 @@ func (c *Controller) Autotune(ctx context.Context, o AutotuneOptions) (*Autotune
 			return rep, nil
 		}
 		c.beginWindow()
-		if c.e.est != nil {
-			c.e.est.BeginWindow()
-		}
 		sleepCtx(ctx, interval)
 		c.e.reg.MarkWindowEnd()
-		dr, err := c.measureRound()
+		dr, err := obs.Drift(c.topo, c.Replicas(), c.e.reg)
 		if err != nil {
 			return rep, err
 		}
@@ -115,19 +116,4 @@ func (c *Controller) Autotune(ctx context.Context, o AutotuneOptions) (*Autotune
 		}
 	}
 	return rep, nil
-}
-
-// measureRound builds one round's drift report: from the online estimator
-// when Config.Estimator is set (occupancy-derived rates and profiles with
-// confidence weights, no timed probes), from the registry's window marks
-// and probe histograms otherwise.
-func (c *Controller) measureRound() (*obs.DriftReport, error) {
-	if c.e.est == nil {
-		return obs.Drift(c.topo, c.Replicas(), c.e.reg)
-	}
-	m, err := c.e.est.Measure()
-	if err != nil {
-		return nil, err
-	}
-	return obs.DriftFromProfiles(c.topo, c.Replicas(), m.Rates, m.Profiles, m.Confidence)
 }

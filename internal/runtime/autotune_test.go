@@ -16,8 +16,8 @@ import (
 // whatever the model declares: the drift injection for autotune tests.
 type slowOp struct{ d time.Duration }
 
-func (s *slowOp) Name() string           { return "slow" }
-func (s *slowOp) Meta() operators.Meta   { return operators.Meta{Kind: core.KindStateless} }
+func (s *slowOp) Name() string              { return "slow" }
+func (s *slowOp) Meta() operators.Meta      { return operators.Meta{Kind: core.KindStateless} }
 func (s *slowOp) Clone() operators.Operator { return &slowOp{d: s.d} }
 
 func (s *slowOp) Process(in operators.Tuple, emit operators.Emit) {
@@ -27,20 +27,16 @@ func (s *slowOp) Process(in operators.Tuple, emit operators.Emit) {
 
 // TestControllerAutotuneEndToEnd closes the paper's autonomic loop live:
 // a deployment whose hot operator runs 3x slower than declared is
-// measured, re-optimized, and rescaled in-flight — no restart — after
-// which the measured throughput recovers and the applied delta's
-// provenance trace replays cleanly under the linter.
+// measured by the online estimator, re-optimized, and rescaled in-flight —
+// no restart — after which the measured throughput recovers and the
+// applied delta's provenance trace replays cleanly under the linter. Every
+// round's drift report carries the estimator's confidences: its profiles
+// are strong enough to drive reoptimization, not just to report drift.
 func TestControllerAutotuneEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second autonomic loop")
 	}
-	model := core.NewTopology()
-	src := model.MustAddOperator(core.Operator{Name: "source", Kind: core.KindSource, ServiceTime: 2e-3})
-	hot := model.MustAddOperator(core.Operator{Name: "hot", Kind: core.KindStateless, ServiceTime: 1e-3})
-	sink := model.MustAddOperator(core.Operator{Name: "sink", Kind: core.KindSink, ServiceTime: 0.2e-3})
-	model.MustConnect(src, hot, 1)
-	model.MustConnect(hot, sink, 1)
-
+	model, hot := autotuneModel()
 	// Declared: 1ms (rho 0.5 at the 500/s source). Deployed: 3ms.
 	binding := &Binding{Ops: map[core.OpID]operators.Operator{
 		hot: &slowOp{d: 3 * time.Millisecond},
@@ -51,6 +47,7 @@ func TestControllerAutotuneEndToEnd(t *testing.T) {
 		Warmup:              300 * time.Millisecond,
 		ReconfigStallBudget: 5 * time.Second,
 		Obs:                 reg,
+		Estimator:           true,
 	}
 	c, err := StartTopology(model, nil, binding, cfg)
 	if err != nil {
@@ -65,6 +62,11 @@ func TestControllerAutotuneEndToEnd(t *testing.T) {
 	}
 	if rep.Applied() < 1 {
 		t.Fatalf("autotune applied no delta in %d rounds", len(rep.Rounds))
+	}
+	for i := range rep.Rounds {
+		if dr := rep.Rounds[i].Drift; dr == nil || dr.ProfileConfidence == nil {
+			t.Errorf("round %d: drift report missing estimator confidences", i)
+		}
 	}
 	var applied *AutotuneRound
 	for i := range rep.Rounds {
@@ -119,37 +121,31 @@ func TestControllerAutotuneEndToEnd(t *testing.T) {
 }
 
 // TestAutotuneEstimatorProbeFree closes the same autonomic loop with
-// Config.Estimator: the drift that drives each round comes from
-// occupancy-sampled service-rate estimates, and no timed probe may run —
-// after the loop, every station's Service histogram must be empty (the
-// probe path is the only writer). The misdeclared hot operator must still
-// be caught and rescaled in-flight, proving the estimator's profiles are
-// strong enough to drive reoptimization, not just to report drift.
+// Config.Estimator and no bound Config.Obs: no counters are exported and
+// nothing is timed per tuple, so the occupancy sampler on the run's own
+// registry is the only measurement. The misdeclared hot operator must still
+// be caught and rescaled in-flight, proving the estimator's profiles alone
+// are strong enough to drive reoptimization, not just to report drift.
 func TestAutotuneEstimatorProbeFree(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second autonomic loop")
 	}
-	model := core.NewTopology()
-	src := model.MustAddOperator(core.Operator{Name: "source", Kind: core.KindSource, ServiceTime: 2e-3})
-	hot := model.MustAddOperator(core.Operator{Name: "hot", Kind: core.KindStateless, ServiceTime: 1e-3})
-	sink := model.MustAddOperator(core.Operator{Name: "sink", Kind: core.KindSink, ServiceTime: 0.2e-3})
-	model.MustConnect(src, hot, 1)
-	model.MustConnect(hot, sink, 1)
-
+	model, hot := autotuneModel()
 	binding := &Binding{Ops: map[core.OpID]operators.Operator{
 		hot: &slowOp{d: 3 * time.Millisecond},
 	}}
-	reg := obs.New()
 	cfg := Config{
 		Seed:                37,
 		Warmup:              300 * time.Millisecond,
 		ReconfigStallBudget: 5 * time.Second,
-		Obs:                 reg,
 		Estimator:           true,
 	}
 	c, err := StartTopology(model, nil, binding, cfg)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if c.Registry().Estimator() == nil {
+		t.Fatal("Config.Estimator without Config.Obs installed no estimator on the run's registry")
 	}
 	rep, err := c.Autotune(context.Background(), AutotuneOptions{
 		Interval: 700 * time.Millisecond,
@@ -163,22 +159,41 @@ func TestAutotuneEstimatorProbeFree(t *testing.T) {
 	}
 	for i := range rep.Rounds {
 		if dr := rep.Rounds[i].Drift; dr == nil || dr.ProfileConfidence == nil {
-			t.Errorf("round %d: drift report missing estimator confidences (probe path used?)", i)
+			t.Errorf("round %d: drift report missing estimator confidences", i)
 		}
 	}
 	if got := c.Replicas()[hot]; got < 2 {
 		t.Errorf("hot replicas = %d, want >= 2 after estimator-driven autotune", got)
 	}
 	m := mustStop(t, c)
-	// Zero timed probes: the Service histograms have exactly one writer —
-	// the probe sampler — and Config.Estimator must have disabled it.
-	for _, ss := range reg.Snapshot().Stations {
-		if ss.Service.Count != 0 {
-			t.Errorf("station %s recorded %d timed probes; estimator mode must be probe-free", ss.Name, ss.Service.Count)
-		}
-	}
 	if m.Throughput < 370 {
 		t.Errorf("post-apply throughput = %.1f/s, want > 370/s (pre-apply ceiling ~333/s)", m.Throughput)
 	}
 	checkConserved(t, m)
+}
+
+// TestAutotuneRequiresEstimator pins the refusal: without Config.Estimator
+// there are no measured profiles to re-optimize on, so the loop fails
+// before it measures anything.
+func TestAutotuneRequiresEstimator(t *testing.T) {
+	model, _ := autotuneModel()
+	c, err := StartTopology(model, nil, nil, Config{Seed: 1, Obs: obs.New()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mustStop(t, c)
+	if _, err := c.Autotune(context.Background(), AutotuneOptions{}); err == nil || !strings.Contains(err.Error(), "Config.Estimator") {
+		t.Errorf("Autotune without the estimator: err = %v, want a Config.Estimator refusal", err)
+	}
+}
+
+// autotuneModel is source -> hot -> sink with hot declared at 1 ms.
+func autotuneModel() (*core.Topology, core.OpID) {
+	model := core.NewTopology()
+	src := model.MustAddOperator(core.Operator{Name: "source", Kind: core.KindSource, ServiceTime: 2e-3})
+	hot := model.MustAddOperator(core.Operator{Name: "hot", Kind: core.KindStateless, ServiceTime: 1e-3})
+	sink := model.MustAddOperator(core.Operator{Name: "sink", Kind: core.KindSink, ServiceTime: 0.2e-3})
+	model.MustConnect(src, hot, 1)
+	model.MustConnect(hot, sink, 1)
+	return model, hot
 }

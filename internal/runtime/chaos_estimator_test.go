@@ -65,7 +65,7 @@ func TestEstimatorAcrossReconfig(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	est := c.Estimator()
+	est := c.Registry().Estimator()
 	if est == nil {
 		t.Fatal("Config.Estimator set but controller has no estimator")
 	}
@@ -142,7 +142,7 @@ func TestEstimatorChaosReconfig(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	est := c.Estimator()
+	est := c.Registry().Estimator()
 	est.BeginWindow()
 	for i, chg := range []opt.ReplicaChange{
 		{Operator: "sB", From: 1, To: 3},

@@ -41,9 +41,8 @@ func chaosRun(t *testing.T, mode mailbox.Mode, inj *faultinject.Injector, maxRes
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Every chaos run binds a caller-style registry, so the sampled
-	// instrumentation paths (histograms, probes) are exercised under
-	// faults and the registry's recomputed totals can be cross-checked.
+	// Every chaos run binds a caller-style registry, so the registry's
+	// recomputed totals can be cross-checked under faults.
 	cfg := Config{
 		Seed:             7,
 		Duration:         500 * time.Millisecond,
@@ -274,8 +273,8 @@ func (c *countingTracer) OnRestart(_ int, _ uint64) { c.restarts.Add(1) }
 func (c *countingTracer) OnDegrade(_ int)           { c.degrades.Add(1) }
 
 // TestChaosTracerLifecycle runs a panicking schedule with a tracer
-// attached and checks the hook contract: an installed tracer forces full
-// (unsampled) service accounting, so the tuples seen via OnServe equal
+// attached and checks the hook contract: an installed tracer makes every
+// station time every tuple it serves, so the tuples seen via OnServe equal
 // the registry's consumed total, every injected restart and degradation
 // surfaces through the hooks, and emit accounting covers both admitted
 // and shed tuples.
@@ -324,8 +323,8 @@ func TestChaosTracerLifecycle(t *testing.T) {
 			checkConservation(t, m)
 			checkRegistryConservation(t, m, reg)
 
-			// A tracer forces full (unsampled) service accounting, so
-			// OnServe must cover every successfully served tuple. Tuples a
+			// A tracer makes the stations time every tuple, so OnServe
+			// must cover every successfully served tuple. Tuples a
 			// panic or degradation counted as consumed never reach OnServe:
 			// per-tuple that is exactly the failed bucket; batched epochs
 			// additionally lose the partially-processed batch in hand
@@ -341,7 +340,7 @@ func TestChaosTracerLifecycle(t *testing.T) {
 			}
 			slack := failed + uint64(cfg.Batch)*(m.Restarts+uint64(m.Degraded))
 			if consumed-served > slack {
-				t.Errorf("OnServe saw %d of %d consumed tuples; gap %d exceeds panic-loss bound %d (sampling not disabled?)",
+				t.Errorf("OnServe saw %d of %d consumed tuples; gap %d exceeds panic-loss bound %d (tuples served untimed?)",
 					served, consumed, consumed-served, slack)
 			}
 			if served == 0 {

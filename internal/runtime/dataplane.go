@@ -129,9 +129,9 @@ func (o *outbox) deliver() bool {
 // Each epoch binds its operator instance through the lifecycle seam: a
 // pause presets the live instance so state survives the park, a restart
 // binds a fresh one so a panic cannot resurrect state it may have
-// corrupted. Operator execution, pacing, service timing, routing
-// decisions and shedding are all per tuple; queue synchronization and
-// counter updates are amortized over the window.
+// corrupted. Operator execution, pacing, tracer timing, routing decisions
+// and shedding are all per tuple; queue synchronization and counter
+// updates are amortized over the window.
 func (e *engine) stationEpoch(tb *tables, st *plan.Station, ctl *stationCtl, rng *stats.RNG) (clean bool) {
 	exec, selfPaced, inst, minst := e.bindStation(st, ctl)
 	pace := newPacer(st.ServiceTime)
@@ -143,7 +143,7 @@ func (e *engine) stationEpoch(tb *tables, st *plan.Station, ctl *stationCtl, rng
 	stop := ctl.stopCh()
 	sink := len(st.Out) == 0
 	fl := tb.stFaults[st.ID]
-	pr := e.newProbe(tb, st.ID)
+	traced := len(e.tracers) != 0
 	out := e.newOutbox(tb, st, rng)
 	outs := make([]routed, 0, 8)
 	// n is the size of the window in hand (0 between windows), k the
@@ -195,14 +195,16 @@ func (e *engine) stationEpoch(tb *tables, st *plan.Station, ctl *stationCtl, rng
 			return true
 		}
 		n = len(win)
-		if pr != nil {
-			pr.onReceive(n)
+		for _, t := range e.tracers {
+			t.OnReceive(int(st.ID), n)
 		}
 		sent := true
 		switch {
 		case sinkWhole:
 			self.Emitted.Add(uint64(n))
-			pr.onEmit(n)
+			if traced {
+				e.fireEmit(st.ID, n)
+			}
 		case forwardWhole:
 			for i := range win {
 				win[i].Port = st.Out[0].Port
@@ -210,9 +212,8 @@ func (e *engine) stationEpoch(tb *tables, st *plan.Station, ctl *stationCtl, rng
 			sent = e.sendManyFn(st.ID, 0, &st.Out[0], win)
 		default:
 			for k = 0; k < n; k++ {
-				sampleSvc := pr.sampleService()
 				var started time.Time
-				if usePace || sampleSvc {
+				if usePace || traced {
 					started = time.Now()
 				}
 				if fl != nil {
@@ -223,13 +224,15 @@ func (e *engine) stationEpoch(tb *tables, st *plan.Station, ctl *stationCtl, rng
 				if usePace {
 					pace.wait(started)
 				}
-				if sampleSvc {
-					pr.onServe(started)
+				if traced {
+					e.fireServe(st.ID, started)
 				}
 				if sink {
 					// Sink: results leave the system.
 					self.Emitted.Add(uint64(len(outs)))
-					pr.onEmit(len(outs))
+					if traced && len(outs) > 0 {
+						e.fireEmit(st.ID, len(outs))
+					}
 					if e.cfg.OnSink != nil {
 						for _, o := range outs {
 							e.cfg.OnSink(st.Op, o.tuple)
@@ -283,7 +286,7 @@ func (e *engine) sourceRing(tb *tables, st *plan.Station) *mailbox.Mailbox[opera
 func (e *engine) runSource(tb *tables, st *plan.Station, ctl *stationCtl, rng *stats.RNG) {
 	pace := newPacer(st.ServiceTime)
 	usePace := !e.cfg.NoServicePadding
-	pr := e.newProbe(tb, st.ID)
+	traced := len(e.tracers) != 0
 	stop := ctl.stopCh()
 	gen := e.cfg.Generator
 	self := tb.st[st.ID]
@@ -310,16 +313,16 @@ func (e *engine) runSource(tb *tables, st *plan.Station, ctl *stationCtl, rng *s
 		for n < len(win) {
 			t := &win[n]
 			// The clocked episode is a branch of its own so the unpaced,
-			// unprobed fill stays a bare NextInto: written as one
+			// untraced fill stays a bare NextInto: written as one
 			// straight-line body the loop generated ~8% fewer tuples/s.
-			if sampleSvc := pr.sampleService(); usePace || sampleSvc {
+			if usePace || traced {
 				started := time.Now()
 				gen.NextInto(t)
 				if usePace {
 					pace.wait(started)
 				}
-				if sampleSvc {
-					pr.onServe(started)
+				if traced {
+					e.fireServe(st.ID, started)
 				}
 				if n == 0 {
 					opened = started

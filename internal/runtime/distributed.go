@@ -16,7 +16,6 @@ import (
 	"spinstreams/internal/obs"
 	"spinstreams/internal/operators"
 	"spinstreams/internal/plan"
-	"spinstreams/internal/stats"
 )
 
 // errShutdown refuses a connection dialled or accepted while the run is
@@ -141,12 +140,13 @@ func RunDistributed(ctx context.Context, p *plan.Plan, binding *Binding, cfg Dis
 		sendDeadline: cfg.SendDeadline,
 	}
 	d.sendManyFn = d.sendMany
+	d.settleTransport = d.settle
 
 	if err := d.connect(); err != nil {
 		d.shutdownTransport()
 		return nil, err
 	}
-	return d.run(ctx)
+	return d.execute(ctx)
 }
 
 // distEngine extends the local engine with the TCP data plane.
@@ -654,37 +654,16 @@ func (d *distEngine) sendMany(from plan.StationID, edgeIdx int, edge *plan.Edge,
 	return ok
 }
 
-// run starts the actors and measures, mirroring the local engine, then
-// stops stations and transport together.
-func (d *distEngine) run(ctx context.Context) (*Metrics, error) {
-	rng := stats.NewRNG(d.cfg.Seed + 0x517c)
-	for i := range d.tab().p.Stations {
-		d.spawnStation(plan.StationID(i), rng.Uint64(), nil, nil)
-	}
-	sleepCtx(ctx, d.cfg.Warmup)
-	snap1 := d.snapshotAll()
-	d.reg.MarkWindowBegin()
-	start := time.Now()
-	sleepCtx(ctx, d.cfg.Duration-d.cfg.Warmup)
-	snap2 := d.snapshotAll()
-	d.reg.MarkWindowEnd()
-	window := time.Since(start).Seconds()
-	close(d.done)
-	d.interruptStations()
+// settle stops the data plane once every station has exited. What a
+// station queued for a writer that never wrote it is abandoned at the
+// station; what was written and never admitted is the network's loss,
+// which it returns.
+func (d *distEngine) settle() (lost uint64) {
 	d.shutdownTransport()
-	d.wg.Wait()
-	// Drain-on-shutdown: every producer is gone. What a station queued
-	// for a writer that never wrote it is abandoned at the station; what
-	// sits in mailboxes is drained; what was written and never admitted
-	// is the network's loss.
 	tb := d.tab()
-	var lost uint64
 	for _, e := range d.edges {
 		tb.st[e.from].Abandoned.Add(uint64(e.queue.Drain()))
 		lost += e.stats.Wrote.Load() - e.stats.Acked.Load()
 	}
-	d.drainMailboxes()
-	m := d.buildMetrics(window, snap1, snap2)
-	m.Totals.Abandoned += lost
-	return m, nil
+	return lost
 }

@@ -7,11 +7,11 @@ import (
 )
 
 // Online estimator sampling (Config.Estimator): one engine-owned goroutine
-// wakes every EstimatorInterval, reads each station's mailbox occupancy
+// wakes every estimatorInterval, reads each station's mailbox occupancy
 // (an atomic depth the dataplane already accounts) and cumulative
 // counters, derives the regime signal, and feeds the tick into the
-// obs.Estimator. No per-tuple work: the dataplane hot paths are untouched,
-// which is what lets the estimator replace the 1-in-128 timed probes.
+// registry's obs.Estimator. No per-tuple work: the dataplane hot paths are
+// untouched.
 //
 // Lifecycle: the sampler reads whatever tables the engine currently
 // publishes, so a mid-run ApplyDelta is handled naturally — stations are
@@ -21,18 +21,21 @@ import (
 // WaitGroup and exits on the engine-wide done close, before mailboxes are
 // drained.
 
-// startEstimator starts the occupancy sampler when Config.Estimator is
-// set; idempotent per engine (called from startStations).
+// estimatorInterval is the occupancy sampling period.
+const estimatorInterval = time.Millisecond
+
+// startEstimator installs an estimator on the run's registry and starts
+// the occupancy sampler when Config.Estimator is set.
 func (e *engine) startEstimator() {
-	if !e.cfg.Estimator || e.est != nil {
+	if !e.cfg.Estimator {
 		return
 	}
-	e.est = obs.NewEstimator(obs.EstimatorConfig{})
-	interval := e.cfg.EstimatorInterval
+	est := obs.NewEstimator(obs.EstimatorConfig{})
+	e.reg.SetEstimator(est)
 	e.wg.Add(1)
 	go func() {
 		defer e.wg.Done()
-		ticker := time.NewTicker(interval)
+		ticker := time.NewTicker(estimatorInterval)
 		defer ticker.Stop()
 		last := time.Now()
 		var buf []obs.StationSample
@@ -49,7 +52,7 @@ func (e *engine) startEstimator() {
 				buf = e.sampleStations(buf[:0])
 				// The only error is a shrinking station set, which the
 				// append-only epoch tables rule out.
-				_ = e.est.Observe(dt, buf)
+				_ = est.Observe(dt, buf)
 			}
 		}
 	}()
@@ -89,7 +92,3 @@ func (e *engine) sampleStations(buf []obs.StationSample) []obs.StationSample {
 	}
 	return buf
 }
-
-// Estimator exposes the run's online estimator (nil unless
-// Config.Estimator was set).
-func (c *Controller) Estimator() *obs.Estimator { return c.e.est }

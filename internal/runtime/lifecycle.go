@@ -232,11 +232,16 @@ func (e *engine) interruptStations() {
 
 // shutdown stops every station (the engine-wide done close aborts
 // blocked sends, the per-station stop closes interrupt receives), waits
-// for them, and drains the mailboxes so every surviving tuple is
-// accounted.
-func (e *engine) shutdown() {
+// for them, settles the transport, and drains the mailboxes so every
+// surviving tuple is accounted. It returns the tuples the transport lost
+// in flight.
+func (e *engine) shutdown() (lost uint64) {
 	close(e.done)
 	e.interruptStations()
 	e.wg.Wait()
+	if e.settleTransport != nil {
+		lost = e.settleTransport()
+	}
 	e.drainMailboxes()
+	return lost
 }

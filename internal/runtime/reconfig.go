@@ -48,9 +48,8 @@ type Controller struct {
 	// reconfiguration-stall benchmark.
 	stalls []time.Duration
 	seeds  *stats.RNG
-	// snap1/winStart bracket the current measurement window.
-	snap1    counterSnapshot
-	winStart time.Time
+	// win is the current measurement window.
+	win measureWindow
 }
 
 // ApplyReport summarizes one ApplyDelta.
@@ -149,9 +148,7 @@ func (c *Controller) Stalls() []time.Duration {
 func (c *Controller) beginWindow() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.snap1 = c.e.snapshotAll()
-	c.e.reg.MarkWindowBegin()
-	c.winStart = time.Now()
+	c.win = c.e.beginWindow()
 }
 
 // Stop shuts the engine down and reports metrics. Rates cover the window
@@ -163,13 +160,9 @@ func (c *Controller) Stop() (*Metrics, error) {
 		return nil, errors.New("runtime: controller already stopped")
 	}
 	c.stopped = true
-	snap1, winStart := c.snap1, c.winStart
+	win := c.win
 	c.mu.Unlock()
-	snap2 := c.e.snapshotAll()
-	c.e.reg.MarkWindowEnd()
-	window := time.Since(winStart).Seconds()
-	c.e.shutdown()
-	return c.e.buildMetrics(window, snap1, snap2), nil
+	return c.e.stop(win), nil
 }
 
 // ApplyDelta applies a re-optimization delta to the running topology.

@@ -128,31 +128,27 @@ type Config struct {
 	// Controller.Autotune round: measure for the interval, re-optimize on
 	// the drift report, apply the delta, repeat. Default 2s.
 	AutotuneInterval time.Duration
-	// Estimator enables probe-free online service-rate estimation (Beard &
-	// Chamberlain): a sampler goroutine reads every mailbox's occupancy and
-	// the station counters each EstimatorInterval, classifies regimes
-	// (idle/busy/blocked-downstream) and reconstructs non-blocking service
-	// rates without any timed probes — the per-tuple timing instrumentation
-	// is switched off entirely. Controller.Autotune then adapts from
-	// estimator measurements (obs.Estimator.Measure → obs.DriftFromProfiles)
-	// instead of probe histograms.
+	// Estimator enables online service-rate estimation (Beard &
+	// Chamberlain), the only source of measured profiles: a sampler
+	// goroutine reads every mailbox's occupancy and the station counters
+	// each millisecond, classifies regimes (idle/busy/blocked-downstream)
+	// and reconstructs non-blocking service rates without timing a single
+	// tuple. The estimator lives on the run's registry (Obs, or a private
+	// one), whose window marks bracket its windows; obs.Drift reads its
+	// profiles, and Controller.Autotune requires it.
 	Estimator bool
-	// EstimatorInterval is the occupancy sampling period (default 1ms).
-	// Only meaningful with Estimator set.
-	EstimatorInterval time.Duration
 	// Faults, when non-nil, injects that deterministic fault schedule
 	// into the run: per-tuple operator slowdowns and panics, per-send
 	// delays, and — under the distributed engine — connection resets.
 	// Build a fresh injector per run (see internal/faultinject).
 	Faults *faultinject.Injector
-	// Obs, when non-nil, binds the run to that observability registry:
-	// its Snapshot/HTTP endpoints see the live counters, its tracers fire
-	// at station lifecycle points, and sampled histograms (service time,
-	// inter-arrival, queue depth, batch size) are recorded. When nil the
-	// engine still routes every counter through a private registry — the
-	// single accounting path Metrics is a view over — but skips the timed
-	// sampling, so the uninstrumented hot path stays unchanged. A registry
-	// serves one run at a time (the run rebinds and resets it).
+	// Obs, when non-nil, binds the run to that observability registry: its
+	// Snapshot/HTTP endpoints see the live counters and its tracers fire at
+	// station lifecycle points. When nil the engine still routes every
+	// counter through a private registry — the single accounting path
+	// Metrics is a view over. Binding a registry adds no per-tuple work;
+	// only attached tracers do. A registry serves one run at a time (the
+	// run rebinds and resets it).
 	Obs *obs.Registry
 }
 
@@ -215,12 +211,6 @@ func (c Config) withDefaults() (Config, error) {
 	}
 	if c.AutotuneInterval == 0 {
 		c.AutotuneInterval = 2 * time.Second
-	}
-	if c.EstimatorInterval < 0 {
-		return c, fmt.Errorf("runtime: negative EstimatorInterval %v", c.EstimatorInterval)
-	}
-	if c.EstimatorInterval == 0 {
-		c.EstimatorInterval = time.Millisecond
 	}
 	if c.Generator == nil {
 		g, err := operators.NewGenerator(operators.GeneratorConfig{Seed: c.Seed + 1})
@@ -359,15 +349,14 @@ type engine struct {
 	// chase per atomic add. When the caller didn't supply a registry, reg
 	// is private.
 	reg *obs.Registry
-	// tracers are the registry's lifecycle hooks, fetched once; sample
-	// enables the timed histogram instrumentation (caller-supplied
-	// registry only — see Config.Obs; the online estimator disables it:
-	// probe-free means no per-tuple timing at all).
+	// tracers are the registry's lifecycle hooks, fetched once; while any
+	// is attached the stations time every tuple for OnServe.
 	tracers []obs.Tracer
-	sample  bool
-	// est is the online service-rate estimator (Config.Estimator); its
-	// sampler goroutine starts with the stations and stops at shutdown.
-	est *obs.Estimator
+	// settleTransport, set by the distributed engine, stops a transport
+	// that holds tuples outside the mailboxes once every station has
+	// exited, accounts what it still holds, and returns the tuples lost in
+	// flight; the mailbox drain runs after it.
+	settleTransport func() (lost uint64)
 }
 
 // newEngine validates the binding (nil binds nothing) and allocates the
@@ -384,7 +373,6 @@ func newEngine(p *plan.Plan, binding *Binding, cfg Config) (*engine, error) {
 		binding: binding,
 		done:    make(chan struct{}),
 		reg:     cfg.Obs,
-		sample:  cfg.Obs != nil && !cfg.Estimator,
 	}
 	if e.reg == nil {
 		e.reg = obs.New()
@@ -446,14 +434,7 @@ func (e *engine) allocStations(p *plan.Plan, inboxes []*mailbox.Mailbox[operator
 	}
 	infos := make([]obs.StationInfo, len(added))
 	for i := range added {
-		st := &added[i]
-		infos[i] = obs.StationInfo{
-			Name:   st.Name,
-			Role:   st.Role.String(),
-			Op:     int(st.Op),
-			Source: st.Role == plan.RoleSource,
-			Sink:   len(st.Out) == 0,
-		}
+		infos[i] = obs.InfoOf(&added[i])
 		m, err := newInbox(e.cfg, fanIn[from+i])
 		if err != nil {
 			return nil, fmt.Errorf("station %d: %w", from+i, err)
@@ -515,131 +496,18 @@ func (e *engine) localSendMany(from plan.StationID, edgeIdx int, edge *plan.Edge
 	return ok
 }
 
-// probe carries one station's timed instrumentation: histogram samples
-// (service time, inter-arrival, queue depth, batch size) and the tracer
-// lifecycle hooks. A nil probe — the default when no caller-supplied
-// registry is configured — is safe to call and does nothing, so the hot
-// loops pay only a static call with a nil check when observability is off.
-type probe struct {
-	st      *obs.Station
-	inbox   *mailbox.Mailbox[operators.Tuple]
-	tracers []obs.Tracer
-	id      int
-	// traced gates the per-event tracer hooks; when set, every event takes
-	// the slow path and service timing covers every tuple.
-	traced bool
-	// last is the previous sampled receive event; pending counts tuples
-	// arrived since then, so the mean inter-arrival gap stays exact under
-	// subsampling.
-	last    time.Time
-	pending uint64
-	// events and served drive the subsampled histogram records; flushed
-	// remembers the events value at the last Receives flush, so the hot
-	// path never touches the shared atomic and the Receives counter trails
-	// live reads by at most one sampling period.
-	events, served, flushed uint64
-}
-
-// sampleMask subsamples the timed instrumentation 1-in-128: dense enough
-// that every station records a service sample on its first tuple (the
-// mask fires at event 1) and a drift window still collects several
-// samples per operator, sparse enough that the amortized
-// histogram-and-clock cost stays small (bench/ reports it as
-// obs.overhead_pct).
-const sampleMask = 127
-
-// newProbe returns a probe for the station, or nil when timed sampling is
-// off (Config.Obs == nil).
-func (e *engine) newProbe(tb *tables, id plan.StationID) *probe {
-	if !e.sample {
-		return nil
-	}
-	return &probe{
-		st:      tb.st[id],
-		inbox:   tb.mailboxes[id],
-		tracers: e.tracers,
-		traced:  len(e.tracers) > 0,
-		id:      int(id),
-	}
-}
-
-// onReceive records one receive event of n tuples. Unlike the other probe
-// methods it is NOT nil-safe — callers guard — to keep the hot path
-// inline-sized: two probe-local increments and a mask test, with
-// everything shared (the Receives counter flush, tracer hooks, histogram
-// records) deferred to onReceiveSlow on sampled or traced events.
-func (p *probe) onReceive(n int) {
-	p.pending += uint64(n)
-	p.events++
-	if p.traced || p.events&sampleMask == 1 {
-		p.onReceiveSlow(n)
-	}
-}
-
-// onReceiveSlow fires the OnReceive hooks and — on sampled events —
-// flushes the receive-event counter and records inter-arrival time (mean
-// gap per tuple since the previous sample), queue depth and batch size.
-func (p *probe) onReceiveSlow(n int) {
-	for _, t := range p.tracers {
-		t.OnReceive(p.id, n)
-	}
-	if p.events&sampleMask != 1 {
-		return
-	}
-	p.st.Receives.Add(p.events - p.flushed)
-	p.flushed = p.events
-	now := time.Now()
-	if !p.last.IsZero() && p.pending > 0 {
-		gap := uint64(now.Sub(p.last).Nanoseconds()) / p.pending
-		p.st.InterArrival.RecordN(gap, p.pending)
-	}
-	p.last = now
-	p.pending = 0
-	p.st.QueueDepth.Record(uint64(p.inbox.Queued()))
-	p.st.BatchSize.Record(uint64(n))
-}
-
-// sampleService reports whether this tuple's service episode should be
-// timed: every 128th tuple, or every tuple while tracers are attached.
-// Episodes are per tuple on every transport — one operator call plus its
-// padding, never the delivery — so a service-rate observation means the
-// same thing whatever the window size.
-func (p *probe) sampleService() bool {
-	if p == nil {
-		return false
-	}
-	p.served++
-	return p.traced || p.served&sampleMask == 1
-}
-
-// onServe records one tuple's timed service episode.
-func (p *probe) onServe(started time.Time) {
+// fireServe fires OnServe for one tuple whose service began at started;
+// stations call it only while tracers are attached, so the clock reads it
+// needs cost nothing otherwise.
+func (e *engine) fireServe(id plan.StationID, started time.Time) {
 	elapsed := time.Since(started)
-	p.st.Service.Record(uint64(elapsed.Nanoseconds()))
-	for _, t := range p.tracers {
-		t.OnServe(p.id, 1, elapsed)
+	for _, t := range e.tracers {
+		t.OnServe(int(id), 1, elapsed)
 	}
 }
 
-// onEmit fires the OnEmit hook for n tuples leaving a sink. The untraced
-// hot path is a single inlined flag test.
-func (p *probe) onEmit(n int) {
-	if p == nil || !p.traced || n == 0 {
-		return
-	}
-	p.onEmitSlow(n)
-}
-
-//go:noinline
-func (p *probe) onEmitSlow(n int) {
-	for _, t := range p.tracers {
-		t.OnEmit(p.id, n)
-	}
-}
-
-// fireEmit fires OnEmit for tuples leaving a station along an edge; it is
-// called from the send paths, which have no probe in scope, and is gated
-// on the tracer list so the common untraced run pays one len check.
+// fireEmit fires OnEmit for n tuples a station admitted downstream or, at a
+// sink, released; callers gate it on attached tracers.
 func (e *engine) fireEmit(id plan.StationID, n int) {
 	for _, t := range e.tracers {
 		t.OnEmit(int(id), n)
@@ -679,20 +547,38 @@ func (e *engine) startStations() {
 // the metrics; shared by the local and distributed engines.
 func (e *engine) execute(ctx context.Context) (*Metrics, error) {
 	e.startStations()
-
-	// Warmup, snapshot, measure, snapshot, stop. The registry window marks
-	// bracket the same steady-state interval, so WindowRates and the drift
-	// report measure what Metrics measures.
 	sleepCtx(ctx, e.cfg.Warmup)
-	snap1 := e.snapshotAll()
-	e.reg.MarkWindowBegin()
-	start := time.Now()
+	w := e.beginWindow()
 	sleepCtx(ctx, e.cfg.Duration-e.cfg.Warmup)
-	snap2 := e.snapshotAll()
+	return e.stop(w), nil
+}
+
+// measureWindow is an open measurement window: the counter snapshot it
+// began with and when.
+type measureWindow struct {
+	snap  counterSnapshot
+	start time.Time
+}
+
+// beginWindow opens a measurement window. The registry's marks — and with
+// them the estimator's window — bracket the same interval, so WindowRates
+// and the drift report measure what Metrics measures.
+func (e *engine) beginWindow() measureWindow {
+	snap := e.snapshotAll()
+	e.reg.MarkWindowBegin()
+	return measureWindow{snap: snap, start: time.Now()}
+}
+
+// stop closes the window, shuts the engine down and reports the window's
+// rates with the run's lifetime totals.
+func (e *engine) stop(w measureWindow) *Metrics {
+	snap := e.snapshotAll()
 	e.reg.MarkWindowEnd()
-	window := time.Since(start).Seconds()
-	e.shutdown()
-	return e.buildMetrics(window, snap1, snap2), nil
+	seconds := time.Since(w.start).Seconds()
+	lost := e.shutdown()
+	m := e.buildMetrics(seconds, w.snap, snap)
+	m.Totals.Abandoned += lost
+	return m
 }
 
 // drainMailboxes collects every tuple still queued after all stations

@@ -104,8 +104,10 @@ type (
 	// Plan is a physical execution plan.
 	Plan = plan.Plan
 	// ObsRegistry is the per-station metrics registry; pass one via
-	// RunConfig.Obs to enable timed sampling, tracer hooks, the HTTP
-	// metrics endpoint and post-run snapshots.
+	// RunConfig.Obs for live counters, tracer hooks, the HTTP metrics
+	// endpoint and post-run snapshots. With RunConfig.Estimator set it
+	// also holds the run's online estimator, the only source of measured
+	// profiles. Binding one adds no per-tuple work; attached tracers do.
 	ObsRegistry = obs.Registry
 	// ObsSnapshot is a point-in-time view of a registry.
 	ObsSnapshot = obs.Snapshot
@@ -304,11 +306,12 @@ func ExecuteDistributed(ctx context.Context, t *Topology, replicas []int, bindin
 // run, Snapshot(), WritePrometheus, Serve and ComputeDrift read it.
 func NewObsRegistry() *ObsRegistry { return obs.New() }
 
-// ComputeDrift re-derives per-operator profiles from the registry's
-// measured steady-state window, re-runs the cost model on them, and
-// reports the relative error between predicted and measured departure
-// rates and utilizations — the measure → predict → verify loop of the
-// paper's workflow, closed on live data.
+// ComputeDrift reports the relative error between predicted and measured
+// departure rates over the registry's steady-state window and, when the
+// run had RunConfig.Estimator set, re-runs the cost model on the
+// estimator's measured profiles — the measure → predict → verify loop of
+// the paper's workflow, closed on live data. Without the estimator the
+// report carries no profiles, and Reoptimize refuses it.
 // Replicas (from Optimize) may be nil for an unreplicated run.
 func ComputeDrift(t *Topology, replicas []int, r *ObsRegistry) (*DriftReport, error) {
 	return obs.Drift(t, replicas, r)

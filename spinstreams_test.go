@@ -242,7 +242,7 @@ func TestFacadeOptimizerPipeline(t *testing.T) {
 
 	reg := spinstreams.NewObsRegistry()
 	if _, err := spinstreams.Execute(context.Background(), topo, nil, nil, spinstreams.RunConfig{
-		Duration: 500 * time.Millisecond, Warmup: 125 * time.Millisecond, MailboxSize: 8, Obs: reg,
+		Duration: 500 * time.Millisecond, Warmup: 125 * time.Millisecond, MailboxSize: 8, Obs: reg, Estimator: true,
 	}); err != nil {
 		t.Fatal(err)
 	}
