@@ -1,8 +1,9 @@
-// Benchmarks regenerating the paper's evaluation: one benchmark per table
-// and figure (Section 5) plus the ablations called out in DESIGN.md and
-// micro-benchmarks of the core algorithms. Custom metrics report the
-// experiment's headline quantity (prediction error, throughput ratio) next
-// to the usual ns/op.
+// Benchmarks of the ablations called out in DESIGN.md, the live
+// reconfiguration stall, and micro-benchmarks of the core algorithms.
+// Custom metrics report the headline quantity (pmax, throughput, stall
+// p99) next to the usual ns/op. The paper's tables and figures are
+// scenarios of the registry in internal/experiments: run them with
+// `go run ./cmd/ssbench`.
 //
 // Run everything with:
 //
@@ -18,7 +19,6 @@ import (
 	"time"
 
 	"spinstreams/internal/core"
-	"spinstreams/internal/experiments"
 	"spinstreams/internal/keypart"
 	"spinstreams/internal/operators"
 	"spinstreams/internal/opt"
@@ -28,101 +28,6 @@ import (
 	"spinstreams/internal/stats"
 	"spinstreams/internal/window"
 )
-
-// benchSetup is a reduced testbed so each benchmark iteration stays fast;
-// cmd/ssbench runs the full 50-topology configuration.
-func benchSetup() experiments.Setup {
-	return experiments.Setup{
-		Seed:       42,
-		Topologies: 6,
-		Sim:        qsim.Config{Horizon: 10},
-	}
-}
-
-// BenchmarkFig7Accuracy regenerates Figure 7: predicted vs measured
-// topology throughput; reports the mean relative error.
-func BenchmarkFig7Accuracy(b *testing.B) {
-	var meanErr float64
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.Fig7(benchSetup())
-		if err != nil {
-			b.Fatal(err)
-		}
-		meanErr = res.ErrStat.Mean
-	}
-	b.ReportMetric(meanErr*100, "mean-err-%")
-}
-
-// BenchmarkFig8PerOperator regenerates Figure 8: per-operator
-// departure-rate errors.
-func BenchmarkFig8PerOperator(b *testing.B) {
-	var meanErr float64
-	var ops int
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.Fig8(benchSetup())
-		if err != nil {
-			b.Fatal(err)
-		}
-		meanErr = res.ErrStat.Mean
-		ops = res.Operators
-	}
-	b.ReportMetric(meanErr*100, "mean-err-%")
-	b.ReportMetric(float64(ops), "operators")
-}
-
-// BenchmarkFig9Fission regenerates Figure 9: bottleneck elimination across
-// the testbed; reports the fraction of topologies reaching ideal
-// throughput.
-func BenchmarkFig9Fission(b *testing.B) {
-	var ideal, total int
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.Fig9(benchSetup())
-		if err != nil {
-			b.Fatal(err)
-		}
-		ideal, total = res.Ideal, len(res.Rows)
-	}
-	b.ReportMetric(float64(ideal)/float64(total)*100, "ideal-%")
-}
-
-// BenchmarkFig10Bounds regenerates Figure 10: replica budgets.
-func BenchmarkFig10Bounds(b *testing.B) {
-	s := benchSetup()
-	s.Topologies = 25
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Fig10(s); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkTable1Fusion regenerates Table 1 (feasible fusion); reports the
-// predicted fused service time in ms (paper: 2.80).
-func BenchmarkTable1Fusion(b *testing.B) {
-	var fusedMs float64
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.Table(benchSetup(), core.PaperExampleTable1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		fusedMs = res.FusedServiceMs
-	}
-	b.ReportMetric(fusedMs, "fused-T-ms")
-}
-
-// BenchmarkTable2Fusion regenerates Table 2 (fusion introduces a
-// bottleneck); reports the measured degradation in percent (paper: ~20%).
-func BenchmarkTable2Fusion(b *testing.B) {
-	var deg float64
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.Table(benchSetup(), core.PaperExampleTable2)
-		if err != nil {
-			b.Fatal(err)
-		}
-		deg = 1 - res.MeasuredAfter/res.MeasuredBefore
-	}
-	b.ReportMetric(deg*100, "degradation-%")
-}
 
 // BenchmarkAblationRestartVsScale compares the paper's restart-based
 // Algorithm 1 against the single-pass scaling variant on the same graphs.

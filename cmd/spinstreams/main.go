@@ -585,7 +585,6 @@ func cmdRun(args []string) error {
 		Linger:              *linger,
 		MaxRestarts:         *maxRestarts,
 		ReconfigStallBudget: *stallBudget,
-		AutotuneInterval:    *autotuneInterval,
 		// The estimator is the only source of measured profiles.
 		Estimator: *drift || *reoptimize || *autotune,
 	}

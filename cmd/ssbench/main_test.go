@@ -58,19 +58,16 @@ func TestListFlag(t *testing.T) {
 	}
 }
 
-// TestCorpusExportsCSVAndJSON runs a tiny corpus slice end to end through
-// the CLI and checks the results/ schema: scenario_corpus.csv plus a JSON
-// report whose metadata names the scenario and seed.
+// TestCorpusExportsCSVAndJSON runs the quick corpus profile end to end
+// through the CLI and checks the results/ schema: scenario_corpus.csv plus
+// a JSON report whose metadata names the scenario and seed.
 func TestCorpusExportsCSVAndJSON(t *testing.T) {
 	dir := t.TempDir()
 	var out bytes.Buffer
-	err := run([]string{
-		"-exp", "corpus", "-topologies", "2", "-corpus-horizon", "4",
-		"-corpus-rounds", "2", "-workloads", "steady,hotkey", "-out", dir,
-	}, &out)
-	if err != nil {
+	if err := run([]string{"-exp", "corpus", "-quick", "-out", dir}, &out); err != nil {
 		t.Fatal(err)
 	}
+	const rows = 5 * 4 * 3 // topologies x workloads x modes
 	if !strings.Contains(out.String(), "Section 5 corpus") {
 		t.Errorf("stdout missing the corpus summary:\n%s", out.String())
 	}
@@ -79,8 +76,8 @@ func TestCorpusExportsCSVAndJSON(t *testing.T) {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSpace(string(csvBytes)), "\n")
-	if want := 1 + 2*2*3; len(lines) != want { // header + topologies x workloads x modes
-		t.Errorf("CSV has %d lines, want %d", len(lines), want)
+	if len(lines) != 1+rows {
+		t.Errorf("CSV has %d lines, want %d", len(lines), 1+rows)
 	}
 	if !strings.HasPrefix(lines[0], "topology,seed,fingerprint") {
 		t.Errorf("unexpected CSV header %q", lines[0])
@@ -99,8 +96,8 @@ func TestCorpusExportsCSVAndJSON(t *testing.T) {
 	if rep.Meta.GeneratedAt == "" {
 		t.Error("meta missing generated_at timestamp")
 	}
-	if len(rep.Rows) != 2*2*3 {
-		t.Errorf("JSON rows = %d, want %d", len(rep.Rows), 2*2*3)
+	if len(rep.Rows) != rows {
+		t.Errorf("JSON rows = %d, want %d", len(rep.Rows), rows)
 	}
 }
 

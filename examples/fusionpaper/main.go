@@ -2,18 +2,18 @@
 // the six-operator topology of Figure 11 in both service-time variants.
 // Table 1 (fast operators 3/4/5) — fusion is feasible; Table 2 (slow
 // operators) — the tool raises an alert because the meta-operator becomes
-// a bottleneck. Predictions are verified in the simulator.
+// a bottleneck. Predictions are verified in the simulator. Both run as the
+// registry's table1/table2 scenarios, the ones `ssbench -exp` runs.
 //
 //	go run ./examples/fusionpaper
 package main
 
 import (
+	"context"
 	"fmt"
 	"os"
 
-	"spinstreams/internal/core"
 	"spinstreams/internal/experiments"
-	"spinstreams/internal/qsim"
 )
 
 func main() {
@@ -24,9 +24,9 @@ func main() {
 }
 
 func run() error {
-	setup := experiments.Setup{Seed: 1, Sim: qsim.Config{Horizon: 40}}
-	for _, variant := range []core.PaperExampleVariant{core.PaperExampleTable1, core.PaperExampleTable2} {
-		res, err := experiments.Table(setup, variant)
+	for _, name := range []string{"table1", "table2"} {
+		s, _ := experiments.Get(name)
+		res, err := s.Run(context.Background(), experiments.Options{Seed: 1})
 		if err != nil {
 			return err
 		}

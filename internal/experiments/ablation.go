@@ -28,20 +28,11 @@ type KeyPartResult struct {
 	Rows     []KeyPartRow
 }
 
-// KeyPartitioningAblation measures pmax for both partitioners over a range
+// keyPartitioningAblation measures pmax for both partitioners over a range
 // of key skews.
-func KeyPartitioningAblation(keys, replicas int, exps []float64) (*KeyPartResult, error) {
-	if keys <= 0 {
-		keys = 100
-	}
-	if replicas <= 0 {
-		replicas = 8
-	}
-	if len(exps) == 0 {
-		exps = []float64{0.5, 1.0, 1.5, 2.0, 2.5}
-	}
+func keyPartitioningAblation(keys, replicas int) (*KeyPartResult, error) {
 	res := &KeyPartResult{Keys: keys, Replicas: replicas}
-	for _, exp := range exps {
+	for _, exp := range []float64{0.5, 1.0, 1.5, 2.0, 2.5} {
 		freq := stats.ZipfWeights(keys, exp)
 		g, err := keypart.Greedy{}.Partition(freq, replicas)
 		if err != nil {
@@ -90,9 +81,9 @@ type BufferResult struct {
 	Rows      []BufferRow
 }
 
-// BufferSizeAblation sweeps the mailbox capacity on the paper's example
+// bufferSizeAblation sweeps the mailbox capacity on the paper's example
 // topology.
-func BufferSizeAblation(s Setup, capacities []int) (*BufferResult, error) {
+func bufferSizeAblation(s setup, capacities []int) (*BufferResult, error) {
 	s = s.withDefaults()
 	if len(capacities) == 0 {
 		capacities = []int{1, 2, 4, 8, 16, 64, 256}

@@ -48,25 +48,18 @@ type AutotuneDemoResult struct {
 	Metrics *runtime.Metrics
 }
 
-// AutotuneDemo closes the loop the reopt demo leaves open: instead of only
+// autotuneDemo closes the loop the reopt demo leaves open: instead of only
 // *printing* the delta plan that would repair the drifted deployment, the
 // controller applies it while tuples flow. A stateless stage declared at
 // 1 ms really costs slowFactor ms, so the first measured window shows the
 // drift, Reoptimize prescribes replicas, ApplyDelta installs them behind a
 // pause fence, and the following windows measure the recovered throughput
-// — all in one process lifetime.
-func AutotuneDemo(ctx context.Context, slowFactor float64, rounds int, opts LiveOptions) (*AutotuneDemoResult, error) {
-	if slowFactor <= 1 {
-		slowFactor = 3
-	}
-	if rounds <= 0 {
-		rounds = 3
-	}
-	interval := opts.Duration
-	if interval <= 0 {
+// — all in one process lifetime: 3 rounds of 800 ms windows.
+func autotuneDemo(ctx context.Context) (*AutotuneDemoResult, error) {
+	const (
+		rounds   = 3
 		interval = 800 * time.Millisecond
-	}
-
+	)
 	model := core.NewTopology()
 	src := model.MustAddOperator(core.Operator{Name: "source", Kind: core.KindSource, ServiceTime: 2e-3})
 	hot := model.MustAddOperator(core.Operator{Name: "hot", Kind: core.KindStateless, ServiceTime: 1e-3})
@@ -78,14 +71,10 @@ func AutotuneDemo(ctx context.Context, slowFactor float64, rounds int, opts Live
 		hot: &slowStage{cost: time.Duration(slowFactor * float64(time.Millisecond))},
 	}}
 	c, err := runtime.StartTopology(model, nil, binding, runtime.Config{
-		Seed:        1,
-		Warmup:      interval / 2,
-		MailboxSize: opts.MailboxSize,
-		Batch:       opts.Batch,
-		Linger:      opts.Linger,
-		MaxRestarts: opts.MaxRestarts,
-		Obs:         obs.New(),
-		Estimator:   true,
+		Seed:      1,
+		Warmup:    interval / 2,
+		Obs:       obs.New(),
+		Estimator: true,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("autotune demo: start: %w", err)

@@ -11,34 +11,15 @@ import (
 	"spinstreams/internal/runtime"
 )
 
-// ChaosOptions tunes the fault-injection soak scenario.
-type ChaosOptions struct {
-	// Schedules is how many escalating fault schedules run (default 3).
-	Schedules int
-	// Duration is the wall-clock run per schedule (default 600ms).
-	Duration time.Duration
-	// PanicProb and SlowdownProb set the most aggressive schedule's
-	// per-tuple fault probabilities; milder schedules scale them down
-	// (defaults 0.002 and 0.01).
-	PanicProb    float64
-	SlowdownProb float64
-}
-
-func (o ChaosOptions) withDefaults() ChaosOptions {
-	if o.Schedules <= 0 {
-		o.Schedules = 3
-	}
-	if o.Duration <= 0 {
-		o.Duration = 600 * time.Millisecond
-	}
-	if o.PanicProb <= 0 {
-		o.PanicProb = 0.002
-	}
-	if o.SlowdownProb <= 0 {
-		o.SlowdownProb = 0.01
-	}
-	return o
-}
+// The soak runs chaosSchedules escalating fault schedules of chaosDuration
+// each; the most aggressive one injects per-tuple panics and slowdowns at
+// chaosPanicProb and chaosSlowdownProb, milder ones scale them down.
+const (
+	chaosSchedules    = 3
+	chaosDuration     = 600 * time.Millisecond
+	chaosPanicProb    = 0.002
+	chaosSlowdownProb = 0.01
+)
 
 // ChaosRow is one fault schedule's tuple accounting.
 type ChaosRow struct {
@@ -89,28 +70,26 @@ func chaosPipeline(times ...float64) *core.Topology {
 	return topo
 }
 
-// Chaos soaks the live runtime under escalating deterministic fault
+// chaos soaks the live runtime under escalating deterministic fault
 // schedules and verifies the lifetime tuple-conservation identity: no
 // generated tuple is ever double-counted or silently lost, whatever the
 // panic/slowdown mix.
-func Chaos(ctx context.Context, s Setup, opts ChaosOptions) (*ChaosResult, error) {
-	s = s.withDefaults()
-	opts = opts.withDefaults()
+func chaos(ctx context.Context, seed uint64) (*ChaosResult, error) {
 	res := &ChaosResult{}
-	for i := 1; i <= opts.Schedules; i++ {
-		scale := float64(i) / float64(opts.Schedules)
+	for i := 1; i <= chaosSchedules; i++ {
+		scale := float64(i) / chaosSchedules
 		fcfg := faultinject.Config{
-			Seed:          s.Seed*1_000_003 + uint64(i),
-			PanicProb:     opts.PanicProb * scale,
-			SlowdownProb:  opts.SlowdownProb * scale,
+			Seed:          seed*1_000_003 + uint64(i),
+			PanicProb:     chaosPanicProb * scale,
+			SlowdownProb:  chaosSlowdownProb * scale,
 			SendDelayProb: 0.01 * scale,
 		}
 		inj := faultinject.New(fcfg)
 		topo := chaosPipeline(0.0002, 0.0002, 0.0001, 0.0001)
 		m, err := runtime.RunTopology(ctx, topo, nil, nil, runtime.Config{
-			Seed:        s.Seed + uint64(i),
-			Duration:    opts.Duration,
-			Warmup:      opts.Duration / 4,
+			Seed:        seed + uint64(i),
+			Duration:    chaosDuration,
+			Warmup:      chaosDuration / 4,
 			MailboxSize: 32,
 			SendTimeout: 200 * time.Microsecond,
 			MaxRestarts: -1,
@@ -175,8 +154,8 @@ func (r *ChaosResult) TableRows() [][]string {
 	return rows
 }
 
-// CheckChaos asserts every schedule conserved tuples and made progress.
-func CheckChaos(res Result) error {
+// checkChaos asserts every schedule conserved tuples and made progress.
+func checkChaos(res Result) error {
 	r, ok := res.(*ChaosResult)
 	if !ok {
 		return fmt.Errorf("chaos check: unexpected result type %T", res)

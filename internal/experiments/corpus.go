@@ -19,7 +19,7 @@ type CorpusOptions struct {
 	// Topologies is the corpus size (paper: 50).
 	Topologies int
 	// Workloads selects the traffic shapes (default steady, bursty,
-	// diurnal, hotkey; see WorkloadByName).
+	// diurnal, hotkey; see workloadByName).
 	Workloads []string
 	// Modes selects the optimization modes (default unopt, static,
 	// autotune).
@@ -74,7 +74,7 @@ type CorpusRow struct {
 	// (0 for the one-shot modes).
 	Rounds int
 	// Predicted is the model's throughput for this deployment under the
-	// workload (PredictThroughput); Measured is the simulated one.
+	// workload (predictThroughput); Measured is the simulated one.
 	Predicted float64
 	Measured  float64
 	RelErr    float64
@@ -129,10 +129,10 @@ func countWorkers(r *qsim.Result) int {
 	return n
 }
 
-// Corpus reproduces the paper's Section 5 testbed at scale: every seeded
+// corpus reproduces the paper's Section 5 testbed at scale: every seeded
 // Algorithm 5 topology runs under every workload shape in every
 // optimization mode, on the deterministic simulator.
-func Corpus(ctx context.Context, s Setup, opts CorpusOptions) (*CorpusResult, error) {
+func corpus(ctx context.Context, s setup, opts CorpusOptions) (*CorpusResult, error) {
 	s = s.withDefaults()
 	opts = opts.withDefaults()
 	cfg := s.Topo
@@ -145,7 +145,7 @@ func Corpus(ctx context.Context, s Setup, opts CorpusOptions) (*CorpusResult, er
 	}
 	workloads := make([]Workload, 0, len(opts.Workloads))
 	for _, name := range opts.Workloads {
-		w, err := WorkloadByName(name)
+		w, err := workloadByName(name)
 		if err != nil {
 			return nil, fmt.Errorf("corpus: %w", err)
 		}
@@ -202,7 +202,7 @@ func Corpus(ctx context.Context, s Setup, opts CorpusOptions) (*CorpusResult, er
 				if err != nil {
 					return nil, fmt.Errorf("corpus topology %d %s/%s: %w", ti+1, w.Name, mode, err)
 				}
-				predicted, err := PredictThroughput(declared, replicas, w, simCfg("predict"))
+				predicted, err := predictThroughput(declared, replicas, w, simCfg("predict"))
 				if err != nil {
 					return nil, fmt.Errorf("corpus topology %d %s/%s predict: %w", ti+1, w.Name, mode, err)
 				}
@@ -443,11 +443,11 @@ func (r *CorpusResult) TableRows() [][]string {
 	return rows
 }
 
-// CheckCorpus asserts the paper's ordering on the corpus result: on the
+// checkCorpus asserts the paper's ordering on the corpus result: on the
 // steady workload the statically optimized deployment must be at least
 // as fast as the unoptimized one on >= 80% of the topologies, and every
 // measurement must be live.
-func CheckCorpus(res Result) error {
+func checkCorpus(res Result) error {
 	r, ok := res.(*CorpusResult)
 	if !ok {
 		return fmt.Errorf("corpus check: unexpected result type %T", res)

@@ -18,9 +18,9 @@ func corpusTestOptions() CorpusOptions {
 }
 
 func TestCorpusSmoke(t *testing.T) {
-	s := Setup{Seed: 42}
+	s := setup{Seed: 42}
 	opts := corpusTestOptions()
-	res, err := Corpus(context.Background(), s, opts)
+	res, err := corpus(context.Background(), s, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,7 +28,7 @@ func TestCorpusSmoke(t *testing.T) {
 	if len(res.Rows) != wantRows {
 		t.Fatalf("rows = %d, want %d", len(res.Rows), wantRows)
 	}
-	if err := CheckCorpus(res); err != nil {
+	if err := checkCorpus(res); err != nil {
 		t.Fatalf("corpus check: %v", err)
 	}
 	for _, row := range res.Rows {
@@ -71,7 +71,7 @@ func TestCorpusSmoke(t *testing.T) {
 // breaks this.
 func TestCorpusDeterministic(t *testing.T) {
 	render := func() []byte {
-		res, err := Corpus(context.Background(), Setup{Seed: 7}, corpusTestOptions())
+		res, err := corpus(context.Background(), setup{Seed: 7}, corpusTestOptions())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -89,12 +89,12 @@ func TestCorpusDeterministic(t *testing.T) {
 }
 
 func TestCorpusRejectsUnknownInputs(t *testing.T) {
-	if _, err := Corpus(context.Background(), Setup{Seed: 1}, CorpusOptions{
+	if _, err := corpus(context.Background(), setup{Seed: 1}, CorpusOptions{
 		Topologies: 1, Workloads: []string{"nope"},
 	}); err == nil {
 		t.Error("unknown workload accepted")
 	}
-	if _, err := Corpus(context.Background(), Setup{Seed: 1}, CorpusOptions{
+	if _, err := corpus(context.Background(), setup{Seed: 1}, CorpusOptions{
 		Topologies: 1, Modes: []string{"nope"},
 	}); err == nil {
 		t.Error("unknown mode accepted")
@@ -105,13 +105,13 @@ func TestCorpusRejectsUnknownInputs(t *testing.T) {
 // larger slice: statically optimized throughput at least matches the
 // unoptimized deployment on >= 80% of topologies under steady load.
 func TestCorpusStaticOrdering(t *testing.T) {
-	res, err := Corpus(context.Background(), Setup{Seed: 42}, CorpusOptions{
+	res, err := corpus(context.Background(), setup{Seed: 42}, CorpusOptions{
 		Topologies: 8, Workloads: []string{"steady"}, Horizon: 6, Rounds: 2,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := CheckCorpus(res); err != nil {
+	if err := checkCorpus(res); err != nil {
 		t.Fatal(err)
 	}
 	for _, s := range res.Summaries {
@@ -135,7 +135,7 @@ func TestPredictThroughputMatchesSimulation(t *testing.T) {
 	tolerance := map[string]float64{"steady": 0.15, "hotkey": 0.20, "diurnal": 0.30, "bursty": 0.60}
 	for ti, g := range bed {
 		for name, tol := range tolerance {
-			w, err := WorkloadByName(name)
+			w, err := workloadByName(name)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -145,7 +145,7 @@ func TestPredictThroughputMatchesSimulation(t *testing.T) {
 			if err != nil {
 				t.Fatalf("topology %d %s: %v", ti+1, name, err)
 			}
-			pred, err := PredictThroughput(g.Topology, nil, w, cfg)
+			pred, err := predictThroughput(g.Topology, nil, w, cfg)
 			if err != nil {
 				t.Fatalf("topology %d %s: %v", ti+1, name, err)
 			}
@@ -166,7 +166,7 @@ func TestPredictThroughputMatchesSimulation(t *testing.T) {
 
 func TestWorkloadEnvelopesAverageToOne(t *testing.T) {
 	for _, name := range []string{"bursty", "diurnal"} {
-		w, err := WorkloadByName(name)
+		w, err := workloadByName(name)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -182,7 +182,7 @@ func TestWorkloadHotKeyApply(t *testing.T) {
 		t.Fatal(err)
 	}
 	declared := bed[0].Topology
-	w, err := WorkloadByName("hotkey")
+	w, err := workloadByName("hotkey")
 	if err != nil {
 		t.Fatal(err)
 	}

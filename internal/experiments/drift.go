@@ -32,20 +32,17 @@ type DriftDemoResult struct {
 	Report *obs.DriftReport
 }
 
-// DriftDemo closes the loop the paper's workflow promises: predict with
+// driftDemo closes the loop the paper's workflow promises: predict with
 // Algorithm 1, optimize with Algorithm 2, execute on the live runtime
 // with a metrics registry and the online estimator bound, and verify the
-// prediction against the registry's measured rates and profiles. Variant selects the Table 1 (no bottleneck:
-// drift validates a clean prediction) or Table 2 (fusion-grade
-// bottleneck: drift confirms the saturated operator from measurements)
-// service times.
-func DriftDemo(ctx context.Context, variant core.PaperExampleVariant, opts LiveOptions) (*DriftDemoResult, error) {
-	if opts.Duration <= 0 {
-		opts.Duration = 3 * time.Second
-	}
-	if opts.MailboxSize <= 0 {
-		opts.MailboxSize = 8
-	}
+// prediction against the registry's measured rates and profiles. It runs
+// the Table 2 service times (fusion-grade bottleneck: drift confirms the
+// saturated operator from measurements) for 3 s.
+func driftDemo(ctx context.Context) (*DriftDemoResult, error) {
+	const (
+		variant  = core.PaperExampleTable2
+		duration = 3 * time.Second
+	)
 	topo, _ := core.PaperExampleTopology(variant)
 	a, err := core.SteadyState(topo)
 	if err != nil {
@@ -58,12 +55,9 @@ func DriftDemo(ctx context.Context, variant core.PaperExampleVariant, opts LiveO
 	reg := obs.New()
 	m, err := runtime.RunTopology(ctx, topo, fis.Analysis.Replicas, nil, runtime.Config{
 		Seed:        1,
-		Duration:    opts.Duration,
-		Warmup:      opts.Duration / 3,
-		MailboxSize: opts.MailboxSize,
-		Batch:       opts.Batch,
-		Linger:      opts.Linger,
-		MaxRestarts: opts.MaxRestarts,
+		Duration:    duration,
+		Warmup:      duration / 3,
+		MailboxSize: liveMailbox,
 		Obs:         reg,
 		Estimator:   true,
 	})

@@ -49,38 +49,30 @@ type ElasticityResult struct {
 	IntervalSeconds float64
 }
 
-// ElasticityOptions tunes the comparison.
-type ElasticityOptions struct {
-	// TopologySeed picks the testbed topology (default: the setup seed).
-	TopologySeed uint64
+// elasticityOptions tunes the comparison.
+type elasticityOptions struct {
 	// Interval is the simulated observation window per reactive round
 	// (default 10 s).
 	Interval float64
-	// HighWatermark is the per-replica busy fraction that triggers
-	// scale-up (default 0.9).
-	HighWatermark float64
 	// MaxRounds bounds the reactive controller (default 50).
 	MaxRounds int
 }
 
-// Elasticity runs the comparison on one random topology.
-func Elasticity(s Setup, opts ElasticityOptions) (*ElasticityResult, error) {
+// elasticHighWatermark is the per-replica busy fraction that triggers the
+// reactive controller's scale-up.
+const elasticHighWatermark = 0.9
+
+// elasticity runs the comparison on the setup seed's random topology.
+func elasticity(s setup, opts elasticityOptions) (*ElasticityResult, error) {
 	s = s.withDefaults()
 	if opts.Interval <= 0 {
 		opts.Interval = 10
 	}
-	if opts.HighWatermark <= 0 || opts.HighWatermark >= 1 {
-		opts.HighWatermark = 0.9
-	}
 	if opts.MaxRounds <= 0 {
 		opts.MaxRounds = 50
 	}
-	topoSeed := opts.TopologySeed
-	if topoSeed == 0 {
-		topoSeed = s.Seed
-	}
 	cfg := s.Topo
-	cfg.Seed = topoSeed
+	cfg.Seed = s.Seed
 	g, err := randtopo.Generate(cfg)
 	if err != nil {
 		return nil, err
@@ -136,7 +128,7 @@ func Elasticity(s Setup, opts ElasticityOptions) (*ElasticityResult, error) {
 				continue
 			}
 			op := t.Op(st.Op)
-			if op.Kind.CanReplicate() && st.BusyFrac >= opts.HighWatermark {
+			if op.Kind.CanReplicate() && st.BusyFrac >= elasticHighWatermark {
 				hot[st.Op] = true
 			}
 		}

@@ -27,36 +27,21 @@ import (
 // service times, re-optimization on the estimated profiles must crown the
 // same bottleneck as re-optimization on the exact ones.
 
-// EstimatorOptions tunes the probe-free estimation sweep.
+// EstimatorOptions is the configuration of the probe-free estimation
+// sweep.
 type EstimatorOptions struct {
 	// Seeds is the number of corpus topologies (x3 workloads; default 34,
 	// the differential test's corpus).
 	Seeds int
-	// Horizon is the simulated seconds per run (default 8).
+	// Horizon is the simulated seconds per run (8).
 	Horizon float64
-	// SampleEvery is the occupancy sampling tick in seconds (default 1e-3,
-	// the runtime's estimator default).
+	// SampleEvery is the occupancy sampling tick in seconds (1e-3, the
+	// runtime's estimator default).
 	SampleEvery float64
 	// ConfFloor is the confidence below which an estimate is excluded from
-	// the error pool (default 0.60 — at confidence n/(n+8) that means at
-	// least 12 completions of evidence behind every pooled estimate).
+	// the error pool (0.60 — at confidence n/(n+8) that means at least 12
+	// completions of evidence behind every pooled estimate).
 	ConfFloor float64
-}
-
-func (o EstimatorOptions) withDefaults() EstimatorOptions {
-	if o.Seeds <= 0 {
-		o.Seeds = 34
-	}
-	if o.Horizon <= 0 {
-		o.Horizon = 8
-	}
-	if o.SampleEvery <= 0 {
-		o.SampleEvery = 1e-3
-	}
-	if o.ConfFloor <= 0 {
-		o.ConfFloor = 0.60
-	}
-	return o
 }
 
 // EstimatorRow aggregates one workload (or the pooled corpus) of the
@@ -187,9 +172,13 @@ func estimatorBottleneck(res *opt.Result, topo *core.Topology) int {
 	return best
 }
 
-// Estimator runs the probe-free estimation sweep.
-func Estimator(ctx context.Context, o EstimatorOptions) (*EstimatorResult, error) {
-	o = o.withDefaults()
+// estimator runs the probe-free estimation sweep over seeds corpus
+// topologies (0 = 34).
+func estimator(ctx context.Context, seeds int) (*EstimatorResult, error) {
+	if seeds <= 0 {
+		seeds = 34
+	}
+	o := EstimatorOptions{Seeds: seeds, Horizon: 8, SampleEvery: 1e-3, ConfFloor: 0.60}
 	buckets := map[string]*estimatorBucket{}
 	order := []string{}
 	for seed := uint64(1); seed <= uint64(o.Seeds); seed++ {
@@ -301,11 +290,11 @@ func summarizeEstimator(name string, b *estimatorBucket) EstimatorRow {
 	return row
 }
 
-// CheckEstimator holds the pooled sweep to the documented bounds: rate
+// checkEstimator holds the pooled sweep to the documented bounds: rate
 // error median <= 10% and p95 <= 25% over confident operators, bottleneck
 // agreement >= 90% of runs, and at least one confident operator per run on
 // average (the floor must not silently exclude the corpus).
-func CheckEstimator(r Result) error {
+func checkEstimator(r Result) error {
 	res, ok := r.(*EstimatorResult)
 	if !ok {
 		return fmt.Errorf("estimator check: unexpected result type %T", r)

@@ -1,8 +1,9 @@
 // Package experiments contains one driver per table and figure of the
 // paper's evaluation (Section 5), built on the shared testbed of random
 // topologies. Each driver returns a result struct whose String method
-// renders the same rows/series the paper reports; cmd/ssbench regenerates
-// everything and EXPERIMENTS.md records paper-vs-measured.
+// renders the same rows/series the paper reports. Drivers are reached only
+// through the scenario registry (register.go); cmd/ssbench regenerates
+// everything from it and EXPERIMENTS.md records paper-vs-measured.
 package experiments
 
 import (
@@ -15,8 +16,8 @@ import (
 	"spinstreams/internal/stats"
 )
 
-// Setup configures the shared testbed and measurement substrate.
-type Setup struct {
+// setup configures the shared testbed and measurement substrate.
+type setup struct {
 	// Seed derives the testbed (paper: 50 random topologies).
 	Seed uint64
 	// Topologies is the testbed size (default 50).
@@ -29,7 +30,7 @@ type Setup struct {
 	Topo randtopo.Config
 }
 
-func (s Setup) withDefaults() Setup {
+func (s setup) withDefaults() setup {
 	if s.Topologies <= 0 {
 		s.Topologies = 50
 	}
@@ -40,11 +41,11 @@ func (s Setup) withDefaults() Setup {
 }
 
 // buildTestbed generates the testbed once.
-func buildTestbed(s Setup) ([]*randtopo.Generated, error) {
+func buildTestbed(s setup) ([]*randtopo.Generated, error) {
 	return randtopo.Testbed(s.Topo, s.Topologies)
 }
 
-func (s Setup) simConfig(i int) qsim.Config {
+func (s setup) simConfig(i int) qsim.Config {
 	cfg := s.Sim
 	cfg.Seed = s.Seed*1_000_003 + uint64(i)
 	return cfg
@@ -66,9 +67,9 @@ type Fig7Result struct {
 	ErrStat stats.Summary
 }
 
-// Fig7 runs the steady-state prediction and the simulation for every
+// fig7 runs the steady-state prediction and the simulation for every
 // testbed topology.
-func Fig7(s Setup) (*Fig7Result, error) {
+func fig7(s setup) (*Fig7Result, error) {
 	s = s.withDefaults()
 	bed, err := buildTestbed(s)
 	if err != nil {
@@ -126,9 +127,9 @@ type Fig8Result struct {
 	ErrStat stats.Summary
 }
 
-// Fig8 compares predicted and measured departure rates operator by
+// fig8 compares predicted and measured departure rates operator by
 // operator.
-func Fig8(s Setup) (*Fig8Result, error) {
+func fig8(s setup) (*Fig8Result, error) {
 	s = s.withDefaults()
 	bed, err := buildTestbed(s)
 	if err != nil {

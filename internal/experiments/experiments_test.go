@@ -11,8 +11,8 @@ import (
 )
 
 // quickSetup keeps test runs fast: a small testbed with a short horizon.
-func quickSetup() Setup {
-	return Setup{
+func quickSetup() setup {
+	return setup{
 		Seed:       42,
 		Topologies: 8,
 		Sim:        qsim.Config{Horizon: 15},
@@ -20,7 +20,7 @@ func quickSetup() Setup {
 }
 
 func TestFig7(t *testing.T) {
-	res, err := Fig7(quickSetup())
+	res, err := fig7(quickSetup())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +43,7 @@ func TestFig7(t *testing.T) {
 }
 
 func TestFig8(t *testing.T) {
-	res, err := Fig8(quickSetup())
+	res, err := fig8(quickSetup())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func TestFig8(t *testing.T) {
 }
 
 func TestFig9(t *testing.T) {
-	res, err := Fig9(quickSetup())
+	res, err := fig9(quickSetup())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func mustBaseThroughput(t *testing.T, topology1Based int) float64 {
 func TestFig10(t *testing.T) {
 	s := quickSetup()
 	s.Topologies = 25 // enough candidates needing > 40 replicas
-	res, err := Fig10(s)
+	res, err := fig10(s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +145,7 @@ func TestFig10(t *testing.T) {
 }
 
 func TestTable1(t *testing.T) {
-	res, err := Table(quickSetup(), core.PaperExampleTable1)
+	res, err := table(quickSetup(), core.PaperExampleTable1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +167,7 @@ func TestTable1(t *testing.T) {
 }
 
 func TestTable2(t *testing.T) {
-	res, err := Table(quickSetup(), core.PaperExampleTable2)
+	res, err := table(quickSetup(), core.PaperExampleTable2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +187,7 @@ func TestTable2(t *testing.T) {
 }
 
 func TestKeyPartitioningAblation(t *testing.T) {
-	res, err := KeyPartitioningAblation(100, 8, nil)
+	res, err := keyPartitioningAblation(100, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +206,7 @@ func TestKeyPartitioningAblation(t *testing.T) {
 }
 
 func TestBufferSizeAblation(t *testing.T) {
-	res, err := BufferSizeAblation(quickSetup(), []int{2, 16, 128})
+	res, err := bufferSizeAblation(quickSetup(), []int{2, 16, 128})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +224,7 @@ func TestBufferSizeAblation(t *testing.T) {
 }
 
 func TestLatencyExperiment(t *testing.T) {
-	res, err := Latency(quickSetup(), []float64{0.3, 0.6})
+	res, err := latency(quickSetup(), []float64{0.3, 0.6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,7 +256,7 @@ func TestFig7Live(t *testing.T) {
 	if testing.Short() {
 		t.Skip("live run takes wall-clock time")
 	}
-	res, err := Fig7Live(context.Background(), quickSetup(), LiveOptions{
+	res, err := fig7Live(context.Background(), quickSetup(), liveOptions{
 		Topologies: 2,
 		Duration:   1500 * time.Millisecond,
 	})
@@ -277,7 +277,7 @@ func TestFig7Live(t *testing.T) {
 func TestFig7LiveBatchedAccuracy(t *testing.T) {
 	// The window size must not change what the cost model predicts: on 5
 	// random testbed topologies the default runtime (per-edge rings,
-	// Batch 32 over LiveOptions' 8-tuple mailboxes) has to agree with
+	// Batch 32 over the live runs' 8-tuple mailboxes) has to agree with
 	// core.SteadyState within the same error bound per-tuple delivery
 	// (Batch 1) is held to — capacity stays tuple-accounted, so BAS, and
 	// with it the steady state, is window-independent.
@@ -285,17 +285,17 @@ func TestFig7LiveBatchedAccuracy(t *testing.T) {
 		t.Skip("live run takes wall-clock time")
 	}
 	const tolerance = 0.30 // same bound as TestFig7Live
-	opts := LiveOptions{
+	opts := liveOptions{
 		Topologies: 5,
 		Duration:   1200 * time.Millisecond,
 		Batch:      1,
 	}
-	perTuple, err := Fig7Live(context.Background(), quickSetup(), opts)
+	perTuple, err := fig7Live(context.Background(), quickSetup(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	opts.Batch = 0
-	batched, err := Fig7Live(context.Background(), quickSetup(), opts)
+	batched, err := fig7Live(context.Background(), quickSetup(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,7 +312,7 @@ func TestFig7LiveBatchedAccuracy(t *testing.T) {
 }
 
 func TestCSVExport(t *testing.T) {
-	res, err := Fig7(quickSetup())
+	res, err := fig7(quickSetup())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -329,13 +329,13 @@ func TestCSVExport(t *testing.T) {
 	}
 	// Every tabular result exports a consistent table.
 	tables := []Tabular{res}
-	if t8, err := Fig8(quickSetup()); err == nil {
+	if t8, err := fig8(quickSetup()); err == nil {
 		tables = append(tables, t8)
 	}
-	if kp, err := KeyPartitioningAblation(50, 4, nil); err == nil {
+	if kp, err := keyPartitioningAblation(50, 4); err == nil {
 		tables = append(tables, kp)
 	}
-	if tb, err := Table(quickSetup(), core.PaperExampleTable1); err == nil {
+	if tb, err := table(quickSetup(), core.PaperExampleTable1); err == nil {
 		tables = append(tables, tb)
 	}
 	for i, tab := range tables {
@@ -350,7 +350,7 @@ func TestCSVExport(t *testing.T) {
 
 func TestElasticity(t *testing.T) {
 	s := quickSetup()
-	res, err := Elasticity(s, ElasticityOptions{Interval: 6, MaxRounds: 30})
+	res, err := elasticity(s, elasticityOptions{Interval: 6, MaxRounds: 30})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -381,7 +381,7 @@ func TestElasticity(t *testing.T) {
 }
 
 func TestShedding(t *testing.T) {
-	res, err := Shedding(quickSetup())
+	res, err := shedding(quickSetup())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -411,9 +411,7 @@ func TestShedding(t *testing.T) {
 // operator deployed 3x slower than declared must come back from the
 // measured profiles with a replica increase.
 func TestReoptimizeDemo(t *testing.T) {
-	res, err := ReoptimizeDemo(context.Background(), 3, LiveOptions{
-		Duration: 1200 * time.Millisecond,
-	})
+	res, err := reoptimizeDemo(context.Background(), 1200*time.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}

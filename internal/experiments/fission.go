@@ -41,9 +41,9 @@ type Fig9Result struct {
 	ErrStat         stats.Summary
 }
 
-// Fig9 runs Algorithm 2 on the testbed and simulates the parallelized
+// fig9 runs Algorithm 2 on the testbed and simulates the parallelized
 // topologies.
-func Fig9(s Setup) (*Fig9Result, error) {
+func fig9(s setup) (*Fig9Result, error) {
 	s = s.withDefaults()
 	bed, err := buildTestbed(s)
 	if err != nil {
@@ -135,9 +135,9 @@ type Fig10Result struct {
 	Bounds []int
 }
 
-// Fig10 sweeps replica budgets over the first three testbed topologies
+// fig10 sweeps replica budgets over the first three testbed topologies
 // with enough parallelism demand to make the bounds bind.
-func Fig10(s Setup) (*Fig10Result, error) {
+func fig10(s setup) (*Fig10Result, error) {
 	s = s.withDefaults()
 	if s.Topo.ServiceTimeMax == 0 {
 		// Stretch the service-time spread so optimal degrees are large

@@ -37,9 +37,9 @@ type TableResult struct {
 	IntroducesBottleneck bool
 }
 
-// Table runs the walk-through for the chosen variant; measurements come
+// table runs the walk-through for the chosen variant; measurements come
 // from the simulator configured by s.Sim.
-func Table(s Setup, variant core.PaperExampleVariant) (*TableResult, error) {
+func table(s setup, variant core.PaperExampleVariant) (*TableResult, error) {
 	s = s.withDefaults()
 	topo, sub := core.PaperExampleTopology(variant)
 	fused, report, err := core.Fuse(topo, sub, "F")

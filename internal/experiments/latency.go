@@ -31,9 +31,9 @@ type LatencyResult struct {
 	SaturatedMeasuredWait  float64
 }
 
-// Latency sweeps the utilization of a middle stage and compares waiting
+// latency sweeps the utilization of a middle stage and compares waiting
 // times; then saturates the stage to validate the buffer-bound regime.
-func Latency(s Setup, rhos []float64) (*LatencyResult, error) {
+func latency(s setup, rhos []float64) (*LatencyResult, error) {
 	s = s.withDefaults()
 	if len(rhos) == 0 {
 		rhos = []float64{0.2, 0.4, 0.6, 0.8}

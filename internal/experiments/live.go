@@ -29,41 +29,32 @@ type LiveResult struct {
 	ErrStat stats.Summary
 }
 
-// LiveOptions tunes the live accuracy run.
-type LiveOptions struct {
+// liveOptions tunes the live accuracy run.
+type liveOptions struct {
 	// Topologies caps how many testbed entries run live (default 8).
 	Topologies int
 	// Duration is the wall-clock run per topology (default 3s).
 	Duration time.Duration
-	// MailboxSize is the bounded mailbox capacity (default 8). Live runs
-	// last seconds, not simulated minutes: mailboxes must fill within the
-	// warmup for backpressure to engage, so they are kept small (the
-	// steady-state model is capacity-independent; see the buffer
-	// ablation).
-	MailboxSize int
 	// Batch is the window size (0 = runtime default, 1 = per-tuple
 	// delivery); capacity stays tuple-accounted at every size, so
-	// predictions must hold under all of them. Linger bounds a paced
-	// source's window (0 = runtime default).
-	Batch  int
-	Linger time.Duration
-	// MaxRestarts bounds operator restart after a panic (0 = crash the
-	// run, <0 = unlimited); long live runs can opt into graceful
-	// degradation instead of losing the whole series to one fault.
-	MaxRestarts int
+	// predictions must hold under all of them.
+	Batch int
 }
 
-// Fig7Live measures prediction accuracy against live execution.
-func Fig7Live(ctx context.Context, s Setup, opts LiveOptions) (*LiveResult, error) {
+// liveMailbox is the bounded mailbox capacity of the live walkthroughs.
+// Live runs last seconds, not simulated minutes: mailboxes must fill within
+// the warmup for backpressure to engage, so they are kept small (the
+// steady-state model is capacity-independent; see the buffer ablation).
+const liveMailbox = 8
+
+// fig7Live measures prediction accuracy against live execution.
+func fig7Live(ctx context.Context, s setup, opts liveOptions) (*LiveResult, error) {
 	s = s.withDefaults()
 	if opts.Topologies <= 0 {
 		opts.Topologies = 8
 	}
 	if opts.Duration <= 0 {
 		opts.Duration = 3 * time.Second
-	}
-	if opts.MailboxSize <= 0 {
-		opts.MailboxSize = 8
 	}
 	if s.Topologies > opts.Topologies {
 		s.Topologies = opts.Topologies
@@ -91,10 +82,8 @@ func Fig7Live(ctx context.Context, s Setup, opts LiveOptions) (*LiveResult, erro
 			Seed:        uint64(i + 1),
 			Duration:    opts.Duration,
 			Warmup:      opts.Duration / 3,
-			MailboxSize: opts.MailboxSize,
+			MailboxSize: liveMailbox,
 			Batch:       opts.Batch,
-			Linger:      opts.Linger,
-			MaxRestarts: opts.MaxRestarts,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("fig7live topology %d: %w", i+1, err)

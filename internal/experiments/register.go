@@ -1,14 +1,39 @@
 // Scenario registrations: every evaluation driver — the paper figures and
 // tables, the ablations, the live walkthroughs, the corpus and the chaos
-// soak — enters the registry here, so cmd/ssbench (and any other caller)
-// can enumerate, filter and run them uniformly.
+// soak — enters the registry here, and the registry is the only way to
+// run one: cmd/ssbench (and any other caller) enumerates, filters and runs
+// them uniformly.
 package experiments
 
 import (
 	"context"
+	"time"
 
 	"spinstreams/internal/core"
+	"spinstreams/internal/qsim"
 )
+
+// profile is every size a scenario runs at. The full profile is the
+// drivers' zero-value defaults (50-topology testbed at a 40 s horizon,
+// 50-topology corpus, 34 estimator seeds, 8 live topologies at 3 s), which
+// the committed results/ are regenerated from; Quick is the CI-sized one.
+type profile struct {
+	setup          setup
+	corpus         CorpusOptions
+	estimatorSeeds int
+	live           liveOptions
+}
+
+func (o Options) profile() profile {
+	p := profile{setup: setup{Seed: o.Seed}}
+	if o.Quick {
+		p.setup.Topologies, p.setup.Sim = 10, qsim.Config{Horizon: 15}
+		p.corpus = CorpusOptions{Topologies: 5, Horizon: 6, Rounds: 3}
+		p.estimatorSeeds = 8
+		p.live = liveOptions{Topologies: 3, Duration: time.Second}
+	}
+	return p
+}
 
 func init() {
 	Register(Scenario{
@@ -16,7 +41,7 @@ func init() {
 		Tags:    []string{"sim", "paper", "default"},
 		Summary: "Figure 7: backpressure-model throughput accuracy on the testbed",
 		Run: func(_ context.Context, o Options) (Result, error) {
-			return Fig7(o.Setup)
+			return fig7(o.profile().setup)
 		},
 	})
 	Register(Scenario{
@@ -24,7 +49,7 @@ func init() {
 		Tags:    []string{"sim", "paper", "default"},
 		Summary: "Figure 8: per-operator departure-rate prediction error",
 		Run: func(_ context.Context, o Options) (Result, error) {
-			return Fig8(o.Setup)
+			return fig8(o.profile().setup)
 		},
 	})
 	Register(Scenario{
@@ -32,7 +57,7 @@ func init() {
 		Tags:    []string{"sim", "paper", "default"},
 		Summary: "Figure 9: throughput after bottleneck elimination (Algorithm 2)",
 		Run: func(_ context.Context, o Options) (Result, error) {
-			return Fig9(o.Setup)
+			return fig9(o.profile().setup)
 		},
 	})
 	Register(Scenario{
@@ -40,7 +65,7 @@ func init() {
 		Tags:    []string{"sim", "paper", "default"},
 		Summary: "Figure 10: fission under replica-budget bounds",
 		Run: func(_ context.Context, o Options) (Result, error) {
-			return Fig10(o.Setup)
+			return fig10(o.profile().setup)
 		},
 	})
 	Register(Scenario{
@@ -48,7 +73,7 @@ func init() {
 		Tags:    []string{"sim", "paper", "default"},
 		Summary: "Tables 1/3: operator fusion on the paper example (variant 1)",
 		Run: func(_ context.Context, o Options) (Result, error) {
-			return Table(o.Setup, core.PaperExampleTable1)
+			return table(o.profile().setup, core.PaperExampleTable1)
 		},
 	})
 	Register(Scenario{
@@ -56,15 +81,15 @@ func init() {
 		Tags:    []string{"sim", "paper", "default"},
 		Summary: "Tables 2/4: operator fusion on the paper example (variant 2)",
 		Run: func(_ context.Context, o Options) (Result, error) {
-			return Table(o.Setup, core.PaperExampleTable2)
+			return table(o.profile().setup, core.PaperExampleTable2)
 		},
 	})
 	Register(Scenario{
 		Name:    "keypart",
 		Tags:    []string{"sim", "ablation", "default"},
 		Summary: "key-partitioning ablation: greedy vs consistent-hash pmax",
-		Run: func(_ context.Context, o Options) (Result, error) {
-			return KeyPartitioningAblation(100, 8, nil)
+		Run: func(_ context.Context, _ Options) (Result, error) {
+			return keyPartitioningAblation(100, 8)
 		},
 	})
 	Register(Scenario{
@@ -72,7 +97,7 @@ func init() {
 		Tags:    []string{"sim", "ablation", "default"},
 		Summary: "buffer-size ablation: throughput vs mailbox capacity",
 		Run: func(_ context.Context, o Options) (Result, error) {
-			return BufferSizeAblation(o.Setup, nil)
+			return bufferSizeAblation(o.profile().setup, nil)
 		},
 	})
 	Register(Scenario{
@@ -80,7 +105,7 @@ func init() {
 		Tags:    []string{"sim", "ablation", "default"},
 		Summary: "queueing-latency accuracy across utilization levels",
 		Run: func(_ context.Context, o Options) (Result, error) {
-			return Latency(o.Setup, nil)
+			return latency(o.profile().setup, nil)
 		},
 	})
 	Register(Scenario{
@@ -88,7 +113,7 @@ func init() {
 		Tags:    []string{"sim", "extension", "default"},
 		Summary: "load shedding: throughput/drop tradeoff under overload",
 		Run: func(_ context.Context, o Options) (Result, error) {
-			return Shedding(o.Setup)
+			return shedding(o.profile().setup)
 		},
 	})
 	Register(Scenario{
@@ -96,7 +121,7 @@ func init() {
 		Tags:    []string{"sim", "extension", "default"},
 		Summary: "static optimization vs reactive scaling on one topology",
 		Run: func(_ context.Context, o Options) (Result, error) {
-			return Elasticity(o.Setup, ElasticityOptions{})
+			return elasticity(o.profile().setup, elasticityOptions{})
 		},
 	})
 	Register(Scenario{
@@ -104,57 +129,51 @@ func init() {
 		Tags:    []string{"sim", "paper", "workload", "extension"},
 		Summary: "Section 5 corpus: 50 topologies x workloads x {unopt, static, autotune}",
 		Run: func(ctx context.Context, o Options) (Result, error) {
-			return Corpus(ctx, o.Setup, o.Corpus)
+			p := o.profile()
+			return corpus(ctx, p.setup, p.corpus)
 		},
-		Check: CheckCorpus,
+		Check: checkCorpus,
 	})
 	Register(Scenario{
 		Name:    "estimator",
 		Tags:    []string{"sim", "extension", "workload", "default"},
 		Summary: "probe-free service-rate estimation vs qsim ground truth",
 		Run: func(ctx context.Context, o Options) (Result, error) {
-			return Estimator(ctx, o.Estimator)
+			return estimator(ctx, o.profile().estimatorSeeds)
 		},
-		Check: CheckEstimator,
+		Check: checkEstimator,
 	})
 	Register(Scenario{
 		Name:    "fig7live",
 		Tags:    []string{"live", "paper"},
 		Summary: "Figure 7 measured on the live goroutine runtime",
 		Run: func(ctx context.Context, o Options) (Result, error) {
-			return Fig7Live(ctx, o.Setup, o.Live)
+			p := o.profile()
+			return fig7Live(ctx, p.setup, p.live)
 		},
 	})
 	Register(Scenario{
 		Name:    "drift",
 		Tags:    []string{"live", "extension"},
 		Summary: "predict, optimize, run, verify walkthrough on the paper example",
-		Run: func(ctx context.Context, o Options) (Result, error) {
-			variant := core.PaperExampleTable2
-			if o.DriftTable == 1 {
-				variant = core.PaperExampleTable1
-			}
-			return DriftDemo(ctx, variant, o.Live)
+		Run: func(ctx context.Context, _ Options) (Result, error) {
+			return driftDemo(ctx)
 		},
 	})
 	Register(Scenario{
 		Name:    "reopt",
 		Tags:    []string{"live", "extension"},
 		Summary: "drift then reoptimize: delta plan from measured profiles",
-		Run: func(ctx context.Context, o Options) (Result, error) {
-			return ReoptimizeDemo(ctx, o.SlowFactor, o.Live)
+		Run: func(ctx context.Context, _ Options) (Result, error) {
+			return reoptimizeDemo(ctx, 3*time.Second)
 		},
 	})
 	Register(Scenario{
 		Name:    "autotune",
 		Tags:    []string{"live", "extension"},
 		Summary: "live autonomic loop: measure, re-optimize, apply the delta in-flight",
-		Run: func(ctx context.Context, o Options) (Result, error) {
-			live := o.Live
-			if o.AutotuneInterval > 0 {
-				live.Duration = o.AutotuneInterval
-			}
-			return AutotuneDemo(ctx, o.SlowFactor, o.AutotuneRounds, live)
+		Run: func(ctx context.Context, _ Options) (Result, error) {
+			return autotuneDemo(ctx)
 		},
 	})
 	Register(Scenario{
@@ -162,8 +181,8 @@ func init() {
 		Tags:    []string{"live", "extension"},
 		Summary: "fault-injection soak: tuple conservation under panics and stalls",
 		Run: func(ctx context.Context, o Options) (Result, error) {
-			return Chaos(ctx, o.Setup, o.Chaos)
+			return chaos(ctx, o.Seed)
 		},
-		Check: CheckChaos,
+		Check: checkChaos,
 	})
 }

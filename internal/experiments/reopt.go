@@ -12,6 +12,10 @@ import (
 	"spinstreams/internal/runtime"
 )
 
+// slowFactor is how many times slower than declared the reopt and
+// autotune walkthroughs deploy their hot operator.
+const slowFactor = 3
+
 // ReoptimizeDemoResult is the drift→reoptimize walkthrough: a topology
 // whose declared profile understates one operator's real cost runs live,
 // the drift report rebuilds the measured profiles, and the optimizer
@@ -34,7 +38,7 @@ type ReoptimizeDemoResult struct {
 	Delta *opt.DeltaPlan
 }
 
-// ReoptimizeDemo continues the drift demo one step further: instead of
+// reoptimizeDemo continues the drift demo one step further: instead of
 // only *reporting* that the model drifted from the measurements, it
 // feeds the measured profiles back through the optimizer pipeline
 // (opt.Reoptimize) and emits the delta plan. The deployment is seeded
@@ -42,18 +46,8 @@ type ReoptimizeDemoResult struct {
 // serviceTime but deployed slowFactor times slower — so the plan has a
 // real correction to make: the operator's measured utilization exceeds
 // one and fission assigns it the replica degree the declared profile
-// never justified.
-func ReoptimizeDemo(ctx context.Context, slowFactor float64, opts LiveOptions) (*ReoptimizeDemoResult, error) {
-	if slowFactor <= 1 {
-		slowFactor = 3
-	}
-	if opts.Duration <= 0 {
-		opts.Duration = 3 * time.Second
-	}
-	if opts.MailboxSize <= 0 {
-		opts.MailboxSize = 8
-	}
-
+// never justified. The live run lasts duration.
+func reoptimizeDemo(ctx context.Context, duration time.Duration) (*ReoptimizeDemoResult, error) {
 	// The model: a pipeline whose stateless middle stage looks cheap
 	// enough to leave unreplicated.
 	model := core.NewTopology()
@@ -80,12 +74,9 @@ func ReoptimizeDemo(ctx context.Context, slowFactor float64, opts LiveOptions) (
 	reg := obs.New()
 	m, err := runtime.RunTopology(ctx, deployed, replicas, nil, runtime.Config{
 		Seed:        1,
-		Duration:    opts.Duration,
-		Warmup:      opts.Duration / 3,
-		MailboxSize: opts.MailboxSize,
-		Batch:       opts.Batch,
-		Linger:      opts.Linger,
-		MaxRestarts: opts.MaxRestarts,
+		Duration:    duration,
+		Warmup:      duration / 3,
+		MailboxSize: liveMailbox,
 		Obs:         reg,
 		Estimator:   true,
 	})

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"time"
 )
 
 // Result is what every scenario produces: a human-readable rendering plus
@@ -15,33 +14,21 @@ type Result interface {
 	Tabular
 }
 
-// Options carries every knob a scenario may consume; cmd/ssbench fills it
-// from flags and each scenario reads the fields it cares about.
+// Options selects how a scenario runs. Scenarios fix their own sizes:
+// each derives them from Quick in one place (register.go's profile).
 type Options struct {
-	// Setup configures the shared simulated testbed.
-	Setup Setup
-	// Live tunes scenarios that execute on the goroutine runtime.
-	Live LiveOptions
-	// Corpus tunes the Section 5 corpus runner.
-	Corpus CorpusOptions
-	// Chaos tunes the fault-injection soak scenario.
-	Chaos ChaosOptions
-	// Estimator tunes the probe-free estimation sweep.
-	Estimator EstimatorOptions
-	// DriftTable selects the paper-example variant for the drift
-	// walkthrough (1 or 2; default 2).
-	DriftTable int
-	// SlowFactor is the injected drift for reopt/autotune walkthroughs.
-	SlowFactor float64
-	// AutotuneRounds bounds the live autonomic loop.
-	AutotuneRounds int
-	// AutotuneInterval is the live measurement window per round.
-	AutotuneInterval time.Duration
+	// Seed derives every testbed, workload and simulation of the run.
+	Seed uint64
+	// Quick selects the small profile (10-topology testbed at a 15 s
+	// horizon, 5-topology corpus, 8 estimator seeds, 3 live topologies at
+	// 1 s) instead of the full one the committed results come from.
+	Quick bool
 }
 
-// Scenario is one declarative entry of the evaluation registry: what to
-// run (topology source, workload shape and runtime mode live inside Run's
-// closure over Options), how long, what the output schema is (the
+// Scenario is one declarative entry of the evaluation registry — the only
+// way to run an experiment: what to run (topology source, workload shape
+// and runtime mode live inside Run's closure), how long (fixed by the
+// scenario per Options.Quick), what the output schema is (the
 // Result's Tabular implementation), and which invariants must hold
 // (Check).
 type Scenario struct {

@@ -33,8 +33,8 @@ type SheddingResult struct {
 	LossErrStat stats.Summary
 }
 
-// Shedding runs both semantics across the testbed.
-func Shedding(s Setup) (*SheddingResult, error) {
+// shedding runs both semantics across the testbed.
+func shedding(s setup) (*SheddingResult, error) {
 	s = s.withDefaults()
 	bed, err := buildTestbed(s)
 	if err != nil {

@@ -90,8 +90,8 @@ func HotKeySkew(share float64) Workload {
 	return Workload{Name: "hotkey", HotKeyShare: share}
 }
 
-// WorkloadByName resolves the canonical corpus workloads.
-func WorkloadByName(name string) (Workload, error) {
+// workloadByName resolves the canonical corpus workloads.
+func workloadByName(name string) (Workload, error) {
 	switch name {
 	case "steady":
 		return Steady(), nil
@@ -146,7 +146,7 @@ func (w Workload) MeanEnvelope(from, to float64) float64 {
 	return sum / steps
 }
 
-// PredictThroughput extends the steady-state model to modulated arrivals
+// predictThroughput extends the steady-state model to modulated arrivals
 // with a fluid approximation of the bottleneck queue. The envelope scales
 // the source's intrinsic generation rate (1/ServiceTime), not the
 // topology throughput: a backpressure-throttled source does not speed up
@@ -156,7 +156,7 @@ func (w Workload) MeanEnvelope(from, to float64) float64 {
 // after the offered rate collapses — so the prediction integrates a
 // single-queue fluid model over the measurement window instead of
 // point-wise clipping.
-func PredictThroughput(t *core.Topology, replicas []int, w Workload, cfg qsim.Config) (float64, error) {
+func predictThroughput(t *core.Topology, replicas []int, w Workload, cfg qsim.Config) (float64, error) {
 	deployed := w.Apply(t)
 	if replicas == nil {
 		replicas = make([]int, deployed.Len())

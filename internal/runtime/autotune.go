@@ -11,8 +11,9 @@ import (
 
 // AutotuneOptions tunes the controller's autonomic loop.
 type AutotuneOptions struct {
-	// Interval is one round's measurement-window length (default
-	// Config.AutotuneInterval).
+	// Interval is one round's measurement-window length: measure for the
+	// interval, re-optimize on the drift report, apply the delta, repeat
+	// (default 2s).
 	Interval time.Duration
 	// Rounds is the number of measure/re-optimize/apply rounds (default 1).
 	Rounds int
@@ -74,7 +75,7 @@ func (c *Controller) Autotune(ctx context.Context, o AutotuneOptions) (*Autotune
 	}
 	interval := o.Interval
 	if interval <= 0 {
-		interval = c.e.cfg.AutotuneInterval
+		interval = 2 * time.Second
 	}
 	rounds := o.Rounds
 	if rounds <= 0 {

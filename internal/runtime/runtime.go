@@ -124,10 +124,6 @@ type Config struct {
 	// reconfiguration aborts, every paused station resumes unchanged, and
 	// ApplyDelta reports the timeout. Default 1s.
 	ReconfigStallBudget time.Duration
-	// AutotuneInterval is the measurement-window length of one
-	// Controller.Autotune round: measure for the interval, re-optimize on
-	// the drift report, apply the delta, repeat. Default 2s.
-	AutotuneInterval time.Duration
 	// Estimator enables online service-rate estimation (Beard &
 	// Chamberlain), the only source of measured profiles: a sampler
 	// goroutine reads every mailbox's occupancy and the station counters
@@ -205,12 +201,6 @@ func (c Config) withDefaults() (Config, error) {
 	}
 	if c.ReconfigStallBudget == 0 {
 		c.ReconfigStallBudget = time.Second
-	}
-	if c.AutotuneInterval < 0 {
-		return c, fmt.Errorf("runtime: negative AutotuneInterval %v", c.AutotuneInterval)
-	}
-	if c.AutotuneInterval == 0 {
-		c.AutotuneInterval = 2 * time.Second
 	}
 	if c.Generator == nil {
 		g, err := operators.NewGenerator(operators.GeneratorConfig{Seed: c.Seed + 1})

@@ -50,7 +50,7 @@ func pipeline(t *testing.T, times ...float64) *core.Topology {
 // dataplanes is every knob setting the one station loop is held to: tuple
 // is per-tuple delivery (Batch 1), batch puts every inbox on the batched
 // queue, auto is the zero value (rings on proven single-producer edges),
-// and small is the shape experiments.LiveOptions deploys — an 8-tuple
+// and small is the shape the live experiments deploy — an 8-tuple
 // mailbox under the default 32-tuple window, so no window ever fills.
 var dataplanes = []struct {
 	name string
@@ -518,7 +518,6 @@ func TestConfigRejectsNonsense(t *testing.T) {
 		"unknown mailbox":  {Mailbox: mailbox.Mode(42)},
 
 		"negative reconfig stall budget": {ReconfigStallBudget: -time.Second},
-		"negative autotune interval":     {AutotuneInterval: -time.Second},
 	}
 	for name, cfg := range bad {
 		if _, err := cfg.withDefaults(); err == nil {
@@ -554,7 +553,7 @@ func TestConfigRejectsNonsense(t *testing.T) {
 		t.Errorf("PerTuple resolved to Batch %d on %v (%v), want 1 on the batched queue",
 			got.Batch, resolveInboxMode(got.Mailbox, 1), err)
 	}
-	if got.ReconfigStallBudget != time.Second || got.AutotuneInterval != 2*time.Second {
+	if got.ReconfigStallBudget != time.Second {
 		t.Errorf("reconfiguration defaults not applied: %+v", got)
 	}
 }

@@ -107,14 +107,16 @@ func DecodeDocument(r io.Reader) (*Document, *Positions, error) {
 // scanPositions re-tokenizes data recording where each <operator>,
 // <output> and <key> start tag begins. The scan mirrors the order
 // encoding/xml decodes the elements in, so indices align with the
-// decoded Document.
+// decoded Document. The decoder's running line counter gives the
+// position, read before each Token call: markup always starts a fresh
+// token, so it points at the '<' of a start tag.
 func scanPositions(data []byte) *Positions {
 	dec := xml.NewDecoder(bytes.NewReader(data))
 	pos := &Positions{}
 	var cur *OperatorPos
 	depth := 0
 	for {
-		start := dec.InputOffset()
+		line, col := dec.InputPos()
 		tok, err := dec.Token()
 		if err != nil {
 			if err == io.EOF {
@@ -125,7 +127,7 @@ func scanPositions(data []byte) *Positions {
 		switch t := tok.(type) {
 		case xml.StartElement:
 			depth++
-			p := lineCol(data, start)
+			p := Pos{Line: line, Col: col}
 			switch {
 			case depth == 2 && t.Name.Local == "operator":
 				pos.Operators = append(pos.Operators, OperatorPos{Start: p})
@@ -142,17 +144,4 @@ func scanPositions(data []byte) *Positions {
 			}
 		}
 	}
-}
-
-// lineCol converts a byte offset into a 1-based line/column pair. The
-// offset points at the '<' of a start tag, which token scanning
-// guarantees: offsets are taken before each Token call, and markup
-// always starts a fresh token.
-func lineCol(data []byte, off int64) Pos {
-	if off < 0 || off > int64(len(data)) {
-		return Pos{}
-	}
-	line := 1 + bytes.Count(data[:off], []byte{'\n'})
-	col := int(off) - bytes.LastIndexByte(data[:off], '\n')
-	return Pos{Line: line, Col: col}
 }
