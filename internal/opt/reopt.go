@@ -45,7 +45,8 @@ type DeltaPlan struct {
 	// system is expected to sustain as reality stands.
 	PredictedBefore float64 `json:"predicted_before"`
 	// PredictedAfter is the predicted throughput after applying the
-	// plan (modulo fusion undos, which need a redeploy).
+	// replica changes. It does not include the effect of Undo, which
+	// runtime.Controller.ApplyDelta also applies live.
 	PredictedAfter float64 `json:"predicted_after"`
 	// Result is the full re-optimization run on the re-profiled
 	// topology, including its rewrite trace.
@@ -217,7 +218,7 @@ func Reoptimize(s *Snapshot, drift *obs.DriftReport, opts Options) (*DeltaPlan, 
 
 	// Fusions to undo: meta-operators still saturated after re-optimizing
 	// the replica degrees. Replication cannot help them, so the plan
-	// surfaces them for a redeploy.
+	// lists them in Undo for ApplyDelta to split back live.
 	post := res.Baseline
 	if res.Fission != nil {
 		post = res.Fission.Analysis

@@ -8,14 +8,11 @@ import (
 	"testing"
 )
 
-// FuzzRead exercises the XML topology parser with arbitrary input: it must
-// never panic, and anything it accepts must round-trip through Write/Read
-// to an equally valid topology.
-func FuzzRead(f *testing.F) {
-	// Seed with every real topology shipped in testdata/, so the fuzzer
-	// starts from documents that exercise the full schema (selectivities,
-	// probabilities, retry loops) rather than only the inline minimal
-	// cases below.
+// addReadSeeds seeds a fuzz target with every real topology shipped in
+// testdata/, so the fuzzer starts from documents that exercise the full
+// schema (selectivities, probabilities, retry loops), plus minimal inline
+// cases.
+func addReadSeeds(f *testing.F) {
 	docs, err := filepath.Glob(filepath.Join("..", "..", "testdata", "*.xml"))
 	if err != nil {
 		f.Fatal(err)
@@ -40,7 +37,13 @@ func FuzzRead(f *testing.F) {
 	f.Add(`not xml at all`)
 	f.Add(`<topology><operator name="a" type="partitioned-stateful" serviceTime="1ms">
   <key frequency="0.5"/><key frequency="0.5"/></operator></topology>`)
+}
 
+// FuzzRead exercises the XML topology parser with arbitrary input: it must
+// never panic, and anything it accepts must round-trip through Write/Read
+// to an equally valid topology.
+func FuzzRead(f *testing.F) {
+	addReadSeeds(f)
 	f.Fuzz(func(t *testing.T, doc string) {
 		topo, err := Read(strings.NewReader(doc))
 		if err != nil {

@@ -1,11 +1,6 @@
 package xmlio
 
-import (
-	"bytes"
-	"encoding/xml"
-	"fmt"
-	"io"
-)
+import "fmt"
 
 // Pos is a 1-based line/column location in a topology document. The zero
 // value means "position unknown".
@@ -80,68 +75,4 @@ func (e *ParseError) Error() string {
 // errAt builds a positioned validation error.
 func errAt(p Pos, format string, args ...any) error {
 	return &ParseError{Pos: p, Msg: fmt.Sprintf(format, args...)}
-}
-
-// DecodeDocument reads the raw XML document from r without any semantic
-// validation and returns element positions alongside it. It is the entry
-// point for the lint analyzers, which want to diagnose documents that
-// Read would reject outright.
-func DecodeDocument(r io.Reader) (*Document, *Positions, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, nil, fmt.Errorf("xmlio: %w", err)
-	}
-	var doc Document
-	if err := xml.Unmarshal(data, &doc); err != nil {
-		return nil, nil, fmt.Errorf("xmlio: parse: %w", err)
-	}
-	pos := scanPositions(data)
-	if pos != nil && len(pos.Operators) != len(doc.Operators) {
-		// The token scan disagreed with the decoder (should not happen);
-		// drop the positions rather than misattribute them.
-		pos = nil
-	}
-	return &doc, pos, nil
-}
-
-// scanPositions re-tokenizes data recording where each <operator>,
-// <output> and <key> start tag begins. The scan mirrors the order
-// encoding/xml decodes the elements in, so indices align with the
-// decoded Document. The decoder's running line counter gives the
-// position, read before each Token call: markup always starts a fresh
-// token, so it points at the '<' of a start tag.
-func scanPositions(data []byte) *Positions {
-	dec := xml.NewDecoder(bytes.NewReader(data))
-	pos := &Positions{}
-	var cur *OperatorPos
-	depth := 0
-	for {
-		line, col := dec.InputPos()
-		tok, err := dec.Token()
-		if err != nil {
-			if err == io.EOF {
-				return pos
-			}
-			return nil
-		}
-		switch t := tok.(type) {
-		case xml.StartElement:
-			depth++
-			p := Pos{Line: line, Col: col}
-			switch {
-			case depth == 2 && t.Name.Local == "operator":
-				pos.Operators = append(pos.Operators, OperatorPos{Start: p})
-				cur = &pos.Operators[len(pos.Operators)-1]
-			case depth == 3 && cur != nil && t.Name.Local == "output":
-				cur.Outputs = append(cur.Outputs, p)
-			case depth == 3 && cur != nil && t.Name.Local == "key":
-				cur.Keys = append(cur.Keys, p)
-			}
-		case xml.EndElement:
-			depth--
-			if depth < 2 {
-				cur = nil
-			}
-		}
-	}
 }

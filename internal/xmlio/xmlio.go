@@ -22,7 +22,10 @@ import (
 	"spinstreams/internal/core"
 )
 
-// Document is the XML representation of a topology.
+// Document is the XML representation of a topology. The hand-written
+// codec (DecodeDocument, Write) never reads the struct tags: they are the
+// reference schema, and the differential tests hold the codec to what
+// encoding/xml's reflection makes of them.
 type Document struct {
 	XMLName   xml.Name      `xml:"topology"`
 	Name      string        `xml:"name,attr"`
@@ -442,19 +445,6 @@ func ReadFileOptimized(path string, opts ...Option) (*core.Topology, []int, erro
 		return LoadKeyFile(filepath.Join(filepath.Dir(path), ref))
 	})}, opts...)
 	return ReadOptimized(f, all...)
-}
-
-func writeDoc(w io.Writer, doc *Document) error {
-	if _, err := io.WriteString(w, xml.Header); err != nil {
-		return err
-	}
-	enc := xml.NewEncoder(w)
-	enc.Indent("", "  ")
-	if err := enc.Encode(doc); err != nil {
-		return fmt.Errorf("xmlio: encode: %w", err)
-	}
-	_, err := io.WriteString(w, "\n")
-	return err
 }
 
 // formatSeconds renders a service time with a readable unit when the
