@@ -7,33 +7,13 @@ import (
 	"spinstreams/internal/window"
 )
 
-// keyedWindows lazily maintains one count window per partitioning key; the
-// state layout that makes an operator partitioned-stateful.
-type keyedWindows struct {
-	length, slide int
-	byKey         map[uint64]*window.Count[float64]
-}
-
-func newKeyedWindows(length, slide int) *keyedWindows {
-	return &keyedWindows{length: length, slide: slide, byKey: make(map[uint64]*window.Count[float64])}
-}
-
-// add buffers v into key's window and returns (content, true) on fire.
-func (kw *keyedWindows) add(key uint64, v float64, scratch []float64) ([]float64, bool) {
-	w, ok := kw.byKey[key]
-	if !ok {
-		w = window.MustCount[float64](kw.length, kw.slide)
-		kw.byKey[key] = w
-	}
-	if !w.Add(v) {
-		return nil, false
-	}
-	return w.Snapshot(scratch[:0]), true
-}
+// reduction folds a window's content, given as its two oldest-first
+// segments (window.Count.Segments), into one value.
+type reduction func(older, newer []float64) float64
 
 // aggregate is the shared machinery of the windowed aggregation operators:
-// a partitioned-stateful count window per key plus a reduction function
-// applied to the window content on every fire.
+// a partitioned-stateful count window per key, created on the key's first
+// tuple, plus a reduction applied to the window content on every fire.
 type aggregate struct {
 	name    string
 	length  int
@@ -41,13 +21,12 @@ type aggregate struct {
 	numKeys int
 	// newReduce builds a fresh reduction closure; Clone re-invokes it so
 	// replicas never share reduction scratch state.
-	newReduce func() func([]float64) float64
-	reduce    func([]float64) float64
-	state     *keyedWindows
-	scratch   []float64
+	newReduce func() reduction
+	reduce    reduction
+	byKey     map[uint64]*window.Count[float64]
 }
 
-func newAggregate(name string, spec Spec, newReduce func() func([]float64) float64) *aggregate {
+func newAggregate(name string, spec Spec, newReduce func() reduction) *aggregate {
 	length, slide := windowOf(spec)
 	numKeys := spec.NumKeys
 	if numKeys <= 0 {
@@ -60,8 +39,7 @@ func newAggregate(name string, spec Spec, newReduce func() func([]float64) float
 		numKeys:   numKeys,
 		newReduce: newReduce,
 		reduce:    newReduce(),
-		state:     newKeyedWindows(length, slide),
-		scratch:   make([]float64, 0, length),
+		byKey:     make(map[uint64]*window.Count[float64]),
 	}
 }
 
@@ -77,37 +55,42 @@ func (a *aggregate) Meta() Meta {
 
 func (a *aggregate) Clone() Operator {
 	c := *a
-	c.state = newKeyedWindows(a.length, a.slide)
-	c.scratch = make([]float64, 0, a.length)
+	c.byKey = make(map[uint64]*window.Count[float64])
 	c.reduce = a.newReduce()
 	return &c
 }
 
 func (a *aggregate) Process(in Tuple, emit Emit) {
-	content, fired := a.state.add(in.Key, in.Field(0), a.scratch)
-	if !fired {
+	w, ok := a.byKey[in.Key]
+	if !ok {
+		w = window.MustCount[float64](a.length, a.slide)
+		a.byKey[in.Key] = w
+	}
+	if !w.Add(in.Field(0)) {
 		return
 	}
-	a.scratch = content[:0]
 	out := in
-	out.Fields = []float64{a.reduce(content)}
+	out.Fields = []float64{a.reduce(w.Segments())}
 	emit(out)
 }
 
 // statelessReduce adapts a pure reduction to the factory contract.
-func statelessReduce(f func([]float64) float64) func() func([]float64) float64 {
-	return func() func([]float64) float64 { return f }
+func statelessReduce(f reduction) func() reduction {
+	return func() reduction { return f }
 }
 
 // newWMA builds the weighted moving average aggregation: recent items weigh
 // linearly more than old ones.
 func newWMA(spec Spec) (Operator, error) {
-	return newAggregate("wma", spec, statelessReduce(func(xs []float64) float64 {
-		num, den := 0.0, 0.0
-		for i, x := range xs {
-			w := float64(i + 1)
-			num += w * x
-			den += w
+	return newAggregate("wma", spec, statelessReduce(func(older, newer []float64) float64 {
+		num, den, i := 0.0, 0.0, 0
+		for _, seg := range [2][]float64{older, newer} {
+			for _, x := range seg {
+				i++
+				w := float64(i)
+				num += w * x
+				den += w
+			}
 		}
 		if den == 0 {
 			return 0
@@ -118,55 +101,54 @@ func newWMA(spec Spec) (Operator, error) {
 
 // newWindowedSum sums the window content.
 func newWindowedSum(spec Spec) (Operator, error) {
-	return newAggregate("wsum", spec, statelessReduce(func(xs []float64) float64 {
+	return newAggregate("wsum", spec, statelessReduce(func(older, newer []float64) float64 {
 		s := 0.0
-		for _, x := range xs {
-			s += x
+		for _, seg := range [2][]float64{older, newer} {
+			for _, x := range seg {
+				s += x
+			}
 		}
 		return s
 	})), nil
 }
 
-// newWindowedMax reduces the window to its maximum.
-func newWindowedMax(spec Spec) (Operator, error) {
-	return newAggregate("wmax", spec, statelessReduce(func(xs []float64) float64 {
-		if len(xs) == 0 {
+// extreme scans the window oldest first, keeping the running element unless
+// a later one beats it; a NaN is the result only when it is the oldest.
+func extreme(beats func(x, m float64) bool) reduction {
+	return func(older, newer []float64) float64 {
+		if len(older) == 0 {
 			return 0
 		}
-		m := xs[0]
-		for _, x := range xs[1:] {
-			if x > m {
-				m = x
+		m := older[0]
+		for _, seg := range [2][]float64{older[1:], newer} {
+			for _, x := range seg {
+				if beats(x, m) {
+					m = x
+				}
 			}
 		}
 		return m
-	})), nil
+	}
+}
+
+// newWindowedMax reduces the window to its maximum.
+func newWindowedMax(spec Spec) (Operator, error) {
+	return newAggregate("wmax", spec, statelessReduce(extreme(func(x, m float64) bool { return x > m }))), nil
 }
 
 // newWindowedMin reduces the window to its minimum.
 func newWindowedMin(spec Spec) (Operator, error) {
-	return newAggregate("wmin", spec, statelessReduce(func(xs []float64) float64 {
-		if len(xs) == 0 {
-			return 0
-		}
-		m := xs[0]
-		for _, x := range xs[1:] {
-			if x < m {
-				m = x
-			}
-		}
-		return m
-	})), nil
+	return newAggregate("wmin", spec, statelessReduce(extreme(func(x, m float64) bool { return x < m }))), nil
 }
 
 // newWindowedQuantile computes the q-quantile (Param, default median) of
 // the window by sorting a per-replica scratch copy.
 func newWindowedQuantile(spec Spec) (Operator, error) {
 	q := quantileOf(spec)
-	return newAggregate("wquantile", spec, func() func([]float64) float64 {
+	return newAggregate("wquantile", spec, func() reduction {
 		var buf []float64
-		return func(xs []float64) float64 {
-			buf = append(buf[:0], xs...)
+		return func(older, newer []float64) float64 {
+			buf = append(append(buf[:0], older...), newer...)
 			sort.Float64s(buf)
 			if len(buf) == 0 {
 				return 0

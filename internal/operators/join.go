@@ -18,7 +18,6 @@ type bandJoin struct {
 	band        float64
 	left, right *window.Count[float64]
 	matchRate   float64
-	scratch     []float64
 }
 
 func newBandJoin(spec Spec) (Operator, error) {
@@ -64,16 +63,18 @@ func (j *bandJoin) Process(in Tuple, emit Emit) {
 		mine, other = j.right, j.left
 	}
 	mine.Add(v)
-	j.scratch = other.Snapshot(j.scratch[:0])
-	for _, w := range j.scratch {
-		d := v - w
-		if d < 0 {
-			d = -d
-		}
-		if d <= j.band {
-			out := in
-			out.Fields = []float64{v, w, d}
-			emit(out)
+	older, newer := other.Segments()
+	for _, seg := range [2][]float64{older, newer} {
+		for _, w := range seg {
+			d := v - w
+			if d < 0 {
+				d = -d
+			}
+			if d <= j.band {
+				out := in
+				out.Fields = []float64{v, w, d}
+				emit(out)
+			}
 		}
 	}
 }

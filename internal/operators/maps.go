@@ -263,6 +263,22 @@ func (k *keyBy) Meta() Meta      { return statelessMeta(1) }
 func (k *keyBy) Clone() Operator { c := *k; return &c }
 func (k *keyBy) Process(in Tuple, emit Emit) {
 	out := in
-	out.Key = uint64(math.Abs(in.Field(0))*1e6) % uint64(k.numKeys)
+	out.Key = keyOf(in.Field(0), k.numKeys)
 	emit(out)
+}
+
+// keyOf maps x to one of n keys by its magnitude in millionths, the same
+// on every platform. Converting a float to an integer is only defined when
+// the value fits, so larger magnitudes (integers already) are reduced in
+// floating point, exactly, and NaN and ±Inf get key 0.
+func keyOf(x float64, n int) uint64 {
+	v := math.Abs(x) * 1e6
+	switch {
+	case v < 1<<63:
+		return uint64(v) % uint64(n)
+	case math.IsNaN(v) || math.IsInf(v, 0):
+		return 0
+	default:
+		return uint64(math.Mod(v, float64(n)))
+	}
 }

@@ -19,11 +19,6 @@ func TestStatelessOperatorsAreDeterministic(t *testing.T) {
 				if len(fields) > 16 {
 					fields = fields[:16]
 				}
-				for i, v := range fields {
-					if math.IsNaN(v) || math.IsInf(v, 0) {
-						fields[i] = 0.5
-					}
-				}
 				in := Tuple{Key: key, Fields: fields}
 				a := MustBuild(Spec{Impl: name})
 				b := a.Clone()

@@ -30,8 +30,8 @@ var _ KeyedState = (*aggregate)(nil)
 
 // StateKeys implements KeyedState.
 func (a *aggregate) StateKeys() []uint64 {
-	keys := make([]uint64, 0, len(a.state.byKey))
-	for k := range a.state.byKey {
+	keys := make([]uint64, 0, len(a.byKey))
+	for k := range a.byKey {
 		keys = append(keys, k)
 	}
 	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
@@ -41,11 +41,11 @@ func (a *aggregate) StateKeys() []uint64 {
 // ExportKey implements KeyedState: the window itself is handed over, so a
 // partially filled window keeps its buffered items across the migration.
 func (a *aggregate) ExportKey(key uint64) any {
-	w, ok := a.state.byKey[key]
+	w, ok := a.byKey[key]
 	if !ok {
 		return nil
 	}
-	delete(a.state.byKey, key)
+	delete(a.byKey, key)
 	return w
 }
 
@@ -55,5 +55,5 @@ func (a *aggregate) ImportKey(key uint64, state any) {
 	if !ok || w == nil {
 		return
 	}
-	a.state.byKey[key] = w
+	a.byKey[key] = w
 }

@@ -161,3 +161,48 @@ func TestCountProperties(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestWindowSegmentsMatchSnapshot: Segments is the window content oldest
+// first, split at the ring's wrap point, across fills, wraps and Resets;
+// older is empty only when the window is, and Snapshot is the two
+// segments concatenated.
+func TestWindowSegmentsMatchSnapshot(t *testing.T) {
+	f := func(lenRaw, slideRaw uint8, nRaw, resetRaw uint16) bool {
+		length := 1 + int(lenRaw)%20
+		slide := 1 + int(slideRaw)%25
+		n := int(nRaw) % 300
+		reset := int(resetRaw) % 300
+		w := MustCount[int](length, slide)
+		var fed []int // everything added since the last Reset
+		for i := 0; i < n; i++ {
+			if i == reset {
+				w.Reset()
+				fed = fed[:0]
+			}
+			w.Add(i)
+			fed = append(fed, i)
+			want := fed
+			if len(want) > length {
+				want = want[len(want)-length:]
+			}
+			older, newer := w.Segments()
+			if len(older) == 0 && len(want) > 0 {
+				return false
+			}
+			got := append(append([]int(nil), older...), newer...)
+			snap := w.Snapshot([]int{-1})
+			if len(got) != len(want) || len(snap) != len(want)+1 || snap[0] != -1 {
+				return false
+			}
+			for j := range want {
+				if got[j] != want[j] || snap[j+1] != want[j] {
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
+	}
+}
