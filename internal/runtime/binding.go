@@ -146,10 +146,18 @@ func (b *Binding) executor(st *plan.Station, cfg Config) (exec func(operators.Tu
 // closure; kept separate so migrations can rebuild the closure around an
 // instance whose state they just moved.
 func opExec(op operators.Operator) func(operators.Tuple, *[]routed) {
-	return func(in operators.Tuple, outs *[]routed) {
-		op.Process(in, func(t operators.Tuple) {
-			*outs = append(*outs, routed{tuple: t, dest: -1})
-		})
+	// The emit callback is built once per station, not once per item: a
+	// closure handed to an interface method escapes, so building it per
+	// item would put one heap allocation on every tuple. A station calls
+	// its executor from its own goroutine only, so outs is just repointed
+	// between calls.
+	var outs *[]routed
+	emit := func(t operators.Tuple) {
+		*outs = append(*outs, routed{tuple: t, dest: -1})
+	}
+	return func(in operators.Tuple, o *[]routed) {
+		outs = o
+		op.Process(in, emit)
 	}
 }
 
@@ -224,6 +232,12 @@ type metaInstance struct {
 	sched *pacer
 	// work is the traversal queue of (vertex, tuple) pairs.
 	work []metaItem
+	// emit routes one member output; built once per instance (see
+	// opExec), it reads the member in hand and the station's outs from at
+	// and outs, which process repoints per item.
+	emit operators.Emit
+	at   core.OpID
+	outs *[]routed
 }
 
 type metaItem struct {
@@ -241,6 +255,19 @@ func (m *MetaOperator) instance(cfg Config) *metaInstance {
 	if !cfg.NoServicePadding {
 		inst.sched = newPacer(0)
 	}
+	inst.emit = func(t operators.Tuple) {
+		dest := inst.route(inst.at, t)
+		if dest < 0 {
+			return
+		}
+		if inst.members[dest] {
+			inst.work = append(inst.work, metaItem{at: dest, tup: t})
+			return
+		}
+		if fusedID, ok := m.SurvivorIDs[dest]; ok {
+			*inst.outs = append(*inst.outs, routed{tuple: t, dest: fusedID})
+		}
+	}
 	for _, id := range m.Members {
 		inst.ops[id] = m.Prototypes[id].Clone()
 		inst.members[id] = true
@@ -256,28 +283,16 @@ func (m *MetaOperator) instance(cfg Config) *metaInstance {
 func (mi *metaInstance) process(in operators.Tuple, outs *[]routed) {
 	started := time.Now()
 	var pathCost float64
+	mi.outs = outs
 	mi.work = mi.work[:0]
 	mi.work = append(mi.work, metaItem{at: mi.m.Front, tup: in})
-	for len(mi.work) > 0 {
-		item := mi.work[0]
-		mi.work = mi.work[1:]
-		op := mi.ops[item.at]
+	// Walk the queue by index rather than reslicing its head away, so the
+	// buffer keeps its capacity from one item to the next.
+	for i := 0; i < len(mi.work); i++ {
+		item := mi.work[i]
+		mi.at = item.at
 		pathCost += mi.m.Sub.Op(item.at).ServiceTime
-		op.Process(item.tup, func(t operators.Tuple) {
-			dest := mi.route(item.at, t)
-			if dest < 0 {
-				return
-			}
-			if mi.members[dest] {
-				mi.work = append(mi.work, metaItem{at: dest, tup: t})
-				return
-			}
-			fusedID, ok := mi.m.SurvivorIDs[dest]
-			if !ok {
-				return
-			}
-			*outs = append(*outs, routed{tuple: t, dest: fusedID})
-		})
+		mi.ops[item.at].Process(item.tup, mi.emit)
 	}
 	if mi.sched != nil {
 		mi.sched.waitFor(started, time.Duration(pathCost*float64(time.Second)))

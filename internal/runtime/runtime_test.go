@@ -630,3 +630,39 @@ func TestRunPanicMidWindowSameOutputEveryMode(t *testing.T) {
 		t.Errorf("%d goroutines before the runs, %d after", goroutines, n)
 	}
 }
+
+func TestExecutorsDoNotAllocatePerTuple(t *testing.T) {
+	// The station loop calls its executor once per tuple; an executor that
+	// builds its emit callback per call allocates on every tuple.
+	identity := func() operators.Operator { return operators.MustBuild(operators.Spec{Impl: "identity"}) }
+	topo, sub := core.PaperExampleTopology(core.PaperExampleTable1)
+	_, report, err := core.Fuse(topo, sub, "F")
+	if err != nil {
+		t.Fatal(err)
+	}
+	protos := map[core.OpID]operators.Operator{}
+	for _, m := range sub {
+		protos[m] = identity()
+	}
+	meta, err := NewMetaOperator(topo, report, protos, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	execs := map[string]func(operators.Tuple, *[]routed){
+		"operator": opExec(identity()),
+		"meta":     meta.instance(Config{NoServicePadding: true}).process,
+	}
+	for name, exec := range execs {
+		outs := make([]routed, 0, 8)
+		allocs := testing.AllocsPerRun(200, func() {
+			outs = outs[:0]
+			exec(operators.Tuple{Seq: 1}, &outs)
+		})
+		if allocs != 0 {
+			t.Errorf("%s executor: %v allocations per tuple, want 0", name, allocs)
+		}
+		if len(outs) != 1 {
+			t.Errorf("%s executor: %d outputs per tuple, want 1", name, len(outs))
+		}
+	}
+}
