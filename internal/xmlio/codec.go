@@ -7,17 +7,29 @@ import (
 	"fmt"
 	"io"
 	"strconv"
-	"strings"
 )
 
 // DecodeDocument reads the raw XML document from r without any semantic
 // validation and returns element positions alongside it. It is the entry
 // point for the lint analyzers, which want to diagnose documents that
 // Read would reject outright.
+//
+// A byte scanner (scan) reads the document in place when it lies within
+// the subset every writer in this repository produces: the xml.Header
+// declaration at the very start, comments without "--", tags with ASCII
+// names and no ':', attributes in single or double quotes (none named xmlns),
+// and attribute values, text and comments of valid UTF-8 within XML's
+// character range, with no '&', no '\r', no '<' in a value and no '>' in
+// text. It declines anything else, and any syntax or attribute error;
+// encoding/xml's Token decoder then reads the document, so every error
+// and every other construct keeps encoding/xml's meaning and text.
 func DecodeDocument(r io.Reader) (*Document, *Positions, error) {
-	data, err := io.ReadAll(r)
+	data, err := readAll(r)
 	if err != nil {
 		return nil, nil, fmt.Errorf("xmlio: %w", err)
+	}
+	if doc, pos, ok := scan(data); ok {
+		return doc, pos, nil
 	}
 	doc, pos, err := decode(xml.NewDecoder(bytes.NewReader(data)))
 	if err != nil {
@@ -26,18 +38,28 @@ func DecodeDocument(r io.Reader) (*Document, *Positions, error) {
 	return doc, pos, nil
 }
 
-// decode builds the Document and its Positions in one Token pass,
-// reproducing what xml.Unmarshal makes of Document's struct tags:
-// elements and attributes match on their local name whatever their
-// namespace, the last of duplicate attributes wins, unknown elements are
-// skipped at any depth, and decoding stops at the root's end tag. The
-// position of a start tag is the decoder's input position read before
-// the Token call that returns it: markup always starts a fresh token, so
-// it points at the tag's '<'.
+// readAll reads r into a buffer of exactly the reported size when r
+// knows its unread length, as bytes.Reader, strings.Reader and
+// bytes.Buffer do.
+func readAll(r io.Reader) ([]byte, error) {
+	l, ok := r.(interface{ Len() int })
+	if !ok {
+		return io.ReadAll(r)
+	}
+	data := make([]byte, l.Len())
+	if _, err := io.ReadFull(r, data); err != nil {
+		return nil, err
+	}
+	return data, nil
+}
+
+// decode is the Token tokenizer: it feeds every element to a builder.
+// The position of a start tag is the decoder's input position read
+// before the Token call that returns it: markup always starts a fresh
+// token, so it points at the tag's '<'.
 func decode(dec *xml.Decoder) (*Document, *Positions, error) {
-	doc, pos := &Document{}, &Positions{}
-	depth := 0
-	inOperator := false // the open depth-2 element is an <operator>
+	var b builder
+	var attrs []attr
 	for {
 		line, col := dec.InputPos()
 		tok, err := dec.Token()
@@ -46,65 +68,96 @@ func decode(dec *xml.Decoder) (*Document, *Positions, error) {
 		}
 		switch t := tok.(type) {
 		case xml.EndElement:
-			depth--
-			if depth == 0 {
-				return doc, pos, nil
+			if b.end() {
+				return &b.doc, &b.pos, nil
 			}
 		case xml.StartElement:
-			depth++
-			at := Pos{Line: line, Col: col}
-			switch depth {
-			case 1:
-				if t.Name.Local != "topology" {
-					return nil, nil, xml.UnmarshalError("expected element type <topology> but have <" + t.Name.Local + ">")
-				}
-				doc.XMLName = t.Name
-				for _, a := range t.Attr {
-					if a.Name.Local == "name" {
-						doc.Name = a.Value
-					}
-				}
-			case 2:
-				inOperator = t.Name.Local == "operator"
-				if inOperator {
-					doc.Operators = append(doc.Operators, OperatorDoc{})
-					pos.Operators = append(pos.Operators, OperatorPos{Start: at})
-					if err := decodeOperator(&doc.Operators[len(doc.Operators)-1], t.Attr); err != nil {
-						return nil, nil, err
-					}
-				}
-			case 3:
-				if inOperator {
-					od, op := &doc.Operators[len(doc.Operators)-1], &pos.Operators[len(pos.Operators)-1]
-					if err := decodeChild(od, op, at, t); err != nil {
-						return nil, nil, err
-					}
-				}
+			attrs = attrs[:0]
+			for _, a := range t.Attr {
+				attrs = append(attrs, attr{name: []byte(a.Name.Local), value: []byte(a.Value)})
+			}
+			if err := b.start([]byte(t.Name.Local), attrs, Pos{Line: line, Col: col}); err != nil {
+				return nil, nil, err
+			}
+			if b.depth == 1 {
+				b.doc.XMLName = t.Name // with the namespace the scanner never sees
 			}
 		}
 	}
 }
 
-func decodeOperator(od *OperatorDoc, attrs []xml.Attr) error {
+// attr is one attribute as a tokenizer hands it over: its local name and
+// its unescaped value.
+type attr struct{ name, value []byte }
+
+// builder maps elements onto a Document and its Positions, reproducing
+// what xml.Unmarshal makes of Document's struct tags: elements and
+// attributes match on their local name whatever their namespace, the
+// last of duplicate attributes wins, unknown elements are skipped at any
+// depth, and the document is complete at the root's end tag.
+type builder struct {
+	doc        Document
+	pos        Positions
+	depth      int
+	inOperator bool // the open depth-2 element is an <operator>
+}
+
+// start maps the start tag of an element at position at.
+func (b *builder) start(name []byte, attrs []attr, at Pos) error {
+	b.depth++
+	switch b.depth {
+	case 1:
+		if string(name) != "topology" {
+			return xml.UnmarshalError("expected element type <topology> but have <" + string(name) + ">")
+		}
+		b.doc.XMLName = xml.Name{Local: "topology"}
+		for _, a := range attrs {
+			if string(a.name) == "name" {
+				b.doc.Name = string(a.value)
+			}
+		}
+	case 2:
+		b.inOperator = string(name) == "operator"
+		if b.inOperator {
+			b.doc.Operators = append(b.doc.Operators, OperatorDoc{})
+			b.pos.Operators = append(b.pos.Operators, OperatorPos{Start: at})
+			return decodeOperator(&b.doc.Operators[len(b.doc.Operators)-1], attrs)
+		}
+	case 3:
+		if b.inOperator {
+			od, op := &b.doc.Operators[len(b.doc.Operators)-1], &b.pos.Operators[len(b.pos.Operators)-1]
+			return decodeChild(od, op, at, name, attrs)
+		}
+	}
+	return nil
+}
+
+// end maps an end tag and reports whether it closed the root.
+func (b *builder) end() bool {
+	b.depth--
+	return b.depth == 0
+}
+
+func decodeOperator(od *OperatorDoc, attrs []attr) error {
 	for _, a := range attrs {
 		var err error
-		switch a.Name.Local {
+		switch string(a.name) {
 		case "name":
-			od.Name = a.Value
+			od.Name = string(a.value)
 		case "type":
-			od.Type = a.Value
+			od.Type = string(a.value)
 		case "serviceTime":
-			od.ServiceTime = a.Value
+			od.ServiceTime = string(a.value)
 		case "impl":
-			od.Impl = a.Value
+			od.Impl = string(a.value)
 		case "inputSelectivity":
-			od.InputSelectivity, err = parseFloatAttr(a.Value)
+			od.InputSelectivity, err = parseFloatAttr(a.value)
 		case "outputSelectivity":
-			od.OutputSelectivity, err = parseFloatAttr(a.Value)
+			od.OutputSelectivity, err = parseFloatAttr(a.value)
 		case "replicas":
-			od.Replicas, err = parseIntAttr(a.Value)
+			od.Replicas, err = parseIntAttr(a.value)
 		case "keysFile":
-			od.KeysFile = a.Value
+			od.KeysFile = string(a.value)
 		}
 		if err != nil {
 			return err
@@ -115,14 +168,14 @@ func decodeOperator(od *OperatorDoc, attrs []xml.Attr) error {
 
 // decodeChild decodes a <key>, <fused> or <output> child of an operator;
 // any other child is skipped.
-func decodeChild(od *OperatorDoc, op *OperatorPos, at Pos, t xml.StartElement) error {
+func decodeChild(od *OperatorDoc, op *OperatorPos, at Pos, name []byte, attrs []attr) error {
 	var err error
-	switch t.Name.Local {
+	switch string(name) {
 	case "key":
 		var k KeyDoc
-		for _, a := range t.Attr {
-			if a.Name.Local == "frequency" {
-				if k.Frequency, err = parseFloatAttr(a.Value); err != nil {
+		for _, a := range attrs {
+			if string(a.name) == "frequency" {
+				if k.Frequency, err = parseFloatAttr(a.value); err != nil {
 					return err
 				}
 			}
@@ -131,20 +184,20 @@ func decodeChild(od *OperatorDoc, op *OperatorPos, at Pos, t xml.StartElement) e
 		op.Keys = append(op.Keys, at)
 	case "fused":
 		var f FusedDoc
-		for _, a := range t.Attr {
-			if a.Name.Local == "name" {
-				f.Name = a.Value
+		for _, a := range attrs {
+			if string(a.name) == "name" {
+				f.Name = string(a.value)
 			}
 		}
 		od.Fused = append(od.Fused, f)
 	case "output":
 		var o OutputDoc
-		for _, a := range t.Attr {
-			switch a.Name.Local {
+		for _, a := range attrs {
+			switch string(a.name) {
 			case "to":
-				o.To = a.Value
+				o.To = string(a.value)
 			case "probability":
-				if o.Probability, err = parseFloatAttr(a.Value); err != nil {
+				if o.Probability, err = parseFloatAttr(a.value); err != nil {
 					return err
 				}
 			}
@@ -158,18 +211,18 @@ func decodeChild(od *OperatorDoc, op *OperatorPos, at Pos, t xml.StartElement) e
 // parseFloatAttr and parseIntAttr convert a numeric attribute as
 // xml.Unmarshal does: an empty value reads as zero, any other value is
 // trimmed and must parse, so a blank one is an error.
-func parseFloatAttr(s string) (float64, error) {
-	if s == "" {
+func parseFloatAttr(b []byte) (float64, error) {
+	if len(b) == 0 {
 		return 0, nil
 	}
-	return strconv.ParseFloat(strings.TrimSpace(s), 64)
+	return strconv.ParseFloat(string(bytes.TrimSpace(b)), 64)
 }
 
-func parseIntAttr(s string) (int, error) {
-	if s == "" {
+func parseIntAttr(b []byte) (int, error) {
+	if len(b) == 0 {
 		return 0, nil
 	}
-	v, err := strconv.ParseInt(strings.TrimSpace(s), 10, strconv.IntSize)
+	v, err := strconv.ParseInt(string(bytes.TrimSpace(b)), 10, strconv.IntSize)
 	return int(v), err
 }
 

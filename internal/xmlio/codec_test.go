@@ -191,6 +191,45 @@ var codecHandCases = map[string]string{
   <operator name="c" type="sink" serviceTime="1ms"/>
 </topology>
 `, "\n", "\r\n"),
+	// Where a byte scanner can part ways with encoding/xml.
+	"]]> in text":         `<topology name="t">a]]>b<operator name="a"/></topology>`,
+	"entities":            `<topology name="R&amp;D">&lt;<operator name="a&lt;b" type="&#115;ource"/></topology>`,
+	"-- in comment":       `<topology><!-- a -- b --><operator name="a"/></topology>`,
+	"--- closing comment": `<topology><!-- a ---><operator name="a"/></topology>`,
+	"multi-line comment": "<topology name=\"c\">\n  <!-- one\n two\n\n three -->  <operator name=\"a\" type=\"source\" serviceTime=\"1ms\">" +
+		"<!--\n--><output to=\"b\" probability=\"1\"/>\n    <key frequency=\"1\"/></operator>\n</topology>\n",
+	"invalid UTF-8 in attribute": "<topology name=\"a\xffb\"><operator name=\"a\"/></topology>",
+	"invalid UTF-8 in text":      "<topology>\xc3<operator name=\"a\"/></topology>",
+	"invalid UTF-8 in comment":   "<topology><!-- \xed\xa0\x80 --><operator name=\"a\"/></topology>",
+	"U+FFFE in attribute":        "<topology name=\"\uFFFE\"><operator name=\"a\"/></topology>",
+	"U+FFFE in text":             "<topology>\uFFFE<operator name=\"a\"/></topology>",
+	"NUL in text":                "<topology>\x00<operator name=\"a\"/></topology>",
+	"byte order mark":            "\uFEFF<topology name=\"bom\"><operator name=\"a\"/></topology>",
+	"byte order mark and header": "\uFEFF" + xml.Header + `<topology name="bom"><operator name="a"/></topology>`,
+	"xml 1.1":                    `<?xml version="1.1"?><topology name="v"><operator name="a"/></topology>`,
+	"latin-1 declaration":        `<?xml version="1.0" encoding="ISO-8859-1"?><topology name="l"><operator name="a"/></topology>`,
+	"processing instruction":     xml.Header + `<?render mode="fast"?><topology name="pi"><operator name="a"/></topology>`,
+	"header twice":               xml.Header + xml.Header + `<topology name="h"><operator name="a"/></topology>`,
+	"unquoted value":             `<topology name=x><operator name="a"/></topology>`,
+	"attributes without space":   `<topology name="a"><operator name="b"type="source"serviceTime='1ms'/></topology>`,
+	"space around equals":        "<topology name =\n 'a'><operator name\t=\t\"b\" type= \"sink\" serviceTime\n=\"1ms\"/></topology>",
+	"attribute without value":    `<topology name><operator name="a"/></topology>`,
+	"> in attribute":             `<topology name="a>b"><operator name="]]>" type='x>y'/></topology>`,
+	"< in attribute":             `<topology name="a<b"><operator name="a"/></topology>`,
+	"CDATA holding <":            `<topology name="c"><![CDATA[a<b]]><operator name="a"/></topology>`,
+	"non-ASCII element name":     `<topology><opérateur name="x"/><operator name="a"/></topology>`,
+	"non-ASCII attribute name":   `<topology><operator name="a" tÿpe="source"/></topology>`,
+	"digit-led name":             `<topology><1operator name="x"/></topology>`,
+	"root default namespace":     `<topology xmlns="urn:t" name="n"><operator name="a"/></topology>`,
+	"end tag with space":         "<topology name=\"e\"><operator name=\"a\"></operator\n\t></topology >",
+	"self-closing with space":    `<topology name="s"><operator name="a" / ></topology>`,
+	"µs and em dash": xml.Header + "<!-- stale trace — regenerate -->\n<topology name=\"µ—\">\n" +
+		"  <operator name=\"a—b\" type=\"source\" serviceTime=\"250µs\"><output to=\"b\" probability=\"1\"></output></operator>\n" +
+		"  <operator name=\"b\" type=\"sink\" serviceTime=\"1.5µs\" impl=\"€😀\"></operator>\n</topology>\n",
+	"EOF in tag":             `<topology><operator name="a" type`,
+	"EOF in comment":         `<topology><!-- never closed`,
+	"EOF in attribute value": `<topology name="unterminated`,
+	"EOF in end tag":         `<topology></topology`,
 }
 
 // shippedDocuments returns every topology document in the repository.

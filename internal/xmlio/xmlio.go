@@ -78,45 +78,33 @@ type OutputDoc struct {
 // KeyLoader resolves a keysFile reference to its frequency vector.
 type KeyLoader func(path string) ([]float64, error)
 
-// Option customizes Read.
-type Option func(*options)
-
-type options struct {
-	keyLoader KeyLoader
-}
-
-// WithKeyLoader supplies the resolver for keysFile attributes; without it,
-// topologies referencing key files are rejected.
-func WithKeyLoader(l KeyLoader) Option {
-	return func(o *options) { o.keyLoader = l }
-}
-
 // Read parses a topology document from r and builds the validated graph.
 // Validation errors point at the offending element's line and column.
-func Read(r io.Reader, opts ...Option) (*core.Topology, error) {
-	var o options
-	for _, opt := range opts {
-		opt(&o)
-	}
-	doc, pos, err := DecodeDocument(r)
-	if err != nil {
-		return nil, err
-	}
-	return fromDocument(doc, pos, o.keyLoader)
+// Topologies referencing key files are rejected: only ReadFile resolves
+// them.
+func Read(r io.Reader) (*core.Topology, error) {
+	return read(r, nil)
 }
 
 // ReadFile parses path; keysFile references resolve relative to its
-// directory unless an explicit loader is given.
-func ReadFile(path string, opts ...Option) (*core.Topology, error) {
+// directory.
+func ReadFile(path string) (*core.Topology, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("xmlio: %w", err)
 	}
 	defer f.Close()
-	all := append([]Option{WithKeyLoader(func(ref string) ([]float64, error) {
+	return read(f, func(ref string) ([]float64, error) {
 		return LoadKeyFile(filepath.Join(filepath.Dir(path), ref))
-	})}, opts...)
-	return Read(f, all...)
+	})
+}
+
+func read(r io.Reader, loader KeyLoader) (*core.Topology, error) {
+	doc, pos, err := DecodeDocument(r)
+	if err != nil {
+		return nil, err
+	}
+	return fromDocument(doc, pos, loader)
 }
 
 // FromDocument builds and validates the topology described by doc.
@@ -337,15 +325,7 @@ func Write(w io.Writer, name string, t *core.Topology) error {
 
 // WriteFile writes the topology to path.
 func WriteFile(path, name string, t *core.Topology) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("xmlio: %w", err)
-	}
-	if err := Write(f, name, t); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	return WriteFileOptimized(path, name, t, nil)
 }
 
 // ToDocumentOptimized is ToDocument plus per-operator replication
@@ -356,11 +336,8 @@ func ToDocumentOptimized(name string, t *core.Topology, replicas []int) (*Docume
 		return nil, fmt.Errorf("xmlio: %d replica degrees for %d operators", len(replicas), t.Len())
 	}
 	doc := ToDocument(name, t)
-	for i := range doc.Operators {
-		if replicas == nil {
-			continue
-		}
-		if n := replicas[i]; n > 1 {
+	for i, n := range replicas {
+		if n > 1 {
 			doc.Operators[i].Replicas = n
 		} else if n < 1 {
 			return nil, fmt.Errorf("xmlio: operator %q has replica degree %d", doc.Operators[i].Name, n)
@@ -369,14 +346,15 @@ func ToDocumentOptimized(name string, t *core.Topology, replicas []int) (*Docume
 	return doc, nil
 }
 
-// FromDocumentOptimized is FromDocument plus the replication degrees
-// recorded in the document (omitted/zero degrees read as one).
-func FromDocumentOptimized(doc *Document, loader KeyLoader) (*core.Topology, []int, error) {
-	return fromDocumentOptimized(doc, nil, loader)
-}
-
-func fromDocumentOptimized(doc *Document, pos *Positions, loader KeyLoader) (*core.Topology, []int, error) {
-	t, err := fromDocument(doc, pos, loader)
+// ReadOptimized parses a topology document along with the recorded
+// replication degrees (all ones when the document carries none). Like
+// Read, it rejects key files.
+func ReadOptimized(r io.Reader) (*core.Topology, []int, error) {
+	doc, pos, err := DecodeDocument(r)
+	if err != nil {
+		return nil, nil, err
+	}
+	t, err := fromDocument(doc, pos, nil)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -417,34 +395,6 @@ func WriteFileOptimized(path, name string, t *core.Topology, replicas []int) err
 		return err
 	}
 	return f.Close()
-}
-
-// ReadOptimized parses a topology document along with the recorded
-// replication degrees (all ones when the document carries none).
-func ReadOptimized(r io.Reader, opts ...Option) (*core.Topology, []int, error) {
-	var o options
-	for _, opt := range opts {
-		opt(&o)
-	}
-	doc, pos, err := DecodeDocument(r)
-	if err != nil {
-		return nil, nil, err
-	}
-	return fromDocumentOptimized(doc, pos, o.keyLoader)
-}
-
-// ReadFileOptimized parses path with replica degrees; keysFile
-// references resolve relative to its directory.
-func ReadFileOptimized(path string, opts ...Option) (*core.Topology, []int, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, nil, fmt.Errorf("xmlio: %w", err)
-	}
-	defer f.Close()
-	all := append([]Option{WithKeyLoader(func(ref string) ([]float64, error) {
-		return LoadKeyFile(filepath.Join(filepath.Dir(path), ref))
-	})}, opts...)
-	return ReadOptimized(f, all...)
 }
 
 // formatSeconds renders a service time with a readable unit when the
