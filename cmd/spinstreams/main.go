@@ -1,25 +1,26 @@
 // Command spinstreams is the CLI front-end of the static optimization
-// tool: the workflow the paper drives through its GUI (Section 4.1),
-// exposed as subcommands over the XML topology formalism.
+// tool: the workflow the paper drives through its GUI (Section 4.1) over
+// the XML topology formalism. optimize predicts a topology's throughput
+// (Algorithm 1), rewrites it by fission and fusion (Algorithms 2-3) and
+// writes the optimized document; every other subcommand reads a document
+// as the deployment it declares, replica degrees included.
 //
 // Usage:
 //
-//	spinstreams analyze    -in topo.xml
-//	spinstreams optimize   -in topo.xml [-out opt.xml] [-max-replicas N] [-fuse] [-trace-json trace.json] [-trace-dot trace.dot]
-//	spinstreams candidates -in topo.xml
-//	spinstreams fuse       -in topo.xml -members op3,op4,op5 [-name F] [-out fused.xml]
-//	spinstreams generate   -in topo.xml -out main.go [-members ...]
-//	spinstreams run        -in topo.xml [-duration 5s] [-replicas auto] [-drift] [-reoptimize]
-//	spinstreams run        -in topo.xml -autotune [-autotune-rounds N] [-autotune-interval 2s] [-reconfig-stall-budget 1s]
-//	spinstreams simulate   -in topo.xml [-horizon 40]
-//	spinstreams vet        -in topo.xml [-members ...] [-trace trace.json] [-format text|json|sarif] [-o report]
+//	spinstreams optimize -in topo.xml [-passes fission,fusion|fuse=a+b+c,latency] [-out opt.xml] [-max-replicas N] [-trace-json trace.json] [-trace-dot trace.dot]
+//	spinstreams dot      -in topo.xml [-out topo.dot] [-annotate=false]
+//	spinstreams generate -in topo.xml [-out main.go] [-members op3,op4]
+//	spinstreams run      -in topo.xml [-duration 5s] [-nodes N] [-adapt off|report|apply]
+//	spinstreams simulate -in topo.xml [-horizon 40] [-shedding]
+//	spinstreams profile  [-samples N]
+//	spinstreams vet      -in topo.xml [-members ...] [-replica-budget N] [-trace trace.json] [-format text|json|sarif] [-o report]
 package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 	"strings"
@@ -51,16 +52,8 @@ func run(args []string) error {
 		return fmt.Errorf("missing subcommand")
 	}
 	switch args[0] {
-	case "analyze":
-		return cmdAnalyze(args[1:])
 	case "optimize":
 		return cmdOptimize(args[1:])
-	case "candidates":
-		return cmdCandidates(args[1:])
-	case "fuse":
-		return cmdFuse(args[1:])
-	case "autofuse":
-		return cmdAutoFuse(args[1:])
 	case "dot":
 		return cmdDot(args[1:])
 	case "generate":
@@ -86,25 +79,23 @@ func usage() {
 	fmt.Fprint(os.Stderr, `spinstreams — static optimization tool for stream processing topologies
 
 subcommands:
-  analyze     steady-state throughput prediction under backpressure
-  optimize    bottleneck elimination via operator fission
-  candidates  ranked operator-fusion suggestions
-  fuse        fuse a subgraph into a meta-operator and predict the outcome
-  autofuse    repeatedly apply safe fusions automatically
-  dot         render the topology (optionally annotated) as Graphviz DOT
-  generate    emit a runnable Go program for the topology
-  run         execute the topology on the goroutine runtime
-  simulate    run the discrete-event simulation
+  optimize    predict throughput, then rewrite by fission and fusion (-passes)
+  dot         render the deployment (optionally annotated) as Graphviz DOT
+  generate    emit a runnable Go program for the deployment
+  run         execute the deployment on the goroutine runtime
+  simulate    run the discrete-event simulation of the deployment
   profile     measure the catalog operators (service time, selectivity)
   vet         statically verify a topology (structure, cost model, rewrite traces)
 `)
 }
 
-func loadTopology(path string) (*core.Topology, error) {
+// load reads the deployment a document declares: the topology and one
+// replication degree per operator (all ones for a plain document).
+func load(path string) (*core.Topology, []int, error) {
 	if path == "" {
-		return nil, fmt.Errorf("-in is required")
+		return nil, nil, fmt.Errorf("-in is required")
 	}
-	return xmlio.ReadFile(path)
+	return xmlio.ReadFileOptimized(path)
 }
 
 func printAnalysis(t *core.Topology, a *core.Analysis, replicas bool) {
@@ -131,45 +122,6 @@ func printAnalysis(t *core.Topology, a *core.Analysis, replicas bool) {
 	}
 }
 
-func cmdAnalyze(args []string) error {
-	fs := flag.NewFlagSet("analyze", flag.ContinueOnError)
-	in := fs.String("in", "", "input topology XML")
-	latency := fs.Bool("latency", false, "also estimate per-operator and end-to-end latency (M/M/1)")
-	mailbox := fs.Int("mailbox", 64, "mailbox capacity assumed for saturated operators")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	t, err := loadTopology(*in)
-	if err != nil {
-		return err
-	}
-	a, err := core.SteadyState(t)
-	if errors.Is(err, core.ErrCyclic) {
-		fmt.Println("topology has feedback edges: using the cyclic traffic-equation analysis")
-		a, err = core.SteadyStateCyclic(t)
-	}
-	if err != nil {
-		return err
-	}
-	printAnalysis(t, a, false)
-	if *latency {
-		est, err := core.EstimateLatency(t, a, core.MM1, *mailbox)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("%-28s %14s %14s\n", "operator", "wait(ms)", "sojourn(ms)")
-		for i := 0; i < t.Len(); i++ {
-			fmt.Printf("%-28s %14.3f %14.3f\n",
-				t.Op(core.OpID(i)).Name, est.Wait[i]*1e3, est.Sojourn[i]*1e3)
-		}
-		fmt.Printf("expected end-to-end latency: %.3f ms\n", est.EndToEnd*1e3)
-		for _, v := range est.Saturated {
-			fmt.Printf("saturated (buffer-bound delay): %s\n", t.Op(v).Name)
-		}
-	}
-	return nil
-}
-
 // writeTrace exports a pipeline result's rewrite trace as JSON and/or a
 // DOT overlay of the final topology.
 func writeTrace(res *opt.Result, jsonPath, dotPath string) error {
@@ -184,15 +136,9 @@ func writeTrace(res *opt.Result, jsonPath, dotPath string) error {
 		fmt.Printf("wrote %s (schema %s)\n", jsonPath, opt.TraceSchema)
 	}
 	if dotPath != "" {
-		f, err := os.Create(dotPath)
-		if err != nil {
-			return err
-		}
-		if err := dot.WriteOverlay(f, res, dot.Options{Name: "rewrite-overlay", RankLR: true}); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
+		if err := writeOut(dotPath, func(w io.Writer) error {
+			return dot.WriteOverlay(w, res, dot.Options{Name: "rewrite-overlay", RankLR: true})
+		}); err != nil {
 			return err
 		}
 		fmt.Printf("wrote %s\n", dotPath)
@@ -200,51 +146,122 @@ func writeTrace(res *opt.Result, jsonPath, dotPath string) error {
 	return nil
 }
 
+// passList builds the pipeline -passes names: opt's passes after the
+// mandatory analyze, in the pinned order whatever the list order.
+func passList(list string) (*opt.Pipeline, error) {
+	var fission, latency bool
+	var fusion opt.Pass
+	for _, name := range strings.Split(list, ",") {
+		switch name = strings.TrimSpace(name); {
+		case name == "":
+		case name == "fission":
+			fission = true
+		case name == "latency":
+			latency = true
+		case name == "fusion" || strings.HasPrefix(name, "fuse="):
+			if fusion != nil {
+				return nil, fmt.Errorf("optimize: -passes: %s and %s both take the fusion slot", fusion.Name(), name)
+			}
+			fusion = opt.FusionPass{}
+			if members, ok := strings.CutPrefix(name, "fuse="); ok {
+				fusion = opt.FusePass{Members: strings.Split(members, "+")}
+			}
+		default:
+			return nil, fmt.Errorf("optimize: -passes: unknown pass %q (want fission, fusion, fuse=a+b+c or latency)", name)
+		}
+	}
+	p := &opt.Pipeline{Passes: []opt.Pass{opt.AnalyzePass{}}}
+	if fission {
+		p.Passes = append(p.Passes, opt.FissionPass{})
+	}
+	if fusion != nil {
+		p.Passes = append(p.Passes, fusion)
+	}
+	if latency {
+		p.Passes = append(p.Passes, opt.LatencyPass{})
+	}
+	return p, nil
+}
+
 func cmdOptimize(args []string) error {
 	fs := flag.NewFlagSet("optimize", flag.ContinueOnError)
 	in := fs.String("in", "", "input topology XML")
 	out := fs.String("out", "", "write the optimized topology XML here (replica degrees included)")
+	passes := fs.String("passes", "fission", "comma-separated passes after analyze: fission, fusion or fuse=a+b+c, latency (empty = analysis and ranked fusion candidates)")
 	maxReplicas := fs.Int("max-replicas", 0, "replica budget (0 = unbounded)")
 	emitter := fs.Duration("emitter-cost", 0, "emitter/collector service time for the saturation check")
-	fuse := fs.Bool("fuse", false, "also run the fusion pass after bottleneck elimination")
 	traceJSON := fs.String("trace-json", "", "write the structured rewrite trace (JSON) here")
 	traceDot := fs.String("trace-dot", "", "write the rewrite trace as an annotated DOT overlay here")
-	vet := fs.Bool("vet", false, "print positioned vet diagnostics for the input before optimizing")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *vet {
-		if err := preVet(*in, false); err != nil {
-			return err
-		}
-	}
-	t, err := loadTopology(*in)
+	p, err := passList(*passes)
 	if err != nil {
 		return err
 	}
-	res, err := opt.Run(t, opt.Options{
+	t, _, err := load(*in)
+	if err != nil {
+		return err
+	}
+	p.Opts = opt.Options{
 		Fission: core.FissionOptions{
 			MaxReplicas:        *maxReplicas,
 			EmitterServiceTime: emitter.Seconds(),
 		},
-		DisableFusion: !*fuse,
-	})
+		AllowCycles: true,
+	}
+	res, err := p.Run(t)
 	if err != nil {
 		return err
 	}
-	fis := res.Fission
-	printAnalysis(t, fis.Analysis, true)
-	fmt.Printf("total replicas: %d (%d additional)\n", fis.TotalReplicas, fis.AdditionalReplicas)
-	if fis.Capped {
-		fmt.Println("replica budget capped the parallelization")
+	if res.Cyclic {
+		// The restructuring passes skipped it; the trace says so.
+		fmt.Println("topology has feedback edges: using the cyclic traffic-equation analysis")
 	}
-	for _, u := range fis.Unresolved {
-		fmt.Printf("unresolved bottleneck: %s (%s)\n", t.Op(u).Name, t.Op(u).Kind)
+	if fis := res.Fission; fis != nil {
+		printAnalysis(t, fis.Analysis, true)
+		fmt.Printf("total replicas: %d (%d additional)\n", fis.TotalReplicas, fis.AdditionalReplicas)
+		if fis.Capped {
+			fmt.Println("replica budget capped the parallelization")
+		}
+		for _, u := range fis.Unresolved {
+			fmt.Printf("unresolved bottleneck: %s (%s)\n", t.Op(u).Name, t.Op(u).Kind)
+		}
+	} else if res.Fusion == nil && res.Fuse == nil {
+		printAnalysis(t, res.Baseline, false)
 	}
-	if *fuse && res.Fusion != nil {
-		for _, step := range res.Fusion.Steps {
+	if f := res.Fusion; f != nil {
+		for _, step := range f.Steps {
 			fmt.Printf("fused {%s} -> %s (T=%.3f ms, rho=%.2f)\n",
 				strings.Join(step.MemberNames, ", "), step.FusedName, step.ServiceTime*1e3, step.Utilization)
+		}
+		fmt.Printf("operators: %d -> %d; predicted throughput: %.1f -> %.1f items/s\n",
+			f.OperatorsBefore, f.OperatorsAfter, f.ThroughputBefore, f.ThroughputAfter)
+	}
+	if r := res.Fuse; r != nil {
+		fmt.Printf("fused service time: %.3f ms\n", r.ServiceTime*1e3)
+		fmt.Printf("throughput: %.1f -> %.1f items/s (predicted)\n", r.ThroughputBefore, r.ThroughputAfter)
+		if r.IntroducesBottleneck {
+			fmt.Printf("ALERT: fusion introduces a bottleneck (%.0f%% degradation predicted)\n", r.Degradation()*100)
+		} else {
+			fmt.Println("fusion is feasible: no bottleneck introduced")
+		}
+		printAnalysis(res.Final.Topology(), r.After, false)
+	}
+	if est := res.Latency; est != nil {
+		final := res.Final.Topology()
+		fmt.Printf("%-28s %14s %14s\n", "operator", "wait(ms)", "sojourn(ms)")
+		for i := 0; i < final.Len(); i++ {
+			fmt.Printf("%-28s %14.3f %14.3f\n", final.Op(core.OpID(i)).Name, est.Wait[i]*1e3, est.Sojourn[i]*1e3)
+		}
+		fmt.Printf("expected end-to-end latency: %.3f ms\n", est.EndToEnd*1e3)
+		for _, v := range est.Saturated {
+			fmt.Printf("saturated (buffer-bound delay): %s\n", final.Op(v).Name)
+		}
+	}
+	if len(p.Passes) == 1 && !res.Cyclic {
+		if err := printCandidates(t, res.Baseline); err != nil {
+			return err
 		}
 	}
 	if *out != "" {
@@ -256,17 +273,9 @@ func cmdOptimize(args []string) error {
 	return writeTrace(res, *traceJSON, *traceDot)
 }
 
-func cmdCandidates(args []string) error {
-	fs := flag.NewFlagSet("candidates", flag.ContinueOnError)
-	in := fs.String("in", "", "input topology XML")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	t, err := loadTopology(*in)
-	if err != nil {
-		return err
-	}
-	cands, err := core.FusionCandidates(t, nil)
+// printCandidates prints the ranked fusion candidates (Section 3.3).
+func printCandidates(t *core.Topology, a *core.Analysis) error {
+	cands, err := core.FusionCandidates(t, a)
 	if err != nil {
 		return err
 	}
@@ -286,9 +295,6 @@ func cmdCandidates(args []string) error {
 }
 
 func parseMembers(t *core.Topology, list string) ([]core.OpID, error) {
-	if list == "" {
-		return nil, fmt.Errorf("-members is required (comma-separated operator names)")
-	}
 	var members []core.OpID
 	for _, name := range strings.Split(list, ",") {
 		id, ok := t.Lookup(strings.TrimSpace(name))
@@ -301,110 +307,42 @@ func parseMembers(t *core.Topology, list string) ([]core.OpID, error) {
 	return members, nil
 }
 
-func cmdFuse(args []string) error {
-	fs := flag.NewFlagSet("fuse", flag.ContinueOnError)
-	in := fs.String("in", "", "input topology XML")
-	out := fs.String("out", "", "write the fused topology XML here")
-	list := fs.String("members", "", "comma-separated names of the subgraph to fuse")
-	name := fs.String("name", "", "meta-operator name")
-	if err := fs.Parse(args); err != nil {
-		return err
+// writeOut runs write on the file at path, or on stdout when path is
+// empty.
+func writeOut(path string, write func(io.Writer) error) error {
+	if path == "" {
+		return write(os.Stdout)
 	}
-	t, err := loadTopology(*in)
+	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	members, err := parseMembers(t, *list)
-	if err != nil {
+	if err := write(f); err != nil {
+		f.Close()
 		return err
 	}
-	fused, report, err := core.Fuse(t, members, *name)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("fused service time: %.3f ms\n", report.ServiceTime*1e3)
-	fmt.Printf("throughput: %.1f -> %.1f items/s (predicted)\n", report.ThroughputBefore, report.ThroughputAfter)
-	if report.IntroducesBottleneck {
-		fmt.Printf("ALERT: fusion introduces a bottleneck (%.0f%% degradation predicted)\n", report.Degradation()*100)
-	} else {
-		fmt.Println("fusion is feasible: no bottleneck introduced")
-	}
-	printAnalysis(fused, report.After, false)
-	if *out != "" {
-		if err := xmlio.WriteFile(*out, "fused", fused); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n", *out)
-	}
-	return nil
+	return f.Close()
 }
 
 func cmdDot(args []string) error {
 	fs := flag.NewFlagSet("dot", flag.ContinueOnError)
 	in := fs.String("in", "", "input topology XML")
 	out := fs.String("out", "", "output .dot file (default stdout)")
-	annotate := fs.Bool("annotate", true, "color nodes by steady-state utilization")
-	optimize := fs.Bool("optimize", false, "annotate with the bottleneck-elimination result")
+	annotate := fs.Bool("annotate", true, "color nodes by the deployment's steady-state utilization")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	t, err := loadTopology(*in)
+	t, replicas, err := load(*in)
 	if err != nil {
 		return err
 	}
 	opts := dot.Options{Name: "spinstreams", RankLR: true}
-	if *optimize || *annotate {
-		if _, opts.Analysis, err = planReplicas(t, *optimize); err != nil {
+	if *annotate {
+		if opts.Analysis, err = core.SteadyStateWithReplicas(t, replicas, nil); err != nil {
 			return err
 		}
 	}
-	w := os.Stdout
-	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		w = f
-	}
-	return dot.Write(w, t, opts)
-}
-
-func cmdAutoFuse(args []string) error {
-	fs := flag.NewFlagSet("autofuse", flag.ContinueOnError)
-	in := fs.String("in", "", "input topology XML")
-	out := fs.String("out", "", "write the fused topology XML here")
-	maxRho := fs.Float64("max-utilization", 0.9, "reject fusions whose meta-operator exceeds this utilization")
-	traceJSON := fs.String("trace-json", "", "write the structured rewrite trace (JSON) here")
-	traceDot := fs.String("trace-dot", "", "write the rewrite trace as an annotated DOT overlay here")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	t, err := loadTopology(*in)
-	if err != nil {
-		return err
-	}
-	pres, err := opt.Run(t, opt.Options{
-		Fusion:         core.AutoFuseOptions{MaxUtilization: *maxRho},
-		DisableFission: true,
-	})
-	if err != nil {
-		return err
-	}
-	res := pres.Fusion
-	for _, step := range res.Steps {
-		fmt.Printf("fused {%s} -> %s (T=%.3f ms, rho=%.2f)\n",
-			strings.Join(step.MemberNames, ", "), step.FusedName, step.ServiceTime*1e3, step.Utilization)
-	}
-	fmt.Printf("operators: %d -> %d; predicted throughput: %.1f -> %.1f items/s\n",
-		res.OperatorsBefore, res.OperatorsAfter, res.ThroughputBefore, res.ThroughputAfter)
-	if *out != "" {
-		if err := xmlio.WriteFile(*out, "autofused", res.Topology); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n", *out)
-	}
-	return writeTrace(pres, *traceJSON, *traceDot)
+	return writeOut(*out, func(w io.Writer) error { return dot.Write(w, t, opts) })
 }
 
 func cmdProfile(args []string) error {
@@ -460,51 +398,27 @@ func cmdGenerate(args []string) error {
 	in := fs.String("in", "", "input topology XML")
 	out := fs.String("out", "", "output .go file (default stdout)")
 	list := fs.String("members", "", "optional subgraph to fuse in the generated program")
-	optimize := fs.Bool("optimize", false, "embed the bottleneck-elimination replication degrees")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	t, err := loadTopology(*in)
+	t, replicas, err := load(*in)
 	if err != nil {
 		return err
 	}
 	input := codegen.Input{Topology: t, Specs: specsFromImpls(t)}
+	for _, n := range replicas {
+		if n > 1 {
+			input.Replicas = replicas
+			break
+		}
+	}
 	if *list != "" {
 		input.FuseMembers, err = parseMembers(t, *list)
 		if err != nil {
 			return err
 		}
 	}
-	if *optimize {
-		if input.Replicas, _, err = planReplicas(t, true); err != nil {
-			return err
-		}
-	}
-	w := os.Stdout
-	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		w = f
-	}
-	return codegen.Generate(w, input)
-}
-
-// planReplicas returns the replication degrees to deploy — Algorithm 2's
-// with optimize, nil (all ones) without — and the steady state the model
-// predicts under them.
-func planReplicas(t *core.Topology, optimize bool) ([]int, *core.Analysis, error) {
-	if !optimize {
-		a, err := core.SteadyState(t)
-		return nil, a, err
-	}
-	fis, err := core.EliminateBottlenecks(t, core.FissionOptions{})
-	if err != nil {
-		return nil, nil, err
-	}
-	return fis.Analysis.Replicas, fis.Analysis, nil
+	return writeOut(*out, func(w io.Writer) error { return codegen.Generate(w, input) })
 }
 
 func cmdRun(args []string) error {
@@ -513,7 +427,6 @@ func cmdRun(args []string) error {
 	duration := fs.Duration("duration", 5*time.Second, "run length")
 	mailbox := fs.Int("mailbox", 64, "mailbox capacity (tuples)")
 	seed := fs.Uint64("seed", 1, "random seed")
-	optimize := fs.Bool("optimize", false, "apply bottleneck elimination before running")
 	nodes := fs.Int("nodes", 1, "partition the plan across N TCP-connected nodes")
 	batch := fs.Int("batch", 0, "window size: most tuples a station takes or a source generates per cycle (0 = runtime default 32; 1 = per-tuple delivery)")
 	linger := fs.Duration("linger", 0, "longest a paced source keeps a window open before delivering it; bounds nothing else (0 = runtime default 1ms)")
@@ -522,46 +435,31 @@ func cmdRun(args []string) error {
 	retryBackoff := fs.Duration("retry-backoff", 0, "initial redial backoff for failed cross-node sends with -nodes > 1 (0 = default 2ms)")
 	sendDeadline := fs.Duration("send-deadline", 0, "per-frame retry deadline for cross-node sends with -nodes > 1, after which the frame is shed (0 = default 2s)")
 	metricsAddr := fs.String("metrics-addr", "", "serve live metrics over HTTP on this address (/metrics Prometheus text, /snapshot JSON, /debug/vars expvar)")
-	drift := fs.Bool("drift", false, "after the run, compare the cost model's predictions against the measured rates and the estimator's profiles")
-	reoptimize := fs.Bool("reoptimize", false, "after the run, re-run the optimizer on the estimator's measured profiles and print the delta plan")
-	autotune := fs.Bool("autotune", false, "close the loop live: measure, re-optimize, and apply delta plans in-flight without a restart")
-	autotuneRounds := fs.Int("autotune-rounds", 2, "measure/re-optimize/apply rounds with -autotune")
-	autotuneInterval := fs.Duration("autotune-interval", 2*time.Second, "measurement window per autotune round")
-	stallBudget := fs.Duration("reconfig-stall-budget", time.Second, "max pause a live reconfiguration may hold before it aborts")
-	vet := fs.Bool("vet", false, "print positioned vet diagnostics for the input before running")
+	adapt := fs.String("adapt", "off", "off; report (after the run: drift report, then the delta plan on measured profiles); apply (re-optimize and apply live, two rounds after warmup; single node)")
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-	if *vet {
-		if err := preVet(*in, false); err != nil {
-			return err
-		}
 	}
 	// Flag-level validation: the library treats zero as "use default",
 	// so nonsense explicitly typed on the command line is rejected here.
 	if *mailbox <= 0 {
 		return fmt.Errorf("run: -mailbox %d, want > 0", *mailbox)
 	}
-	if *autotuneInterval <= 0 {
-		return fmt.Errorf("run: -autotune-interval %v, want > 0", *autotuneInterval)
+	switch *adapt {
+	case "off", "report", "apply":
+	default:
+		return fmt.Errorf("run: -adapt %q, want off, report or apply", *adapt)
 	}
-	if *stallBudget <= 0 {
-		return fmt.Errorf("run: -reconfig-stall-budget %v, want > 0", *stallBudget)
-	}
-	if *autotuneRounds <= 0 {
-		return fmt.Errorf("run: -autotune-rounds %d, want > 0", *autotuneRounds)
-	}
-	if *autotune && *nodes > 1 {
-		return fmt.Errorf("run: -autotune reconfigures the in-process engine and is incompatible with -nodes > 1")
+	if *adapt == "apply" && *nodes > 1 {
+		return fmt.Errorf("run: -adapt apply reconfigures the in-process engine and is incompatible with -nodes > 1")
 	}
 	if *sendDeadline < 0 {
 		return fmt.Errorf("run: -send-deadline %v, want >= 0", *sendDeadline)
 	}
-	t, err := loadTopology(*in)
+	t, replicas, err := load(*in)
 	if err != nil {
 		return err
 	}
-	replicas, a, err := planReplicas(t, *optimize)
+	a, err := core.SteadyStateWithReplicas(t, replicas, nil)
 	if err != nil {
 		return err
 	}
@@ -577,16 +475,15 @@ func cmdRun(args []string) error {
 		binding.Ops[core.OpID(i)] = op
 	}
 	runCfg := runtime.Config{
-		Duration:            *duration,
-		Warmup:              *warmup,
-		MailboxSize:         *mailbox,
-		Seed:                *seed,
-		Batch:               *batch,
-		Linger:              *linger,
-		MaxRestarts:         *maxRestarts,
-		ReconfigStallBudget: *stallBudget,
+		Duration:    *duration,
+		Warmup:      *warmup,
+		MailboxSize: *mailbox,
+		Seed:        *seed,
+		Batch:       *batch,
+		Linger:      *linger,
+		MaxRestarts: *maxRestarts,
 		// The estimator is the only source of measured profiles.
-		Estimator: *drift || *reoptimize || *autotune,
+		Estimator: *adapt != "off",
 	}
 	var reg *obs.Registry
 	if *metricsAddr != "" || runCfg.Estimator {
@@ -602,14 +499,20 @@ func cmdRun(args []string) error {
 		fmt.Printf("metrics: http://%s/metrics\n", bound)
 	}
 	var m *runtime.Metrics
-	if *autotune {
+	if *adapt == "apply" {
 		c, err := runtime.StartTopology(t, replicas, binding, runCfg)
 		if err != nil {
 			return err
 		}
+		// Warmup, then two measure/re-optimize/apply rounds: -duration
+		// bounds the whole run.
+		warm := *warmup
+		if warm == 0 {
+			warm = *duration / 4
+		}
 		rep, aerr := c.Autotune(context.Background(), runtime.AutotuneOptions{
-			Interval: *autotuneInterval,
-			Rounds:   *autotuneRounds,
+			Interval: (*duration - warm) / 2,
+			Rounds:   2,
 			OnRound: func(r runtime.AutotuneRound) {
 				fmt.Printf("autotune round %d: measured %.1f items/s (model %.1f, err %+.1f%%)\n",
 					r.Round, r.Drift.MeasuredThroughput, r.Drift.PredictedThroughput, 100*r.Drift.ThroughputErr)
@@ -663,22 +566,18 @@ func cmdRun(args []string) error {
 		fmt.Printf("  %-28s departure %10.1f items/s (arrival %10.1f)\n",
 			t.Op(core.OpID(op)).Name, d, m.Arrival[op])
 	}
-	if *drift || *reoptimize {
+	if *adapt == "report" {
 		rep, err := obs.Drift(t, replicas, reg)
 		if err != nil {
 			return fmt.Errorf("run: drift: %w", err)
 		}
-		if *drift {
-			fmt.Print(rep.String())
+		fmt.Print(rep.String())
+		delta, err := opt.Reoptimize(opt.NewSnapshot(t), rep, opt.Options{})
+		if err != nil {
+			return fmt.Errorf("run: reoptimize: %w", err)
 		}
-		if *reoptimize {
-			delta, err := opt.Reoptimize(opt.NewSnapshot(t), rep, opt.Options{})
-			if err != nil {
-				return fmt.Errorf("run: reoptimize: %w", err)
-			}
-			fmt.Println("re-optimization on measured profiles:")
-			fmt.Print(delta.String())
-		}
+		fmt.Println("re-optimization on measured profiles:")
+		fmt.Print(delta.String())
 	}
 	return nil
 }
@@ -689,26 +588,42 @@ func cmdSimulate(args []string) error {
 	horizon := fs.Float64("horizon", 40, "simulated seconds")
 	mailbox := fs.Int("mailbox", 64, "mailbox capacity")
 	seed := fs.Uint64("seed", 1, "random seed")
-	optimize := fs.Bool("optimize", false, "apply bottleneck elimination before simulating")
-	shedding := fs.Bool("shedding", false, "use load-shedding semantics (drop on full mailboxes) instead of backpressure")
+	shedding := fs.Bool("shedding", false, "use load-shedding semantics (drop on full mailboxes) instead of backpressure; unreplicated documents only")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	t, err := loadTopology(*in)
+	// As in run: the simulator treats zero as "use default", so explicit
+	// nonsense is rejected here (and NaN with it).
+	if !(*horizon > 0) {
+		return fmt.Errorf("simulate: -horizon %v, want > 0", *horizon)
+	}
+	if *mailbox <= 0 {
+		return fmt.Errorf("simulate: -mailbox %d, want > 0", *mailbox)
+	}
+	t, replicas, err := load(*in)
 	if err != nil {
 		return err
 	}
-	replicas, a, err := planReplicas(t, *optimize)
-	if err != nil {
-		return err
-	}
-	predicted := a.Throughput()
+	label, predicted := "predicted throughput", 0.0
 	if *shedding {
+		// The shedding model has no replicas: refuse rather than predict
+		// a different deployment.
+		for i, n := range replicas {
+			if n > 1 {
+				return fmt.Errorf("simulate: -shedding models unreplicated deployments, but %q has %d replicas", t.Op(core.OpID(i)).Name, n)
+			}
+		}
 		shed, err := core.SteadyStateShedding(t)
 		if err != nil {
 			return err
 		}
-		predicted = shed.SinkRate
+		label, predicted = "predicted delivered throughput (shedding)", shed.SinkRate
+	} else {
+		a, err := core.SteadyStateWithReplicas(t, replicas, nil)
+		if err != nil {
+			return err
+		}
+		predicted = a.Throughput()
 	}
 	res, err := qsim.SimulateTopology(t, replicas, qsim.Config{
 		Seed: *seed, Horizon: *horizon, BufferSize: *mailbox, Shedding: *shedding,
@@ -716,12 +631,19 @@ func cmdSimulate(args []string) error {
 	if err != nil {
 		return err
 	}
+	simLabel, simulated := "simulated throughput", res.Throughput
 	if *shedding {
-		fmt.Printf("predicted delivered throughput (shedding): %.1f items/s\n", predicted)
-	} else {
-		fmt.Printf("predicted throughput: %.1f items/s\n", predicted)
+		// Delivered is what leaves the operators with no outputs, the
+		// quantity SinkRate predicts; Throughput is the source departure.
+		simLabel, simulated = "simulated delivered throughput", 0
+		for op, d := range res.Departure {
+			if len(t.Out(core.OpID(op))) == 0 {
+				simulated += d
+			}
+		}
 	}
-	fmt.Printf("simulated throughput: %.1f items/s (%d events)\n", res.Throughput, res.Events)
+	fmt.Printf("%s: %.1f items/s\n", label, predicted)
+	fmt.Printf("%s: %.1f items/s (%d events)\n", simLabel, simulated, res.Events)
 	for op, d := range res.Departure {
 		fmt.Printf("  %-28s departure %10.1f items/s (arrival %10.1f", t.Op(core.OpID(op)).Name, d, res.Arrival[op])
 		if res.Dropped[op] > 0 {

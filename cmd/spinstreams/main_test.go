@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -41,8 +42,9 @@ func capture(t *testing.T, args ...string) (string, error) {
 	return buf.String(), runErr
 }
 
+// TestCLIAnalyze: an empty pass list is the analysis alone.
 func TestCLIAnalyze(t *testing.T) {
-	out, err := capture(t, "analyze", "-in", writePaperTopology(t))
+	out, err := capture(t, "optimize", "-passes", "", "-in", writePaperTopology(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,8 +55,10 @@ func TestCLIAnalyze(t *testing.T) {
 	}
 }
 
-func TestCLIOptimize(t *testing.T) {
-	// Make op2 stateless and slow so fission triggers.
+// writeBottleneckTopology writes Table 1 with op2 stateless and slow,
+// so fission triggers.
+func writeBottleneckTopology(t *testing.T) string {
+	t.Helper()
 	topo, _ := core.PaperExampleTopology(core.PaperExampleTable1)
 	op2, _ := topo.Lookup("op2")
 	topo.Op(op2).Kind = core.KindStateless
@@ -63,6 +67,11 @@ func TestCLIOptimize(t *testing.T) {
 	if err := xmlio.WriteFile(in, "t", topo); err != nil {
 		t.Fatal(err)
 	}
+	return in
+}
+
+func TestCLIOptimize(t *testing.T) {
+	in := writeBottleneckTopology(t)
 	outFile := filepath.Join(t.TempDir(), "out.xml")
 	out, err := capture(t, "optimize", "-in", in, "-out", outFile)
 	if err != nil {
@@ -76,9 +85,11 @@ func TestCLIOptimize(t *testing.T) {
 	}
 }
 
+// TestCLICandidatesAndFuse: the empty pass list ranks the fusion
+// candidates, and fuse=a+b+c applies one.
 func TestCLICandidatesAndFuse(t *testing.T) {
 	path := writePaperTopology(t)
-	out, err := capture(t, "candidates", "-in", path)
+	out, err := capture(t, "optimize", "-passes", "", "-in", path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +97,7 @@ func TestCLICandidatesAndFuse(t *testing.T) {
 		t.Errorf("candidates missing op3 subgraph:\n%s", out)
 	}
 	fusedFile := filepath.Join(t.TempDir(), "fused.xml")
-	out, err = capture(t, "fuse", "-in", path, "-members", "op3,op4,op5", "-name", "F", "-out", fusedFile)
+	out, err = capture(t, "optimize", "-in", path, "-passes", "fuse=op3+op4+op5", "-out", fusedFile)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +108,7 @@ func TestCLICandidatesAndFuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := back.Lookup("F"); !ok {
+	if _, ok := back.Lookup("fused(op3+op4+op5)"); !ok {
 		t.Error("fused topology lost the meta-operator")
 	}
 }
@@ -108,7 +119,7 @@ func TestCLIFuseAlert(t *testing.T) {
 	if err := xmlio.WriteFile(path, "t2", topo); err != nil {
 		t.Fatal(err)
 	}
-	out, err := capture(t, "fuse", "-in", path, "-members", "op3,op4,op5")
+	out, err := capture(t, "optimize", "-in", path, "-passes", "fuse=op3+op4+op5")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +129,7 @@ func TestCLIFuseAlert(t *testing.T) {
 }
 
 func TestCLIAutoFuse(t *testing.T) {
-	out, err := capture(t, "autofuse", "-in", writePaperTopology(t))
+	out, err := capture(t, "optimize", "-passes", "fusion", "-in", writePaperTopology(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,17 +169,31 @@ func TestCLIErrors(t *testing.T) {
 	if err := run([]string{"bogus"}); err == nil {
 		t.Error("unknown subcommand accepted")
 	}
-	if err := run([]string{"analyze"}); err == nil {
+	// The front-ends optimize -passes replaced are unknown subcommands.
+	for _, removed := range []string{"analyze", "candidates", "fuse", "autofuse"} {
+		if err := run([]string{removed, "-in", writePaperTopology(t)}); err == nil || !strings.Contains(err.Error(), "unknown subcommand") {
+			t.Errorf("removed subcommand %s: %v", removed, err)
+		}
+	}
+	if err := run([]string{"optimize"}); err == nil {
 		t.Error("missing -in accepted")
 	}
-	if err := run([]string{"analyze", "-in", "/nonexistent.xml"}); err == nil {
+	if err := run([]string{"optimize", "-in", "/nonexistent.xml"}); err == nil {
 		t.Error("missing file accepted")
 	}
-	if err := run([]string{"fuse", "-in", writePaperTopology(t)}); err == nil {
+	if err := run([]string{"optimize", "-in", writePaperTopology(t), "-passes", "fuse="}); err == nil {
 		t.Error("fuse without members accepted")
 	}
-	if err := run([]string{"fuse", "-in", writePaperTopology(t), "-members", "ghost"}); err == nil {
+	if err := run([]string{"optimize", "-in", writePaperTopology(t), "-passes", "fuse=ghost"}); err == nil {
 		t.Error("unknown member accepted")
+	}
+	if err := run([]string{"optimize", "-in", writePaperTopology(t), "-passes", "fusion,fuse=op3+op4+op5"}); err == nil {
+		t.Error("fusion and fuse in one run accepted")
+	}
+	for _, bad := range []string{"shedding", "analyze", "autofuse"} {
+		if err := run([]string{"optimize", "-in", writePaperTopology(t), "-passes", bad}); err == nil {
+			t.Errorf("unknown pass %q accepted", bad)
+		}
 	}
 	if err := run([]string{"help"}); err != nil {
 		t.Errorf("help failed: %v", err)
@@ -197,6 +222,16 @@ func TestCLIRunValidation(t *testing.T) {
 		{"removed -estimator flag", []string{"-estimator"}},
 		{"removed -estimator-interval flag", []string{"-estimator-interval", "1ms"}},
 		{"negative send deadline", []string{"-nodes", "2", "-send-deadline", "-1s"}},
+		{"removed -optimize flag", []string{"-optimize"}},
+		{"removed -drift flag", []string{"-drift"}},
+		{"removed -reoptimize flag", []string{"-reoptimize"}},
+		{"removed -autotune flag", []string{"-autotune"}},
+		{"removed -autotune-rounds flag", []string{"-autotune-rounds", "2"}},
+		{"removed -autotune-interval flag", []string{"-autotune-interval", "1s"}},
+		{"removed -reconfig-stall-budget flag", []string{"-reconfig-stall-budget", "1s"}},
+		{"removed -vet flag", []string{"-vet"}},
+		{"unknown adapt mode", []string{"-adapt", "bogus"}},
+		{"adapt apply across nodes", []string{"-adapt", "apply", "-nodes", "2"}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -205,6 +240,84 @@ func TestCLIRunValidation(t *testing.T) {
 				t.Errorf("run %v accepted", tc.args)
 			}
 		})
+	}
+}
+
+// TestCLISimulateValidation holds simulate to TestCLIRunValidation's
+// rule: typed nonsense is rejected, never replaced by a default.
+func TestCLISimulateValidation(t *testing.T) {
+	topo := writePaperTopology(t)
+	replicated := filepath.Join(t.TempDir(), "opt.xml")
+	if _, err := capture(t, "optimize", "-in", writeBottleneckTopology(t), "-out", replicated); err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name string
+		args []string
+	}{
+		{"zero horizon", []string{"-in", topo, "-horizon", "0"}},
+		{"negative horizon", []string{"-in", topo, "-horizon", "-5"}},
+		{"NaN horizon", []string{"-in", topo, "-horizon", "NaN"}},
+		{"infinite horizon", []string{"-in", topo, "-horizon", "+Inf"}},
+		{"zero mailbox", []string{"-in", topo, "-mailbox", "0"}},
+		{"negative mailbox", []string{"-in", topo, "-mailbox", "-3"}},
+		{"removed -optimize flag", []string{"-in", topo, "-optimize"}},
+		{"shedding on a replicated deployment", []string{"-in", replicated, "-shedding"}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			if err := run(append([]string{"simulate"}, tc.args...)); err == nil {
+				t.Errorf("simulate %v accepted", tc.args)
+			}
+		})
+	}
+}
+
+// TestCLIOptimizeThenDeploy: the document optimize writes is the
+// deployment every other command reads, replica degrees included.
+func TestCLIOptimizeThenDeploy(t *testing.T) {
+	dir := t.TempDir()
+	optFile := filepath.Join(dir, "opt.xml")
+	out, err := capture(t, "optimize", "-in", writeBottleneckTopology(t), "-out", optFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	i := strings.Index(out, "predicted throughput:")
+	if i < 0 {
+		t.Fatalf("optimize printed no prediction:\n%s", out)
+	}
+	prediction := out[i : i+strings.IndexByte(out[i:], '\n')]
+
+	sim, err := capture(t, "simulate", "-in", optFile, "-horizon", "5")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.HasPrefix(sim, prediction+"\n") {
+		t.Errorf("simulate does not predict the optimized deployment (%q):\n%s", prediction, sim)
+	}
+
+	genFile := filepath.Join(dir, "main.go")
+	if _, err := capture(t, "generate", "-in", optFile, "-out", genFile); err != nil {
+		t.Fatal(err)
+	}
+	src, err := os.ReadFile(genFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, degrees, err := xmlio.ReadFileOptimized(optFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := fmt.Sprintf("replicas := %#v", degrees); degrees[1] < 2 || !strings.Contains(string(src), want) {
+		t.Errorf("generated program does not embed %q:\n%s", want, src)
+	}
+
+	vet, err := capture(t, "vet", "-in", optFile, "-replica-budget", "1")
+	if err != nil {
+		t.Fatalf("budget warning must not gate: %v", err)
+	}
+	if !strings.Contains(vet, "SS1006 warning") {
+		t.Errorf("vet does not see the document's degrees:\n%s", vet)
 	}
 }
 
@@ -246,7 +359,7 @@ func TestCLIDot(t *testing.T) {
 }
 
 func TestCLIAnalyzeLatency(t *testing.T) {
-	out, err := capture(t, "analyze", "-in", writePaperTopology(t), "-latency")
+	out, err := capture(t, "optimize", "-passes", "latency", "-in", writePaperTopology(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +375,7 @@ func TestCLIOptimizeTrace(t *testing.T) {
 	jsonFile := filepath.Join(dir, "trace.json")
 	dotFile := filepath.Join(dir, "trace.dot")
 	outFile := filepath.Join(dir, "opt.xml")
-	out, err := capture(t, "optimize", "-in", writePaperTopology(t), "-fuse",
+	out, err := capture(t, "optimize", "-in", writePaperTopology(t), "-passes", "fission,fusion",
 		"-out", outFile, "-trace-json", jsonFile, "-trace-dot", dotFile)
 	if err != nil {
 		t.Fatal(err)
@@ -300,11 +413,11 @@ func TestCLIOptimizeTrace(t *testing.T) {
 	}
 }
 
-// TestCLIRunReoptimize exercises run -reoptimize end to end: the drift
+// TestCLIRunReoptimize exercises run -adapt report end to end: the drift
 // report feeds opt.Reoptimize and the delta plan is printed.
 func TestCLIRunReoptimize(t *testing.T) {
 	out, err := capture(t, "run", "-in", writePaperTopology(t),
-		"-duration", "600ms", "-warmup", "150ms", "-reoptimize")
+		"-duration", "600ms", "-warmup", "150ms", "-adapt", "report")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -313,13 +426,13 @@ func TestCLIRunReoptimize(t *testing.T) {
 	}
 }
 
-// TestCLIRunEstimatorReoptimize exercises run -drift -reoptimize end to
-// end: the run measures through the online estimator, the drift report
+// TestCLIRunEstimatorReoptimize exercises run -adapt report end to end:
+// the run measures through the online estimator, the drift report
 // carries its profiles with a re-analysis on them, and opt.Reoptimize turns
 // the report into the printed delta plan.
 func TestCLIRunEstimatorReoptimize(t *testing.T) {
 	out, err := capture(t, "run", "-in", writePaperTopology(t),
-		"-duration", "700ms", "-warmup", "150ms", "-drift", "-reoptimize")
+		"-duration", "700ms", "-warmup", "150ms", "-adapt", "report")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -335,7 +448,7 @@ func TestCLIRunEstimatorReoptimize(t *testing.T) {
 // the drift report still re-analyzes on measured profiles.
 func TestCLIRunDriftDistributed(t *testing.T) {
 	out, err := capture(t, "run", "-in", writePaperTopology(t),
-		"-duration", "700ms", "-warmup", "150ms", "-nodes", "2", "-drift")
+		"-duration", "700ms", "-warmup", "150ms", "-nodes", "2", "-adapt", "report")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,15 +459,19 @@ func TestCLIRunDriftDistributed(t *testing.T) {
 
 // TestCLIRunAutotuneEstimator drives the full autonomic loop from the
 // command line: autotune rounds fed by the estimator must complete and
-// report their outcome.
+// report their outcome. -adapt apply splits the post-warmup time into
+// two rounds (300ms each here).
 func TestCLIRunAutotuneEstimator(t *testing.T) {
 	out, err := capture(t, "run", "-in", writePaperTopology(t),
-		"-autotune", "-autotune-rounds", "2", "-autotune-interval", "300ms")
+		"-adapt", "apply", "-duration", "800ms", "-warmup", "200ms")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(out, "autotune round 0:") {
 		t.Errorf("run output missing autotune rounds:\n%s", out)
+	}
+	if !strings.Contains(out, "autotune round 1:") || !strings.Contains(out, "over 2 round(s)") {
+		t.Errorf("run output missing the second round:\n%s", out)
 	}
 	if !strings.Contains(out, "autotune: applied") {
 		t.Errorf("run output missing the autotune summary:\n%s", out)
@@ -362,8 +479,9 @@ func TestCLIRunAutotuneEstimator(t *testing.T) {
 }
 
 // writeChainTopology writes src -> mid -> sink with a stateless mid of
-// the given service time, for vet tests that need controllable load.
-func writeChainTopology(t *testing.T, midService float64) string {
+// the given service time, for vet tests that need controllable load. A
+// non-empty midReplicas becomes mid's replicas attribute verbatim.
+func writeChainTopology(t *testing.T, midService float64, midReplicas string) string {
 	t.Helper()
 	topo := core.NewTopology()
 	src := topo.MustAddOperator(core.Operator{Name: "src", Kind: core.KindSource, ServiceTime: 1e-3})
@@ -371,17 +489,25 @@ func writeChainTopology(t *testing.T, midService float64) string {
 	sink := topo.MustAddOperator(core.Operator{Name: "sink", Kind: core.KindSink, ServiceTime: 1e-4})
 	topo.MustConnect(src, mid, 1)
 	topo.MustConnect(mid, sink, 1)
+	var buf bytes.Buffer
+	if err := xmlio.Write(&buf, "chain", topo); err != nil {
+		t.Fatal(err)
+	}
+	doc := buf.String()
+	if midReplicas != "" {
+		doc = strings.Replace(doc, `name="mid"`, `name="mid" replicas="`+midReplicas+`"`, 1)
+	}
 	path := filepath.Join(t.TempDir(), "chain.xml")
-	if err := xmlio.WriteFile(path, "chain", topo); err != nil {
+	if err := os.WriteFile(path, []byte(doc), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	return path
 }
 
 func TestCLIVetZeroReplicasNormalized(t *testing.T) {
-	// Degree 0 means "not deployed yet"; vet normalizes it to 1 instead of
-	// rejecting the vector or dividing by zero in the cost model.
-	out, err := capture(t, "vet", "-in", writeChainTopology(t, 1e-4), "-replicas", "0,0,0")
+	// Degree 0 means "not replicated"; vet normalizes it to 1 instead of
+	// rejecting the document or dividing by zero in the cost model.
+	out, err := capture(t, "vet", "-in", writeChainTopology(t, 1e-4, "0"))
 	if err != nil {
 		t.Fatalf("zero replica degrees must vet clean, got %v:\n%s", err, out)
 	}
@@ -393,8 +519,7 @@ func TestCLIVetZeroReplicasNormalized(t *testing.T) {
 func TestCLIVetBudgetOverflowIsWarningOnly(t *testing.T) {
 	// Exceeding the budget is advice (SS1006), not a gate: the exit code
 	// stays zero so CI can surface it without failing the build.
-	out, err := capture(t, "vet", "-in", writeChainTopology(t, 1e-4),
-		"-replicas", "1,6,1", "-replica-budget", "4")
+	out, err := capture(t, "vet", "-in", writeChainTopology(t, 1e-4, "6"), "-replica-budget", "4")
 	if err != nil {
 		t.Fatalf("warnings-only report must exit zero, got %v:\n%s", err, out)
 	}
@@ -403,10 +528,14 @@ func TestCLIVetBudgetOverflowIsWarningOnly(t *testing.T) {
 	}
 }
 
+// TestCLIVetMisalignedReplicasIsError: a degree no deployment can have
+// is an error. Degrees travel in the document, one per operator element,
+// so a negative one is the malformed case the CLI can meet; lint's
+// TestReplicaChecks covers a vector of the wrong length.
 func TestCLIVetMisalignedReplicasIsError(t *testing.T) {
-	out, err := capture(t, "vet", "-in", writeChainTopology(t, 1e-4), "-replicas", "1,2")
+	out, err := capture(t, "vet", "-in", writeChainTopology(t, 1e-4, "-2"))
 	if err == nil {
-		t.Fatalf("misaligned replica vector must exit non-zero:\n%s", out)
+		t.Fatalf("negative replica degree must exit non-zero:\n%s", out)
 	}
 	if !strings.Contains(out, "SS1000") {
 		t.Errorf("missing SS1000 diagnostic:\n%s", out)
@@ -416,7 +545,7 @@ func TestCLIVetMisalignedReplicasIsError(t *testing.T) {
 func TestCLIVetBurstFlags(t *testing.T) {
 	// rho 0.8 chain under a 2x/1s burst: SS3002 fires as a warning (exit
 	// zero), and sizing the mailbox per the suggestion silences it.
-	in := writeChainTopology(t, 8e-4)
+	in := writeChainTopology(t, 8e-4, "")
 	out, err := capture(t, "vet", "-in", in, "-burst-factor", "2", "-burst-seconds", "1")
 	if err != nil {
 		t.Fatalf("burst warning must not gate, got %v:\n%s", err, out)

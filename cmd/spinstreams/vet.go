@@ -1,11 +1,11 @@
 package main
 
 import (
+	"bytes"
 	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
-	"strconv"
 	"strings"
 
 	"spinstreams/internal/lint"
@@ -13,16 +13,16 @@ import (
 )
 
 // cmdVet is the static verification front-end: it lints a topology
-// document (structure, cost model, optional fusion candidate and rewrite
-// trace) and renders the report as text, JSON, or SARIF. The exit status
-// is non-zero when any error-severity diagnostic fires, so the command
-// slots directly into CI.
+// document as the deployment it declares (structure, replica degrees,
+// cost model, optional fusion candidate and rewrite trace) and renders
+// the report as text, JSON, or SARIF. The exit status is non-zero when
+// any error-severity diagnostic fires, so the command slots directly into
+// CI.
 func cmdVet(args []string) error {
 	fs := flag.NewFlagSet("vet", flag.ContinueOnError)
 	in := fs.String("in", "", "input topology XML")
 	members := fs.String("members", "", "comma-separated fusion candidate to verify against the Section 3.3 preconditions")
-	budget := fs.Int("replica-budget", 0, "replica budget the deployment must fit (0 = unbounded)")
-	replicas := fs.String("replicas", "", "comma-separated deployed replication degrees, one per operator in document order (enables the replica and transport-demotion checks)")
+	budget := fs.Int("replica-budget", 0, "replica budget the document's deployment must fit (0 = unbounded)")
 	allowCycles := fs.Bool("allow-cycles", false, "accept feedback edges and analyze them with the fixed-point solver")
 	tracePath := fs.String("trace", "", "rewrite trace JSON to replay against the topology")
 	mailboxSize := fs.Int("mailbox-size", 0, "bounded mailbox capacity assumed by the back-pressure checks (0 = runtime default)")
@@ -36,50 +36,57 @@ func cmdVet(args []string) error {
 	if *in == "" {
 		return fmt.Errorf("-in is required")
 	}
-
-	opts := vetOptions{
-		members:      *members,
-		budget:       *budget,
-		allowCycles:  *allowCycles,
-		tracePath:    *tracePath,
-		mailboxSize:  *mailboxSize,
-		burstFactor:  *burstFactor,
-		burstSeconds: *burstSeconds,
+	cfg := lint.Config{
+		File: *in,
+		KeyLoader: func(ref string) ([]float64, error) {
+			return xmlio.LoadKeyFile(filepath.Join(filepath.Dir(*in), ref))
+		},
+		ReplicaBudget:   *budget,
+		AllowCycles:     *allowCycles,
+		MailboxCapacity: *mailboxSize,
+		BurstFactor:     *burstFactor,
+		BurstSeconds:    *burstSeconds,
 	}
-	if *replicas != "" {
-		for _, field := range strings.Split(*replicas, ",") {
-			n, err := strconv.Atoi(strings.TrimSpace(field))
-			if err != nil {
-				return fmt.Errorf("vet: -replicas: %v", err)
-			}
-			opts.replicas = append(opts.replicas, n)
+	if *members != "" {
+		for _, m := range strings.Split(*members, ",") {
+			cfg.FuseMembers = append(cfg.FuseMembers, strings.TrimSpace(m))
 		}
 	}
-	rep, err := vetFile(*in, opts)
+	if *tracePath != "" {
+		trace, err := os.ReadFile(*tracePath)
+		if err != nil {
+			return err
+		}
+		cfg.Trace = trace
+	}
+	f, err := os.Open(*in)
 	if err != nil {
 		return err
 	}
+	doc, pos, err := xmlio.DecodeDocument(f)
+	f.Close()
+	if err != nil {
+		return err
+	}
+	rep := lint.RunDocument(doc, pos, cfg)
 
 	var rendered []byte
 	switch *format {
 	case "text":
-		var b strings.Builder
-		if err := rep.Text(&b); err != nil {
-			return err
-		}
-		rendered = []byte(b.String())
+		var b bytes.Buffer
+		err = rep.Text(&b)
+		rendered = b.Bytes()
 	case "json":
-		if rendered, err = rep.JSON(); err != nil {
-			return err
-		}
+		rendered, err = rep.JSON()
 		rendered = append(rendered, '\n')
 	case "sarif":
-		if rendered, err = rep.SARIF(); err != nil {
-			return err
-		}
+		rendered, err = rep.SARIF()
 		rendered = append(rendered, '\n')
 	default:
 		return fmt.Errorf("vet: unknown format %q (want text, json, or sarif)", *format)
+	}
+	if err != nil {
+		return err
 	}
 	if *out != "" {
 		if err := os.WriteFile(*out, rendered, 0o644); err != nil {
@@ -91,74 +98,6 @@ func cmdVet(args []string) error {
 
 	if errs, warns, _ := rep.Counts(); errs > 0 {
 		return fmt.Errorf("vet: %d error(s), %d warning(s)", errs, warns)
-	}
-	return nil
-}
-
-type vetOptions struct {
-	members      string
-	budget       int
-	replicas     []int
-	allowCycles  bool
-	tracePath    string
-	mailboxSize  int
-	burstFactor  float64
-	burstSeconds float64
-}
-
-// vetFile runs the document-level verifier on path with positioned
-// diagnostics, resolving keysFile references relative to the document.
-func vetFile(path string, o vetOptions) (*lint.Report, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	doc, pos, err := xmlio.DecodeDocument(f)
-	if err != nil {
-		return nil, err
-	}
-	cfg := lint.Config{
-		File: path,
-		KeyLoader: func(ref string) ([]float64, error) {
-			return xmlio.LoadKeyFile(filepath.Join(filepath.Dir(path), ref))
-		},
-		Replicas:        o.replicas,
-		ReplicaBudget:   o.budget,
-		AllowCycles:     o.allowCycles,
-		MailboxCapacity: o.mailboxSize,
-		BurstFactor:     o.burstFactor,
-		BurstSeconds:    o.burstSeconds,
-	}
-	if o.members != "" {
-		for _, m := range strings.Split(o.members, ",") {
-			cfg.FuseMembers = append(cfg.FuseMembers, strings.TrimSpace(m))
-		}
-	}
-	if o.tracePath != "" {
-		trace, err := os.ReadFile(o.tracePath)
-		if err != nil {
-			return nil, err
-		}
-		cfg.Trace = trace
-	}
-	return lint.RunDocument(doc, pos, cfg), nil
-}
-
-// preVet is the -vet flag on run/optimize: lint the input first, print
-// any findings to stderr, and refuse to proceed on errors.
-func preVet(path string, allowCycles bool) error {
-	rep, err := vetFile(path, vetOptions{allowCycles: allowCycles})
-	if err != nil {
-		return err
-	}
-	if len(rep.Diagnostics) > 0 {
-		if err := rep.Text(os.Stderr); err != nil {
-			return err
-		}
-	}
-	if rep.HasErrors() {
-		return fmt.Errorf("vet: input rejected")
 	}
 	return nil
 }

@@ -229,7 +229,7 @@ func TestFromResult(t *testing.T) {
 	snk := bott.MustAddOperator(core.Operator{Name: "snk", Kind: core.KindSink, ServiceTime: 1e-4})
 	bott.MustConnect(src, hot, 1)
 	bott.MustConnect(hot, snk, 1)
-	res2, err := opt.Run(bott, opt.Options{DisableFusion: true})
+	res2, err := (&opt.Pipeline{Passes: []opt.Pass{opt.AnalyzePass{}, opt.FissionPass{}}}).Run(bott)
 	if err != nil {
 		t.Fatal(err)
 	}

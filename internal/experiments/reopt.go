@@ -59,7 +59,7 @@ func reoptimizeDemo(ctx context.Context, duration time.Duration) (*ReoptimizeDem
 
 	// Plan with fission only: the deployment keeps the model's shape, so
 	// the drift report can compare station-for-station.
-	res, err := opt.Run(model, opt.Options{DisableFusion: true})
+	res, err := (&opt.Pipeline{Passes: []opt.Pass{opt.AnalyzePass{}, opt.FissionPass{}}}).Run(model)
 	if err != nil {
 		return nil, fmt.Errorf("reoptimize demo: plan: %w", err)
 	}

@@ -15,15 +15,15 @@ import (
 var update = flag.Bool("update", false, "rewrite corpus goldens")
 
 // corpusDir holds one known-bad topology per diagnostic code, each with a
-// byte-stable golden of the text report. Sidecars supply what the XML
-// cannot express: `<base>.cfg.json` tunes the lint Config, and
+// byte-stable golden of the text report. Replica degrees live in the XML,
+// as in every deployment document. Sidecars supply what the XML cannot
+// express: `<base>.cfg.json` tunes the lint Config, and
 // `<base>.trace.json` is a rewrite trace to replay.
 const corpusDir = "../../testdata/lint"
 
 type corpusConfig struct {
 	AllowCycles     bool     `json:"allow_cycles"`
 	FuseMembers     []string `json:"fuse_members"`
-	Replicas        []int    `json:"replicas"`
 	ReplicaBudget   int      `json:"replica_budget"`
 	MailboxCapacity int      `json:"mailbox_capacity"`
 	BurstFactor     float64  `json:"burst_factor"`
@@ -57,7 +57,6 @@ func TestCorpus(t *testing.T) {
 			cfg := Config{
 				File:            name,
 				FuseMembers:     cc.FuseMembers,
-				Replicas:        cc.Replicas,
 				ReplicaBudget:   cc.ReplicaBudget,
 				AllowCycles:     cc.AllowCycles,
 				MailboxCapacity: cc.MailboxCapacity,

@@ -322,7 +322,8 @@ type Config struct {
 	// verify against the Section 3.3 preconditions (SS1003).
 	FuseMembers []string
 	// Replicas are the deployed/requested replication degrees,
-	// index-aligned with the topology; nil means all ones.
+	// index-aligned with the topology; nil means all ones. RunDocument
+	// ignores it and vets the degrees the document declares.
 	Replicas []int
 	// ReplicaBudget bounds the total worker count (SS1006); 0 = unbounded.
 	ReplicaBudget int
@@ -361,20 +362,26 @@ func Run(t *core.Topology, cfg Config) *Report {
 	rep := &Report{File: cfg.File}
 	structuralTopology(rep, t, cfg)
 	if !rep.HasErrors() {
-		extras(rep, t, cfg)
+		extras(rep, t, nil, cfg)
 	}
 	return rep
 }
 
-// RunDocument lints a raw XML document, attributing findings to element
-// positions. It does not require the document to survive xmlio.Read:
-// document-level checks run first, and the deeper analyses only run when
-// the document is structurally sound enough to build.
+// RunDocument lints a raw XML document as the deployment it declares:
+// its replicas attributes are the degrees the replica, transport and plan
+// checks see. Findings carry element positions. It does not require the
+// document to survive xmlio.Read: document-level checks run first, and
+// the deeper analyses only run when the document is structurally sound
+// enough to build.
 func RunDocument(doc *xmlio.Document, pos *xmlio.Positions, cfg Config) *Report {
 	rep := &Report{File: cfg.File}
 	structuralDocument(rep, doc, pos, cfg)
 	if rep.HasErrors() {
 		return rep
+	}
+	cfg.Replicas = make([]int, len(doc.Operators))
+	for i, od := range doc.Operators {
+		cfg.Replicas[i] = max(od.Replicas, 1)
 	}
 	t, err := xmlio.FromDocument(doc, cfg.KeyLoader)
 	if err != nil {
@@ -383,15 +390,16 @@ func RunDocument(doc *xmlio.Document, pos *xmlio.Positions, cfg Config) *Report 
 		rep.add(Diagnostic{Code: CodeMalformed, Message: err.Error()})
 		return rep
 	}
-	extras(rep, t, cfg)
+	extras(rep, t, pos, cfg)
 	return rep
 }
 
 // extras runs the analyses shared by Run and RunDocument once a buildable
 // topology exists: replica consistency, fusion-candidate validation, the
-// cost-model dry-run, and trace replay.
-func extras(rep *Report, t *core.Topology, cfg Config) {
-	checkReplicas(rep, t, cfg)
+// cost-model dry-run, and trace replay. pos, when non-nil, positions the
+// per-operator replica findings.
+func extras(rep *Report, t *core.Topology, pos *xmlio.Positions, cfg Config) {
+	checkReplicas(rep, t, pos, cfg)
 	checkFusionCandidate(rep, t, cfg)
 	checkTransports(rep, t, cfg)
 	costModel(rep, t, cfg)

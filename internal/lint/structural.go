@@ -100,8 +100,9 @@ func unreachableFrom(t *core.Topology, src core.OpID) []Diagnostic {
 }
 
 // checkReplicas validates the requested replication degrees against the
-// operator kinds, key domains and the replica budget.
-func checkReplicas(rep *Report, t *core.Topology, cfg Config) {
+// operator kinds, key domains and the replica budget, positioning each
+// per-operator finding at its element when pos is non-nil.
+func checkReplicas(rep *Report, t *core.Topology, pos *xmlio.Positions, cfg Config) {
 	if cfg.Replicas == nil {
 		return
 	}
@@ -121,12 +122,12 @@ func checkReplicas(rep *Report, t *core.Topology, cfg Config) {
 			continue
 		}
 		if !op.Kind.CanReplicate() {
-			rep.add(Diagnostic{Code: CodeStatefulFission, Operator: op.Name,
+			rep.addAt(pos.Operator(i), Diagnostic{Code: CodeStatefulFission, Operator: op.Name,
 				Message: fmt.Sprintf("%q has kind %s and cannot be replicated (requested %d replicas)", op.Name, op.Kind, n)})
 			continue
 		}
 		if op.Kind == core.KindPartitionedStateful && op.Keys != nil && n > len(op.Keys.Freq) {
-			rep.add(Diagnostic{Code: CodeReplicaBudget, Operator: op.Name,
+			rep.addAt(pos.Operator(i), Diagnostic{Code: CodeReplicaBudget, Operator: op.Name,
 				Message: fmt.Sprintf("%q requests %d replicas but partitions only %d keys; the partitioner will consolidate", op.Name, n, len(op.Keys.Freq))})
 		}
 	}
@@ -197,14 +198,6 @@ func structuralDocument(rep *Report, doc *xmlio.Document, pos *xmlio.Positions, 
 		if od.Replicas < 0 {
 			rep.addAt(at, Diagnostic{Code: CodeMalformed, Operator: od.Name,
 				Message: fmt.Sprintf("operator %q has replica degree %d", od.Name, od.Replicas)})
-		}
-		if od.Replicas > 1 && kind != 0 && !kind.CanReplicate() {
-			rep.addAt(at, Diagnostic{Code: CodeStatefulFission, Operator: od.Name,
-				Message: fmt.Sprintf("%q has kind %s and cannot be replicated (requested %d replicas)", od.Name, kind, od.Replicas)})
-		}
-		if od.Replicas > 1 && kind == core.KindPartitionedStateful && len(od.Keys) > 0 && od.Replicas > len(od.Keys) {
-			rep.addAt(at, Diagnostic{Code: CodeReplicaBudget, Operator: od.Name,
-				Message: fmt.Sprintf("%q requests %d replicas but partitions only %d keys; the partitioner will consolidate", od.Name, od.Replicas, len(od.Keys))})
 		}
 	}
 

@@ -1,7 +1,7 @@
 // Package opt is the pass-pipeline optimizer driver: it composes the
 // paper's Algorithms 1-3 (steady-state analysis, bottleneck elimination,
-// operator fusion) plus the shedding and latency models into an ordered
-// sequence of passes over a shared immutable topology snapshot.
+// operator fusion) plus the latency model into an ordered sequence of
+// passes over a shared immutable topology snapshot.
 //
 // The pipeline adds three capabilities the loose core entry points lack:
 //
@@ -24,8 +24,9 @@
 //     operators change replication degree and which fusions should be
 //     undone now that reality disagrees with the profile.
 //
-// Pass ordering is deterministic and pinned: analyze, fission, fusion
-// (then optionally shedding and latency). Fission runs first because it
+// Pass ordering is deterministic and pinned: analyze, fission, fusion (or
+// a user-chosen fuse), then latency; New builds the first three, and a
+// Pipeline literal selects any other subset. Fission runs first because it
 // only chooses replication degrees — it never rewrites the graph — so the
 // fusion pass sees the same topology the seed tool's AutoFuse saw and the
 // pipeline reproduces the classic entry points' decisions exactly

@@ -2,6 +2,7 @@ package opt
 
 import (
 	"fmt"
+	"sort"
 
 	"spinstreams/internal/core"
 )
@@ -183,29 +184,49 @@ func (FusionPass) Run(ctx *Context, s *Snapshot) (*Snapshot, error) {
 	return newOwnedSnapshot(res.Topology), nil
 }
 
-// SheddingPass evaluates the load-shedding alternative semantics on the
-// current (post-fusion) topology, for the report only — it takes no
-// restructuring decisions.
-type SheddingPass struct{}
+// FusePass is a user-chosen fusion in the fusion slot: Algorithm 3 on
+// Members, applied with no accept/reject step, so a fusion that
+// introduces a bottleneck still happens and Result.Fuse says so. The
+// meta-operator takes core.Fuse's default name.
+type FusePass struct{ Members []string }
 
 // Name implements Pass.
-func (SheddingPass) Name() string { return "shedding" }
+func (FusePass) Name() string { return "fuse" }
 
 // Run implements Pass.
-func (SheddingPass) Run(ctx *Context, s *Snapshot) (*Snapshot, error) {
+func (f FusePass) Run(ctx *Context, s *Snapshot) (*Snapshot, error) {
 	if ctx.cyclic {
-		skipCyclic(ctx, "shedding")
+		skipCyclic(ctx, "fuse")
 		return s, nil
 	}
-	p := ctx.Trace.pass("shedding")
-	a, err := core.SteadyStateShedding(s.Topology())
-	if err != nil {
-		return nil, fmt.Errorf("opt: shedding: %w", err)
+	t := s.Topology()
+	members := make([]core.OpID, len(f.Members))
+	for i, name := range f.Members {
+		id, ok := t.Lookup(name)
+		if !ok {
+			return nil, fmt.Errorf("opt: fuse: unknown operator %q", name)
+		}
+		members[i] = id
 	}
-	p.ThroughputBefore = a.SourceRate
-	p.ThroughputAfter = a.SinkRate
-	ctx.Result.Shedding = a
-	return s, nil
+	sort.Slice(members, func(a, b int) bool { return members[a] < members[b] })
+	fused, report, err := core.FuseWith(t, members, "", ctx.Cache)
+	if err != nil {
+		return nil, fmt.Errorf("opt: fuse: %w", err)
+	}
+	op := fused.Op(report.FusedID)
+	p := ctx.Trace.pass("fuse")
+	p.ThroughputBefore, p.ThroughputAfter = report.ThroughputBefore, report.ThroughputAfter
+	p.step(TraceStep{
+		Action:           StepFuse,
+		Operator:         op.Name,
+		Members:          op.Fused,
+		ServiceTime:      report.ServiceTime,
+		Utilization:      report.After.Rho[report.FusedID],
+		ThroughputBefore: report.ThroughputBefore,
+		ThroughputAfter:  report.ThroughputAfter,
+	})
+	ctx.Result.Fuse = report
+	return newOwnedSnapshot(fused), nil
 }
 
 // LatencyPass layers the queueing-latency estimate on the final analysis

@@ -15,15 +15,9 @@ type Options struct {
 	// Fusion tunes the automatic fusion pass. Its Trace field is owned
 	// by the pipeline and overwritten.
 	Fusion core.AutoFuseOptions
-	// DisableFission / DisableFusion drop the respective pass, matching
-	// the classic single-purpose CLI commands (`optimize` = fission
-	// only, `autofuse` = fusion only).
-	DisableFission bool
-	DisableFusion  bool
-	// Shedding adds the load-shedding evaluation pass.
-	Shedding bool
-	// LatencyModel, when non-zero, adds the latency-estimation pass;
-	// BufferCapacity is its saturated-operator buffer bound (0 = default).
+	// LatencyModel and BufferCapacity parameterize the latency pass: the
+	// queueing model (0 = M/M/1) and the saturated-operator buffer bound
+	// (0 = default). Which passes run is the Pipeline's pass list alone.
 	LatencyModel   core.LatencyModel
 	BufferCapacity int
 	// AllowCycles analyzes cyclic topologies with the fixed-point solver
@@ -54,9 +48,10 @@ type Result struct {
 	// Analysis is the final topology under the chosen replication
 	// degrees: the pipeline's headline prediction.
 	Analysis *core.Analysis
-	// Shedding and Latency are the optional evaluation passes' outputs.
-	Shedding *core.SheddingAnalysis
-	Latency  *core.LatencyEstimate
+	// Fuse is the fuse pass's Algorithm 3 report; nil unless it ran.
+	Fuse *core.FusionReport
+	// Latency is the latency pass's estimate; nil unless it ran.
+	Latency *core.LatencyEstimate
 	// Trace is the rewrite provenance.
 	Trace *Trace
 	// CacheStats reports the solver cache's traffic for this run.
@@ -82,26 +77,10 @@ type Pipeline struct {
 	Passes []Pass
 }
 
-// New builds the default pipeline for opts: analyze, fission, fusion,
-// then the optional shedding and latency evaluation passes. The order is
-// pinned (see the package comment); construct a Pipeline literal to
-// deviate.
+// New builds the default pipeline for opts: analyze, fission, fusion.
+// Construct a Pipeline literal to run another pass list.
 func New(opts Options) *Pipeline {
-	p := &Pipeline{Opts: opts}
-	p.Passes = append(p.Passes, AnalyzePass{})
-	if !opts.DisableFission {
-		p.Passes = append(p.Passes, FissionPass{})
-	}
-	if !opts.DisableFusion {
-		p.Passes = append(p.Passes, FusionPass{})
-	}
-	if opts.Shedding {
-		p.Passes = append(p.Passes, SheddingPass{})
-	}
-	if opts.LatencyModel != 0 {
-		p.Passes = append(p.Passes, LatencyPass{})
-	}
-	return p
+	return &Pipeline{Opts: opts, Passes: []Pass{AnalyzePass{}, FissionPass{}, FusionPass{}}}
 }
 
 // Run executes the default pipeline on t.

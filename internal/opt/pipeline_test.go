@@ -5,6 +5,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"spinstreams/internal/core"
@@ -159,17 +160,17 @@ func TestPipelineReplicasMapping(t *testing.T) {
 	}
 }
 
-// TestPipelineDisabledPasses pins the single-purpose configurations the
-// CLI commands use.
+// TestPipelineDisabledPasses pins pass selection by pass list: a
+// Pipeline literal without a pass does not run it.
 func TestPipelineDisabledPasses(t *testing.T) {
 	topo, _ := core.PaperExampleTopology(core.PaperExampleTable2)
 
-	fissionOnly, err := Run(topo, Options{DisableFusion: true})
+	fissionOnly, err := (&Pipeline{Passes: []Pass{AnalyzePass{}, FissionPass{}}}).Run(topo)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if fissionOnly.Fusion != nil {
-		t.Error("fusion ran despite DisableFusion")
+		t.Error("fusion ran without a fusion pass")
 	}
 	if fissionOnly.Final != fissionOnly.Input {
 		t.Error("fission-only run rewrote the topology")
@@ -182,12 +183,12 @@ func TestPipelineDisabledPasses(t *testing.T) {
 		t.Errorf("fission-only throughput %v, seed %v", got, want)
 	}
 
-	fusionOnly, err := Run(topo, Options{DisableFission: true})
+	fusionOnly, err := (&Pipeline{Passes: []Pass{AnalyzePass{}, FusionPass{}}}).Run(topo)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if fusionOnly.Fission != nil {
-		t.Error("fission ran despite DisableFission")
+		t.Error("fission ran without a fission pass")
 	}
 	for i, n := range fusionOnly.Replicas() {
 		if n != 1 {
@@ -196,18 +197,54 @@ func TestPipelineDisabledPasses(t *testing.T) {
 	}
 }
 
-// TestPipelineShapePasses covers the optional evaluation passes.
+// TestPipelineEvaluationPasses covers the latency pass and the manual
+// fuse pass: the latency pass runs only when listed, whatever the model;
+// fuse applies Algorithm 3 without accept/reject and records the same
+// fuse step the fusion pass records.
 func TestPipelineEvaluationPasses(t *testing.T) {
 	topo, _ := core.PaperExampleTopology(core.PaperExampleTable1)
-	res, err := Run(topo, Options{Shedding: true, LatencyModel: core.MM1})
+	if res, err := Run(topo, Options{LatencyModel: core.MM1}); err != nil || res.Latency != nil {
+		t.Fatalf("latency model alone added a pass (err %v)", err)
+	}
+	res, err := (&Pipeline{Passes: []Pass{AnalyzePass{}, LatencyPass{}}}).Run(topo)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Shedding == nil {
-		t.Error("shedding pass produced no analysis")
-	}
 	if res.Latency == nil || res.Latency.EndToEnd <= 0 {
 		t.Error("latency pass produced no estimate")
+	}
+
+	// Table 2's op3-op5 fusion is the paper's alert case: fuse applies it
+	// anyway and reports the degradation.
+	t2, _ := core.PaperExampleTopology(core.PaperExampleTable2)
+	members := []string{"op5", "op3", "op4"}
+	res, err = (&Pipeline{Passes: []Pass{AnalyzePass{}, FusePass{Members: members}}}).Run(t2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := []core.OpID{}
+	for _, name := range []string{"op3", "op4", "op5"} {
+		id, _ := t2.Lookup(name)
+		ids = append(ids, id)
+	}
+	_, want, err := core.Fuse(t2, ids, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Fuse == nil || !res.Fuse.IntroducesBottleneck || res.Fuse.ThroughputAfter != want.ThroughputAfter {
+		t.Fatalf("fuse report %+v, want the alert with throughput %v", res.Fuse, want.ThroughputAfter)
+	}
+	final := res.Final.Topology()
+	if final.Len() != t2.Len()-2 {
+		t.Errorf("fuse left %d operators, want %d", final.Len(), t2.Len()-2)
+	}
+	p := res.Trace.Passes[len(res.Trace.Passes)-1]
+	if p.Pass != "fuse" || len(p.Steps) != 1 || p.Steps[0].Action != StepFuse ||
+		p.Steps[0].Operator != "fused(op3+op4+op5)" || strings.Join(p.Steps[0].Members, ",") != "op3,op4,op5" {
+		t.Errorf("fuse trace %+v", p)
+	}
+	if _, err := (&Pipeline{Passes: []Pass{AnalyzePass{}, FusePass{Members: []string{"ghost"}}}}).Run(t2); err == nil {
+		t.Error("fuse of an unknown operator accepted")
 	}
 }
 

@@ -87,7 +87,12 @@ type Sample struct {
 	Consumed, Emitted, Arrived, Dropped uint64
 }
 
-func (c Config) withDefaults() Config {
+// withDefaults fills the zero-valued knobs. A non-finite Horizon or
+// Warmup is an error: the event loop would never reach it.
+func (c Config) withDefaults() (Config, error) {
+	if math.IsNaN(c.Horizon) || math.IsInf(c.Horizon, 0) || math.IsNaN(c.Warmup) || math.IsInf(c.Warmup, 0) {
+		return c, fmt.Errorf("qsim: Horizon %v and Warmup %v must be finite", c.Horizon, c.Warmup)
+	}
 	if c.BufferSize <= 0 {
 		c.BufferSize = 64
 	}
@@ -100,7 +105,7 @@ func (c Config) withDefaults() Config {
 	if c.Service == 0 {
 		c.Service = Exponential
 	}
-	return c
+	return c, nil
 }
 
 // StationStats reports one station's measured behaviour during the
@@ -255,7 +260,10 @@ type sim struct {
 // Simulate runs the plan under the configuration and reports steady-state
 // measurements.
 func Simulate(p *plan.Plan, cfg Config) (*Result, error) {
-	cfg = cfg.withDefaults()
+	cfg, err := cfg.withDefaults()
+	if err != nil {
+		return nil, err
+	}
 	if p == nil || len(p.Stations) == 0 {
 		return nil, errors.New("qsim: empty plan")
 	}

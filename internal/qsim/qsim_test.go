@@ -232,6 +232,23 @@ func TestSimulateErrors(t *testing.T) {
 	}
 }
 
+// TestSimulateNonFiniteHorizon: a NaN or infinite horizon (or warmup)
+// is an error, not an event loop that never reaches its end.
+func TestSimulateNonFiniteHorizon(t *testing.T) {
+	topo := pipeline(t, 1e-3, 1e-4)
+	for _, cfg := range []Config{
+		{Horizon: math.NaN()},
+		{Horizon: math.Inf(1)},
+		{Horizon: math.Inf(-1)},
+		{Horizon: 10, Warmup: math.NaN()},
+		{Horizon: 10, Warmup: math.Inf(1)},
+	} {
+		if _, err := SimulateTopology(topo, nil, cfg); err == nil {
+			t.Errorf("horizon %v, warmup %v accepted", cfg.Horizon, cfg.Warmup)
+		}
+	}
+}
+
 func TestSimulateFlowConservation(t *testing.T) {
 	// Measured source departure ~= total sink departure (Prop 3.5).
 	topo, _ := core.PaperExampleTopology(core.PaperExampleTable1)

@@ -2,6 +2,7 @@ package xmlio_test
 
 import (
 	"bytes"
+	"os"
 	"path/filepath"
 	"testing"
 
@@ -11,16 +12,17 @@ import (
 	"spinstreams/internal/xmlio"
 )
 
-// roundTrip writes t (+replicas) and reads it back.
+// roundTrip writes t (+replicas) to a file and reads it back.
 func roundTrip(t *testing.T, topo *core.Topology, replicas []int) (*core.Topology, []int) {
 	t.Helper()
-	var buf bytes.Buffer
-	if err := xmlio.WriteOptimized(&buf, "roundtrip", topo, replicas); err != nil {
+	path := filepath.Join(t.TempDir(), "roundtrip.xml")
+	if err := xmlio.WriteFileOptimized(path, "roundtrip", topo, replicas); err != nil {
 		t.Fatalf("write: %v", err)
 	}
-	got, reps, err := xmlio.ReadOptimized(&buf)
+	got, reps, err := xmlio.ReadFileOptimized(path)
 	if err != nil {
-		t.Fatalf("read back: %v\nxml:\n%s", err, buf.String())
+		data, _ := os.ReadFile(path)
+		t.Fatalf("read back: %v\nxml:\n%s", err, data)
 	}
 	return got, reps
 }
@@ -56,16 +58,7 @@ func TestRoundTripCorpus(t *testing.T) {
 			if err != nil {
 				t.Fatalf("read corpus file: %v", err)
 			}
-			got, reps, err := func() (*core.Topology, []int, error) {
-				var buf bytes.Buffer
-				if err := xmlio.Write(&buf, "corpus", topo); err != nil {
-					return nil, nil, err
-				}
-				return xmlio.ReadOptimized(&buf)
-			}()
-			if err != nil {
-				t.Fatal(err)
-			}
+			got, reps := roundTrip(t, topo, nil)
 			sameTopology(t, topo, got)
 			for i, n := range reps {
 				if n != 1 {

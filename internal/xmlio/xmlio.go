@@ -80,31 +80,22 @@ type KeyLoader func(path string) ([]float64, error)
 
 // Read parses a topology document from r and builds the validated graph.
 // Validation errors point at the offending element's line and column.
-// Topologies referencing key files are rejected: only ReadFile resolves
-// them.
+// Topologies referencing key files are rejected: only the file readers
+// resolve them.
 func Read(r io.Reader) (*core.Topology, error) {
-	return read(r, nil)
-}
-
-// ReadFile parses path; keysFile references resolve relative to its
-// directory.
-func ReadFile(path string) (*core.Topology, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("xmlio: %w", err)
-	}
-	defer f.Close()
-	return read(f, func(ref string) ([]float64, error) {
-		return LoadKeyFile(filepath.Join(filepath.Dir(path), ref))
-	})
-}
-
-func read(r io.Reader, loader KeyLoader) (*core.Topology, error) {
 	doc, pos, err := DecodeDocument(r)
 	if err != nil {
 		return nil, err
 	}
-	return fromDocument(doc, pos, loader)
+	return fromDocument(doc, pos, nil)
+}
+
+// ReadFile parses path; keysFile references resolve relative to its
+// directory. It drops the replication degrees; ReadFileOptimized keeps
+// them.
+func ReadFile(path string) (*core.Topology, error) {
+	t, _, err := ReadFileOptimized(path)
+	return t, err
 }
 
 // FromDocument builds and validates the topology described by doc.
@@ -346,35 +337,39 @@ func ToDocumentOptimized(name string, t *core.Topology, replicas []int) (*Docume
 	return doc, nil
 }
 
-// ReadOptimized parses a topology document along with the recorded
-// replication degrees (all ones when the document carries none). Like
-// Read, it rejects key files.
-func ReadOptimized(r io.Reader) (*core.Topology, []int, error) {
-	doc, pos, err := DecodeDocument(r)
+// ReadFileOptimized parses the deployment a document at path describes:
+// the topology (keysFile references resolved relative to its directory)
+// and the replication degrees its replicas attributes record,
+// index-aligned with OpIDs (all ones when it carries none).
+func ReadFileOptimized(path string) (*core.Topology, []int, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, nil, fmt.Errorf("xmlio: %w", err)
+	}
+	defer f.Close()
+	doc, pos, err := DecodeDocument(f)
 	if err != nil {
 		return nil, nil, err
 	}
-	t, err := fromDocument(doc, pos, nil)
+	t, err := fromDocument(doc, pos, func(ref string) ([]float64, error) {
+		return LoadKeyFile(filepath.Join(filepath.Dir(path), ref))
+	})
 	if err != nil {
 		return nil, nil, err
 	}
 	replicas := make([]int, len(doc.Operators))
 	for i, od := range doc.Operators {
-		switch {
-		case od.Replicas < 0:
-			return nil, nil, fmt.Errorf("xmlio: operator %q has replica degree %d", od.Name, od.Replicas)
-		case od.Replicas <= 1:
-			replicas[i] = 1
-		default:
-			replicas[i] = od.Replicas
+		if od.Replicas < 0 {
+			return nil, nil, fmt.Errorf("xmlio: %w", errAt(pos.Operator(i), "operator %q has replica degree %d", od.Name, od.Replicas))
 		}
+		replicas[i] = max(od.Replicas, 1)
 	}
 	return t, replicas, nil
 }
 
 // WriteOptimized serializes an optimized topology — fused meta-operators
 // travel in the operator elements, replication degrees as replicas
-// attributes — such that ReadOptimized(WriteOptimized(t)) reproduces the
+// attributes — such that ReadFileOptimized on its output reproduces the
 // topology bit-exactly (equal Fingerprint) along with the degrees.
 func WriteOptimized(w io.Writer, name string, t *core.Topology, replicas []int) error {
 	doc, err := ToDocumentOptimized(name, t, replicas)

@@ -190,8 +190,8 @@ const (
 // composes Algorithms 1-3 over an immutable topology snapshot with a
 // memoizing steady-state solver and a structured rewrite trace.
 type (
-	// OptimizerOptions configures the pass pipeline (fission and fusion
-	// options, pass toggles, cyclic admission).
+	// OptimizerOptions configures the pass pipeline (fission, fusion and
+	// latency parameters, cyclic admission).
 	OptimizerOptions = opt.Options
 	// OptimizerResult is the pipeline outcome: final snapshot, per-pass
 	// results, replica degrees mapped to the final topology, the rewrite
