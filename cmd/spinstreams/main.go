@@ -463,16 +463,9 @@ func cmdRun(args []string) error {
 	if err != nil {
 		return err
 	}
-	binding := &runtime.Binding{Ops: map[core.OpID]operators.Operator{}}
-	for i, spec := range specsFromImpls(t) {
-		if spec.Impl == "source" || spec.Impl == "" {
-			continue
-		}
-		op, err := operators.Build(spec)
-		if err != nil {
-			return err
-		}
-		binding.Ops[core.OpID(i)] = op
+	binding, err := runtime.Bind(t, specsFromImpls(t))
+	if err != nil {
+		return err
 	}
 	runCfg := runtime.Config{
 		Duration:    *duration,

@@ -329,7 +329,7 @@ func stronglyConnected(p *plan.Plan) [][]plan.StationID {
 // means back-pressure reaches the single producer mid-burst, stalling
 // the fast path the ring was chosen for.
 func checkBurstCapacity(rep *Report, t *core.Topology, p *plan.Plan, cfg Config) {
-	order, ok := stationOrder(p)
+	order, ok := p.TopologicalOrder()
 	if !ok {
 		return
 	}
@@ -364,36 +364,6 @@ func checkBurstCapacity(rep *Report, t *core.Topology, p *plan.Plan, cfg Config)
 			Message: fmt.Sprintf("SPSC ring of %q (capacity %d) fills in %.2fs under a %.1fx burst of %.1fs: burst arrivals %.1f/s exceed service %.1f/s; size the mailbox to >= %d or accept BAS throttling mid-burst",
 				st.Name, cfg.mailboxCapacity(), fill, cfg.BurstFactor, cfg.BurstSeconds, burst[i], mu, need)})
 	}
-}
-
-// stationOrder returns a topological order of the plan's station graph,
-// or ok == false when it has feedback edges.
-func stationOrder(p *plan.Plan) ([]plan.StationID, bool) {
-	indeg := make([]int, len(p.Stations))
-	for i := range p.Stations {
-		for _, e := range p.Stations[i].Out {
-			indeg[e.To]++
-		}
-	}
-	var order []plan.StationID
-	var ready []plan.StationID
-	for i := range indeg {
-		if indeg[i] == 0 {
-			ready = append(ready, plan.StationID(i))
-		}
-	}
-	for len(ready) > 0 {
-		u := ready[0]
-		ready = ready[1:]
-		order = append(order, u)
-		for _, e := range p.Stations[u].Out {
-			indeg[e.To]--
-			if indeg[e.To] == 0 {
-				ready = append(ready, e.To)
-			}
-		}
-	}
-	return order, len(order) == len(p.Stations)
 }
 
 // propagate pushes source rate x factor through the plan in topological

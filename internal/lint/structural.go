@@ -180,7 +180,7 @@ func structuralDocument(rep *Report, doc *xmlio.Document, pos *xmlio.Positions, 
 		} else {
 			index[od.Name] = i
 		}
-		kind, err := parseKind(od.Type)
+		kind, err := xmlio.ParseKind(od.Type)
 		if err != nil {
 			rep.addAt(at, Diagnostic{Code: CodeMalformed, Operator: od.Name,
 				Message: fmt.Sprintf("operator %q: %v", od.Name, err)})
@@ -349,24 +349,6 @@ func checkDocKeys(rep *Report, pos *xmlio.Positions, i int, od xmlio.OperatorDoc
 	if !bad && math.Abs(sum-1) > probTolerance {
 		rep.addAt(at, Diagnostic{Code: CodeKeyMass, Operator: od.Name,
 			Message: fmt.Sprintf("operator %q: key frequencies sum to %v, want 1", od.Name, sum)})
-	}
-}
-
-// parseKind mirrors xmlio's kind parsing; a zero return means unknown.
-func parseKind(s string) (core.Kind, error) {
-	switch strings.ToLower(strings.TrimSpace(s)) {
-	case "source":
-		return core.KindSource, nil
-	case "stateless":
-		return core.KindStateless, nil
-	case "partitioned-stateful", "partitioned":
-		return core.KindPartitionedStateful, nil
-	case "stateful":
-		return core.KindStateful, nil
-	case "sink":
-		return core.KindSink, nil
-	default:
-		return 0, fmt.Errorf("unknown operator type %q", s)
 	}
 }
 

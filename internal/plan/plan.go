@@ -356,3 +356,33 @@ func (p *Plan) Station(id StationID) *Station {
 	}
 	return &p.Stations[id]
 }
+
+// TopologicalOrder returns the stations in topological order of the
+// station graph — Kahn's algorithm, FIFO, seeded with the stations
+// nothing feeds in ID order — or ok == false when the graph has feedback
+// edges.
+func (p *Plan) TopologicalOrder() (order []StationID, ok bool) {
+	indeg := make([]int, len(p.Stations))
+	for i := range p.Stations {
+		for _, e := range p.Stations[i].Out {
+			indeg[e.To]++
+		}
+	}
+	var ready []StationID
+	for i := range indeg {
+		if indeg[i] == 0 {
+			ready = append(ready, StationID(i))
+		}
+	}
+	for len(ready) > 0 {
+		u := ready[0]
+		ready = ready[1:]
+		order = append(order, u)
+		for _, e := range p.Stations[u].Out {
+			if indeg[e.To]--; indeg[e.To] == 0 {
+				ready = append(ready, e.To)
+			}
+		}
+	}
+	return order, len(order) == len(p.Stations)
+}

@@ -2,6 +2,7 @@ package plan
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"spinstreams/internal/core"
@@ -233,5 +234,29 @@ func TestStationBounds(t *testing.T) {
 		if st := p.Station(id); st != nil {
 			t.Errorf("Station(%d) = %+v, want nil", id, st)
 		}
+	}
+}
+
+// TestTopologicalOrder pins the FIFO Kahn order the runtime pauses
+// stations in and lint propagates rates along, and the feedback-edge
+// verdict.
+func TestTopologicalOrder(t *testing.T) {
+	edges := func(to ...StationID) []Edge {
+		var out []Edge
+		for _, id := range to {
+			out = append(out, Edge{To: id})
+		}
+		return out
+	}
+	// 3 -> 0 -> {2, 1}, 2 -> 1: the zero-in-degree station comes first,
+	// then each station once its last producer is ordered.
+	p := &Plan{Stations: []Station{{Out: edges(2, 1)}, {}, {Out: edges(1)}, {Out: edges(0)}}}
+	order, ok := p.TopologicalOrder()
+	if want := []StationID{3, 0, 2, 1}; !ok || !slices.Equal(order, want) {
+		t.Errorf("order = %v, %v; want %v, true", order, ok, want)
+	}
+	p.Stations[1].Out = edges(3)
+	if _, ok := p.TopologicalOrder(); ok {
+		t.Error("cyclic plan ordered")
 	}
 }

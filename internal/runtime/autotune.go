@@ -61,15 +61,11 @@ func (r *AutotuneReport) Applied() int {
 // and apply the resulting DeltaPlan in-flight — then measure again. Each
 // applied delta is recorded as a live_apply step on the re-optimization's
 // rewrite trace (and as a standalone trace in the round), so provenance
-// replay covers live runs. The loop needs a controller started with
-// StartTopology and Config.Estimator (the measured profiles it
-// re-optimizes on come from the online estimator), and returns after
-// Rounds iterations, a context cancel, or the first error; the topology
-// keeps running either way (call Stop for metrics).
+// replay covers live runs. The loop needs Config.Estimator (the measured
+// profiles it re-optimizes on come from the online estimator), and
+// returns after Rounds iterations, a context cancel, or the first error;
+// the topology keeps running either way (call Stop for metrics).
 func (c *Controller) Autotune(ctx context.Context, o AutotuneOptions) (*AutotuneReport, error) {
-	if c.topo == nil {
-		return nil, errors.New("runtime: Autotune needs a controller started with StartTopology")
-	}
 	if !c.e.cfg.Estimator {
 		return nil, errors.New("runtime: Autotune re-optimizes on estimator profiles; set Config.Estimator")
 	}

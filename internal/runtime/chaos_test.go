@@ -62,14 +62,13 @@ func chaosRun(t *testing.T, mode mailbox.Mode, inj *faultinject.Injector, maxRes
 		t.Fatal(err)
 	}
 	e, err := newEngine(p, &Binding{}, cfg)
+	if err == nil {
+		err = e.deploy(p)
+	}
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := e.execute(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	return m, e
+	return e.measure(context.Background()), e
 }
 
 // checkConservation asserts the exact lifetime identity for unit-gain
@@ -313,13 +312,13 @@ func TestChaosTracerLifecycle(t *testing.T) {
 				t.Fatal(err)
 			}
 			e, err := newEngine(p, &Binding{}, cfg)
+			if err == nil {
+				err = e.deploy(p)
+			}
 			if err != nil {
 				t.Fatal(err)
 			}
-			m, err := e.execute(context.Background())
-			if err != nil {
-				t.Fatal(err)
-			}
+			m := e.measure(context.Background())
 			checkConservation(t, m)
 			checkRegistryConservation(t, m, reg)
 

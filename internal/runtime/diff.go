@@ -44,6 +44,16 @@ func (d *diff) add(s plan.Station) plan.StationID {
 	return s.ID
 }
 
+// deployDiff is the deployment as a diff from the empty plan: next is p,
+// and every station of p is added.
+func deployDiff(p *plan.Plan) diff {
+	d := diff{next: p, added: make([]plan.StationID, len(p.Stations))}
+	for i := range d.added {
+		d.added[i] = plan.StationID(i)
+	}
+	return d
+}
+
 // rescaleDiff re-lays operator w.Op over `to` replicas of w, its
 // unreplicated station (fewer when keypart consolidates the key load), as
 // the scaffold plan.Fission builds. The stations p already has for that

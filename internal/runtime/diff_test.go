@@ -270,13 +270,14 @@ func TestUnfuseDiffMatchesSubgraph(t *testing.T) {
 }
 
 // TestDiffSequenceInvariants is the deterministic half of ROADMAP item
-// 6(1): random sequences of rewrites — rescales to random degrees, and
-// the undo of a fusion between replicable neighbours — applied to the
-// plan alone, checking after every step the invariants the live apply
-// depends on. The transport model mirrors demoteTransports: rings start
-// where the fan-in proves one producer, a ring is demoted once a rewrite
-// gives it a second live producer — which must be possible, so the
-// target may not already be in the fence — and nothing is promoted.
+// 6(1): random sequences of rewrites — the deployment from the empty
+// plan, then rescales to random degrees and the undo of a fusion between
+// replicable neighbours — applied to the plan alone, checking after
+// every step the invariants the live apply depends on. The transport
+// model mirrors demoteTransports: rings start where the fan-in proves
+// one producer, a ring is demoted once a rewrite gives it a second live
+// producer — which must be possible, so the target may not already be in
+// the fence — and nothing is promoted.
 func TestDiffSequenceInvariants(t *testing.T) {
 	// src -> pre -> {f1 -> {a, b}} -> post -> sink, the braces fused: the
 	// fused vertex has replicable neighbours on both sides.
@@ -310,26 +311,27 @@ func TestDiffSequenceInvariants(t *testing.T) {
 				ops = append(ops, core.OpID(i))
 			}
 		}
-		p, err := plan.Build(topo, plan.Options{})
+		deployed, err := plan.Build(topo, plan.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		retired := make([]bool, len(p.Stations))
-		fanIn := liveFanIn(p, nil)
-		ring := make([]bool, len(p.Stations))
-		for i := range ring {
-			ring[i] = fanIn[i] <= 1
-		}
-		for step := 0; step < 8; step++ {
+		// Every sequence starts from the empty plan: the deployment is its
+		// first diff, checked like every later one.
+		p := &plan.Plan{}
+		var retired, ring []bool
+		var fanIn []int
+		for step := 0; step <= 8; step++ {
 			label := fmt.Sprintf("seed %d step %d", seed, step)
-			var d diff
-			kind := "rescale"
-			if topo == fused && rng.Float64() < 0.3 {
+			d, kind := deployDiff(deployed), "deploy"
+			switch {
+			case step == 0:
+			case topo == fused && rng.Float64() < 0.3:
 				kind = "unfuse"
 				if d, err = unfuseDiff(p, fid, meta); err != nil && p.Stations[p.EntryOf[fid]].Member == 0 {
 					t.Fatalf("%s: unfuse: %v", label, err)
 				}
-			} else {
+			default:
+				kind = "rescale"
 				id := ops[rng.Intn(len(ops))]
 				to := 1 + rng.Intn(5)
 				if d, err = rescaleDiff(p, plan.Unreplicated(id, topo.Op(id)), to, keypart.Greedy{}); err != nil {
@@ -380,8 +382,8 @@ func TestDiffSequenceInvariants(t *testing.T) {
 			checkLivePlan(t, label, p, retired, fanIn, ring)
 		}
 	}
-	if applied["rescale"] == 0 || applied["unfuse"] == 0 || applied["demotion"] == 0 {
-		t.Fatalf("the sequences never exercised both rewrites and a demotion: %v", applied)
+	if applied["deploy"] != 200 || applied["rescale"] == 0 || applied["unfuse"] == 0 || applied["demotion"] == 0 {
+		t.Fatalf("the sequences never exercised the deployment, both rewrites and a demotion: %v", applied)
 	}
 }
 

@@ -87,8 +87,8 @@ func AssignByOperator(p *plan.Plan, nodes int) []int {
 }
 
 // RunDistributed executes the plan partitioned across TCP-connected nodes
-// and reports the same metrics as Run. Meta-operators and bound operators
-// execute on the station's home node.
+// and reports the same metrics as RunTopology. Meta-operators and bound
+// operators execute on the station's home node.
 func RunDistributed(ctx context.Context, p *plan.Plan, binding *Binding, cfg DistributedConfig) (*Metrics, error) {
 	if p == nil || len(p.Stations) == 0 {
 		return nil, errors.New("runtime: empty plan")
@@ -141,12 +141,20 @@ func RunDistributed(ctx context.Context, p *plan.Plan, binding *Binding, cfg Dis
 	}
 	d.sendManyFn = d.sendMany
 	d.settleTransport = d.settle
-
-	if err := d.connect(); err != nil {
-		d.shutdownTransport()
+	// Stations send into the edge queues from their first tuple, and the
+	// readers admit into the published tables: queues, then the
+	// deployment, then the connections.
+	if err := d.buildEdges(p); err != nil {
 		return nil, err
 	}
-	return d.execute(ctx)
+	if err := d.deploy(p); err != nil {
+		return nil, err
+	}
+	if err := d.connect(); err != nil {
+		d.shutdown()
+		return nil, err
+	}
+	return d.measure(ctx), nil
 }
 
 // distEngine extends the local engine with the TCP data plane.
@@ -184,8 +192,6 @@ func edgeKey(from, to plan.StationID) int { return int(from)<<16 | int(to) }
 // the live connection at either end.
 type remoteEdge struct {
 	from, target plan.StationID
-	// addr is the target node's listener.
-	addr string
 	// window is the credit window in tuples — the target's MailboxSize —
 	// and the queue's capacity, so a queued window always fits one frame.
 	window int
@@ -247,21 +253,10 @@ func (d *distEngine) sleepBackoff(dur time.Duration) bool {
 	}
 }
 
-// connect builds one listener per node and, per cross-node physical
-// edge, the queue, the connection and the writer.
-func (d *distEngine) connect() error {
-	// The distributed engine never reconfigures, so its initial tables
-	// stay current for the whole run.
-	p := d.tab().p
-	addrs := make([]string, d.nodes)
-	for n := range addrs {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			return fmt.Errorf("runtime: node %d listen: %w", n, err)
-		}
-		d.listeners = append(d.listeners, ln)
-		addrs[n] = ln.Addr().String()
-	}
+// buildEdges builds, per cross-node physical edge of p, the queue its
+// sending station fills. The distributed engine never reconfigures, so
+// the edges stay those of the deployed plan for the whole run.
+func (d *distEngine) buildEdges(p *plan.Plan) error {
 	d.edges = make(map[int]*remoteEdge)
 	d.out = make([][]*mailbox.Sender[operators.Tuple], len(p.Stations))
 	for i := range p.Stations {
@@ -283,7 +278,7 @@ func (d *distEngine) connect() error {
 					return err
 				}
 				e = &remoteEdge{
-					from: from, target: pe.To, addr: addrs[d.assignment[pe.To]],
+					from: from, target: pe.To,
 					window: d.cfg.MailboxSize, queue: q,
 					stats:  d.reg.Edge(i, int(pe.To)),
 					credit: make(chan struct{}, 1),
@@ -292,6 +287,19 @@ func (d *distEngine) connect() error {
 			}
 			d.out[i][j] = e.queue.NewSender(0)
 		}
+	}
+	return nil
+}
+
+// connect builds one listener per node and, per cross-node edge, the
+// connection and the writer.
+func (d *distEngine) connect() error {
+	for n := 0; n < d.nodes; n++ {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			return fmt.Errorf("runtime: node %d listen: %w", n, err)
+		}
+		d.listeners = append(d.listeners, ln)
 	}
 	for _, ln := range d.listeners {
 		d.transport.Add(1)
@@ -309,8 +317,7 @@ func (d *distEngine) connect() error {
 			return fmt.Errorf("runtime: open edge %d->%d: %w", e.from, e.target, err)
 		}
 	}
-	// Writers only stop on d.done, which a failed connect never closes:
-	// start them once nothing can fail any more.
+	// Every edge is open: start the writers.
 	for _, e := range d.edges {
 		d.transport.Add(1)
 		go (&edgeWriter{d: d, e: e, oc: e.out}).run()
@@ -322,7 +329,7 @@ func (d *distEngine) connect() error {
 // optionally wrapped by the fault injector, registers it as the edge's
 // live connection and sends the handshake.
 func (d *distEngine) dial(e *remoteEdge) (*outConn, error) {
-	conn, err := net.Dial("tcp", e.addr)
+	conn, err := net.Dial("tcp", d.listeners[d.assignment[e.target]].Addr().String())
 	if err != nil {
 		return nil, err
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	goruntime "runtime"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -423,5 +424,32 @@ func TestDistributedLeavesNoGoroutines(t *testing.T) {
 			t.Fatalf("reset every %d writes: %d goroutines, %d before the run\n%s",
 				every, n, base, buf[:goruntime.Stack(buf, true)])
 		}
+	}
+}
+
+// TestDistributedConnectFailureLeavesNoGoroutines fails the very first
+// handshake write. The stations are deployed before the connections are
+// opened, so the failed connect must stop them as well as the transport:
+// RunDistributed returns the dial error and leaves no goroutine behind.
+func TestDistributedConnectFailureLeavesNoGoroutines(t *testing.T) {
+	topo := pipeline(t, 0.0005, 0.0002, 0.0001)
+	p, err := plan.Build(topo, plan.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := goruntime.NumGoroutine()
+	cfg := DistributedConfig{Config: shortCfg(49), Nodes: 3}
+	cfg.Faults = faultinject.New(faultinject.Config{Seed: 49, ResetEveryWrites: 1})
+	_, err = RunDistributed(context.Background(), p, nil, cfg)
+	if err == nil || !strings.Contains(err.Error(), "dial edge") {
+		t.Fatalf("RunDistributed = %v, want the dial error", err)
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	for goruntime.NumGoroutine() > base && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if n := goruntime.NumGoroutine(); n > base {
+		buf := make([]byte, 1<<16)
+		t.Fatalf("%d goroutines after the failed connect, %d before\n%s", n, base, buf[:goruntime.Stack(buf, true)])
 	}
 }

@@ -199,10 +199,10 @@ func (e *engine) ctl(id plan.StationID) *stationCtl {
 }
 
 // spawnStation registers a lifecycle handle for the station and starts
-// its goroutine; preset/presetMeta seed its first epoch with a migrated
+// its goroutine; a non-nil preset seeds its first epoch with a migrated
 // operator instance.
-func (e *engine) spawnStation(id plan.StationID, seed uint64, preset operators.Operator, presetMeta *metaInstance) {
-	ctl := &stationCtl{stop: make(chan struct{}), preset: preset, presetMeta: presetMeta}
+func (e *engine) spawnStation(id plan.StationID, seed uint64, preset operators.Operator) {
+	ctl := &stationCtl{stop: make(chan struct{}), preset: preset}
 	e.ctlMu.Lock()
 	for len(e.ctls) <= int(id) {
 		e.ctls = append(e.ctls, nil)

@@ -16,24 +16,23 @@ import (
 	"spinstreams/internal/operators"
 	"spinstreams/internal/opt"
 	"spinstreams/internal/plan"
-	"spinstreams/internal/stats"
 )
 
-// Controller owns a live run of a plan: unlike Run, which executes for a
-// fixed duration, Start returns immediately and the caller decides when
-// to measure, reconfigure (ApplyDelta) and stop. It is the runtime side
-// of the paper's autonomic loop: obs.Drift feeds opt.Reoptimize, whose
-// DeltaPlan the controller applies in-flight — replica rescales with
-// keyed-state migration, and fusion undos that split a fused station
-// back into its members — without restarting the topology. Every change
-// is one plan diff applied by one fenced procedure (applyDiff).
+// Controller owns a live run of a topology: StartTopology deploys it and
+// returns immediately, and the caller decides when to measure,
+// reconfigure (ApplyDelta) and stop. It is the runtime side of the
+// paper's autonomic loop: obs.Drift feeds opt.Reoptimize, whose DeltaPlan
+// the controller applies in-flight — replica rescales with keyed-state
+// migration, and fusion undos that split a fused station back into its
+// members — without restarting the topology. The deployment and every
+// change are plan diffs applied by one fenced procedure (applyDiff).
 //
 // All reconfiguration entry points are serialized on an internal mutex;
 // Stop wins over a concurrent ApplyDelta. A controller serves one run.
 type Controller struct {
 	e *engine
-	// topo is the deployed logical topology (nil when started from a raw
-	// plan; ApplyDelta then refuses, since DeltaPlans name operators).
+	// topo is the deployed logical topology ApplyDelta resolves operator
+	// names against.
 	topo *core.Topology
 	// part recomputes key->replica assignments on rescale; matches the
 	// planner's default partitioner.
@@ -47,7 +46,6 @@ type Controller struct {
 	// stalls records the fence duration of every applied change, for the
 	// reconfiguration-stall benchmark.
 	stalls []time.Duration
-	seeds  *stats.RNG
 	// win is the current measurement window.
 	win measureWindow
 }
@@ -75,50 +73,24 @@ type ApplyReport struct {
 	MigratedKeys int
 }
 
-// Start deploys the plan and returns a running controller. The engine
-// runs until Stop; measurement windows are bracketed by beginWindow (Start
-// opens one) and read by Stop.
-func Start(p *plan.Plan, binding *Binding, cfg Config) (*Controller, error) {
-	if p == nil || len(p.Stations) == 0 {
-		return nil, errors.New("runtime: empty plan")
-	}
-	cfg, err := cfg.withDefaults()
-	if err != nil {
-		return nil, err
-	}
-	e, err := newEngine(p, binding, cfg)
-	if err != nil {
-		return nil, err
-	}
-	c := &Controller{
-		e:     e,
-		part:  keypart.Greedy{},
-		seeds: stats.NewRNG(cfg.Seed + 0x1eaf),
-	}
-	e.startStations()
-	c.beginWindow()
-	return c, nil
-}
-
 // StartTopology plans the topology with the given replication degrees,
-// binds the operator implementations, and starts a controller that can
-// resolve DeltaPlan operator names against the topology.
+// deploys it with the binding's operator implementations, and returns a
+// running controller that resolves DeltaPlan operator names against the
+// topology. The engine runs until Stop; measurement windows are bracketed
+// by beginWindow (StartTopology opens one) and read by Stop.
 func StartTopology(t *core.Topology, replicas []int, binding *Binding, cfg Config) (*Controller, error) {
-	p, err := plan.Build(t, plan.Options{Replicas: replicas})
-	if err != nil {
-		return nil, fmt.Errorf("runtime: %w", err)
-	}
-	c, err := Start(p, binding, cfg)
+	e, err := start(t, replicas, binding, cfg)
 	if err != nil {
 		return nil, err
 	}
-	c.topo = t
+	c := &Controller{e: e, topo: t, part: keypart.Greedy{}}
 	// An operator's degree is its worker count in the plan, which already
 	// reflects any keyed fission the planner consolidated.
 	c.replicas = make([]int, t.Len())
 	for i := range c.replicas {
-		c.replicas[i] = len(p.WorkersOf[i])
+		c.replicas[i] = len(e.tab().p.WorkersOf[i])
 	}
+	c.beginWindow()
 	return c, nil
 }
 
@@ -188,9 +160,6 @@ func (c *Controller) ApplyDelta(d *opt.DeltaPlan) (*ApplyReport, error) {
 	if c.e.cfg.PreserveOrder {
 		return rep, errors.New("runtime: live reconfiguration is incompatible with PreserveOrder (collector reorder state cannot be migrated)")
 	}
-	if c.topo == nil {
-		return rep, errors.New("runtime: ApplyDelta resolves operator names against the logical topology; start the controller with StartTopology")
-	}
 	changes := append([]opt.ReplicaChange(nil), d.Changes...)
 	sort.Slice(changes, func(i, j int) bool { return changes[i].Operator < changes[j].Operator })
 	undos := append([]opt.FusionUndo(nil), d.Undo...)
@@ -227,7 +196,7 @@ func (c *Controller) apply(rep *ApplyReport, d diff) error {
 	if d.next == nil {
 		return nil
 	}
-	r, err := c.applyDiff(c.newFence(), d)
+	r, err := c.e.applyDiff(c.e.newFence(), d)
 	if r.Stall > 0 {
 		c.stalls = append(c.stalls, r.Stall)
 		rep.Stall = max(rep.Stall, r.Stall)
@@ -285,7 +254,7 @@ func (c *Controller) unfuseChange(u opt.FusionUndo) (diff, error) {
 // fence tracks the stations one change paused, so success releases them
 // into the new epoch and failure resumes them unchanged.
 type fence struct {
-	c        *Controller
+	e        *engine
 	deadline time.Time
 	started  time.Time
 	paused   []*stationCtl
@@ -296,10 +265,10 @@ type fence struct {
 	pausedID map[plan.StationID]*stationCtl
 }
 
-func (c *Controller) newFence() *fence {
+func (e *engine) newFence() *fence {
 	return &fence{
-		c:        c,
-		deadline: time.Now().Add(c.e.cfg.ReconfigStallBudget),
+		e:        e,
+		deadline: time.Now().Add(e.cfg.ReconfigStallBudget),
 		pausedID: make(map[plan.StationID]*stationCtl),
 	}
 }
@@ -315,7 +284,7 @@ func (f *fence) pause(id plan.StationID, drain bool) (*stationCtl, error) {
 		// strand the station on stale handshake channels.
 		return ctl, nil
 	}
-	ctl := f.c.e.ctl(id)
+	ctl := f.e.ctl(id)
 	if ctl == nil {
 		return nil, fmt.Errorf("station %d was never spawned", id)
 	}
@@ -328,8 +297,8 @@ func (f *fence) pause(id plan.StationID, drain bool) (*stationCtl, error) {
 	case <-ctl.parkedCh():
 		return ctl, nil
 	case <-timer.C:
-		return nil, fmt.Errorf("stall budget %v exceeded pausing station %d", f.c.e.cfg.ReconfigStallBudget, id)
-	case <-f.c.e.done:
+		return nil, fmt.Errorf("stall budget %v exceeded pausing station %d", f.e.cfg.ReconfigStallBudget, id)
+	case <-f.e.done:
 		return nil, errors.New("engine stopped during reconfiguration")
 	}
 }
@@ -350,48 +319,15 @@ func (f *fence) stall() time.Duration {
 	return time.Since(f.started)
 }
 
-// topoIndex returns each station's position in a topological order of the
-// physical plan, or an error when the plan is cyclic (the sequential
-// pause protocol relies on sends only flowing forward).
-func topoIndex(p *plan.Plan) ([]int, error) {
-	n := len(p.Stations)
-	indeg := make([]int, n)
-	for i := range p.Stations {
-		for _, e := range p.Stations[i].Out {
-			indeg[e.To]++
-		}
-	}
-	order := make([]int, n)
-	var queue []int
-	for i := 0; i < n; i++ {
-		if indeg[i] == 0 {
-			queue = append(queue, i)
-		}
-	}
-	seen := 0
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		order[v] = seen
-		seen++
-		for _, e := range p.Stations[v].Out {
-			indeg[e.To]--
-			if indeg[e.To] == 0 {
-				queue = append(queue, int(e.To))
-			}
-		}
-	}
-	if seen != n {
-		return nil, errors.New("physical plan is cyclic; live reconfiguration needs an acyclic plan")
-	}
-	return order, nil
-}
-
 // cloneTables copies the routing tables for a new epoch that runs plan
-// next. Slices are copied one level deep; stations the change does not
+// next; from no tables it starts epoch 0, which the deployment fills.
+// Slices are copied one level deep; stations the change does not
 // touch keep their mailbox, sender-row and counter-cell pointers, which
 // is what makes stale reads by unaffected stations safe.
 func cloneTables(tb *tables, next *plan.Plan) *tables {
+	if tb == nil {
+		return &tables{p: next} // epoch 0: the deployment
+	}
 	return &tables{
 		epoch:     tb.epoch + 1,
 		p:         next,
@@ -424,101 +360,116 @@ func quiesced(p *plan.Plan, retired []bool, d diff) []plan.StationID {
 	return hold
 }
 
-// applyDiff applies one diff under fence f. Every live change runs this
-// one sequence; the rewrites differ only in which lists are empty.
+// quiesce pauses, without draining and in topological order of the
+// running plan, the live producers of every drained station and every
+// rewired station; then it drain-pauses the drained stations, also in
+// topological order. A paused producer only ever blocks sending to
+// stations later in the order, which are still running when it is
+// paused, so the sequential pauses cannot deadlock. Before the
+// deployment (tb nil) nothing runs and nothing is paused.
+func (f *fence) quiesce(tb *tables, d diff) error {
+	if tb == nil {
+		return nil
+	}
+	order, ok := tb.p.TopologicalOrder()
+	if !ok {
+		return errors.New("physical plan is cyclic; live reconfiguration needs an acyclic plan")
+	}
+	rank := make([]int, len(order))
+	for i, id := range order {
+		rank[id] = i
+	}
+	byRank := func(ids []plan.StationID) []plan.StationID {
+		sort.SliceStable(ids, func(a, b int) bool { return rank[ids[a]] < rank[ids[b]] })
+		return ids
+	}
+	for _, id := range byRank(quiesced(tb.p, tb.retired, d)) {
+		if _, err := f.pause(id, false); err != nil {
+			return err
+		}
+	}
+	for _, id := range byRank(slices.Clone(d.drained)) {
+		if _, err := f.pause(id, true); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// applyDiff applies one diff under fence f. The deployment and every live
+// change run this one sequence; they differ only in which lists are
+// empty. It is the only place that allocates stations, publishes tables
+// and spawns station goroutines.
 //
-//  1. Pause, without draining and in topological order, the live
-//     producers of every drained station and every rewired station; then
-//     drain-pause the drained stations, also in topological order.
+//  1. Pause the live producers of the drained and rewired stations,
+//     then drain-pause the drained stations (quiesce).
 //  2. Clone the tables and install d.next.
 //  3. Demote the inboxes d.next makes multi-producer (demoteTransports).
 //  4. Allocate the added stations and rebind the sender rows of every
 //     station whose out-edges or their targets' inboxes changed.
-//  5. Hand state over: an added worker gets a fresh clone of the
-//     operator — a member station, that member of the drained
-//     meta-instance — and then every key a drained station holds moves to
-//     its owner under d.keys unless the owner is the station itself.
+//  5. When a station was drained, hand state over: an added worker gets
+//     a fresh clone of the operator — a member station, that member of
+//     the drained meta-instance — and then every key a drained station
+//     holds moves to its owner under d.keys unless the owner is the
+//     station itself.
 //  6. Retire, publish the tables, spawn the added stations, and release
 //     the fence, retiring the retired stations.
 //
 // On error the fence is released unchanged and the old epoch keeps
 // running. The report carries the fence stall, the keys moved and the
 // inboxes demoted.
-func (c *Controller) applyDiff(f *fence, d diff) (ApplyReport, error) {
-	e := c.e
+func (e *engine) applyDiff(f *fence, d diff) (ApplyReport, error) {
 	tb := e.tab()
 	fail := func(err error) (ApplyReport, error) {
 		f.abort()
 		return ApplyReport{Stall: f.stall()}, err
 	}
-	order, err := topoIndex(tb.p)
-	if err != nil {
+	if err := f.quiesce(tb, d); err != nil {
 		return fail(err)
-	}
-	// A paused producer only ever blocks sending to stations later in the
-	// order, which are still running when it is paused, so the sequential
-	// pauses cannot deadlock.
-	hold := quiesced(tb.p, tb.retired, d)
-	byOrder := func(ids []plan.StationID) []plan.StationID {
-		sort.SliceStable(ids, func(a, b int) bool { return order[ids[a]] < order[ids[b]] })
-		return ids
-	}
-	for _, id := range byOrder(hold) {
-		if _, err := f.pause(id, false); err != nil {
-			return fail(err)
-		}
-	}
-	for _, id := range byOrder(slices.Clone(d.drained)) {
-		if _, err := f.pause(id, true); err != nil {
-			return fail(err)
-		}
 	}
 
 	nt := cloneTables(tb, d.next)
-	demoted, extra, fanIn, err := c.demoteTransports(f, nt, d.retired)
+	demoted, extra, fanIn, err := e.demoteTransports(f, nt, d.retired)
 	if err != nil {
 		return fail(err)
 	}
-	rows, err := e.allocStations(d.next, nt.mailboxes, fanIn)
-	if err != nil {
+	if err := e.allocStations(f, nt, fanIn); err != nil {
 		return fail(err)
 	}
-	nt.mailboxes = append(nt.mailboxes, rows.mailboxes...)
-	nt.senders = append(nt.senders, rows.senders...)
-	nt.st = append(nt.st, rows.st...)
-	nt.stFaults = append(nt.stFaults, rows.stFaults...)
-	nt.retired = append(nt.retired, rows.retired...)
 	for _, id := range slices.Concat(d.rewired, extra) {
 		nt.senders[id] = e.senderRow(nt.mailboxes, &d.next.Stations[id])
 	}
 
 	rep := ApplyReport{Demoted: len(demoted)}
-	var members *metaInstance
-	for _, id := range d.drained {
-		if mi := f.pausedID[id].minst; mi != nil {
-			members = mi
+	var presets map[plan.StationID]operators.Operator
+	if len(d.drained) > 0 {
+		presets = make(map[plan.StationID]operators.Operator, len(d.added))
+		var members *metaInstance
+		for _, id := range d.drained {
+			if mi := f.pausedID[id].minst; mi != nil {
+				members = mi
+			}
 		}
-	}
-	proto := e.binding.Ops[d.op]
-	presets := make(map[plan.StationID]operators.Operator, len(d.added))
-	for _, id := range d.added {
-		switch st := &d.next.Stations[id]; {
-		case st.Member > 0 && members != nil:
-			presets[id] = members.ops[core.OpID(st.Member-1)]
-		case st.Member == 0 && st.Role == plan.RoleWorker && proto != nil:
-			presets[id] = proto.Clone()
+		proto := e.binding.Ops[d.op]
+		for _, id := range d.added {
+			switch st := &d.next.Stations[id]; {
+			case st.Member > 0 && members != nil:
+				presets[id] = members.ops[core.OpID(st.Member-1)]
+			case st.Member == 0 && st.Role == plan.RoleWorker && proto != nil:
+				presets[id] = proto.Clone()
+			}
 		}
-	}
-	slots := d.next.WorkersOf[d.op]
-	owners := make([]operators.Operator, len(slots))
-	for r, id := range slots {
-		owners[r] = presets[id]
-		if ctl := f.pausedID[id]; ctl != nil {
-			owners[r] = ctl.inst
+		slots := d.next.WorkersOf[d.op]
+		owners := make([]operators.Operator, len(slots))
+		for r, id := range slots {
+			owners[r] = presets[id]
+			if ctl := f.pausedID[id]; ctl != nil {
+				owners[r] = ctl.inst
+			}
 		}
-	}
-	for _, id := range d.drained {
-		rep.MigratedKeys += migrateKeys(f, f.pausedID[id].inst, slices.Index(slots, id), owners, d.keys)
+		for _, id := range d.drained {
+			rep.MigratedKeys += migrateKeys(f, f.pausedID[id].inst, slices.Index(slots, id), owners, d.keys)
+		}
 	}
 
 	retire := make(map[*stationCtl]bool, len(d.retired))
@@ -529,7 +480,7 @@ func (c *Controller) applyDiff(f *fence, d diff) (ApplyReport, error) {
 	}
 	e.live.Store(nt)
 	for _, id := range d.added {
-		e.spawnStation(id, c.seeds.Uint64(), presets[id], nil)
+		e.spawnStation(id, e.seeds.Uint64(), presets[id])
 	}
 	for _, ctl := range f.paused {
 		ctl.resume(retire[ctl])
@@ -552,7 +503,7 @@ func (c *Controller) applyDiff(f *fence, d diff) (ApplyReport, error) {
 // retiring-masked fan-in vector the added inboxes are sized with. Rings
 // are never promoted back (a rescale to degree 1 keeps the batched
 // path), which keeps every fence local to the operator being changed.
-func (c *Controller) demoteTransports(f *fence, nt *tables, retiring []plan.StationID) (demoted, rewired []plan.StationID, fanIn []int, err error) {
+func (e *engine) demoteTransports(f *fence, nt *tables, retiring []plan.StationID) (demoted, rewired []plan.StationID, fanIn []int, err error) {
 	// nt.retired does not yet cover the added stations (they are
 	// allocated later); extend the mask to the rewritten plan.
 	retired := make([]bool, len(nt.p.Stations))
@@ -577,11 +528,11 @@ func (c *Controller) demoteTransports(f *fence, nt *tables, retiring []plan.Stat
 		// no lifecycle handle yet and cannot send before the swap), so
 		// nothing publishes into the old ring after the drain.
 		for j := range nt.p.Stations {
-			if retired[j] || c.e.ctl(plan.StationID(j)) == nil || f.pausedID[plan.StationID(j)] != nil {
+			if retired[j] || e.ctl(plan.StationID(j)) == nil || f.pausedID[plan.StationID(j)] != nil {
 				continue
 			}
-			for _, e := range nt.p.Stations[j].Out {
-				if e.To == target {
+			for _, ed := range nt.p.Stations[j].Out {
+				if ed.To == target {
 					if _, err := f.pause(plan.StationID(j), false); err != nil {
 						return demoted, rewired, fanIn, err
 					}
@@ -593,7 +544,7 @@ func (c *Controller) demoteTransports(f *fence, nt *tables, retiring []plan.Stat
 		if _, err := f.pause(target, true); err != nil {
 			return demoted, rewired, fanIn, err
 		}
-		if nt.mailboxes[i], err = demoteInbox(c.e.cfg); err != nil {
+		if nt.mailboxes[i], err = demoteInbox(e.cfg); err != nil {
 			return demoted, rewired, fanIn, err
 		}
 		demoted = append(demoted, target)
@@ -615,7 +566,7 @@ func migrateKeys(f *fence, src operators.Operator, self int, dests []operators.O
 	}
 	moved := 0
 	for _, k := range ks.StateKeys() {
-		r := assignment[int(k)%len(assignment)]
+		r := assignment[k%uint64(len(assignment))]
 		if r == self || r < 0 || r >= len(dests) {
 			continue
 		}

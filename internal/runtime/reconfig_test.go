@@ -8,7 +8,6 @@ import (
 	"spinstreams/internal/core"
 	"spinstreams/internal/operators"
 	"spinstreams/internal/opt"
-	"spinstreams/internal/plan"
 )
 
 // ctlCfg is a controller-friendly config: no padding (functional speed)
@@ -254,24 +253,10 @@ func TestApplyDeltaRefusals(t *testing.T) {
 		return &opt.DeltaPlan{Changes: []opt.ReplicaChange{{Operator: op, From: 1, To: to}}}
 	}
 
-	// A raw-plan controller has no topology to resolve names against.
-	p, err := plan.Build(topo, plan.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := Start(p, nil, ctlCfg(26))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.ApplyDelta(delta("sB", 2)); err == nil {
-		t.Error("raw-plan controller accepted a delta")
-	}
-	mustStop(t, c)
-
 	// PreserveOrder and live reconfiguration are mutually exclusive.
 	cfg := ctlCfg(27)
 	cfg.PreserveOrder = true
-	c, err = StartTopology(topo, nil, nil, cfg)
+	c, err := StartTopology(topo, nil, nil, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -333,22 +318,24 @@ func TestMigrateKeys(t *testing.T) {
 		return operators.MustBuild(operators.Spec{Impl: "wsum", WindowLen: 4, Slide: 4, NumKeys: 4})
 	}
 	src := build()
-	for k := uint64(0); k < 4; k++ {
+	// A key >= 2^63 is assigned by its residue like any other.
+	keys := []uint64{0, 1, 2, 3, 1<<63 | 1}
+	for _, k := range keys {
 		src.Process(operators.Tuple{Key: k, Fields: []float64{1}}, func(operators.Tuple) {})
 	}
 	dests := []operators.Operator{build(), build()}
 	assignment := []int{0, 1, 0, 1}
 	moved := migrateKeys(nil, src, -1, dests, assignment)
-	if moved != 4 {
-		t.Fatalf("moved %d keys, want 4", moved)
+	if moved != len(keys) {
+		t.Fatalf("moved %d keys, want %d", moved, len(keys))
 	}
 	if got := src.(operators.KeyedState).StateKeys(); len(got) != 0 {
 		t.Errorf("source still holds keys %v", got)
 	}
 	for slot, d := range dests {
 		for _, k := range d.(operators.KeyedState).StateKeys() {
-			if assignment[k] != slot {
-				t.Errorf("key %d landed on slot %d, want %d", k, slot, assignment[k])
+			if want := assignment[k%uint64(len(assignment))]; want != slot {
+				t.Errorf("key %d landed on slot %d, want %d", k, slot, want)
 			}
 		}
 	}

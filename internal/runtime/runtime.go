@@ -17,10 +17,13 @@
 // The engine is structured for live reconfiguration: all routing state
 // (plan, mailboxes, senders, counter cells) lives in an atomically
 // swappable tables value, and every station goroutine runs lifecycle
-// segments separated by a park/resume handshake (lifecycle.go). The
-// Controller (reconfig.go) uses that seam to apply opt.DeltaPlan replica
-// rescales and fusion undos while tuples keep flowing through the
-// unaffected part of the plan.
+// segments separated by a park/resume handshake (lifecycle.go). One
+// fenced function, applyDiff (reconfig.go), builds, publishes and starts
+// stations: the deployment is its first diff, from the empty plan, and
+// the Controller applies opt.DeltaPlan replica rescales and fusion undos
+// as later diffs while tuples keep flowing through the unaffected part
+// of the plan. RunTopology, StartTopology and RunDistributed are the
+// entry points.
 //
 // Because operators' real compute cost is far below the profiled service
 // times the experiments assign, workers pad each item to the station's
@@ -31,7 +34,6 @@ package runtime
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -319,8 +321,8 @@ type engine struct {
 	done chan struct{}
 	wg   sync.WaitGroup
 	// ctls[i] is station i's lifecycle handle (nil for never-spawned
-	// slots); guarded by ctlMu because reconfiguration appends entries
-	// while stations run.
+	// slots); guarded by ctlMu because every diff appends entries while
+	// stations run.
 	ctlMu sync.Mutex
 	ctls  []*stationCtl
 
@@ -342,6 +344,10 @@ type engine struct {
 	// tracers are the registry's lifecycle hooks, fetched once; while any
 	// is attached the stations time every tuple for OnServe.
 	tracers []obs.Tracer
+	// seeds draws each spawned station's routing seed, in the order
+	// applyDiff spawns them: the deployment's stations in ID order, then
+	// every later diff's.
+	seeds *stats.RNG
 	// settleTransport, set by the distributed engine, stops a transport
 	// that holds tuples outside the mailboxes once every station has
 	// exited, accounts what it still holds, and returns the tuples lost in
@@ -350,7 +356,8 @@ type engine struct {
 }
 
 // newEngine validates the binding (nil binds nothing) and allocates the
-// shared engine state.
+// shared engine state. It deploys nothing: deploy applies the plan as the
+// engine's first diff.
 func newEngine(p *plan.Plan, binding *Binding, cfg Config) (*engine, error) {
 	if binding == nil {
 		binding = &Binding{}
@@ -363,35 +370,20 @@ func newEngine(p *plan.Plan, binding *Binding, cfg Config) (*engine, error) {
 		binding: binding,
 		done:    make(chan struct{}),
 		reg:     cfg.Obs,
+		seeds:   stats.NewRNG(cfg.Seed + 0x9e37),
 	}
 	if e.reg == nil {
 		e.reg = obs.New()
 	}
-	// Transport selection is per inbox, derived from the plan: the
-	// producer-set analysis proves which inboxes have a single sending
-	// station, and those run on the lock-free SPSC ring when the policy
-	// allows it.
-	rows, err := e.allocStations(p, nil, liveFanIn(p, nil))
-	if err != nil {
-		return nil, fmt.Errorf("runtime: %w", err)
-	}
-	tb := &tables{
-		p:         p,
-		mailboxes: rows.mailboxes,
-		senders:   rows.senders,
-		st:        rows.st,
-		stFaults:  rows.stFaults,
-		retired:   rows.retired,
-	}
+	e.reg.Bind(nil)
 	e.tracers = e.reg.Tracers()
-	e.live.Store(tb)
 	// Mailbox gauges (queue depth, capacity, blocked sends) reach
 	// snapshots through the sampler — the mailboxes outlive the run, so
 	// post-run snapshots still see the final figures. The sampler reads
-	// the live tables because reconfiguration can append stations.
+	// the live tables because every epoch can append stations.
 	e.reg.SetSampler(func(i int) obs.Gauges {
 		cur := e.tab()
-		if i >= len(cur.mailboxes) {
+		if cur == nil || i >= len(cur.mailboxes) {
 			return obs.Gauges{}
 		}
 		m := cur.mailboxes[i]
@@ -405,45 +397,45 @@ func newEngine(p *plan.Plan, binding *Binding, cfg Config) (*engine, error) {
 	return e, nil
 }
 
-// allocStations allocates the runtime state behind the stations of p past
-// the len(inboxes) that already have it — every station of the initial
-// deployment, or the stations an epoch adds: an inbox whose transport
-// follows the station's fan-in, an observability cell (the deployment
-// binds the registry afresh, an epoch extends it), a fault stream, and a
-// sender row bound against inboxes and the new inboxes together. It
-// returns them as a tables fragment indexed from len(inboxes), which the
-// caller installs.
-func (e *engine) allocStations(p *plan.Plan, inboxes []*mailbox.Mailbox[operators.Tuple], fanIn []int) (*tables, error) {
-	from := len(inboxes)
-	added := p.Stations[from:]
-	rows := &tables{
-		mailboxes: make([]*mailbox.Mailbox[operators.Tuple], len(added)),
-		senders:   make([][]*mailbox.Sender[operators.Tuple], len(added)),
-		stFaults:  make([]*faultinject.StationFaults, len(added)),
-		retired:   make([]bool, len(added)),
+// deploy applies p as the engine's first diff — from the empty plan,
+// adding every station — and starts the estimator.
+func (e *engine) deploy(p *plan.Plan) error {
+	if _, err := e.applyDiff(e.newFence(), deployDiff(p)); err != nil {
+		return fmt.Errorf("runtime: %w", err)
 	}
+	e.startEstimator()
+	return nil
+}
+
+// allocStations allocates, into the tables nt that fence f is building,
+// the runtime state behind the stations of nt.p past the len(nt.mailboxes)
+// that already have it: an inbox whose transport follows the station's
+// fan-in, an observability cell, a fault stream, and a sender row bound
+// against the old and new inboxes together.
+func (e *engine) allocStations(f *fence, nt *tables, fanIn []int) error {
+	_ = f // capability only: the tables are not published yet
+	from := len(nt.mailboxes)
+	added := nt.p.Stations[from:]
 	infos := make([]obs.StationInfo, len(added))
 	for i := range added {
 		infos[i] = obs.InfoOf(&added[i])
 		m, err := newInbox(e.cfg, fanIn[from+i])
 		if err != nil {
-			return nil, fmt.Errorf("station %d: %w", from+i, err)
+			return fmt.Errorf("station %d: %w", from+i, err)
 		}
-		rows.mailboxes[i] = m
+		nt.mailboxes = append(nt.mailboxes, m)
+		var sf *faultinject.StationFaults
 		if e.cfg.Faults != nil {
-			rows.stFaults[i] = e.cfg.Faults.Station(from + i)
+			sf = e.cfg.Faults.Station(from + i)
 		}
+		nt.stFaults = append(nt.stFaults, sf)
 	}
-	if from == 0 {
-		rows.st = e.reg.Bind(infos)
-	} else {
-		rows.st = e.reg.Extend(infos)
-	}
-	all := append(inboxes[:from:from], rows.mailboxes...)
+	nt.st = append(nt.st, e.reg.Extend(infos)...)
+	nt.retired = append(nt.retired, make([]bool, len(added))...)
 	for i := range added {
-		rows.senders[i] = e.senderRow(all, &added[i])
+		nt.senders = append(nt.senders, e.senderRow(nt.mailboxes, &added[i]))
 	}
-	return rows, nil
+	return nil
 }
 
 // senderRow binds one producer handle per out-edge of st against inboxes.
@@ -504,43 +496,31 @@ func (e *engine) fireEmit(id plan.StationID, n int) {
 	}
 }
 
-// Run executes the plan for cfg.Duration and reports steady-state metrics.
-// The binding supplies operator implementations per logical operator; a nil
-// binding runs every non-source station as a pass-through (pure queueing
-// behaviour, still faithful to the cost model).
-func Run(ctx context.Context, p *plan.Plan, binding *Binding, cfg Config) (*Metrics, error) {
-	if p == nil || len(p.Stations) == 0 {
-		return nil, errors.New("runtime: empty plan")
-	}
-	cfg, err := cfg.withDefaults()
+// start plans t with the given replication degrees and deploys the plan
+// on a new engine.
+func start(t *core.Topology, replicas []int, binding *Binding, cfg Config) (*engine, error) {
+	p, err := plan.Build(t, plan.Options{Replicas: replicas})
 	if err != nil {
+		return nil, fmt.Errorf("runtime: %w", err)
+	}
+	if cfg, err = cfg.withDefaults(); err != nil {
 		return nil, err
 	}
 	e, err := newEngine(p, binding, cfg)
 	if err != nil {
 		return nil, err
 	}
-	return e.execute(ctx)
+	return e, e.deploy(p)
 }
 
-// startStations spawns one goroutine per station of the initial plan.
-func (e *engine) startStations() {
-	rng := stats.NewRNG(e.cfg.Seed + 0x9e37)
-	tb := e.tab()
-	for i := range tb.p.Stations {
-		e.spawnStation(plan.StationID(i), rng.Uint64(), nil, nil)
-	}
-	e.startEstimator()
-}
-
-// execute starts the actors, measures the steady-state window and builds
-// the metrics; shared by the local and distributed engines.
-func (e *engine) execute(ctx context.Context) (*Metrics, error) {
-	e.startStations()
+// measure runs the deployed engine through the warmup and one
+// measurement window, then stops it; shared by the local and distributed
+// engines.
+func (e *engine) measure(ctx context.Context) *Metrics {
 	sleepCtx(ctx, e.cfg.Warmup)
 	w := e.beginWindow()
 	sleepCtx(ctx, e.cfg.Duration-e.cfg.Warmup)
-	return e.stop(w), nil
+	return e.stop(w)
 }
 
 // measureWindow is an open measurement window: the counter snapshot it
@@ -777,12 +757,12 @@ func (e *engine) pickEdge(tb *tables, st *plan.Station, dest core.OpID, key uint
 		return idx
 	case plan.KeyHash:
 		if n := len(st.KeyReplica); n > 0 {
-			r := st.KeyReplica[int(key)%n]
+			r := st.KeyReplica[key%uint64(n)]
 			if r >= 0 && r < len(out) {
 				return r
 			}
 		}
-		return int(key) % len(out)
+		return int(key % uint64(len(out)))
 	default:
 		u := rng.Float64()
 		acc := 0.0
@@ -845,12 +825,15 @@ func (p *pacer) waitFor(started time.Time, period time.Duration) {
 	}
 }
 
-// RunTopology is a convenience wrapper: it plans the topology with the
-// given replication degrees, binds operator implementations, and runs it.
+// RunTopology plans the topology with the given replication degrees,
+// deploys it with the binding's operator implementations (a nil binding
+// runs every non-source station as a pass-through: pure queueing
+// behaviour, still faithful to the cost model), and runs it for
+// cfg.Duration, reporting steady-state metrics.
 func RunTopology(ctx context.Context, t *core.Topology, replicas []int, binding *Binding, cfg Config) (*Metrics, error) {
-	p, err := plan.Build(t, plan.Options{Replicas: replicas})
+	e, err := start(t, replicas, binding, cfg)
 	if err != nil {
-		return nil, fmt.Errorf("runtime: %w", err)
+		return nil, err
 	}
-	return Run(ctx, p, binding, cfg)
+	return e.measure(ctx), nil
 }

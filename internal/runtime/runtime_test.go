@@ -2,7 +2,9 @@ package runtime
 
 import (
 	"context"
+	"math"
 	goruntime "runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -247,24 +249,20 @@ func TestNewMetaOperatorValidation(t *testing.T) {
 }
 
 func TestRunRejectsEmptyPlan(t *testing.T) {
-	if _, err := Run(context.Background(), nil, nil, Config{}); err == nil {
-		t.Error("nil plan accepted")
+	if _, err := RunTopology(context.Background(), core.NewTopology(), nil, nil, Config{}); err == nil {
+		t.Error("empty topology accepted")
 	}
-	if _, err := Run(context.Background(), &plan.Plan{}, nil, Config{}); err == nil {
+	if _, err := RunDistributed(context.Background(), &plan.Plan{}, nil, DistributedConfig{}); err == nil {
 		t.Error("empty plan accepted")
 	}
 }
 
 func TestBindingValidate(t *testing.T) {
 	topo := pipeline(t, 0.001, 0.001)
-	p, err := plan.Build(topo, plan.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
 	bad := &Binding{Ops: map[core.OpID]operators.Operator{
 		core.OpID(99): operators.MustBuild(operators.Spec{Impl: "identity"}),
 	}}
-	if _, err := Run(context.Background(), p, bad, shortCfg(7)); err == nil {
+	if _, err := RunTopology(context.Background(), topo, nil, bad, shortCfg(7)); err == nil {
 		t.Error("out-of-range binding accepted")
 	}
 }
@@ -665,4 +663,118 @@ func TestExecutorsDoNotAllocatePerTuple(t *testing.T) {
 			t.Errorf("%s executor: %d outputs per tuple, want 1", name, len(outs))
 		}
 	}
+}
+
+// TestPickEdgeKeyHashAnyKey routes keys from the whole uint64 range on a
+// keyed emitter, with and without a key -> replica table: a key >= 2^63
+// lands on the edge its residue names, like any other key.
+func TestPickEdgeKeyHashAnyKey(t *testing.T) {
+	out := []plan.Edge{{To: 1}, {To: 2}, {To: 3}}
+	plain := &plan.Station{Discipline: plan.KeyHash, Out: out}
+	table := &plan.Station{Discipline: plan.KeyHash, Out: out, KeyReplica: []int{2, 0, 1, 1}}
+	e := &engine{}
+	for _, tc := range []struct {
+		key          uint64
+		plain, table int
+	}{
+		{0, 0, 2},
+		{5, 2, 0},
+		{1 << 63, 2, 2},
+		{math.MaxUint64, 0, 1},
+	} {
+		var rr int
+		if got := e.pickEdge(nil, plain, -1, tc.key, nil, &rr); got != tc.plain {
+			t.Errorf("key %d without a table: edge %d, want %d", tc.key, got, tc.plain)
+		}
+		if got := e.pickEdge(nil, table, -1, tc.key, nil, &rr); got != tc.table {
+			t.Errorf("key %d with table %v: edge %d, want %d", tc.key, table.KeyReplica, got, tc.table)
+		}
+	}
+}
+
+// highKeyOp forwards every tuple with its key moved to 2^63 or above, as a
+// user operator bound through the facade may.
+type highKeyOp struct{}
+
+func (highKeyOp) Name() string                { return "highkey" }
+func (highKeyOp) Meta() operators.Meta        { return operators.Meta{Kind: core.KindStateless} }
+func (o highKeyOp) Clone() operators.Operator { return o }
+func (highKeyOp) Process(in operators.Tuple, emit operators.Emit) {
+	in.Key |= 1 << 63
+	emit(in)
+}
+
+// TestRunKeysAbove2To63 feeds keys >= 2^63 into a keyed operator fissioned
+// to three replicas: the run finishes, every tuple is accounted, and
+// every replica consumes.
+func TestRunKeysAbove2To63(t *testing.T) {
+	freq := make([]float64, 6)
+	for i := range freq {
+		freq[i] = 1.0 / 6
+	}
+	topo := core.NewTopology()
+	src := topo.MustAddOperator(core.Operator{Name: "src", Kind: core.KindSource, ServiceTime: 0.0002})
+	tag := topo.MustAddOperator(core.Operator{Name: "tag", Kind: core.KindStateless, ServiceTime: 0.0001})
+	agg := topo.MustAddOperator(core.Operator{
+		Name: "agg", Kind: core.KindPartitionedStateful, ServiceTime: 0.0003,
+		Keys: &core.KeyDistribution{Freq: freq},
+	})
+	sink := topo.MustAddOperator(core.Operator{Name: "sink", Kind: core.KindSink, ServiceTime: 0.0001})
+	topo.MustConnect(src, tag, 1)
+	topo.MustConnect(tag, agg, 1)
+	topo.MustConnect(agg, sink, 1)
+	binding := &Binding{Ops: map[core.OpID]operators.Operator{tag: highKeyOp{}}}
+	cfg := Config{Seed: 63, Duration: 600 * time.Millisecond, Warmup: 150 * time.Millisecond}
+	m, err := RunTopology(context.Background(), topo, []int{1, 1, 3, 1}, binding, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkConservation(t, m)
+	replicas := 0
+	for _, st := range m.Stations {
+		if st.Role != plan.RoleWorker || !strings.HasPrefix(st.Name, "agg") {
+			continue
+		}
+		replicas++
+		if st.Consumed == 0 {
+			t.Errorf("replica %q consumed nothing", st.Name)
+		}
+	}
+	if replicas != 3 {
+		t.Fatalf("%d agg replicas, want 3", replicas)
+	}
+}
+
+// TestDeployDrawsOneSeedPerStation pins the routing-seed stream: the
+// deployment, a diff adding every station in ID order, draws exactly one
+// seed per station from the engine's stream, so an unreconfigured run
+// routes as the stations' seeds always have, and the first later diff
+// continues the same stream.
+func TestDeployDrawsOneSeedPerStation(t *testing.T) {
+	p, err := plan.Build(pipeline(t, 0.001, 0.001, 0.001), plan.Options{Replicas: []int{1, 3, 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg, err := Config{Seed: 11, Duration: 100 * time.Millisecond, NoServicePadding: true}.withDefaults()
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := newEngine(p, nil, cfg)
+	if err == nil {
+		err = e.deploy(p)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := stats.NewRNG(cfg.Seed + 0x9e37)
+	for range p.Stations {
+		want.Uint64()
+	}
+	if got, w := e.seeds.Uint64(), want.Uint64(); got != w {
+		t.Errorf("next seed after deploying %d stations = %d, want %d", len(p.Stations), got, w)
+	}
+	if ep := e.tab().epoch; ep != 0 {
+		t.Errorf("deployment epoch = %d, want 0", ep)
+	}
+	e.measure(context.Background())
 }

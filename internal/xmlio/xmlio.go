@@ -119,7 +119,7 @@ func fromDocument(doc *Document, pos *Positions, loader KeyLoader) (*core.Topolo
 	t := core.NewTopology()
 	for i, od := range doc.Operators {
 		at := pos.Operator(i)
-		kind, err := parseKind(od.Type)
+		kind, err := ParseKind(od.Type)
 		if err != nil {
 			return nil, fmt.Errorf("xmlio: %w", errAt(at, "operator %q: %v", od.Name, err))
 		}
@@ -258,7 +258,8 @@ func ParseServiceTime(s string) (float64, error) {
 	return v, nil
 }
 
-func parseKind(s string) (core.Kind, error) {
+// ParseKind maps an operator type attribute to its kind.
+func ParseKind(s string) (core.Kind, error) {
 	switch strings.ToLower(strings.TrimSpace(s)) {
 	case "source":
 		return core.KindSource, nil

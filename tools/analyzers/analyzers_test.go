@@ -298,7 +298,7 @@ func demoteInbox() (int, error) { return 0, nil }
 `
 
 // applyDiffShape mirrors the runtime's one fenced apply: tables cloned by
-// a helper (so not function-fresh), a demoted inbox swapped in, added
+// a helper, a demoted inbox swapped in, added
 // inboxes appended, a station retired, keyed state handed over and the
 // tables published. %s is the parameter list.
 const applyDiffShape = `
@@ -347,7 +347,10 @@ func mixed(nt *tables, e *engine) {
 	}
 }
 
-func TestEpochFenceAllowsFreshTables(t *testing.T) {
+// TestEpochFenceFlagsFreshTables pins that tables built in the function
+// get no exemption: the deployment goes through the fence like every
+// other diff, so building and publishing tables outside one is a bug.
+func TestEpochFenceFlagsFreshTables(t *testing.T) {
 	ds := analyzeAt(t, EpochFence, runtimePkgPath, `package runtime
 `+epochStub+`
 func build(e *engine) {
@@ -358,8 +361,10 @@ func build(e *engine) {
 	e.live.Store(nt)
 }
 `)
-	if len(ds) != 0 {
-		t.Fatalf("fresh-tables construction flagged: %v", ds)
+	// Three unfenced writes, the non-demoteInbox inbox replacement, and
+	// the unfenced publish.
+	if len(ds) != 5 {
+		t.Fatalf("want 5 diagnostics, got %d: %v", len(ds), ds)
 	}
 }
 

@@ -16,27 +16,24 @@ import (
 // fence acquire, and the atomic table swap publishes it" — and a
 // demotion path must never hand a station back a fresh SPSC ring.
 //
-// Every live change reaches the tables through one function,
-// applyDiff(f *fence, d diff), which pauses the stations the diff names
-// and then clones, grows, retires and publishes the tables; the helpers
-// it hands the fence to (demoteTransports, migrateKeys) are the only
-// other fence holders, and the initial deployment builds its tables
-// fresh in newEngine.
+// The deployment and every live change reach the tables through one
+// function, applyDiff(f *fence, d diff), which pauses the stations the
+// diff names and then clones, grows, retires and publishes the tables;
+// the helpers it hands the fence to (quiesce, demoteTransports,
+// allocStations, migrateKeys) are the only other fence holders. No code
+// builds or stores tables outside a fence, so the pass has no exemption.
 //
 // Per function, a mutation is considered fence-dominated when one holds:
 //
 //   - the function receives a *fence (parameter or receiver) — a static
 //     capability only fence-holding callers can supply;
 //   - a .pause(...) call on a fence lexically precedes the mutation in
-//     the same function body;
-//   - the mutated tables value is function-fresh: built here by a
-//     &tables{...} literal, as in the initial engine construction, so no
-//     running station can observe it yet.
+//     the same function body.
 //
 // Checked mutations: assignments (element or whole-field) reached
 // through a tables-typed expression, ImportKey calls (keyed-state
 // migration), and Store calls publishing a *tables. Additionally,
-// element writes into X.mailboxes[i] on non-fresh tables must assign a
+// element writes into X.mailboxes[i] must assign a
 // demoteInbox call directly — the constructor that resolves every inbox
 // as multi-producer — so a demoted edge cannot be re-promoted to a ring
 // whose single-producer proof no longer holds.
@@ -115,34 +112,11 @@ func epochFenceFunc(pass *Pass, fn *ast.FuncDecl) []Diagnostic {
 
 	// Lexically preceding fence.pause(...) calls.
 	var pausePos []token.Pos
-	// Function-fresh tables roots (x := &tables{...}).
-	fresh := map[types.Object]bool{}
 	ast.Inspect(fn.Body, func(n ast.Node) bool {
-		switch x := n.(type) {
-		case *ast.CallExpr:
+		if x, ok := n.(*ast.CallExpr); ok {
 			if sel, ok := x.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "pause" {
 				if isNamed(info.Types[sel.X].Type, "fence") {
 					pausePos = append(pausePos, x.Pos())
-				}
-			}
-		case *ast.AssignStmt:
-			if len(x.Rhs) != 1 {
-				return true
-			}
-			id, ok := x.Lhs[0].(*ast.Ident)
-			if !ok {
-				return true
-			}
-			obj := info.Defs[id]
-			if obj == nil {
-				obj = info.Uses[id]
-			}
-			if obj == nil {
-				return true
-			}
-			if un, ok := x.Rhs[0].(*ast.UnaryExpr); ok && un.Op == token.AND {
-				if cl, ok := un.X.(*ast.CompositeLit); ok && isNamed(info.Types[cl].Type, "tables") {
-					fresh[obj] = true
 				}
 			}
 		}
@@ -160,15 +134,8 @@ func epochFenceFunc(pass *Pass, fn *ast.FuncDecl) []Diagnostic {
 		}
 		return false
 	}
-	isFresh := func(root *ast.Ident) bool {
-		if root == nil {
-			return false
-		}
-		obj := info.Uses[root]
-		if obj == nil {
-			obj = info.Defs[root]
-		}
-		return obj != nil && fresh[obj]
+	unfenced := func(field string) string {
+		return fmt.Sprintf("epoch-table field %s mutated outside a pause fence: pass the *fence in or pause before mutating", field)
 	}
 
 	var diags []Diagnostic
@@ -176,45 +143,31 @@ func epochFenceFunc(pass *Pass, fn *ast.FuncDecl) []Diagnostic {
 		switch x := n.(type) {
 		case *ast.AssignStmt:
 			for _, lhs := range x.Lhs {
-				field, root, element, ok := tablesFieldWrite(info, lhs)
+				field, element, ok := tablesFieldWrite(info, lhs)
 				if !ok {
 					continue
 				}
-				freshRoot := isFresh(root)
-				if !freshRoot && !fenced(lhs.Pos()) {
-					diags = append(diags, Diagnostic{Pos: lhs.Pos(), Message: fmt.Sprintf(
-						"epoch-table field %s mutated outside a pause fence: pass the *fence in or pause before mutating", field)})
+				if !fenced(lhs.Pos()) {
+					diags = append(diags, Diagnostic{Pos: lhs.Pos(), Message: unfenced(field)})
 				}
-				if field == "mailboxes" && element && !freshRoot {
-					if !fromDemoteInbox(x, lhs) {
-						diags = append(diags, Diagnostic{Pos: lhs.Pos(), Message: "replacing a live station's inbox must go through demoteInbox: a demoted edge may never be re-promoted to an SPSC ring"})
-					}
+				if field == "mailboxes" && element && !fromDemoteInbox(x, lhs) {
+					diags = append(diags, Diagnostic{Pos: lhs.Pos(), Message: "replacing a live station's inbox must go through demoteInbox: a demoted edge may never be re-promoted to an SPSC ring"})
 				}
 			}
 		case *ast.IncDecStmt:
-			if field, root, _, ok := tablesFieldWrite(info, x.X); ok && !isFresh(root) && !fenced(x.Pos()) {
-				diags = append(diags, Diagnostic{Pos: x.Pos(), Message: fmt.Sprintf(
-					"epoch-table field %s mutated outside a pause fence: pass the *fence in or pause before mutating", field)})
+			if field, _, ok := tablesFieldWrite(info, x.X); ok && !fenced(x.Pos()) {
+				diags = append(diags, Diagnostic{Pos: x.Pos(), Message: unfenced(field)})
 			}
 		case *ast.CallExpr:
 			sel, ok := x.Fun.(*ast.SelectorExpr)
-			if !ok {
+			if !ok || fenced(x.Pos()) {
 				return true
 			}
 			switch sel.Sel.Name {
 			case "ImportKey":
-				if !fenced(x.Pos()) {
-					diags = append(diags, Diagnostic{Pos: x.Pos(), Message: "keyed-state migration (ImportKey) outside a pause fence: the owning station must be paused and drained first"})
-				}
+				diags = append(diags, Diagnostic{Pos: x.Pos(), Message: "keyed-state migration (ImportKey) outside a pause fence: the owning station must be paused and drained first"})
 			case "Store":
-				if len(x.Args) != 1 || !isNamed(info.Types[x.Args[0]].Type, "tables") {
-					return true
-				}
-				argFresh := false
-				if id, isIdent := x.Args[0].(*ast.Ident); isIdent {
-					argFresh = isFresh(id)
-				}
-				if !argFresh && !fenced(x.Pos()) {
+				if len(x.Args) == 1 && isNamed(info.Types[x.Args[0]].Type, "tables") {
 					diags = append(diags, Diagnostic{Pos: x.Pos(), Message: "publishing epoch tables outside a pause fence: the swap's ordering guarantees need the fence"})
 				}
 			}
@@ -225,10 +178,9 @@ func epochFenceFunc(pass *Pass, fn *ast.FuncDecl) []Diagnostic {
 }
 
 // tablesFieldWrite decodes an lvalue that reaches through a tables-typed
-// expression: the guarded field name, the root identifier of the chain
-// (nil when the base is not a plain identifier), and whether the write
-// indexes into the field (element write) rather than replacing it.
-func tablesFieldWrite(info *types.Info, lhs ast.Expr) (field string, root *ast.Ident, element bool, ok bool) {
+// expression: the guarded field name, and whether the write indexes into
+// the field (element write) rather than replacing it.
+func tablesFieldWrite(info *types.Info, lhs ast.Expr) (field string, element bool, ok bool) {
 	e := lhs
 	indexed := false
 	for {
@@ -242,33 +194,12 @@ func tablesFieldWrite(info *types.Info, lhs ast.Expr) (field string, root *ast.I
 			e = x.X
 		case *ast.SelectorExpr:
 			if tv, has := info.Types[x.X]; has && isNamed(tv.Type, "tables") && tablesFields[x.Sel.Name] {
-				return x.Sel.Name, baseIdent(x.X), indexed, true
+				return x.Sel.Name, indexed, true
 			}
 			indexed = false
 			e = x.X
 		default:
-			return "", nil, false, false
-		}
-	}
-}
-
-// baseIdent returns the identifier at the base of a selector/index
-// chain, or nil.
-func baseIdent(e ast.Expr) *ast.Ident {
-	for {
-		switch x := e.(type) {
-		case *ast.Ident:
-			return x
-		case *ast.SelectorExpr:
-			e = x.X
-		case *ast.IndexExpr:
-			e = x.X
-		case *ast.ParenExpr:
-			e = x.X
-		case *ast.StarExpr:
-			e = x.X
-		default:
-			return nil
+			return "", false, false
 		}
 	}
 }
