@@ -559,3 +559,27 @@ func TestCLIVetBurstFlags(t *testing.T) {
 		t.Errorf("sized-up mailbox still flagged (%v):\n%s", err, out)
 	}
 }
+
+// TestCLIVetTrace replays committed rewrite traces through vet -trace. A
+// trace that still carries the dropped per-inbox "transports" record
+// vets clean (unknown fields are ignored); a stale trace is an error.
+func TestCLIVetTrace(t *testing.T) {
+	for _, tc := range []struct {
+		name, in, trace string
+		wantErr         bool
+		want            string
+	}{
+		{"transports record", "../../testdata/legacy-transports.xml", "../../testdata/legacy-transports.trace.json", false, "0 error(s), 0 warning(s), 0 info(s)"},
+		{"stale trace", "../../testdata/lint/SS2001-stale-trace.xml", "../../testdata/lint/SS2001-stale-trace.trace.json", true, "SS2001 error"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			out, err := capture(t, "vet", "-in", tc.in, "-trace", tc.trace)
+			if (err != nil) != tc.wantErr {
+				t.Fatalf("vet error = %v, want error %v:\n%s", err, tc.wantErr, out)
+			}
+			if !strings.Contains(out, tc.want) {
+				t.Errorf("vet output missing %q:\n%s", tc.want, out)
+			}
+		})
+	}
+}

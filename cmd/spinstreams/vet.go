@@ -26,8 +26,8 @@ func cmdVet(args []string) error {
 	allowCycles := fs.Bool("allow-cycles", false, "accept feedback edges and analyze them with the fixed-point solver")
 	tracePath := fs.String("trace", "", "rewrite trace JSON to replay against the topology")
 	mailboxSize := fs.Int("mailbox-size", 0, "bounded mailbox capacity assumed by the back-pressure checks (0 = runtime default)")
-	burstFactor := fs.Float64("burst-factor", 0, "arrival-rate multiplier for the SPSC burst-capacity check (0 = skip)")
-	burstSeconds := fs.Float64("burst-seconds", 0, "burst duration every SPSC ring must absorb without filling (0 = skip)")
+	burstFactor := fs.Float64("burst-factor", 0, "arrival-rate multiplier for the inbox burst-capacity check (0 = skip)")
+	burstSeconds := fs.Float64("burst-seconds", 0, "burst duration every inbox must absorb without filling (0 = skip)")
 	format := fs.String("format", "text", "output format: text, json, or sarif")
 	out := fs.String("o", "", "write the report here instead of stdout")
 	if err := fs.Parse(args); err != nil {

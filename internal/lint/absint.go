@@ -1,7 +1,6 @@
 package lint
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
 	"sort"
@@ -21,10 +20,8 @@ import (
 //
 //   - SS3001: a waits-on cycle at the fixpoint — stations of a feedback
 //     loop all throttled by full mailboxes owned by the same loop;
-//   - SS3002: an SPSC ring whose capacity fills before a declared burst
-//     envelope ends, pushing back-pressure into the producer mid-burst;
-//   - SS3003: a trace-recorded SPSC verdict that the deployed plan's
-//     fan-in sets contradict.
+//   - SS3002: an inbox whose capacity fills before a declared burst
+//     envelope ends, pushing back-pressure into its producers mid-burst.
 
 // defaultMailboxCapacity mirrors runtime.Config.MailboxSize's default.
 const defaultMailboxCapacity = 64
@@ -324,10 +321,11 @@ func stronglyConnected(p *plan.Plan) [][]plan.StationID {
 }
 
 // checkBurstCapacity propagates the declared burst envelope through an
-// acyclic plan and reports SS3002 for every SPSC-bound inbox whose ring
-// fills before the burst ends: capacity / excess-rate < burst-seconds
-// means back-pressure reaches the single producer mid-burst, stalling
-// the fast path the ring was chosen for.
+// acyclic plan and reports SS3002 for every fed inbox that fills before
+// the burst ends: capacity / excess-rate < burst-seconds means
+// back-pressure reaches its producers mid-burst. BAS capacity binds an
+// inbox the same way whatever its producer count, so a collector behind
+// replicas or a join input is checked like a pipeline stage.
 func checkBurstCapacity(rep *Report, t *core.Topology, p *plan.Plan, cfg Config) {
 	order, ok := p.TopologicalOrder()
 	if !ok {
@@ -335,12 +333,11 @@ func checkBurstCapacity(rep *Report, t *core.Topology, p *plan.Plan, cfg Config)
 	}
 	steady := propagate(p, order, 1)
 	burst := propagate(p, order, cfg.BurstFactor)
-	ts := plan.Transports(p)
 	in := plan.FanIn(p)
 	capacity := float64(cfg.mailboxCapacity())
 	for _, i := range order {
 		st := &p.Stations[i]
-		if st.Role == plan.RoleSource || ts[i] != plan.TransportSPSC || len(in[i]) == 0 {
+		if st.Role == plan.RoleSource || len(in[i]) == 0 {
 			continue
 		}
 		mu := 0.0
@@ -361,7 +358,7 @@ func checkBurstCapacity(rep *Report, t *core.Topology, p *plan.Plan, cfg Config)
 		need := int(math.Ceil(excess * cfg.BurstSeconds))
 		op := t.Op(st.Op)
 		rep.add(Diagnostic{Code: CodeBurstCapacity, Operator: op.Name,
-			Message: fmt.Sprintf("SPSC ring of %q (capacity %d) fills in %.2fs under a %.1fx burst of %.1fs: burst arrivals %.1f/s exceed service %.1f/s; size the mailbox to >= %d or accept BAS throttling mid-burst",
+			Message: fmt.Sprintf("inbox of %q (capacity %d) fills in %.2fs under a %.1fx burst of %.1fs: burst arrivals %.1f/s exceed service %.1f/s; size the mailbox to >= %d or accept BAS throttling mid-burst",
 				st.Name, cfg.mailboxCapacity(), fill, cfg.BurstFactor, cfg.BurstSeconds, burst[i], mu, need)})
 	}
 }
@@ -388,71 +385,4 @@ func propagate(p *plan.Plan, order []plan.StationID, factor float64) []float64 {
 		}
 	}
 	return arrive
-}
-
-// checkTransportVerdicts replays the trace's recorded SPSC verdicts
-// against the plan as actually deployed (SS3003). SS2001's transport
-// replay rebuilds the plan from the replica degrees the trace itself
-// recorded; this check closes the remaining gap — a trace internally
-// consistent with its own degrees can still license a ring the deployed
-// -replicas vector demotes to multi-producer, and binding a ring there
-// would break the single-producer proof the zero-copy protocol rests on.
-func checkTransportVerdicts(rep *Report, t *core.Topology, cfg Config) {
-	var doc traceDoc
-	if err := json.Unmarshal(cfg.Trace, &doc); err != nil || doc.Schema != traceSchema || doc.Transports == nil {
-		return // replayTrace owns malformed-trace reporting
-	}
-	fp := fmt.Sprintf("%016x", t.Fingerprint())
-	if doc.Fingerprint != fp {
-		return // wrong topology entirely: SS2001 already fired
-	}
-	for _, d := range doc.Transports.Stations {
-		want := "mpsc"
-		if d.Producers <= 1 {
-			want = "spsc"
-		}
-		if d.Transport != want {
-			rep.add(Diagnostic{Code: CodeTransportVerdict, Operator: d.Station,
-				Message: fmt.Sprintf("trace records transport %s for %q with %d producers; the fan-in analysis derives %s", d.Transport, d.Station, d.Producers, want)})
-		}
-	}
-	// The deployed re-derivation only makes sense when the trace records
-	// no net rewrite: cfg.Replicas is index-aligned with the input
-	// topology, and after rewrites the deployed degrees live in the
-	// trace's own transport analysis (SS2001 checks those).
-	rewritten := doc.FinalFingerprint != fp
-	if doc.FinalFingerprint == "" {
-		rewritten = false
-		for _, p := range doc.Passes {
-			if len(p.Steps) > 0 {
-				rewritten = true
-			}
-		}
-	}
-	if rewritten {
-		return
-	}
-	p, err := plan.Build(t, plan.Options{Replicas: cfg.Replicas, AllowCycles: cfg.AllowCycles})
-	if err != nil {
-		return
-	}
-	in := plan.FanIn(p)
-	producers := make(map[string]int, len(p.Stations))
-	for i := range p.Stations {
-		producers[p.Stations[i].Name] = len(in[i])
-	}
-	for _, d := range doc.Transports.Stations {
-		if d.Transport != "spsc" {
-			continue // recording mpsc where spsc would do is safe, only slower
-		}
-		n, ok := producers[d.Station]
-		switch {
-		case !ok:
-			rep.add(Diagnostic{Code: CodeTransportVerdict, Operator: d.Station,
-				Message: fmt.Sprintf("trace records an spsc verdict for %q, but the deployed plan has no such station: the recorded single-producer proof does not describe this deployment", d.Station)})
-		case n > 1:
-			rep.add(Diagnostic{Code: CodeTransportVerdict, Operator: d.Station,
-				Message: fmt.Sprintf("trace records an spsc verdict for %q, but the deployed replication gives its inbox %d producers: binding the ring would violate the single-producer proof", d.Station, n)})
-		}
-	}
 }

@@ -1,8 +1,6 @@
 package lint
 
 import (
-	"encoding/json"
-	"fmt"
 	"strings"
 	"testing"
 
@@ -110,105 +108,5 @@ func TestBlockingCycleSuppressedByDivergence(t *testing.T) {
 	}
 	if !sawDivergent {
 		t.Fatalf("corpus divergent loop no longer yields SS1101: %v", rep.Diagnostics)
-	}
-}
-
-// traceFor builds a minimal consistent rewrite trace for top with the
-// given per-station transport verdicts.
-func traceFor(t *testing.T, top *core.Topology, stations []map[string]any) []byte {
-	t.Helper()
-	fp := fmt.Sprintf("%016x", top.Fingerprint())
-	doc := map[string]any{
-		"schema":            "spinstreams/rewrite-trace/v1",
-		"fingerprint":       fp,
-		"operators":         top.Len(),
-		"edges":             top.NumEdges(),
-		"passes":            []any{},
-		"final_fingerprint": fp,
-		"transports": map[string]any{
-			"replicas": []int{1, 1, 1},
-			"stations": stations,
-		},
-	}
-	data, err := json.Marshal(doc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return data
-}
-
-func ss3003Of(rep *Report) []Diagnostic {
-	var out []Diagnostic
-	for _, d := range rep.Diagnostics {
-		if d.Code == CodeTransportVerdict {
-			out = append(out, d)
-		}
-	}
-	return out
-}
-
-func TestTransportVerdictInternalInconsistency(t *testing.T) {
-	top := chain(t, core.KindStateless, 1e-4)
-	trace := traceFor(t, top, []map[string]any{
-		{"station": "src", "producers": 0, "transport": "spsc"},
-		{"station": "mid", "producers": 2, "transport": "spsc"},
-		{"station": "sink", "producers": 1, "transport": "spsc"},
-	})
-	rep := Run(top, Config{Trace: trace})
-	ds := ss3003Of(rep)
-	if len(ds) != 1 || !strings.Contains(ds[0].Message, "derives mpsc") {
-		t.Fatalf("want one SS3003 for the 2-producer spsc verdict, got %v", rep.Diagnostics)
-	}
-}
-
-func TestTransportVerdictStaleAgainstDeployment(t *testing.T) {
-	top := chain(t, core.KindStateless, 1e-4)
-	trace := traceFor(t, top, []map[string]any{
-		{"station": "src", "producers": 0, "transport": "spsc"},
-		{"station": "mid", "producers": 1, "transport": "spsc"},
-		{"station": "sink", "producers": 1, "transport": "spsc"},
-	})
-	// The trace is internally consistent, but deploying mid with three
-	// replicas restructures the plan: the station the verdict names is
-	// gone (or multi-producer), so binding the recorded ring would break
-	// the single-producer proof.
-	rep := Run(top, Config{Trace: trace, Replicas: []int{1, 3, 1}})
-	ds := ss3003Of(rep)
-	if len(ds) == 0 {
-		t.Fatalf("deployed replication invalidates the spsc verdict, want SS3003: %v", rep.Diagnostics)
-	}
-	for _, d := range ds {
-		if d.Severity != SeverityError {
-			t.Errorf("SS3003 must be error severity, got %s", d.Severity)
-		}
-	}
-
-	// Matching deployment: no verdict drift.
-	rep = Run(top, Config{Trace: trace})
-	if ds := ss3003Of(rep); len(ds) != 0 {
-		t.Fatalf("consistent trace and deployment flagged: %v", ds)
-	}
-}
-
-func TestTransportVerdictSkipsRewrittenTrace(t *testing.T) {
-	top := chain(t, core.KindStateless, 1e-4)
-	trace := traceFor(t, top, []map[string]any{
-		{"station": "fused", "producers": 1, "transport": "spsc"},
-	})
-	// Mark the trace as a net rewrite: the deployed re-derivation keys on
-	// input-aligned replica indices, which no longer describe the final
-	// topology, so the check must stand down (SS2001 owns that replay).
-	var doc map[string]any
-	if err := json.Unmarshal(trace, &doc); err != nil {
-		t.Fatal(err)
-	}
-	doc["final_fingerprint"] = "ffffffffffffffff"
-	rewritten, err := json.Marshal(doc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep := Run(top, Config{Trace: rewritten, Replicas: []int{1, 3, 1}})
-	if ds := ss3003Of(rep); len(ds) != 0 {
-		t.Fatalf("rewritten trace must skip the deployed re-derivation, got %v", ds)
 	}
 }

@@ -104,11 +104,6 @@ const (
 	CodeKeyMass = "SS1007"
 	// CodeServiceTime (SS1008): NaN/Inf/non-positive service time.
 	CodeServiceTime = "SS1008"
-	// CodeSPSCDemoted (SS1009): an edge that would qualify for the
-	// lock-free SPSC ring at replication degree 1, but whose deployed
-	// degrees (as shaped by the replica budget) make it multi-producer,
-	// demoting it to the MPSC path.
-	CodeSPSCDemoted = "SS1009"
 	// CodeNonConvergent (SS1101): the steady-state solver cannot converge
 	// (feedback loop with gain-weighted cycle traffic >= 1).
 	CodeNonConvergent = "SS1101"
@@ -127,14 +122,10 @@ const (
 	// other through full mailboxes under BAS back-pressure, even though
 	// the fluid solver converges.
 	CodeBlockingCycle = "SS3001"
-	// CodeBurstCapacity (SS3002): an SPSC ring whose capacity cannot
-	// absorb the declared burst envelope before back-pressure reaches the
-	// source.
+	// CodeBurstCapacity (SS3002): an inbox whose capacity cannot absorb
+	// the declared burst envelope before back-pressure reaches its
+	// producers.
 	CodeBurstCapacity = "SS3002"
-	// CodeTransportVerdict (SS3003): a trace-recorded SPSC transport
-	// verdict that is not re-derivable from the fan-in sets of the plan
-	// actually deployed.
-	CodeTransportVerdict = "SS3003"
 )
 
 // Rule is the metadata of one diagnostic code.
@@ -174,8 +165,6 @@ var Rules = []Rule{
 		"Partitioned-stateful operators need a key-frequency distribution with positive entries summing to 1 so the balanced-partition analysis (Algorithm 2) is well-defined."},
 	{CodeServiceTime, "service-time-range", SeverityError, "service time is NaN, infinite, or not positive",
 		"Service times feed the queueing model as rates (1/T) and must be finite positive durations."},
-	{CodeSPSCDemoted, "spsc-demoted-by-replication", SeverityInfo, "single-producer edge demoted to the MPSC path by the deployed replication",
-		"This edge has a single producer at replication degree 1 and would bind to the lock-free SPSC ring, but the deployed replication degrees give it multiple producers, demoting it to the batched MPSC path."},
 	{CodeNonConvergent, "solver-non-convergent", SeverityError, "steady-state analysis does not converge",
 		"The gain-weighted traffic around a feedback loop is >= 1, so arrival rates diverge and no steady state exists; reduce the loop gain or selectivities."},
 	{CodeSaturatedNoRemedy, "saturated-no-remedy", SeverityWarning, "saturated operator that fission cannot unblock",
@@ -186,10 +175,8 @@ var Rules = []Rule{
 		"The drift report references stations that do not exist in the deployed topology, so re-optimization from it would mis-attribute measured rates."},
 	{CodeBlockingCycle, "blocking-cycle", SeverityError, "bounded-queue interpretation finds a back-pressure deadlock cycle",
 		"Abstract interpretation of the plan under bounded mailboxes (BAS blocking semantics) reaches a state where the stations of a feedback loop all wait on full downstream queues owned by the same loop. The fluid solver converges, but the deployment wedges: any saturated station inside a cycle eventually propagates blocking all the way around. Break the loop, speed up the saturated station, or enlarge -mailbox-size."},
-	{CodeBurstCapacity, "spsc-burst-capacity", SeverityWarning, "SPSC ring capacity cannot absorb the declared burst envelope",
-		"Under the declared burst envelope (-burst-factor for -burst-seconds), the excess arrival rate at this single-producer ring fills its capacity before the burst ends, so back-pressure reaches the producer mid-burst. Size the mailbox to at least excess-rate x burst-seconds or accept BAS throttling during bursts."},
-	{CodeTransportVerdict, "stale-transport-verdict", SeverityError, "recorded SPSC transport verdict not re-derivable from the deployed plan",
-		"The optimizer trace records an SPSC (single-producer) verdict for this station's inbox, but re-deriving the fan-in sets from the plan as actually deployed (replication degrees included) contradicts it. Binding a ring here would violate the single-producer proof; regenerate the trace against the deployed configuration."},
+	{CodeBurstCapacity, "burst-capacity", SeverityWarning, "inbox capacity cannot absorb the declared burst envelope",
+		"Under the declared burst envelope (-burst-factor for -burst-seconds), the excess arrival rate at this station's inbox fills its capacity before the burst ends, so back-pressure reaches its producers mid-burst. Size the mailbox to at least excess-rate x burst-seconds or accept BAS throttling during bursts."},
 }
 
 // RuleFor returns the metadata of code; unknown codes get an error-level
@@ -334,7 +321,7 @@ type Config struct {
 	// interpretation assumes; 0 means the runtime default (64).
 	MailboxCapacity int
 	// BurstFactor and BurstSeconds declare the burst envelope for the
-	// SPSC capacity-feasibility check (SS3002): the source emits at
+	// inbox capacity-feasibility check (SS3002): the source emits at
 	// BurstFactor x its declared rate for BurstSeconds. SS3002 only runs
 	// when BurstFactor > 1 and BurstSeconds > 0.
 	BurstFactor  float64
@@ -368,8 +355,8 @@ func Run(t *core.Topology, cfg Config) *Report {
 }
 
 // RunDocument lints a raw XML document as the deployment it declares:
-// its replicas attributes are the degrees the replica, transport and plan
-// checks see. Findings carry element positions. It does not require the
+// its replicas attributes are the degrees the replica and plan checks
+// see. Findings carry element positions. It does not require the
 // document to survive xmlio.Read: document-level checks run first, and
 // the deeper analyses only run when the document is structurally sound
 // enough to build.
@@ -401,11 +388,9 @@ func RunDocument(doc *xmlio.Document, pos *xmlio.Positions, cfg Config) *Report 
 func extras(rep *Report, t *core.Topology, pos *xmlio.Positions, cfg Config) {
 	checkReplicas(rep, t, pos, cfg)
 	checkFusionCandidate(rep, t, cfg)
-	checkTransports(rep, t, cfg)
 	costModel(rep, t, cfg)
 	planChecks(rep, t, cfg)
 	if cfg.Trace != nil {
 		replayTrace(rep, t, cfg)
-		checkTransportVerdicts(rep, t, cfg)
 	}
 }

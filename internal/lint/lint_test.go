@@ -75,11 +75,9 @@ func TestReplicaChecks(t *testing.T) {
 	for _, d := range rep.Diagnostics {
 		codes = append(codes, d.Code)
 	}
-	// The over-budget configuration is the SS1006 warning; the 6-replica
-	// deployment additionally demotes mid's exit edge off the SPSC ring,
-	// which the transport analysis reports informationally (SS1009).
-	if rep.HasErrors() || len(codes) != 2 || codes[0] != CodeReplicaBudget || codes[1] != CodeSPSCDemoted {
-		t.Fatalf("want SS1006 warning + SS1009 info, got %v", rep.Diagnostics)
+	// The over-budget configuration is the SS1006 warning, and only that.
+	if rep.HasErrors() || len(codes) != 1 || codes[0] != CodeReplicaBudget {
+		t.Fatalf("want the SS1006 warning alone, got %v", rep.Diagnostics)
 	}
 
 	rep = Run(top, Config{Replicas: []int{1, 2}})

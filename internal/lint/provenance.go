@@ -7,7 +7,6 @@ import (
 	"strings"
 
 	"spinstreams/internal/core"
-	"spinstreams/internal/plan"
 )
 
 // traceSchema is the rewrite-trace layout lint can replay. The JSON
@@ -17,26 +16,10 @@ import (
 const traceSchema = "spinstreams/rewrite-trace/v1"
 
 type traceDoc struct {
-	Schema           string           `json:"schema"`
-	Fingerprint      string           `json:"fingerprint"`
-	FinalFingerprint string           `json:"final_fingerprint"`
-	Passes           []tracePass      `json:"passes"`
-	Transports       *traceTransports `json:"transports"`
-}
-
-// traceTransports mirrors the trace's edge-topology transport analysis:
-// the per-inbox single-producer proofs the runtime's SPSC ring bindings
-// rest on. Replay re-expands the deployed plan and recomputes every
-// decision.
-type traceTransports struct {
-	Replicas []int            `json:"replicas"`
-	Stations []traceTransport `json:"stations"`
-}
-
-type traceTransport struct {
-	Station   string `json:"station"`
-	Producers int    `json:"producers"`
-	Transport string `json:"transport"`
+	Schema           string      `json:"schema"`
+	Fingerprint      string      `json:"fingerprint"`
+	FinalFingerprint string      `json:"final_fingerprint"`
+	Passes           []tracePass `json:"passes"`
 }
 
 type tracePass struct {
@@ -87,48 +70,6 @@ func replayTrace(rep *Report, t *core.Topology, cfg Config) {
 			rep.add(Diagnostic{Code: CodeTraceReplay,
 				Message: fmt.Sprintf("replayed topology fingerprint %s, trace records final %s", fp, doc.FinalFingerprint)})
 			return
-		}
-	}
-	if doc.Transports != nil {
-		replayTransports(rep, cur, cfg, doc.Transports)
-	}
-}
-
-// replayTransports re-runs the producer-set transport analysis on the
-// replayed final topology and checks every recorded per-inbox decision:
-// station identity, fan-in, and the derived transport. A divergence
-// means the trace's SPSC proofs no longer describe the deployed plan —
-// an SS2001 finding like any other stale provenance.
-func replayTransports(rep *Report, final *core.Topology, cfg Config, tt *traceTransports) {
-	if len(tt.Replicas) != final.Len() {
-		rep.add(Diagnostic{Code: CodeTraceReplay,
-			Message: fmt.Sprintf("transport analysis records %d replica degrees for %d operators", len(tt.Replicas), final.Len())})
-		return
-	}
-	p, err := plan.Build(final, plan.Options{Replicas: tt.Replicas, AllowCycles: cfg.AllowCycles})
-	if err != nil {
-		rep.add(Diagnostic{Code: CodeTraceReplay,
-			Message: fmt.Sprintf("transport analysis does not replay: plan expansion failed: %v", err)})
-		return
-	}
-	if len(tt.Stations) != len(p.Stations) {
-		rep.add(Diagnostic{Code: CodeTraceReplay,
-			Message: fmt.Sprintf("transport analysis records %d stations, replayed plan has %d", len(tt.Stations), len(p.Stations))})
-		return
-	}
-	in := plan.FanIn(p)
-	ts := plan.Transports(p)
-	for i, d := range tt.Stations {
-		switch {
-		case p.Stations[i].Name != d.Station:
-			rep.add(Diagnostic{Code: CodeTraceReplay, Operator: d.Station,
-				Message: fmt.Sprintf("transport analysis station %d is %q, replayed plan has %q", i, d.Station, p.Stations[i].Name)})
-		case len(in[i]) != d.Producers:
-			rep.add(Diagnostic{Code: CodeTraceReplay, Operator: d.Station,
-				Message: fmt.Sprintf("transport analysis records %d producers for %q, replayed plan has %d", d.Producers, d.Station, len(in[i]))})
-		case ts[i].String() != d.Transport:
-			rep.add(Diagnostic{Code: CodeTraceReplay, Operator: d.Station,
-				Message: fmt.Sprintf("transport analysis tags %q as %s, replayed plan derives %s", d.Station, d.Transport, ts[i])})
 		}
 	}
 }

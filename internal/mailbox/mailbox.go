@@ -1,30 +1,25 @@
 // Package mailbox is the runtime's dataplane: a bounded, tuple-capacity-
 // accounted queue connecting one producer set to a single consumer actor.
-// It has two implementations behind one protocol — producers deliver with
-// Send/SendMany, the consumer takes a window of queued tuples with Peek
-// and releases it with Consume:
+// Producers deliver with Send/SendMany, the consumer takes a window of
+// queued tuples with Peek and releases it with Consume.
 //
-//   - Batched: the multi-producer queue. A delivery takes one capacity
-//     credit per tuple, copies the tuples into recycled micro-batches of
-//     at most Batch and queues them before it returns; the consumer takes
-//     one micro-batch per window, so the synchronization cost of a queue
-//     operation is amortized over the batch. PerTuple is this queue with
-//     Batch forced to 1.
-//   - SPSC: a lock-free cached-index ring for inboxes the topology
-//     analyzer proves have a single producer station — no channel and no
-//     credit CAS on the hot path; the ring's slot count is the capacity,
-//     so slot accounting is tuple accounting (see spsc.go).
+// A delivery takes one capacity credit per tuple, copies the tuples into
+// recycled micro-batches of at most Batch and queues them before it
+// returns. A window is everything queued, up to Batch tuples: Peek takes
+// one micro-batch and appends the queued ones behind it while they fit,
+// so the synchronization cost of a queue operation is amortized over the
+// window whether the producers deliver in runs or one tuple at a time.
+// Consume returns the released tuples' credits.
 //
-// Both preserve Blocking-After-Service semantics exactly: a mailbox of
-// capacity C admits at most C tuples before senders block (or, with a
-// send timeout, shed), regardless of batch size. Capacity is accounted in
-// tuples via a credit per admitted item (a ring slot in SPSC mode), never
-// in batches, so the steady-state model's predictions remain valid under
-// either. Items already admitted are never dropped — a send timeout can
-// only reject the item being admitted — and a sender holds nothing
-// between calls: every admitted tuple is visible to the consumer by the
-// time its Send/SendMany returns, so Queued counts exactly the tuples the
-// consumer can take.
+// This preserves Blocking-After-Service semantics exactly: a mailbox of
+// capacity C holds at most C tuples that are admitted and not yet
+// released — queued or in the consumer's hand — and senders block (or,
+// with a send timeout, shed) beyond that, regardless of batch size.
+// Capacity is accounted in tuples, never in batches, so the steady-state
+// model's predictions hold. Items already admitted are never dropped — a
+// send timeout can only reject the item being admitted — and a sender
+// holds nothing between calls: every admitted tuple is visible to the
+// consumer by the time its Send/SendMany returns.
 package mailbox
 
 import (
@@ -33,24 +28,22 @@ import (
 	"time"
 )
 
-// Mode names a mailbox implementation, or the policy that picks one.
+// Mode names a window policy. Every mode builds the same queue; only
+// PerTuple changes it, by forcing Batch to 1.
 type Mode int
 
 const (
-	// Auto is not a transport but the selection policy, and the zero
-	// value: the runtime binds each inbox per edge from the plan's
-	// producer-set analysis — the SPSC ring where the inbox is provably
-	// single-producer, the batched queue everywhere else. New rejects it;
-	// resolve before construction.
+	// Auto is the zero value: the queue at the configured Batch.
 	Auto Mode = iota
-	// Batched delivers items in recycled micro-batches of at most Batch.
+	// Batched is the queue at the configured Batch, like Auto.
 	Batched
-	// PerTuple is Batched with Batch forced to 1: every tuple is its own
-	// queue operation and its own window.
+	// PerTuple is the queue with Batch forced to 1: every tuple is its
+	// own queue operation and its own window.
 	PerTuple
-	// SPSC delivers items through a lock-free single-producer ring. A
-	// mailbox may only run in this mode when exactly one station sends
-	// to it; the runtime derives that proof from the deployed plan.
+	// SPSC names the single-producer ring the queue replaced; it builds
+	// the queue at the configured Batch.
+	//
+	// Deprecated: bench/ is the only caller. ROADMAP item 1(c) removes it.
 	SPSC
 )
 
@@ -75,9 +68,10 @@ const DefaultBatch = 32
 
 // Config sizes a mailbox.
 type Config struct {
-	// Capacity is the BAS bound: the maximum number of admitted tuples.
+	// Capacity is the BAS bound: the maximum number of admitted tuples
+	// not yet released by the consumer.
 	Capacity int
-	// Mode selects the implementation.
+	// Mode selects the window policy.
 	Mode Mode
 	// Batch is the most tuples one window holds (default DefaultBatch;
 	// PerTuple forces 1).
@@ -101,16 +95,16 @@ const (
 // Sender values (from NewSender); the consumer calls Peek/Consume or
 // Recv. The zero value is not usable; construct with New.
 type Mailbox[T any] struct {
-	mode     Mode // Batched or SPSC; New folds PerTuple into Batched
 	capacity int
 	batch    int
 
 	// avail counts free capacity credits; one credit is taken per
-	// admitted tuple, so avail == 0 is exactly "C tuples queued" and
-	// blocks admission (BAS). An atomic counter (with wake for blocked
-	// senders) instead of a token channel keeps the per-tuple admission
-	// cost to one CAS and lets the consumer release a whole batch's
-	// credits in a single add.
+	// admitted tuple and returned when the consumer releases it, so
+	// avail == 0 is exactly "C tuples admitted and unreleased" and blocks
+	// admission (BAS). An atomic counter (with wake for blocked senders)
+	// instead of a token channel keeps the per-tuple admission cost to
+	// one CAS and lets the consumer return a whole window's credits in a
+	// single add.
 	avail atomic.Int64
 	// wake carries at most one pending wakeup for senders blocked on
 	// exhausted credits; a woken sender re-signals while credits remain,
@@ -132,117 +126,56 @@ type Mailbox[T any] struct {
 	// put that still finds it full leaves the buffer to the GC.
 	free chan []T
 
-	// cur/idx is the consumer's window cursor on the batched queue: cur is
-	// the micro-batch in hand, idx the first tuple not yet released by
-	// Consume. Only the single consumer touches them. The ring has no
-	// cursor — its window is the slots between head and tail themselves.
-	cur []T
-	idx int
+	// cur/idx is the consumer's window: cur the buffer in hand, idx the
+	// first tuple not yet released by Consume. held is a queued batch
+	// that did not fit the last window; it leads the next one. Only the
+	// single consumer touches them.
+	cur  []T
+	idx  int
+	held []T
 
-	// SPSC ring transport state (mode == SPSC); see spsc.go. The ring
-	// has exactly capacity slots, so slot accounting is tuple-capacity
-	// accounting. head/tail are monotonic positions (not wrapped
-	// indices); the pads keep the consumer-written and producer-written
-	// fields on separate cache lines so the indices don't ping-pong.
-	head  atomic.Uint64 // consumed count; written only by the consumer
-	chead uint64        // consumer's mirror of head (plain, consumer-only)
-	_     [6]uint64
-	tail  atomic.Uint64 // published count; written only by the producer
-	ptail uint64        // producer's mirror of tail (plain, producer-only)
-	phead uint64        // producer's cached view of head
-	_     [5]uint64
-	// prodWait/consWait flag a parked side; the releasing side swaps the
-	// flag false and signals the matching 1-buffered channel, so a wait
-	// never misses a wakeup and a stale token only costs a spurious loop.
-	prodWait atomic.Bool
-	consWait atomic.Bool
-	notFull  chan struct{}
-	notEmpty chan struct{}
-	// ring is the slot array; written at tail by the producer, read at
-	// head by the consumer, never resized.
-	ring []T
+	// res is the buffer the last Reserve handed out, until Publish.
+	res []T
 }
-
-// Mode reports the implementation the mailbox runs on — Batched or SPSC;
-// the runtime's source loop reads it to decide whether it may reserve
-// ring slots, the reconfiguration controller's demotion scan to find the
-// rings.
-func (m *Mailbox[T]) Mode() Mode { return m.mode }
 
 // New builds a mailbox with capacity cfg.Capacity tuples.
 func New[T any](cfg Config) (*Mailbox[T], error) {
 	if cfg.Capacity <= 0 {
 		return nil, fmt.Errorf("mailbox: capacity %d, want > 0", cfg.Capacity)
 	}
-	m := &Mailbox[T]{mode: cfg.Mode, capacity: cfg.Capacity, batch: cfg.Batch}
+	m := &Mailbox[T]{capacity: cfg.Capacity, batch: cfg.Batch}
 	if m.batch <= 0 {
 		m.batch = DefaultBatch
 	}
 	switch cfg.Mode {
+	case Auto, Batched, SPSC:
 	case PerTuple:
-		m.mode, m.batch = Batched, 1
-		fallthrough
-	case Batched:
-		m.avail.Store(int64(cfg.Capacity))
-		m.wake = make(chan struct{}, 1)
-		m.batches = make(chan []T, cfg.Capacity)
-		m.free = make(chan []T, cfg.Capacity)
-	case SPSC:
-		m.ring = make([]T, cfg.Capacity)
-		m.notFull = make(chan struct{}, 1)
-		m.notEmpty = make(chan struct{}, 1)
-	case Auto:
-		return nil, fmt.Errorf("mailbox: mode auto is a per-edge selection policy; resolve it to a concrete transport before construction")
+		m.batch = 1
 	default:
 		return nil, fmt.Errorf("mailbox: unknown mode %v", cfg.Mode)
 	}
+	m.avail.Store(int64(cfg.Capacity))
+	m.wake = make(chan struct{}, 1)
+	m.batches = make(chan []T, cfg.Capacity)
+	m.free = make(chan []T, cfg.Capacity)
 	return m, nil
 }
 
-// Queued reports the number of admitted tuples not yet taken by the
-// consumer (approximate under concurrency; exact when quiescent). Every
-// one of them is deliverable: a sender holds nothing between calls.
-func (m *Mailbox[T]) Queued() int {
-	if m.mode != SPSC {
-		return m.capacity - int(m.avail.Load())
-	}
-	// The two loads are not a consistent snapshot when sampled from a
-	// third goroutine; clamp the transient skew so a reading never leaves
-	// [0, capacity] (exact whenever either side is quiescent).
-	q := int(m.tail.Load() - m.head.Load())
-	if q < 0 {
-		q = 0
-	} else if q > m.capacity {
-		q = m.capacity
-	}
-	return q
-}
+// Queued reports the number of admitted tuples the consumer has not yet
+// released — queued or in its hand (approximate under concurrency; exact
+// when quiescent). Every one of them is deliverable: a sender holds
+// nothing between calls.
+func (m *Mailbox[T]) Queued() int { return m.capacity - int(m.avail.Load()) }
 
 // Capacity returns the BAS bound the mailbox was built with.
 func (m *Mailbox[T]) Capacity() int { return m.capacity }
 
 // Occupancy reports the instantaneous depth together with the BAS bound
 // in one call — the sampling hook the online service-rate estimator
-// polls. Like Queued it costs one atomic read of the credit counter (two
-// of the ring's indices), so a high-frequency sampler costs the dataplane
-// nothing.
+// polls. Like Queued it costs one atomic read of the credit counter, so a
+// high-frequency sampler costs the dataplane nothing.
 func (m *Mailbox[T]) Occupancy() (queued, capacity int) {
 	return m.Queued(), m.capacity
-}
-
-// Pending reports how many tuples the consumer can still receive: the
-// queued tuples plus, on the batched queue, the unreleased part of the
-// micro-batch in hand (a batch's credits are released when it is taken,
-// so Queued misses it; an unreleased ring window still occupies its slots
-// and is already in Queued). It may only be called from the consumer's
-// goroutine; the runtime's drain-before-pause protocol uses it to decide
-// when a station has fully quiesced.
-func (m *Mailbox[T]) Pending() int {
-	n := m.Queued()
-	if m.mode != SPSC {
-		n += len(m.cur) - m.idx
-	}
-	return n
 }
 
 // Blocked returns the number of send episodes that found the mailbox at
@@ -251,33 +184,21 @@ func (m *Mailbox[T]) Pending() int {
 func (m *Mailbox[T]) Blocked() uint64 { return m.blocked.Load() }
 
 // Drain removes and counts every tuple still queued — including the
-// remainder of a batch the consumer was part-way through — returning
-// their capacity credits so the mailbox ends back at full capacity.
-// It must only be called once all producers and the consumer have
-// stopped; the runtime's drain-on-shutdown pass uses it to account for
-// in-flight tuples, and Queued() == 0 afterwards is the "credits
-// restored" invariant the chaos suite checks.
+// unreleased remainder of the window in hand — returning their capacity
+// credits so the mailbox ends back at full capacity. It must only be
+// called once all producers and the consumer have stopped; the runtime's
+// drain-on-shutdown pass uses it to account for in-flight tuples, and
+// Queued() == 0 afterwards is the "credits restored" invariant the chaos
+// suite checks.
 func (m *Mailbox[T]) Drain() int {
-	if m.mode == SPSC {
-		// Quiescent by contract, so head/tail are exact: everything
-		// between them is an admitted, undelivered tuple. Advancing head
-		// to tail frees every slot, which is the ring's "credits
-		// restored" state.
-		h, t := m.head.Load(), m.tail.Load()
-		m.chead = t
-		m.head.Store(t)
-		return int(t - h)
-	}
-	// The unreleased part of the batch in hand left the queue when it was
-	// taken.
-	n := len(m.cur) - m.idx
-	m.cur, m.idx = nil, 0
+	n := len(m.cur) - m.idx + len(m.held)
+	m.cur, m.idx, m.held = nil, 0, nil
 	for {
 		select {
 		case b := <-m.batches:
 			n += len(b)
-			m.release(len(b))
 		default:
+			m.release(n)
 			return n
 		}
 	}
@@ -314,55 +235,69 @@ func (m *Mailbox[T]) signalWake() {
 	}
 }
 
-// Peek takes the consumer's next window: a run of queued tuples, at most
-// Batch long, that the consumer reads (or mutates) in place and releases
-// with Consume. It is the one consumer protocol of both implementations —
-// the ring hands out its slots themselves (no copy), the batched queue
-// the micro-batch in hand — and blocks while the mailbox is empty until a
-// producer delivers or done closes (ok == false). A closed done wins over
-// queued tuples, so a consumer whose inbox never runs empty still sees
-// its stop signal at the next window; the tuples stay queued. The window
-// stays valid until its last tuple is released; releasing fewer tuples
-// than were taken is allowed, and the remainder leads the next window.
-// Only the single consumer goroutine may call it.
+// Peek takes the consumer's next window: everything queued, up to Batch
+// tuples, that the consumer reads (or mutates) in place and releases with
+// Consume. The unreleased remainder of the previous window leads it, and
+// queued micro-batches are appended behind while they fit; one that does
+// not fit waits to lead the next window, so FIFO order holds. Peek blocks
+// while the mailbox is empty until a producer delivers or done closes
+// (ok == false). A closed done wins over queued tuples, so a consumer
+// whose inbox never runs empty still sees its stop signal at the next
+// window; the tuples stay queued. The window is valid until the next Peek
+// or Drain. Only the single consumer goroutine may call it.
 func (m *Mailbox[T]) Peek(done <-chan struct{}) ([]T, bool) {
 	select {
 	case <-done:
 		return nil, false
 	default:
 	}
-	if m.mode == SPSC {
-		return m.peekRing(done)
+	switch {
+	case m.idx == len(m.cur):
+		if m.cur != nil {
+			m.putBuf(m.cur)
+			m.cur, m.idx = nil, 0
+		}
+		if m.held == nil {
+			select {
+			case m.held = <-m.batches:
+			case <-done:
+				return nil, false
+			}
+		}
+		m.cur, m.held = m.held, nil
+	case m.idx > 0:
+		m.cur = m.cur[:copy(m.cur, m.cur[m.idx:])]
+		m.idx = 0
 	}
-	if m.idx < len(m.cur) {
-		return m.cur[m.idx:], true
+	for len(m.cur) < m.batch {
+		b := m.held
+		if b == nil {
+			select {
+			case b = <-m.batches:
+			default:
+				return m.cur, true
+			}
+		}
+		if len(m.cur)+len(b) > m.batch {
+			m.held = b
+			break
+		}
+		m.held = nil
+		m.cur = append(m.cur, b...)
+		m.putBuf(b)
 	}
-	if m.cur != nil {
-		m.putBuf(m.cur)
-		m.cur, m.idx = nil, 0
-	}
-	select {
-	case b := <-m.batches:
-		// The whole batch leaves the queue in one operation; its capacity
-		// credits are released together, which is what amortizes the
-		// queue synchronization over the batch.
-		m.release(len(b))
-		m.cur, m.idx = b, 0
-		return b, true
-	case <-done:
-		return nil, false
-	}
+	return m.cur, true
 }
 
-// Consume releases the first n tuples of the window Peek handed out; on
-// the ring that frees their slots and wakes a producer blocked on a full
-// ring.
+// Consume releases the first n tuples of the window Peek handed out and
+// returns their capacity credits, waking a sender blocked on a full
+// mailbox.
 func (m *Mailbox[T]) Consume(n int) {
-	if m.mode == SPSC {
-		m.consumeRing(n)
+	if n == 0 {
 		return
 	}
 	m.idx += n
+	m.release(n)
 }
 
 // Recv returns the next tuple — a one-tuple take and release — blocking
@@ -402,10 +337,47 @@ func (m *Mailbox[T]) putBuf(b []T) {
 	}
 }
 
+// Reserve hands a single producer a buffer of up to min(limit, Batch)
+// tuples to fill in place, holding one capacity credit per tuple: it
+// blocks under BAS until one credit is free (ignoring any send timeout)
+// or done closes (ok == false; nothing was reserved), then takes what
+// else is free up to the length. Each Reserve must be completed by
+// Publish before the next.
+//
+// Deprecated: bench/ is the only caller. ROADMAP item 1(c) removes it.
+func (m *Mailbox[T]) Reserve(limit int, done <-chan struct{}) ([]T, bool) {
+	want := min(max(limit, 1), m.batch)
+	n := m.tryAcquireN(want)
+	if n == 0 {
+		if m.waitCredit(0, done) != Sent {
+			return nil, false
+		}
+		n = 1 + m.tryAcquireN(want-1)
+	}
+	m.res = m.getBuf()[:n]
+	return m.res, true
+}
+
+// Publish queues the first n tuples of the last reservation as one
+// micro-batch and returns the credits of the rest.
+//
+// Deprecated: bench/ is the only caller. ROADMAP item 1(c) removes it.
+func (m *Mailbox[T]) Publish(n int) {
+	b := m.res
+	m.res = nil
+	if n < len(b) {
+		m.release(len(b) - n)
+	}
+	if n == 0 {
+		m.putBuf(b)
+		return
+	}
+	m.batches <- b[:n]
+}
+
 // Sender is one producer's handle on a mailbox: the mailbox plus that
-// producer's shedding timeout. It holds no tuples, so on the batched
-// queue any number of goroutines may share one; the ring's
-// single-producer contract is the caller's to keep.
+// producer's shedding timeout. It holds no tuples, so any number of
+// goroutines may share one.
 type Sender[T any] struct {
 	m *Mailbox[T]
 	// timeout bounds how long a send may block on a full mailbox before
@@ -475,9 +447,6 @@ func (m *Mailbox[T]) waitCredit(timeout time.Duration, done <-chan struct{}) Sen
 // taken in one CAS and queued as one micro-batch per run of items.
 func (s *Sender[T]) SendMany(ts []T, done <-chan struct{}) (sent, dropped int, ok bool) {
 	m := s.m
-	if m.mode == SPSC {
-		return s.sendManyRing(ts, done)
-	}
 	for i := 0; i < len(ts); {
 		n := m.tryAcquireN(len(ts) - i)
 		if n == 0 {

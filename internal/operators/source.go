@@ -64,9 +64,9 @@ func (g *Generator) Next() Tuple {
 	return t
 }
 
-// NextInto writes the next synthetic tuple in place — the zero-copy form
-// the ring source uses to generate directly into reserved ring slots.
-// Every Tuple field is assigned, so stale slot contents never leak. The
+// NextInto writes the next synthetic tuple in place — the form the
+// source loop uses to fill its reused staging window. Every Tuple field
+// is assigned, so stale contents never leak. The
 // stream is identical to repeated Next calls (same RNG draw order).
 func (g *Generator) NextInto(t *Tuple) {
 	if len(g.arena) < g.numFields {

@@ -193,14 +193,5 @@ func (ctx *Context) ensureFinal(cur *Snapshot) error {
 		return fmt.Errorf("opt: final analysis: %w", err)
 	}
 	res.Analysis = a
-	// Record the edge-topology transport analysis on the deployed plan:
-	// the runtime derives each inbox's transport from the same producer
-	// sets, so the trace is the replayable proof behind every SPSC
-	// binding.
-	tt, err := transportTrace(final, replicas, ctx.Opts.Fission.Partitioner, ctx.cyclic || ctx.Opts.AllowCycles)
-	if err != nil {
-		return fmt.Errorf("opt: transport analysis: %w", err)
-	}
-	ctx.Trace.Transports = tt
 	return nil
 }

@@ -5,9 +5,7 @@ import (
 	"fmt"
 
 	"spinstreams/internal/core"
-	"spinstreams/internal/keypart"
 	"spinstreams/internal/lint"
-	"spinstreams/internal/plan"
 )
 
 // TraceSchema identifies the rewrite-trace JSON layout; bump on breaking
@@ -43,37 +41,6 @@ type Trace struct {
 	// lint trace-replay check (SS2001) verifies a replay of the recorded
 	// rewrites reproduces it.
 	FinalFingerprint string `json:"final_fingerprint"`
-	// Transports records the deployed plan's per-inbox transport
-	// derivation: which physical stations' inboxes the producer-set
-	// analysis proves single-producer (SPSC ring) versus multi-producer
-	// (MPSC batched path). The lint trace-replay check re-expands the
-	// plan from the replayed topology and Replicas and verifies every
-	// decision. Absent on traces older than the analysis.
-	Transports *TransportTrace `json:"transports,omitempty"`
-}
-
-// TransportTrace is the rewrite trace's record of the edge-topology
-// transport analysis on the deployed plan.
-type TransportTrace struct {
-	// Replicas are the deployed replication degrees indexed by the final
-	// topology's operators — the input plan expansion needs to reproduce
-	// the physical station graph the decisions are about.
-	Replicas []int `json:"replicas"`
-	// Stations holds one decision per physical station, in plan order.
-	Stations []TransportDecision `json:"stations"`
-}
-
-// TransportDecision is one inbox's tag.
-type TransportDecision struct {
-	// Station is the physical station's name (plan expansion derives
-	// emitter/collector names from the operator's).
-	Station string `json:"station"`
-	// Producers is the inbox's fan-in: how many stations hold an
-	// out-edge into it.
-	Producers int `json:"producers"`
-	// Transport is "spsc" when the analysis proves at most one producer,
-	// "mpsc" otherwise.
-	Transport string `json:"transport"`
 }
 
 // PassTrace records one pass's execution.
@@ -159,35 +126,6 @@ func newTrace(s *Snapshot) *Trace {
 		Operators:   s.Len(),
 		Edges:       s.Topology().NumEdges(),
 	}
-}
-
-// transportTrace expands the final topology into its deployed plan and
-// records the producer-set transport analysis for every physical
-// station, so the runtime's per-edge binding is reproducible from the
-// trace alone and `spinstreams vet` can replay it.
-func transportTrace(final *core.Topology, replicas []int, part keypart.Partitioner, allowCycles bool) (*TransportTrace, error) {
-	p, err := plan.Build(final, plan.Options{
-		Replicas:    replicas,
-		Partitioner: part,
-		AllowCycles: allowCycles,
-	})
-	if err != nil {
-		return nil, err
-	}
-	in := plan.FanIn(p)
-	ts := plan.Transports(p)
-	tt := &TransportTrace{
-		Replicas: append([]int(nil), replicas...),
-		Stations: make([]TransportDecision, len(p.Stations)),
-	}
-	for i := range p.Stations {
-		tt.Stations[i] = TransportDecision{
-			Station:   p.Stations[i].Name,
-			Producers: len(in[i]),
-			Transport: ts[i].String(),
-		}
-	}
-	return tt, nil
 }
 
 // pass opens a new pass record and returns it for step appends.

@@ -1,44 +1,10 @@
 package plan
 
-// Edge-topology transport analysis: which physical inboxes are provably
-// single-producer. The proof is purely structural — a station's inbox is
-// single-producer exactly when at most one station in the deployed plan
-// has an out-edge targeting it — so it already accounts for everything
-// plan expansion does to the graph: replica fan-out (an emitter is the
-// sole producer of each worker replica, n workers all feed the
-// collector), fused meta-stations (members collapse into one producer),
-// and shuffle vs keyed routing (the discipline changes which tuples take
-// an edge, never which stations hold a sender on it).
-//
-// The runtime binds provably single-producer inboxes to the lock-free
-// SPSC ring and everything else to the MPSC batched transport; the
-// optimizer records the same analysis in the rewrite trace so
-// `spinstreams vet` can replay it against the deployed plan.
-
-// Transport tags the dataplane mechanism an inbox can run on.
-type Transport int
-
-const (
-	// TransportMPSC is the multi-producer path (the batched transport).
-	TransportMPSC Transport = iota
-	// TransportSPSC is the lock-free single-producer ring, legal only
-	// for inboxes with at most one producer station.
-	TransportSPSC
-)
-
-// String returns the trace spelling of the transport.
-func (t Transport) String() string {
-	if t == TransportSPSC {
-		return "spsc"
-	}
-	return "mpsc"
-}
-
 // FanIn returns, for each station, the stations holding an out-edge into
 // it, in ascending station order. Duplicate edges between the same pair
-// (multi-port routing) still count as one producer: what bounds the
-// transport choice is how many goroutines may hold a sender, not how
-// many logical edges they multiplex over it.
+// (multi-port routing) still count as one producer: what matters is how
+// many goroutines may hold a sender, not how many logical edges they
+// multiplex over it.
 func FanIn(p *Plan) [][]StationID {
 	in := make([][]StationID, len(p.Stations))
 	for i := range p.Stations {
@@ -54,10 +20,28 @@ func FanIn(p *Plan) [][]StationID {
 	return in
 }
 
-// Transports tags each station's inbox with the strongest transport the
-// producer-set analysis can prove: the SPSC ring where at most one
-// station produces into it (sources trivially qualify — nothing produces
-// into them), the MPSC path everywhere else.
+// Transport tags an inbox by its producer count.
+//
+// Deprecated: bench/ is the only caller. ROADMAP item 1(c) removes it.
+type Transport int
+
+const (
+	// TransportMPSC tags an inbox with more than one producer.
+	//
+	// Deprecated: bench/ is the only caller. ROADMAP item 1(c) removes it.
+	TransportMPSC Transport = iota
+	// TransportSPSC tags an inbox with at most one producer.
+	//
+	// Deprecated: bench/ is the only caller. ROADMAP item 1(c) removes it.
+	TransportSPSC
+)
+
+// Transports tags each station's inbox TransportSPSC where at most one
+// station produces into it (sources trivially qualify) and TransportMPSC
+// everywhere else. Every inbox runs the same mailbox; the tag only counts
+// producers.
+//
+// Deprecated: bench/ is the only caller. ROADMAP item 1(c) removes it.
 func Transports(p *Plan) []Transport {
 	in := FanIn(p)
 	ts := make([]Transport, len(in))

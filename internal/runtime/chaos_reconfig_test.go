@@ -15,8 +15,8 @@ import (
 // invariant: faults (slowdowns, panics with unlimited restart, send
 // delays, plus shedding from a tight SendTimeout) keep firing WHILE the
 // controller rescales operators in-flight — expand, expand, grow, shrink
-// — and every generated tuple is still accounted for exactly, in both
-// transports, across multiple fault schedules. A panic inside a pause
+// — and every generated tuple is still accounted for exactly, in every
+// mailbox mode, across multiple fault schedules. A panic inside a pause
 // fence restarts the station without wedging the fence; a fault inside a
 // migration must not duplicate or lose keys' tuples.
 func TestChaosReconfigConservation(t *testing.T) {

@@ -126,9 +126,7 @@ func checkCreditsRestored(t *testing.T, e *engine) {
 // TestChaosConservationLocal is the core chaos invariant: under injected
 // slowdowns, panics (with unlimited restart), and send delays — plus
 // shedding from a tight SendTimeout — every generated tuple is accounted
-// for exactly, in every transport, across multiple fault schedules. The
-// auto policy runs the whole chain on SPSC rings (fan-in 1 everywhere),
-// so the ring's blocking, shedding, and drain paths all see the faults.
+// for exactly, in every mailbox mode, across multiple fault schedules.
 func TestChaosConservationLocal(t *testing.T) {
 	for sched := 0; sched < chaosSchedules(t); sched++ {
 		for _, mode := range []mailbox.Mode{mailbox.PerTuple, mailbox.Batched, mailbox.Auto} {
@@ -162,7 +160,7 @@ func TestChaosConservationLocal(t *testing.T) {
 }
 
 // TestChaosSheddingParityUnderFaults asserts the shedding semantics
-// survive injected faults identically in every transport: tuples are
+// survive injected faults identically in every mailbox mode: tuples are
 // shed (not lost) under pressure, and the conservation identity holds
 // for each mode.
 func TestChaosSheddingParityUnderFaults(t *testing.T) {

@@ -15,10 +15,9 @@ import (
 // most Batch queued tuples (Peek), processes it in place, releases it
 // (Consume) and delivers what it produced along its out-edges
 // (sendManyFn, which copies the tuples out before it returns). Per-tuple
-// is Batch 1 of the same loop; the two mailbox implementations differ
-// only in what a window is made of (ring slots, the micro-batch in
-// hand). Between windows a station holds no tuple outside a mailbox, so a
-// pause or a shutdown never finds anything to flush.
+// is Batch 1 of the same loop. Between windows a station holds no tuple
+// outside a mailbox, so a pause or a shutdown never finds anything to
+// flush.
 
 // drainPending reports whether a station whose take was interrupted must
 // keep consuming: a pause that asked for a drain parks the station only
@@ -26,7 +25,7 @@ import (
 // input arrives, and the engine-wide done channel is the only other way
 // out). Shutdown and a plain pause end the segment at once.
 func (e *engine) drainPending(inbox *mailbox.Mailbox[operators.Tuple], ctl *stationCtl) bool {
-	return !e.isShutdown() && ctl.drainRequested() && inbox.Pending() > 0
+	return !e.isShutdown() && ctl.drainRequested() && inbox.Queued() > 0
 }
 
 // runDegraded drains the station's inbox after its restart budget is
@@ -170,7 +169,7 @@ func (e *engine) stationEpoch(tb *tables, st *plan.Station, ctl *stationCtl, rng
 	}
 	// Trivial pass-through on a single edge (the common pipeline shape):
 	// forward the window wholesale — no closure call, no routed slice, no
-	// per-tuple routing decision, and on a ring no copy-out either.
+	// per-tuple routing decision.
 	// Pacing still needs the per-tuple loop, and injected faults must
 	// observe every tuple for the schedule to stay deterministic, so both
 	// disable it.
@@ -258,31 +257,13 @@ func (e *engine) stationEpoch(tb *tables, st *plan.Station, ctl *stationCtl, rng
 	}
 }
 
-// sourceRing returns the downstream SPSC ring when the source may
-// generate straight into reserved ring slots: a single out-edge whose
-// target inbox is a ring, no send-timeout shedding (Reserve blocks under
-// BAS; per-tuple timeout windows need SendMany), and no injected faults
-// (send delays are scheduled per delivery).
-func (e *engine) sourceRing(tb *tables, st *plan.Station) *mailbox.Mailbox[operators.Tuple] {
-	if len(st.Out) != 1 || e.cfg.SendTimeout != 0 || tb.stFaults[st.ID] != nil {
-		return nil
-	}
-	if m := tb.mailboxes[st.Out[0].To]; m.Mode() == mailbox.SPSC {
-		return m
-	}
-	return nil
-}
-
 // runSource is the source loop: it generates the input stream at the
-// source's service rate, a window of at most Batch tuples at a time, and
-// delivers each window before starting the next — subject to
-// backpressure on its output mailboxes. The window is a run of reserved
-// slots of the downstream ring when sourceRing allows it (fill in place,
-// publish once) and a staging buffer routed per edge otherwise. Under
-// padding the linger bound closes a window early so a slow source still
-// feeds the pipeline promptly. Nothing is held between windows, so a
-// pause parks the source with nothing to flush; the ring is re-resolved
-// every segment because a reconfiguration may have demoted it.
+// source's service rate into a staging window of at most Batch tuples,
+// routes the window per edge and delivers it before starting the next —
+// subject to backpressure on its output mailboxes. Under padding the
+// linger bound closes a window early so a slow source still feeds the
+// pipeline promptly. Nothing is held between windows, so a pause parks
+// the source with nothing to flush.
 func (e *engine) runSource(tb *tables, st *plan.Station, ctl *stationCtl, rng *stats.RNG) {
 	pace := newPacer(st.ServiceTime)
 	usePace := !e.cfg.NoServicePadding
@@ -290,24 +271,9 @@ func (e *engine) runSource(tb *tables, st *plan.Station, ctl *stationCtl, rng *s
 	stop := ctl.stopCh()
 	gen := e.cfg.Generator
 	self := tb.st[st.ID]
-	ring := e.sourceRing(tb, st)
-	port := 0 // staged tuples get their edge's port when they are routed
-	if ring != nil {
-		port = st.Out[0].Port
-	}
 	out := e.newOutbox(tb, st, rng)
-	var stage []operators.Tuple
-	if ring == nil {
-		stage = make([]operators.Tuple, e.cfg.Batch)
-	}
+	win := make([]operators.Tuple, e.cfg.Batch)
 	for !stopped(stop) {
-		win := stage
-		if ring != nil {
-			var ok bool
-			if win, ok = ring.Reserve(e.cfg.Batch, stop); !ok {
-				return
-			}
-		}
 		n := 0
 		var opened time.Time
 		for n < len(win) {
@@ -330,27 +296,17 @@ func (e *engine) runSource(tb *tables, st *plan.Station, ctl *stationCtl, rng *s
 			} else {
 				gen.NextInto(t)
 			}
-			t.Port = port
 			n++
 			if usePace && (time.Since(opened) >= e.cfg.Linger || stopped(stop)) {
 				break
 			}
 		}
 		self.Consumed.Add(uint64(n))
-		if ring == nil {
-			for i := range win[:n] {
-				out.add(&win[i], -1)
-			}
-			if !out.deliver() {
-				return
-			}
-			continue
+		for i := range win[:n] {
+			out.add(&win[i], -1)
 		}
-		ring.Publish(n)
-		self.Emitted.Add(uint64(n))
-		tb.st[st.Out[0].To].Arrived.Add(uint64(n))
-		if len(e.tracers) != 0 {
-			e.fireEmit(st.ID, n)
+		if !out.deliver() {
+			return
 		}
 	}
 }

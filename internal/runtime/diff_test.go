@@ -273,11 +273,7 @@ func TestUnfuseDiffMatchesSubgraph(t *testing.T) {
 // 6(1): random sequences of rewrites — the deployment from the empty
 // plan, then rescales to random degrees and the undo of a fusion between
 // replicable neighbours — applied to the plan alone, checking after
-// every step the invariants the live apply depends on. The transport
-// model mirrors demoteTransports: rings start where the fan-in proves
-// one producer, a ring is demoted once a rewrite gives it a second live
-// producer — which must be possible, so the target may not already be in
-// the fence — and nothing is promoted.
+// every step the invariants the live apply depends on.
 func TestDiffSequenceInvariants(t *testing.T) {
 	// src -> pre -> {f1 -> {a, b}} -> post -> sink, the braces fused: the
 	// fused vertex has replicable neighbours on both sides.
@@ -318,8 +314,7 @@ func TestDiffSequenceInvariants(t *testing.T) {
 		// Every sequence starts from the empty plan: the deployment is its
 		// first diff, checked like every later one.
 		p := &plan.Plan{}
-		var retired, ring []bool
-		var fanIn []int
+		var retired []bool
 		for step := 0; step <= 8; step++ {
 			label := fmt.Sprintf("seed %d step %d", seed, step)
 			d, kind := deployDiff(deployed), "deploy"
@@ -343,10 +338,6 @@ func TestDiffSequenceInvariants(t *testing.T) {
 			}
 			applied[kind]++
 			checkDiffShape(t, label, p, d)
-			fenced := map[plan.StationID]bool{}
-			for _, id := range append(quiesced(p, retired, d), d.drained...) {
-				fenced[id] = true
-			}
 			for _, id := range d.retired {
 				if retired[id] {
 					t.Fatalf("%s: station %d retired twice", label, id)
@@ -354,42 +345,18 @@ func TestDiffSequenceInvariants(t *testing.T) {
 				retired[id] = true
 			}
 			retired = append(retired, make([]bool, len(d.added))...)
-			fanIn = liveFanIn(d.next, retired)
-			// Demote as demoteTransports does: the target must not be
-			// fenced yet (its ring could not be drained), and its live
-			// pre-existing producers join the fence.
-			for i := range ring {
-				target := plan.StationID(i)
-				if retired[i] || !ring[i] || fanIn[i] <= 1 {
-					continue
-				}
-				if fenced[target] {
-					t.Errorf("%s: demotion target %q is already fenced", label, d.next.Stations[i].Name)
-				}
-				for j := range ring {
-					if !retired[j] && slices.ContainsFunc(d.next.Stations[j].Out, func(e plan.Edge) bool { return e.To == target }) {
-						fenced[plan.StationID(j)] = true
-					}
-				}
-				fenced[target] = true
-				ring[i] = false
-				applied["demotion"]++
-			}
-			for _, id := range d.added {
-				ring = append(ring, fanIn[id] <= 1)
-			}
 			p = d.next
-			checkLivePlan(t, label, p, retired, fanIn, ring)
+			checkLivePlan(t, label, p, retired)
 		}
 	}
-	if applied["deploy"] != 200 || applied["rescale"] == 0 || applied["unfuse"] == 0 || applied["demotion"] == 0 {
-		t.Fatalf("the sequences never exercised the deployment, both rewrites and a demotion: %v", applied)
+	if applied["deploy"] != 200 || applied["rescale"] == 0 || applied["unfuse"] == 0 {
+		t.Fatalf("the sequences never exercised the deployment and both rewrites: %v", applied)
 	}
 }
 
 // checkLivePlan asserts the structural invariants of a rewritten plan
 // under the accumulated retirement mask.
-func checkLivePlan(t *testing.T, label string, p *plan.Plan, retired []bool, fanIn []int, ring []bool) {
+func checkLivePlan(t *testing.T, label string, p *plan.Plan, retired []bool) {
 	t.Helper()
 	named := make([]bool, len(p.Stations))
 	name := func(what string, id plan.StationID) {
@@ -426,20 +393,6 @@ func checkLivePlan(t *testing.T, label string, p *plan.Plan, retired []bool, fan
 					t.Errorf("%s: %q routes key %d to slot %d of %d", label, st.Name, k, r, len(st.Out))
 				}
 			}
-		}
-		producers := map[int]bool{}
-		for j := range p.Stations {
-			for _, e := range p.Stations[j].Out {
-				if !retired[j] && int(e.To) == i {
-					producers[j] = true
-				}
-			}
-		}
-		if fanIn[i] != len(producers) {
-			t.Errorf("%s: liveFanIn(%q) = %d, %d live producers", label, st.Name, fanIn[i], len(producers))
-		}
-		if ring[i] && fanIn[i] > 1 {
-			t.Errorf("%s: %q keeps a ring with %d producers", label, st.Name, fanIn[i])
 		}
 	}
 }

@@ -98,11 +98,6 @@ func RunDistributed(ctx context.Context, p *plan.Plan, binding *Binding, cfg Dis
 		return nil, err
 	}
 	cfg.Config = base
-	// The network read loops push decoded frames into local inboxes
-	// alongside the plan's own stations, so the plan-derived
-	// single-producer proof does not cover a partitioned deployment;
-	// every inbox runs on the batched multi-producer queue.
-	cfg.Mailbox = mailbox.Batched
 	if cfg.Nodes <= 0 {
 		cfg.Nodes = 2
 	}
@@ -268,11 +263,10 @@ func (d *distEngine) buildEdges(p *plan.Plan) error {
 			}
 			e := d.edges[edgeKey(from, pe.To)]
 			if e == nil {
-				// The sending station is the queue's only producer, which
-				// is what the ring asks for; a window is everything queued
-				// up to where the ring wraps.
+				// A window may hold the whole queue, so the writer's frame
+				// is everything the sending station queued meanwhile.
 				q, err := mailbox.New[operators.Tuple](mailbox.Config{
-					Capacity: d.cfg.MailboxSize, Mode: mailbox.SPSC, Batch: d.cfg.MailboxSize,
+					Capacity: d.cfg.MailboxSize, Batch: d.cfg.MailboxSize,
 				})
 				if err != nil {
 					return err

@@ -27,9 +27,8 @@ type tables struct {
 	// mailboxes[i] is station i's inbox.
 	mailboxes []*mailbox.Mailbox[operators.Tuple]
 	// senders[station][edgeIdx] is the station's producer handle for its
-	// edgeIdx-th output edge; each station goroutine owns its senders (a
-	// ring's single-producer contract). The controller only touches a
-	// station's senders while it is parked.
+	// edgeIdx-th output edge; each station goroutine owns its senders.
+	// The controller only touches a station's senders while it is parked.
 	senders [][]*mailbox.Sender[operators.Tuple]
 	// st[i] is station i's observability cell (the accounting path).
 	st []*obs.Station

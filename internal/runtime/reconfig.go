@@ -58,12 +58,6 @@ type ApplyReport struct {
 	// Rescaled and Unfused count the applied changes.
 	Rescaled int
 	Unfused  int
-	// Demoted counts inboxes the applied changes moved off the SPSC ring
-	// onto the batched MPSC path because the new plan makes them
-	// multi-producer (per-edge transport policies only). Demotion happens
-	// inside the change's fence with an exact drain, so no tuple is lost;
-	// rings are never promoted back mid-run.
-	Demoted int
 	// Stall is the longest pause fence any single change held: the time
 	// from the first pause request to the release of the last affected
 	// station. Unaffected stations kept running throughout.
@@ -202,7 +196,6 @@ func (c *Controller) apply(rep *ApplyReport, d diff) error {
 		rep.Stall = max(rep.Stall, r.Stall)
 	}
 	rep.MigratedKeys += r.MigratedKeys
-	rep.Demoted += r.Demoted
 	return err
 }
 
@@ -259,9 +252,8 @@ type fence struct {
 	started  time.Time
 	paused   []*stationCtl
 	// pausedID remembers which stations this fence holds, so a second
-	// pause request for the same station (e.g. a demotion target that is
-	// also in the change's producer set) is detected instead of
-	// re-arming the handshake under a parked station.
+	// pause request for the same station is detected instead of re-arming
+	// the handshake under a parked station.
 	pausedID map[plan.StationID]*stationCtl
 }
 
@@ -404,20 +396,18 @@ func (f *fence) quiesce(tb *tables, d diff) error {
 //  1. Pause the live producers of the drained and rewired stations,
 //     then drain-pause the drained stations (quiesce).
 //  2. Clone the tables and install d.next.
-//  3. Demote the inboxes d.next makes multi-producer (demoteTransports).
-//  4. Allocate the added stations and rebind the sender rows of every
-//     station whose out-edges or their targets' inboxes changed.
-//  5. When a station was drained, hand state over: an added worker gets
+//  3. Allocate the added stations and rebind the sender rows of every
+//     station whose out-edges changed.
+//  4. When a station was drained, hand state over: an added worker gets
 //     a fresh clone of the operator — a member station, that member of
 //     the drained meta-instance — and then every key a drained station
 //     holds moves to its owner under d.keys unless the owner is the
 //     station itself.
-//  6. Retire, publish the tables, spawn the added stations, and release
+//  5. Retire, publish the tables, spawn the added stations, and release
 //     the fence, retiring the retired stations.
 //
 // On error the fence is released unchanged and the old epoch keeps
-// running. The report carries the fence stall, the keys moved and the
-// inboxes demoted.
+// running. The report carries the fence stall and the keys moved.
 func (e *engine) applyDiff(f *fence, d diff) (ApplyReport, error) {
 	tb := e.tab()
 	fail := func(err error) (ApplyReport, error) {
@@ -429,18 +419,14 @@ func (e *engine) applyDiff(f *fence, d diff) (ApplyReport, error) {
 	}
 
 	nt := cloneTables(tb, d.next)
-	demoted, extra, fanIn, err := e.demoteTransports(f, nt, d.retired)
-	if err != nil {
+	if err := e.allocStations(f, nt); err != nil {
 		return fail(err)
 	}
-	if err := e.allocStations(f, nt, fanIn); err != nil {
-		return fail(err)
-	}
-	for _, id := range slices.Concat(d.rewired, extra) {
+	for _, id := range d.rewired {
 		nt.senders[id] = e.senderRow(nt.mailboxes, &d.next.Stations[id])
 	}
 
-	rep := ApplyReport{Demoted: len(demoted)}
+	var rep ApplyReport
 	var presets map[plan.StationID]operators.Operator
 	if len(d.drained) > 0 {
 		presets = make(map[plan.StationID]operators.Operator, len(d.added))
@@ -487,69 +473,6 @@ func (e *engine) applyDiff(f *fence, d diff) (ApplyReport, error) {
 	}
 	rep.Stall = f.stall()
 	return rep, nil
-}
-
-// demoteTransports re-derives the per-inbox transports for the new epoch
-// and swaps every proven-SPSC inbox the rewritten plan makes
-// multi-producer onto the batched MPSC path, inside the change's fence.
-// The demotion target's producers are all inside the fence already: its
-// old single producer is being retired (or is paused), and any new
-// producers are added stations that have not spawned yet — so a
-// drain-pause of the target empties the ring exactly, and the swap
-// conserves every admitted tuple. It runs before the added stations are
-// allocated so their sender rows bind to the replacement mailbox; it
-// returns the demoted targets, the live pre-existing producers whose
-// sender rows must be rebuilt against the new mailbox, and the
-// retiring-masked fan-in vector the added inboxes are sized with. Rings
-// are never promoted back (a rescale to degree 1 keeps the batched
-// path), which keeps every fence local to the operator being changed.
-func (e *engine) demoteTransports(f *fence, nt *tables, retiring []plan.StationID) (demoted, rewired []plan.StationID, fanIn []int, err error) {
-	// nt.retired does not yet cover the added stations (they are
-	// allocated later); extend the mask to the rewritten plan.
-	retired := make([]bool, len(nt.p.Stations))
-	copy(retired, nt.retired)
-	for _, id := range retiring {
-		retired[id] = true
-	}
-	fanIn = liveFanIn(nt.p, retired)
-	for i := range nt.mailboxes {
-		if retired[i] || nt.mailboxes[i].Mode() != mailbox.SPSC || fanIn[i] <= 1 {
-			continue
-		}
-		target := plan.StationID(i)
-		if f.pausedID[target] != nil {
-			// The target parked without draining; swapping its inbox now
-			// would strand whatever the ring still holds. No current
-			// change shape pauses a demotion target itself — refuse and
-			// leave the old epoch running rather than lose tuples.
-			return demoted, rewired, fanIn, fmt.Errorf("station %d needs a transport demotion but is already fenced", i)
-		}
-		// Fence any live pre-existing producer first (added stations have
-		// no lifecycle handle yet and cannot send before the swap), so
-		// nothing publishes into the old ring after the drain.
-		for j := range nt.p.Stations {
-			if retired[j] || e.ctl(plan.StationID(j)) == nil || f.pausedID[plan.StationID(j)] != nil {
-				continue
-			}
-			for _, ed := range nt.p.Stations[j].Out {
-				if ed.To == target {
-					if _, err := f.pause(plan.StationID(j), false); err != nil {
-						return demoted, rewired, fanIn, err
-					}
-					rewired = append(rewired, plan.StationID(j))
-					break
-				}
-			}
-		}
-		if _, err := f.pause(target, true); err != nil {
-			return demoted, rewired, fanIn, err
-		}
-		if nt.mailboxes[i], err = demoteInbox(e.cfg); err != nil {
-			return demoted, rewired, fanIn, err
-		}
-		demoted = append(demoted, target)
-	}
-	return demoted, rewired, fanIn, nil
 }
 
 // migrateKeys moves every keyed entry of src onto the destination the

@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -8,6 +9,7 @@ import (
 	"spinstreams/internal/core"
 	"spinstreams/internal/operators"
 	"spinstreams/internal/opt"
+	"spinstreams/internal/plan"
 )
 
 // ctlCfg is a controller-friendly config: no padding (functional speed)
@@ -343,4 +345,85 @@ func TestMigrateKeys(t *testing.T) {
 	if n := migrateKeys(nil, operators.MustBuild(operators.Spec{Impl: "identity"}), -1, dests, assignment); n != 0 {
 		t.Errorf("identity migrated %d keys", n)
 	}
+}
+
+// diamond builds src -> f1 -> {a, b} -> sink: the two branch operators
+// share the sink, so the sink's inbox has two producers unless {f1, a, b}
+// are fused into one station.
+func diamond(t *testing.T) (*core.Topology, []core.OpID) {
+	t.Helper()
+	topo := core.NewTopology()
+	src := topo.MustAddOperator(core.Operator{Name: "src", Kind: core.KindSource, ServiceTime: 0.002})
+	f1 := topo.MustAddOperator(core.Operator{Name: "f1", Kind: core.KindStateless, ServiceTime: 0.0005})
+	a := topo.MustAddOperator(core.Operator{Name: "a", Kind: core.KindStateless, ServiceTime: 0.0005})
+	b := topo.MustAddOperator(core.Operator{Name: "b", Kind: core.KindStateless, ServiceTime: 0.0005})
+	sink := topo.MustAddOperator(core.Operator{Name: "sink", Kind: core.KindSink, ServiceTime: 0.0005})
+	topo.MustConnect(src, f1, 1)
+	topo.MustConnect(f1, a, 0.5)
+	topo.MustConnect(f1, b, 0.5)
+	topo.MustConnect(a, sink, 1)
+	topo.MustConnect(b, sink, 1)
+	return topo, []core.OpID{f1, a, b}
+}
+
+// TestControllerUnfuseSharesTheSinkInbox unfuses the diamond's fused
+// {f1, a, b} live. The fused station is the sink's only producer;
+// unfusing re-creates the two branch edges into the sink, so its inbox,
+// kept across the change, gains a second producer. The stream must keep
+// flowing through it and no tuple may be lost.
+func TestControllerUnfuseSharesTheSinkInbox(t *testing.T) {
+	topo, sub := diamond(t)
+	fused, report, err := core.Fuse(topo, sub, "F")
+	if err != nil {
+		t.Fatal(err)
+	}
+	protos := map[core.OpID]operators.Operator{}
+	for _, m := range sub {
+		protos[m] = operators.MustBuild(operators.Spec{Impl: "identity"})
+	}
+	meta, err := NewMetaOperator(topo, report, protos, 24)
+	if err != nil {
+		t.Fatal(err)
+	}
+	binding := &Binding{Meta: map[core.OpID]*MetaOperator{report.FusedID: meta}}
+	cfg := ctlCfg(91)
+	c, err := StartTopology(fused, nil, binding, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tb := c.e.tab()
+	sinkID, _ := fused.Lookup("sink")
+	sinkStation := tb.p.EntryOf[sinkID]
+	inbox := tb.mailboxes[sinkStation]
+
+	flowed(t, c, sinkID, 100)
+	rep, err := c.ApplyDelta(&opt.DeltaPlan{Undo: []opt.FusionUndo{{Operator: "F", Rho: 1.5}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Unfused != 1 {
+		t.Errorf("report = %+v, want Unfused 1", rep)
+	}
+
+	tb = c.e.tab()
+	if tb.mailboxes[sinkStation] != inbox {
+		t.Error("unfuse replaced the sink's inbox")
+	}
+	for _, v := range meta.Members {
+		name := "F/" + meta.Sub.Op(v).Name
+		if !slices.ContainsFunc(tb.p.Stations, func(st plan.Station) bool { return st.Name == name }) {
+			t.Errorf("member station %q missing after unfuse", name)
+		}
+	}
+	// The retired fused station keeps its stale out-edge in the plan.
+	live := slices.DeleteFunc(plan.FanIn(tb.p)[sinkStation], func(id plan.StationID) bool { return tb.retired[id] })
+	if len(live) != 2 {
+		t.Errorf("live sink producers after unfuse = %v, want the two branches", live)
+	}
+
+	before := tb.st[sinkStation].Arrived.Load()
+	if !waitUntil(t, func() bool { return tb.st[sinkStation].Arrived.Load() > before }, 10*time.Second) {
+		t.Errorf("sink arrivals stalled after unfuse: %d -> %d", before, tb.st[sinkStation].Arrived.Load())
+	}
+	checkConserved(t, mustStop(t, c))
 }

@@ -3,16 +3,13 @@
 // (Section 4.2). Each station runs as one goroutine (an actor) with a
 // bounded mailbox (internal/mailbox); a send into a full mailbox blocks
 // the sender, which is exactly the Blocking-After-Service semantics the
-// cost models assume. The mailbox has two implementations — a lock-free
-// SPSC ring for inboxes the plan's producer-set analysis proves
-// single-producer, a batched multi-producer queue for the rest — both
-// accounting capacity in tuples, so BAS holds under either (see
-// transport.go for the per-inbox selection). One station loop and one
-// source loop (dataplane.go) serve both through a single window
-// protocol: take a window of at most Batch tuples, process it, release
-// it, deliver what it produced. Replicated operators execute behind
-// emitter and collector actors; fused subgraphs execute inside a single
-// meta-operator actor per Algorithm 4.
+// cost models assume. Every inbox is the same batched queue, accounting
+// capacity in tuples. One station loop and one source loop
+// (dataplane.go) serve it through a single window protocol: take a
+// window of at most Batch tuples, process it, release it, deliver what it
+// produced. Replicated operators execute behind emitter and collector
+// actors; fused subgraphs execute inside a single meta-operator actor per
+// Algorithm 4.
 //
 // The engine is structured for live reconfiguration: all routing state
 // (plan, mailboxes, senders, counter cells) lives in an atomically
@@ -90,17 +87,11 @@ type Config struct {
 	// be migrated), so PreserveOrder and Controller.ApplyDelta are
 	// mutually exclusive.
 	PreserveOrder bool
-	// Mailbox is the inbox policy. The zero value, mailbox.Auto, binds each
-	// inbox per edge from the deployed plan: inboxes the producer-set
-	// analysis proves single-producer run on the lock-free SPSC ring, all
-	// others on the batched multi-producer queue. A live reconfiguration
-	// that turns a proven edge multi-producer demotes the inbox to the
-	// batched queue inside the same epoch fence; rings are never promoted
-	// mid-run. mailbox.Batched puts every inbox on the batched queue;
-	// mailbox.PerTuple does too and fixes Batch at 1. Capacity is
-	// accounted in tuples under every choice, so BAS blocking — and with
-	// it the steady-state model — does not depend on it. mailbox.SPSC is
-	// rejected: a ring needs the single-producer proof only Auto consults.
+	// Mailbox is the window policy of every inbox. The zero value,
+	// mailbox.Auto, and mailbox.Batched take windows of Batch tuples;
+	// mailbox.PerTuple fixes Batch at 1. Capacity is accounted in tuples
+	// under every choice, so BAS blocking — and with it the steady-state
+	// model — does not depend on it. mailbox.SPSC is rejected.
 	Mailbox mailbox.Mode
 	// Batch is the window size: the most tuples a station takes from its
 	// inbox or a source generates per take/release cycle (default
@@ -186,8 +177,7 @@ func (c Config) withDefaults() (Config, error) {
 	switch c.Mailbox {
 	case mailbox.Auto, mailbox.Batched:
 	case mailbox.PerTuple:
-		// Per-tuple is Batch 1 of the one loop; like every policy but
-		// Auto it resolves to the batched queue.
+		// Per-tuple is Batch 1 of the one loop.
 		c.Batch = 1
 	default:
 		return c, fmt.Errorf("runtime: Mailbox %v is not a policy (want mailbox.Auto, Batched or PerTuple)", c.Mailbox)
@@ -409,17 +399,16 @@ func (e *engine) deploy(p *plan.Plan) error {
 
 // allocStations allocates, into the tables nt that fence f is building,
 // the runtime state behind the stations of nt.p past the len(nt.mailboxes)
-// that already have it: an inbox whose transport follows the station's
-// fan-in, an observability cell, a fault stream, and a sender row bound
-// against the old and new inboxes together.
-func (e *engine) allocStations(f *fence, nt *tables, fanIn []int) error {
+// that already have it: an inbox, an observability cell, a fault stream,
+// and a sender row bound against the old and new inboxes together.
+func (e *engine) allocStations(f *fence, nt *tables) error {
 	_ = f // capability only: the tables are not published yet
 	from := len(nt.mailboxes)
 	added := nt.p.Stations[from:]
 	infos := make([]obs.StationInfo, len(added))
 	for i := range added {
 		infos[i] = obs.InfoOf(&added[i])
-		m, err := newInbox(e.cfg, fanIn[from+i])
+		m, err := newInbox(e.cfg)
 		if err != nil {
 			return fmt.Errorf("station %d: %w", from+i, err)
 		}
@@ -438,6 +427,11 @@ func (e *engine) allocStations(f *fence, nt *tables, fanIn []int) error {
 	return nil
 }
 
+// newInbox builds one station's inbox.
+func newInbox(cfg Config) (*mailbox.Mailbox[operators.Tuple], error) {
+	return mailbox.New[operators.Tuple](mailbox.Config{Capacity: cfg.MailboxSize, Batch: cfg.Batch})
+}
+
 // senderRow binds one producer handle per out-edge of st against inboxes.
 func (e *engine) senderRow(inboxes []*mailbox.Mailbox[operators.Tuple], st *plan.Station) []*mailbox.Sender[operators.Tuple] {
 	row := make([]*mailbox.Sender[operators.Tuple], len(st.Out))
@@ -451,7 +445,7 @@ func (e *engine) senderRow(inboxes []*mailbox.Mailbox[operators.Tuple], st *plan
 // full buffer (BAS) until shutdown — or, with a SendTimeout configured,
 // discarding a tuple once its timeout expires (Akka's BoundedMailbox
 // semantics). The timeout can only reject a tuple being admitted: tuples
-// a mailbox has already accepted are never dropped, on any transport.
+// a mailbox has already accepted are never dropped.
 // Every admitted tuple counts as emitted and arrived, every shed tuple as
 // emitted and dropped.
 func (e *engine) localSendMany(from plan.StationID, edgeIdx int, edge *plan.Edge, ts []operators.Tuple) bool {

@@ -50,9 +50,9 @@ func pipeline(t *testing.T, times ...float64) *core.Topology {
 }
 
 // dataplanes is every knob setting the one station loop is held to: tuple
-// is per-tuple delivery (Batch 1), batch puts every inbox on the batched
-// queue, auto is the zero value (rings on proven single-producer edges),
-// and small is the shape the live experiments deploy — an 8-tuple
+// is per-tuple delivery (Batch 1), batch and auto (the zero value) are
+// the two names of the default window policy, and small is the shape the
+// live experiments deploy — an 8-tuple
 // mailbox under the default 32-tuple window, so no window ever fills.
 var dataplanes = []struct {
 	name string
@@ -65,7 +65,7 @@ var dataplanes = []struct {
 }
 
 func TestRunThroughputMatchesModel(t *testing.T) {
-	// Capacity is accounted in tuples on every transport, so BAS blocking
+	// Capacity is accounted in tuples under every knob, so BAS blocking
 	// — and with it the steady state — must come out the same under each.
 	cases := []struct {
 		name  string
@@ -359,8 +359,8 @@ func TestRunBandJoinPorts(t *testing.T) {
 
 func TestRunPreserveOrder(t *testing.T) {
 	// Four replicas process in parallel; with PreserveOrder the collector
-	// must release items in the emitter's sequence order, on every
-	// transport (each keeps per-edge FIFO), paced or flat out.
+	// must release items in the emitter's sequence order, under every
+	// knob (the mailbox keeps per-edge FIFO), paced or flat out.
 	topo := pipeline(t, 0.001, 0.004, 0.0001)
 	fis, err := core.EliminateBottlenecks(topo, core.FissionOptions{})
 	if err != nil {
@@ -510,8 +510,7 @@ func TestConfigRejectsNonsense(t *testing.T) {
 		"negative mailbox":     {MailboxSize: -1},
 		"negative batch":       {Batch: -8},
 		"negative linger":      {Linger: -time.Millisecond},
-		// A ring needs a single-producer proof; only the Auto policy
-		// consults the plan for one.
+		// SPSC names the ring the queue replaced; it is no policy.
 		"spsc as a policy": {Mailbox: mailbox.SPSC},
 		"unknown mailbox":  {Mailbox: mailbox.Mode(42)},
 
@@ -545,11 +544,10 @@ func TestConfigRejectsNonsense(t *testing.T) {
 	if got.Batch != mailbox.DefaultBatch || got.Linger != DefaultLinger || got.Mailbox != mailbox.Auto {
 		t.Errorf("dataplane defaults not applied: %+v", got)
 	}
-	// PerTuple is a spelling of Batch 1 on the batched queue, nothing more.
+	// PerTuple is a spelling of Batch 1, nothing more.
 	got, err = Config{Mailbox: mailbox.PerTuple, Batch: 64}.withDefaults()
-	if err != nil || got.Batch != 1 || resolveInboxMode(got.Mailbox, 1) != mailbox.Batched {
-		t.Errorf("PerTuple resolved to Batch %d on %v (%v), want 1 on the batched queue",
-			got.Batch, resolveInboxMode(got.Mailbox, 1), err)
+	if err != nil || got.Batch != 1 {
+		t.Errorf("PerTuple resolved to Batch %d (%v), want 1", got.Batch, err)
 	}
 	if got.ReconfigStallBudget != time.Second {
 		t.Errorf("reconfiguration defaults not applied: %+v", got)
@@ -558,7 +556,7 @@ func TestConfigRejectsNonsense(t *testing.T) {
 
 // TestRunPanicMidWindowSameOutputEveryMode replays one fixed fault
 // schedule — operator panics landing in the middle of input windows, with
-// recovery on — under every transport. A recovered panic loses exactly
+// recovery on — under every mailbox mode. A recovered panic loses exactly
 // the tuple in hand: the rest of its window is served by the restarted
 // operator and the outputs already staged are still delivered. So the
 // conservation identity holds, every panic fails one tuple, and (faults
@@ -777,4 +775,40 @@ func TestDeployDrawsOneSeedPerStation(t *testing.T) {
 		t.Errorf("deployment epoch = %d, want 0", ep)
 	}
 	e.measure(context.Background())
+}
+
+// TestZeroConfigDeploysThePlansVerdict runs the paper's Table 1 topology
+// with nothing set but seed and run length: every inbox is the default
+// queue at the default capacity, and throughput must meet the model
+// inside TestRunThroughputMatchesModel's tolerance.
+func TestZeroConfigDeploysThePlansVerdict(t *testing.T) {
+	topo, _ := core.PaperExampleTopology(core.PaperExampleTable1)
+	a, err := core.SteadyState(topo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := plan.Build(topo, plan.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg, err := shortCfg(92).withDefaults()
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := newEngine(p, &Binding{}, cfg)
+	if err == nil {
+		err = e.deploy(p)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, m := range e.tab().mailboxes {
+		if m.Capacity() != 64 {
+			t.Errorf("station %q: inbox capacity %d, want the default 64", p.Stations[i].Name, m.Capacity())
+		}
+	}
+	m := e.measure(context.Background())
+	if e := stats.RelErr(m.Throughput, a.Throughput()); e > 0.15 {
+		t.Errorf("throughput = %v, predicted %v (err %.3f)", m.Throughput, a.Throughput(), e)
+	}
 }

@@ -8,12 +8,12 @@
 //   - mailboxaccount: the results of mailbox Send/SendMany/Drain carry
 //     the tuple-accounting outcome (Sent/Dropped/Closed, drained counts);
 //     discarding them breaks the dataplane's capacity bookkeeping;
-//   - ringalias: the slice windows SPSC Peek/Reserve hand out alias ring
-//     slots and die at the matching Consume/Publish — retaining or
-//     escaping one reads slots the producer is already overwriting;
+//   - ringalias: the slice windows Peek/Reserve hand out alias mailbox
+//     buffers and die at the matching Consume/Publish — retaining or
+//     escaping one reads a buffer the mailbox already reuses;
 //   - epochfence: every mutation of the runtime's epoch tables (routing
-//     plan, transports, keyed state) must be dominated by a pause-fence
-//     acquire, and a demoted edge may never be re-promoted to a ring;
+//     plan, inboxes, keyed state) must be dominated by a pause-fence
+//     acquire, and a station's inbox is never replaced;
 //   - conservesum: every Totals conservation counter must be accumulated
 //     somewhere, and Sum/String must cover the identity's legs exactly.
 //

@@ -294,19 +294,17 @@ type engine struct{ live cell }
 type keyed struct{}
 func (k *keyed) ImportKey(id int, v int) {}
 func newInbox() int    { return 0 }
-func demoteInbox() (int, error) { return 0, nil }
+func inboxOrErr() (int, error) { return 0, nil }
 `
 
 // applyDiffShape mirrors the runtime's one fenced apply: tables cloned by
-// a helper, a demoted inbox swapped in, added
-// inboxes appended, a station retired, keyed state handed over and the
-// tables published. %s is the parameter list.
+// a helper, added inboxes appended, a station retired, keyed state handed
+// over and the tables published. %s is the parameter list.
 const applyDiffShape = `
 type diff struct{ next *planT }
 func cloneTables(tb *tables, next *planT) *tables { return &tables{epoch: tb.epoch + 1, p: next} }
 func applyDiff(%s) {
 	nt := cloneTables(tb, d.next)
-	nt.mailboxes[0], _ = demoteInbox()
 	nt.mailboxes = append(nt.mailboxes, newInbox())
 	nt.retired[0] = true
 	k.ImportKey(1, 2)
@@ -317,8 +315,8 @@ func applyDiff(%s) {
 func TestEpochFenceFlagsUnfencedMutations(t *testing.T) {
 	ds := analyzeAt(t, EpochFence, runtimePkgPath, `package runtime
 `+epochStub+fmt.Sprintf(applyDiffShape, "e *engine, tb *tables, d diff, k *keyed"))
-	if len(ds) != 5 {
-		t.Fatalf("want 5 diagnostics, got %d: %v", len(ds), ds)
+	if len(ds) != 4 {
+		t.Fatalf("want 4 diagnostics, got %d: %v", len(ds), ds)
 	}
 }
 
@@ -361,29 +359,30 @@ func build(e *engine) {
 	e.live.Store(nt)
 }
 `)
-	// Three unfenced writes, the non-demoteInbox inbox replacement, and
-	// the unfenced publish.
+	// Three unfenced writes, the inbox replacement, and the unfenced
+	// publish.
 	if len(ds) != 5 {
 		t.Fatalf("want 5 diagnostics, got %d: %v", len(ds), ds)
 	}
 }
 
-func TestEpochFenceDemotionNeverRepromotes(t *testing.T) {
+// TestEpochFenceFlagsEveryInboxReplacement pins that a station keeps its
+// inbox for life: under a fence the tables may grow by appending inboxes,
+// but every element write into mailboxes is flagged, whatever it assigns.
+func TestEpochFenceFlagsEveryInboxReplacement(t *testing.T) {
 	ds := analyzeAt(t, EpochFence, runtimePkgPath, `package runtime
 `+epochStub+`
 func swap(f *fence, nt *tables) (err error) {
+	nt.mailboxes = append(nt.mailboxes, newInbox())
 	nt.mailboxes[0] = newInbox()
-	m, _ := demoteInbox()
+	m, _ := inboxOrErr()
 	nt.mailboxes[1] = m
-	nt.mailboxes[2], err = demoteInbox()
+	nt.mailboxes[2], err = inboxOrErr()
 	return err
 }
 `)
-	// Fenced, so only the replacements that are not a direct demoteInbox
-	// call are flagged: the constructor that may yield a ring, and the
-	// value whose origin the pass does not chase.
-	if len(ds) != 2 {
-		t.Fatalf("want 2 diagnostics, got %d: %v", len(ds), ds)
+	if len(ds) != 3 {
+		t.Fatalf("want 3 diagnostics, got %d: %v", len(ds), ds)
 	}
 }
 

@@ -9,18 +9,18 @@ import (
 )
 
 // EpochFence enforces the live-reconfiguration protocol of
-// internal/runtime: the epoch tables (routing plan, transport bindings,
+// internal/runtime: the epoch tables (routing plan, inboxes, sender rows,
 // observability cells, fault streams, retirement marks) and operator
 // keyed state may only change under a pause fence — the runtime's
 // correctness argument is exactly "every mutation is dominated by a
-// fence acquire, and the atomic table swap publishes it" — and a
-// demotion path must never hand a station back a fresh SPSC ring.
+// fence acquire, and the atomic table swap publishes it" — and a live
+// station's inbox is never replaced.
 //
 // The deployment and every live change reach the tables through one
 // function, applyDiff(f *fence, d diff), which pauses the stations the
 // diff names and then clones, grows, retires and publishes the tables;
-// the helpers it hands the fence to (quiesce, demoteTransports,
-// allocStations, migrateKeys) are the only other fence holders. No code
+// the helpers it hands the fence to (quiesce, allocStations, migrateKeys)
+// are the only other fence holders. No code
 // builds or stores tables outside a fence, so the pass has no exemption.
 //
 // Per function, a mutation is considered fence-dominated when one holds:
@@ -32,14 +32,14 @@ import (
 //
 // Checked mutations: assignments (element or whole-field) reached
 // through a tables-typed expression, ImportKey calls (keyed-state
-// migration), and Store calls publishing a *tables. Additionally,
-// element writes into X.mailboxes[i] must assign a
-// demoteInbox call directly — the constructor that resolves every inbox
-// as multi-producer — so a demoted edge cannot be re-promoted to a ring
-// whose single-producer proof no longer holds.
+// migration), and Store calls publishing a *tables. Additionally, every
+// element write into X.mailboxes[i] is flagged, fenced or not: a
+// station keeps its inbox for life, so the tables only grow by
+// allocStations' append — a replaced inbox would strand whatever its
+// producers already queued.
 var EpochFence = &Analyzer{
 	Name: "epochfence",
-	Doc:  "require pause-fence domination for epoch-table and keyed-state mutations; demotions never re-promote a ring",
+	Doc:  "require pause-fence domination for epoch-table and keyed-state mutations; never replace a station's inbox",
 	Run:  runEpochFence,
 }
 
@@ -150,8 +150,8 @@ func epochFenceFunc(pass *Pass, fn *ast.FuncDecl) []Diagnostic {
 				if !fenced(lhs.Pos()) {
 					diags = append(diags, Diagnostic{Pos: lhs.Pos(), Message: unfenced(field)})
 				}
-				if field == "mailboxes" && element && !fromDemoteInbox(x, lhs) {
-					diags = append(diags, Diagnostic{Pos: lhs.Pos(), Message: "replacing a live station's inbox must go through demoteInbox: a demoted edge may never be re-promoted to an SPSC ring"})
+				if field == "mailboxes" && element {
+					diags = append(diags, Diagnostic{Pos: lhs.Pos(), Message: "a station's inbox is never replaced: the tables only grow by appending the inboxes of added stations"})
 				}
 			}
 		case *ast.IncDecStmt:
@@ -202,26 +202,4 @@ func tablesFieldWrite(info *types.Info, lhs ast.Expr) (field string, element boo
 			return "", false, false
 		}
 	}
-}
-
-// fromDemoteInbox reports whether the value assigned into a mailboxes
-// slot is a demoteInbox call.
-func fromDemoteInbox(as *ast.AssignStmt, lhs ast.Expr) bool {
-	rhs := as.Rhs[0] // a lone call may feed several targets (v, err = f())
-	for i, l := range as.Lhs {
-		if l == lhs && i < len(as.Rhs) {
-			rhs = as.Rhs[i]
-		}
-	}
-	call, ok := rhs.(*ast.CallExpr)
-	if !ok {
-		return false
-	}
-	switch f := call.Fun.(type) {
-	case *ast.Ident:
-		return f.Name == "demoteInbox"
-	case *ast.SelectorExpr:
-		return f.Sel.Name == "demoteInbox"
-	}
-	return false
 }

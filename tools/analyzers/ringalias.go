@@ -10,9 +10,11 @@ import (
 
 // RingAlias enforces the mailbox window protocol's aliasing rule: the
 // slice windows handed out by Peek and Reserve point straight into the
-// mailbox's own storage (ring slots, the batch in hand) and stay valid
-// only until the matching Consume / Publish — after the release the
-// producer (or the next reservation) reuses the slots under the window.
+// mailbox's own buffers and stay valid only until the matching Consume /
+// Publish. A Peek window is the batch in hand: after its release the next
+// Peek compacts or recycles the buffer under it. A Reserve buffer is
+// queued by Publish, and the consumer owns it from then on; Reserve and
+// Publish stay paired while they exist.
 // The pass flags, per function:
 //
 //   - any use of a window lexically after a matching release on the same
@@ -30,7 +32,7 @@ import (
 // caller releases.
 var RingAlias = &Analyzer{
 	Name: "ringalias",
-	Doc:  "flag retention of SPSC Peek/Reserve windows past the matching Consume/Publish",
+	Doc:  "flag retention of mailbox Peek/Reserve windows past the matching Consume/Publish",
 	Run:  runRingAlias,
 }
 
@@ -100,7 +102,7 @@ type ringRelease struct {
 
 func runRingAlias(pass *Pass) []Diagnostic {
 	if strings.HasPrefix(pass.Pkg.Path(), mailboxPkgPath) {
-		return nil // the ring implementation manipulates its own slots
+		return nil // the mailbox manipulates its own buffers
 	}
 	var diags []Diagnostic
 	for _, file := range pass.Files {
@@ -249,7 +251,7 @@ func ringCheckUse(pass *Pass, fn *ast.FuncDecl, w *ringWindow, releases []ringRe
 				continue
 			}
 			diags = append(diags, Diagnostic{Pos: use, Message: fmt.Sprintf(
-				"use of ring window %q after %s.%s: the slots may already be reused (window is valid only until the release)",
+				"use of mailbox window %q after %s.%s: the buffer may already be reused (window is valid only until the release)",
 				id.Name, w.recv, w.release)})
 			break
 		}
@@ -258,7 +260,7 @@ func ringCheckUse(pass *Pass, fn *ast.FuncDecl, w *ringWindow, releases []ringRe
 	// Escapes: the window (or a subslice alias) leaving the local scope.
 	if how := ringEscape(pass.Info, id, path); how != "" {
 		diags = append(diags, Diagnostic{Pos: use, Message: fmt.Sprintf(
-			"ring window %q escapes (%s): slots handed out by %s are reused after %s and must not be retained",
+			"mailbox window %q escapes (%s): buffers handed out by %s are reused after %s and must not be retained",
 			id.Name, how, w.recv, w.release)})
 	}
 	return diags
