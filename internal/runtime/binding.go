@@ -64,17 +64,17 @@ func (b *Binding) validate(p *plan.Plan) error {
 // fused member's prototype; unbound workers pass through. Meta-operators
 // pad internally to the per-item path cost (Algorithm 4), so the station
 // loop must not pad them again to the fused mean.
-func (b *Binding) executor(st *plan.Station, cfg Config) (exec func(operators.Tuple, *[]routed), selfPaced bool, inst operators.Operator, minst *metaInstance) {
+func (b *Binding) executor(st *plan.Station, cfg Config) (exec func(operators.Tuple, *outbox), selfPaced bool, inst operators.Operator, minst *metaInstance) {
 	switch st.Role {
 	case plan.RoleEmitter:
 		if cfg.PreserveOrder && stationGain(st) == 1 {
 			// Stamp each item with the emitter's own sequence so the
 			// collector can restore order after the parallel replicas.
 			var seq uint64
-			return func(in operators.Tuple, outs *[]routed) {
+			return func(in operators.Tuple, out *outbox) {
 				seq++
 				in.Seq = seq
-				*outs = append(*outs, routed{tuple: in, dest: -1})
+				out.add(&in, -1)
 			}, false, nil, nil
 		}
 		return forward, false, nil, nil
@@ -82,16 +82,17 @@ func (b *Binding) executor(st *plan.Station, cfg Config) (exec func(operators.Tu
 		if cfg.PreserveOrder && stationGain(st) == 1 {
 			next := uint64(1)
 			held := make(map[uint64]operators.Tuple)
-			return func(in operators.Tuple, outs *[]routed) {
+			return func(in operators.Tuple, out *outbox) {
 				held[in.Seq] = in
 				for {
 					t, ok := held[next]
 					if !ok {
+						out.held = len(held)
 						return
 					}
 					delete(held, next)
 					next++
-					*outs = append(*outs, routed{tuple: t, dest: -1})
+					out.add(&t, -1)
 				}
 			}, false, nil, nil
 		}
@@ -128,42 +129,41 @@ func (b *Binding) executor(st *plan.Station, cfg Config) (exec func(operators.Tu
 	if st.Gain != 1 && st.Gain > 0 {
 		credit := 0.0
 		gain := st.Gain
-		return func(in operators.Tuple, outs *[]routed) {
+		return func(in operators.Tuple, out *outbox) {
 			credit += gain
 			for credit >= 1 {
 				credit--
-				*outs = append(*outs, routed{tuple: in, dest: -1})
+				out.add(&in, -1)
 			}
 		}, false, nil, nil
 	}
-	// A nil executor marks the trivial unit-gain pass-through; the actor
-	// loops forward the input tuple directly, skipping the closure call
-	// and the routed-slice round trip per item.
+	// A nil executor marks the trivial unit-gain pass-through; the station
+	// loop may then forward or count out a whole window without a closure
+	// call per item.
 	return nil, false, nil, nil
 }
 
 // opExec wraps a concrete operator instance into the station processing
 // closure; kept separate so migrations can rebuild the closure around an
 // instance whose state they just moved.
-func opExec(op operators.Operator) func(operators.Tuple, *[]routed) {
+func opExec(op operators.Operator) func(operators.Tuple, *outbox) {
 	// The emit callback is built once per station, not once per item: a
 	// closure handed to an interface method escapes, so building it per
-	// item would put one heap allocation on every tuple. A station calls
-	// its executor from its own goroutine only, so outs is just repointed
-	// between calls.
-	var outs *[]routed
+	// item would put one heap allocation on every tuple. The callback
+	// routes each output into the outbox the current call was given.
+	var out *outbox
 	emit := func(t operators.Tuple) {
-		*outs = append(*outs, routed{tuple: t, dest: -1})
+		out.add(&t, -1)
 	}
-	return func(in operators.Tuple, o *[]routed) {
-		outs = o
+	return func(in operators.Tuple, o *outbox) {
+		out = o
 		op.Process(in, emit)
 	}
 }
 
 // forward passes items through unchanged (plain emitters and collectors).
-func forward(in operators.Tuple, outs *[]routed) {
-	*outs = append(*outs, routed{tuple: in, dest: -1})
+func forward(in operators.Tuple, out *outbox) {
+	out.add(&in, -1)
 }
 
 // stationGain is the logical operator's rate multiplier carried on emitter
@@ -233,11 +233,11 @@ type metaInstance struct {
 	// work is the traversal queue of (vertex, tuple) pairs.
 	work []metaItem
 	// emit routes one member output; built once per instance (see
-	// opExec), it reads the member in hand and the station's outs from at
-	// and outs, which process repoints per item.
+	// opExec), it reads the member in hand and the station's outbox from
+	// at and out, which process sets per item.
 	emit operators.Emit
 	at   core.OpID
-	outs *[]routed
+	out  *outbox
 }
 
 type metaItem struct {
@@ -265,7 +265,7 @@ func (m *MetaOperator) instance(cfg Config) *metaInstance {
 			return
 		}
 		if fusedID, ok := m.SurvivorIDs[dest]; ok {
-			*inst.outs = append(*inst.outs, routed{tuple: t, dest: fusedID})
+			inst.out.add(&t, fusedID)
 		}
 	}
 	for _, id := range m.Members {
@@ -280,10 +280,10 @@ func (m *MetaOperator) instance(cfg Config) *metaInstance {
 // turn, so the item's cost is the sequential composition of the member
 // functions along its path. The subgraph is acyclic, so the traversal
 // always terminates.
-func (mi *metaInstance) process(in operators.Tuple, outs *[]routed) {
+func (mi *metaInstance) process(in operators.Tuple, out *outbox) {
 	started := time.Now()
 	var pathCost float64
-	mi.outs = outs
+	mi.out = out
 	mi.work = mi.work[:0]
 	mi.work = append(mi.work, metaItem{at: mi.m.Front, tup: in})
 	// Walk the queue by index rather than reslicing its head away, so the

@@ -5,13 +5,16 @@ import (
 	"fmt"
 	"os"
 	"strconv"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"spinstreams/internal/core"
 	"spinstreams/internal/faultinject"
 	"spinstreams/internal/mailbox"
 	"spinstreams/internal/obs"
+	"spinstreams/internal/operators"
 	"spinstreams/internal/plan"
 )
 
@@ -241,6 +244,125 @@ func TestChaosRecoveryDisabledByDefault(t *testing.T) {
 	}
 	if m.Totals.Failed != 0 {
 		t.Fatalf("failed %d without any panics", m.Totals.Failed)
+	}
+}
+
+// partialPanicOp forwards every tuple, except the chosen one: for it the
+// operator emits two outputs and then panics, so a partial result of a
+// failed tuple exists when the station recovers.
+type partialPanicOp struct{ chosen uint64 }
+
+func (partialPanicOp) Name() string                { return "partialpanic" }
+func (partialPanicOp) Meta() operators.Meta        { return operators.Meta{Kind: core.KindStateless} }
+func (o partialPanicOp) Clone() operators.Operator { return o }
+func (o partialPanicOp) Process(in operators.Tuple, emit operators.Emit) {
+	emit(in)
+	if in.Seq == o.chosen {
+		emit(in)
+		panic("partialpanic: failing after two outputs")
+	}
+}
+
+// TestChaosPanicDropsPartialOutputs holds the panic rule of the station
+// loop where the failing operator sits in a bound station, inside a
+// meta-operator (as the member whose outputs leave it), and at the sink.
+// A recovered panic fails exactly the tuple in hand: none of its outputs
+// reaches a sink, and every other tuple — those served before it in the
+// same window included — is delivered, so on this FIFO pipeline the sink
+// sees every sequence number up to its last one except the failed tuples.
+// The "operator" case panics inside the operator after it has emitted;
+// the "injected" case panics in the fault hook before the operator runs,
+// at whatever position in a window each station's schedule lands.
+func TestChaosPanicDropsPartialOutputs(t *testing.T) {
+	identity := func() operators.Operator { return operators.MustBuild(operators.Spec{Impl: "identity"}) }
+	const chosen = 1000
+	rows := []struct {
+		name string
+		// build returns the topology to run and its binding around the
+		// failing operator op.
+		build func(t *testing.T, op operators.Operator) (*core.Topology, *Binding)
+	}{
+		{"bound", func(t *testing.T, op operators.Operator) (*core.Topology, *Binding) {
+			topo := pipeline(t, 0.0001, 0.0001, 0.0001)
+			return topo, &Binding{Ops: map[core.OpID]operators.Operator{1: op}}
+		}},
+		{"meta-member", func(t *testing.T, op operators.Operator) (*core.Topology, *Binding) {
+			topo := pipeline(t, 0.0001, 0.0001, 0.0001, 0.0001)
+			fused, report, err := core.Fuse(topo, []core.OpID{1, 2}, "F")
+			if err != nil {
+				t.Fatal(err)
+			}
+			meta, err := NewMetaOperator(topo, report, map[core.OpID]operators.Operator{1: identity(), 2: op}, 3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return fused, &Binding{Meta: map[core.OpID]*MetaOperator{report.FusedID: meta}}
+		}},
+		{"sink", func(t *testing.T, op operators.Operator) (*core.Topology, *Binding) {
+			topo := pipeline(t, 0.0001, 0.0001, 0.0001)
+			return topo, &Binding{Ops: map[core.OpID]operators.Operator{1: identity(), 2: op}}
+		}},
+	}
+	for _, row := range rows {
+		for _, injected := range []bool{false, true} {
+			name := row.name + "/operator"
+			if injected {
+				name = row.name + "/injected"
+			}
+			t.Run(name, func(t *testing.T) {
+				op := partialPanicOp{chosen: chosen}
+				var inj *faultinject.Injector
+				if injected {
+					// One panic per station, each restarted once.
+					op.chosen = 0
+					inj = faultinject.New(faultinject.Config{Seed: 12, PanicProb: 0.002, MaxPerStation: 1})
+				}
+				topo, binding := row.build(t, op)
+				var mu sync.Mutex
+				var last uint64
+				var missing []uint64
+				cfg := Config{
+					Seed:             9,
+					Duration:         300 * time.Millisecond,
+					Warmup:           100 * time.Millisecond,
+					NoServicePadding: true,
+					Batch:            16,
+					MaxRestarts:      1,
+					Faults:           inj,
+					OnSink: func(_ core.OpID, tp operators.Tuple) {
+						mu.Lock()
+						defer mu.Unlock()
+						if tp.Seq <= last {
+							t.Errorf("sink saw seq %d after %d: an output of a failed tuple leaked", tp.Seq, last)
+						}
+						for s := last + 1; s < tp.Seq; s++ {
+							missing = append(missing, s)
+						}
+						last = tp.Seq
+					},
+				}
+				m, err := RunTopology(context.Background(), topo, nil, binding, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				checkConservation(t, m)
+				mu.Lock()
+				defer mu.Unlock()
+				panics := uint64(1)
+				if injected {
+					panics = inj.Counts().Panics
+				}
+				if panics == 0 || m.Restarts != panics || m.Degraded != 0 {
+					t.Fatalf("%d panics, %d restarts, %d degraded stations", panics, m.Restarts, m.Degraded)
+				}
+				if m.Totals.Failed != panics || uint64(len(missing)) != panics {
+					t.Fatalf("%d panics failed %d tuples, and the sink misses seqs %v below %d", panics, m.Totals.Failed, missing, last)
+				}
+				if !injected && missing[0] != chosen {
+					t.Fatalf("sink misses seq %d, want the failed tuple %d", missing[0], chosen)
+				}
+			})
+		}
 	}
 }
 

@@ -12,12 +12,12 @@ import (
 
 // The dataplane: one station loop and one source loop, written once
 // against the mailbox's window protocol. A consumer takes a window of at
-// most Batch queued tuples (Peek), processes it in place, releases it
-// (Consume) and delivers what it produced along its out-edges
-// (sendManyFn, which copies the tuples out before it returns). Per-tuple
-// is Batch 1 of the same loop. Between windows a station holds no tuple
-// outside a mailbox, so a pause or a shutdown never finds anything to
-// flush.
+// most Batch queued tuples (Peek), processes it in place — each output is
+// routed into its out-edge's buffer as it is emitted — releases it
+// (Consume) and delivers the buffers (sendManyFn, which copies the tuples
+// out before it returns). Per-tuple is Batch 1 of the same loop. Between
+// windows a station holds no tuple outside a mailbox, so a pause or a
+// shutdown never finds anything to flush.
 
 // drainPending reports whether a station whose take was interrupted must
 // keep consuming: a pause that asked for a drain parks the station only
@@ -55,7 +55,7 @@ func (e *engine) runDegraded(tb *tables, st *plan.Station, ctl *stationCtl) {
 // the binding clones a fresh instance. Either way the live instance is
 // published on the ctl so the controller can migrate its state while the
 // station is parked.
-func (e *engine) bindStation(st *plan.Station, ctl *stationCtl) (exec func(operators.Tuple, *[]routed), selfPaced bool, inst operators.Operator, minst *metaInstance) {
+func (e *engine) bindStation(st *plan.Station, ctl *stationCtl) (exec func(operators.Tuple, *outbox), selfPaced bool, inst operators.Operator, minst *metaInstance) {
 	if mi := ctl.presetMeta; mi != nil {
 		ctl.preset, ctl.presetMeta = nil, nil
 		ctl.publish(nil, mi)
@@ -71,19 +71,24 @@ func (e *engine) bindStation(st *plan.Station, ctl *stationCtl) (exec func(opera
 	return exec, selfPaced, inst, minst
 }
 
-// outbox stages one station's routed outputs per out-edge between the
-// release of the window that produced them and their delivery.
+// outbox is the target of every executor's emit: it routes each output
+// as it is emitted into its out-edge's buffer, which is delivered once the
+// window is released. A sink stages the outputs of the tuple in hand in
+// sunk instead, which the station loop reports once the call returns.
 type outbox struct {
-	e    *engine
-	tb   *tables
-	st   *plan.Station
-	rng  *stats.RNG
-	rr   int
-	bufs [][]operators.Tuple
+	e     *engine
+	tb    *tables
+	st    *plan.Station
+	rng   *stats.RNG
+	rr    int
+	bufs  [][]operators.Tuple
+	sunk  []operators.Tuple
+	marks []int // each buffer's length before the tuple in hand (see mark)
+	held  int   // tuples a PreserveOrder collector holds for reordering
 }
 
 func (e *engine) newOutbox(tb *tables, st *plan.Station, rng *stats.RNG) *outbox {
-	o := &outbox{e: e, tb: tb, st: st, rng: rng, bufs: make([][]operators.Tuple, len(st.Out))}
+	o := &outbox{e: e, tb: tb, st: st, rng: rng, bufs: make([][]operators.Tuple, len(st.Out)), marks: make([]int, len(st.Out))}
 	for i := range o.bufs {
 		o.bufs[i] = make([]operators.Tuple, 0, e.cfg.Batch)
 	}
@@ -92,15 +97,26 @@ func (e *engine) newOutbox(tb *tables, st *plan.Station, rng *stats.RNG) *outbox
 
 // add stages one output on the edge its destination (an explicit
 // meta-operator destination, or -1 for the station's routing discipline)
-// selects, dropping it when it has none.
+// selects, dropping it when it has none; at a sink it stages it in sunk.
 func (o *outbox) add(t *operators.Tuple, dest core.OpID) {
 	idx := o.e.pickEdge(o.tb, o.st, dest, t.Key, o.rng, &o.rr)
 	if idx < 0 {
+		if len(o.st.Out) == 0 {
+			o.sunk = append(o.sunk, *t)
+		}
 		return
 	}
 	buf := append(o.bufs[idx], *t)
 	buf[len(buf)-1].Port = o.st.Out[idx].Port
 	o.bufs[idx] = buf
+}
+
+// mark records each buffer's length before the tuple in hand, so a
+// recovered panic can drop the outputs that tuple staged.
+func (o *outbox) mark() {
+	for i, buf := range o.bufs {
+		o.marks[i] = len(buf)
+	}
 }
 
 // deliver sends every staged buffer along its edge; a full mailbox blocks
@@ -128,9 +144,9 @@ func (o *outbox) deliver() bool {
 // Each epoch binds its operator instance through the lifecycle seam: a
 // pause presets the live instance so state survives the park, a restart
 // binds a fresh one so a panic cannot resurrect state it may have
-// corrupted. Operator execution, pacing, tracer timing, routing decisions
-// and shedding are all per tuple; queue synchronization and counter
-// updates are amortized over the window.
+// corrupted. Operator execution, pacing, tracer timing, routing (at emit,
+// inside the service episode) and shedding are all per tuple; queue
+// synchronization and counter updates are amortized over the window.
 func (e *engine) stationEpoch(tb *tables, st *plan.Station, ctl *stationCtl, rng *stats.RNG) (clean bool) {
 	exec, selfPaced, inst, minst := e.bindStation(st, ctl)
 	pace := newPacer(st.ServiceTime)
@@ -144,23 +160,28 @@ func (e *engine) stationEpoch(tb *tables, st *plan.Station, ctl *stationCtl, rng
 	fl := tb.stFaults[st.ID]
 	traced := len(e.tracers) != 0
 	out := e.newOutbox(tb, st, rng)
-	outs := make([]routed, 0, 8)
+	// What a reorder buffer still holds when the epoch ends is drained.
+	defer func() { self.Drained.Add(uint64(out.held)) }()
 	// n is the size of the window in hand (0 between windows), k the
 	// index of the tuple in hand within it.
 	n, k := 0, 0
-	if e.cfg.MaxRestarts != 0 {
+	recovering := e.cfg.MaxRestarts != 0
+	if recovering {
 		defer func() {
 			if r := recover(); r != nil {
 				// The k tuples before the one in hand were served and
 				// their outputs are staged; the tuple in hand died with
-				// the panic, and its partial outputs with it. Release
-				// exactly those k+1 — the rest of the window stays queued
-				// for the restarted epoch, so nothing is left for the
-				// shutdown drain to count a second time.
+				// the panic, and the outputs it staged since its mark go
+				// too. Release exactly those k+1 — the rest of the window
+				// stays queued for the restarted epoch, so nothing is
+				// left for the shutdown drain to count a second time.
 				if n > 0 {
 					self.Consumed.Add(uint64(k + 1))
 					self.Failed.Add(1)
 					inbox.Consume(k + 1)
+					for i, m := range out.marks {
+						out.bufs[i] = out.bufs[i][:m]
+					}
 				}
 				out.deliver()
 				clean = false
@@ -168,8 +189,8 @@ func (e *engine) stationEpoch(tb *tables, st *plan.Station, ctl *stationCtl, rng
 		}()
 	}
 	// Trivial pass-through on a single edge (the common pipeline shape):
-	// forward the window wholesale — no closure call, no routed slice, no
-	// per-tuple routing decision.
+	// forward the window wholesale — no closure call, no per-tuple routing
+	// decision.
 	// Pacing still needs the per-tuple loop, and injected faults must
 	// observe every tuple for the schedule to stay deterministic, so both
 	// disable it.
@@ -211,6 +232,11 @@ func (e *engine) stationEpoch(tb *tables, st *plan.Station, ctl *stationCtl, rng
 			sent = e.sendManyFn(st.ID, 0, &st.Out[0], win)
 		default:
 			for k = 0; k < n; k++ {
+				// Marked before the fault hook, which may panic: a mark
+				// taken after it would rewind the previous tuple's outputs.
+				if recovering {
+					out.mark()
+				}
 				var started time.Time
 				if usePace || traced {
 					started = time.Now()
@@ -218,8 +244,7 @@ func (e *engine) stationEpoch(tb *tables, st *plan.Station, ctl *stationCtl, rng
 				if fl != nil {
 					fl.OnProcess()
 				}
-				outs = outs[:0]
-				exec(win[k], &outs)
+				exec(win[k], out)
 				if usePace {
 					pace.wait(started)
 				}
@@ -227,20 +252,18 @@ func (e *engine) stationEpoch(tb *tables, st *plan.Station, ctl *stationCtl, rng
 					e.fireServe(st.ID, started)
 				}
 				if sink {
-					// Sink: results leave the system.
-					self.Emitted.Add(uint64(len(outs)))
-					if traced && len(outs) > 0 {
-						e.fireEmit(st.ID, len(outs))
+					// Sink: the tuple's results leave the system only now
+					// that its call has returned.
+					self.Emitted.Add(uint64(len(out.sunk)))
+					if traced && len(out.sunk) > 0 {
+						e.fireEmit(st.ID, len(out.sunk))
 					}
 					if e.cfg.OnSink != nil {
-						for _, o := range outs {
-							e.cfg.OnSink(st.Op, o.tuple)
+						for _, t := range out.sunk {
+							e.cfg.OnSink(st.Op, t)
 						}
 					}
-					continue
-				}
-				for i := range outs {
-					out.add(&outs[i].tuple, outs[i].dest)
+					out.sunk = out.sunk[:0]
 				}
 			}
 		}

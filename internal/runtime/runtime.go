@@ -82,10 +82,12 @@ type Config struct {
 	// scheduling and collection, to preserve the sequential ordering" the
 	// paper mentions for pipelined fission). It applies only to operators
 	// with unit gain — with selectivity, replicas drop or multiply items
-	// and a sequence-based reorder buffer would stall. Live
-	// reconfiguration refuses ordered plans (the reorder state cannot yet
-	// be migrated), so PreserveOrder and Controller.ApplyDelta are
-	// mutually exclusive.
+	// and a sequence-based reorder buffer would stall. So would a shed or
+	// failed tuple, so SendTimeout and MaxRestarts are rejected with it.
+	// Tuples still held for reordering when the run stops count as
+	// drained. Live reconfiguration refuses ordered plans (the reorder
+	// state cannot yet be migrated), so PreserveOrder and
+	// Controller.ApplyDelta are mutually exclusive.
 	PreserveOrder bool
 	// Mailbox is the window policy of every inbox. The zero value,
 	// mailbox.Auto, and mailbox.Batched take windows of Batch tuples;
@@ -167,6 +169,9 @@ func (c Config) withDefaults() (Config, error) {
 	}
 	if c.SendTimeout < 0 {
 		return c, fmt.Errorf("runtime: negative SendTimeout %v", c.SendTimeout)
+	}
+	if c.PreserveOrder && (c.SendTimeout > 0 || c.MaxRestarts != 0) {
+		return c, fmt.Errorf("runtime: PreserveOrder cannot restore order around shed or failed tuples (SendTimeout %v, MaxRestarts %d)", c.SendTimeout, c.MaxRestarts)
 	}
 	if c.Batch < 0 {
 		return c, fmt.Errorf("runtime: negative Batch %d", c.Batch)
@@ -288,14 +293,6 @@ type StationMetrics struct {
 	// Retired reports that a live reconfiguration drained and stopped the
 	// station before the run ended.
 	Retired bool
-}
-
-// routed couples an output tuple with an optional explicit logical
-// destination (meta-operators choose destinations themselves; -1 lets the
-// station's routing discipline decide).
-type routed struct {
-	tuple operators.Tuple
-	dest  core.OpID
 }
 
 // engine is one execution of a plan.

@@ -407,9 +407,45 @@ func TestRunPreserveOrder(t *testing.T) {
 				if e := stats.RelErr(m.Throughput, 1000); padded && e > 0.2 {
 					t.Errorf("throughput = %v, want ~1000", m.Throughput)
 				}
+				checkConservation(t, m)
 			})
 		}
 	}
+	// One replica stalls on its first tuple past the end of the run, so
+	// the collector still holds every later tuple of the other replicas
+	// when it stops: those count as drained. Every station fires one
+	// slowdown on its first tuple; only the second firing, which is the
+	// first replica to serve (the emitter serves before any replica, and
+	// the source has no fault hook), sleeps.
+	t.Run("stalled-replica", func(t *testing.T) {
+		t.Parallel()
+		var slowdowns atomic.Int32
+		cfg := Config{
+			Seed:             62,
+			Duration:         300 * time.Millisecond,
+			Warmup:           100 * time.Millisecond,
+			NoServicePadding: true,
+			PreserveOrder:    true,
+			Faults: faultinject.New(faultinject.Config{
+				SlowdownProb:  1,
+				SlowdownFor:   400 * time.Millisecond,
+				MaxPerStation: 1,
+				Sleep: func(d time.Duration) {
+					if slowdowns.Add(1) == 2 {
+						time.Sleep(d)
+					}
+				},
+			}),
+		}
+		m, err := RunTopology(context.Background(), topo, fis.Analysis.Replicas, nil, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m.Totals.Drained == 0 {
+			t.Error("nothing drained although one replica stalled for the whole run")
+		}
+		checkConservation(t, m)
+	})
 }
 
 func TestRunPreserveOrderSkipsNonUnitGain(t *testing.T) {
@@ -515,6 +551,11 @@ func TestConfigRejectsNonsense(t *testing.T) {
 		"unknown mailbox":  {Mailbox: mailbox.Mode(42)},
 
 		"negative reconfig stall budget": {ReconfigStallBudget: -time.Second},
+
+		// A shed or failed tuple never reaches the reorder buffer, which
+		// would hold every later one forever.
+		"preserveorder with sendtimeout": {PreserveOrder: true, SendTimeout: time.Millisecond},
+		"preserveorder with restarts":    {PreserveOrder: true, MaxRestarts: 1},
 	}
 	for name, cfg := range bad {
 		if _, err := cfg.withDefaults(); err == nil {
@@ -629,10 +670,11 @@ func TestRunPanicMidWindowSameOutputEveryMode(t *testing.T) {
 
 func TestExecutorsDoNotAllocatePerTuple(t *testing.T) {
 	// The station loop calls its executor once per tuple; an executor that
-	// builds its emit callback per call allocates on every tuple.
+	// builds its emit callback per call allocates on every tuple, and so
+	// would routing an output into the outbox if it escaped.
 	identity := func() operators.Operator { return operators.MustBuild(operators.Spec{Impl: "identity"}) }
 	topo, sub := core.PaperExampleTopology(core.PaperExampleTable1)
-	_, report, err := core.Fuse(topo, sub, "F")
+	fused, report, err := core.Fuse(topo, sub, "F")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -644,21 +686,49 @@ func TestExecutorsDoNotAllocatePerTuple(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	execs := map[string]func(operators.Tuple, *[]routed){
-		"operator": opExec(identity()),
-		"meta":     meta.instance(Config{NoServicePadding: true}).process,
+	p, err := plan.Build(fused, plan.Options{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	for name, exec := range execs {
-		outs := make([]routed, 0, 8)
+	// Every executor emits into the meta-operator station's outbox: its
+	// out-edges are where the meta-operator's explicit destinations lead.
+	e := &engine{cfg: Config{Batch: 8}}
+	out := e.newOutbox(&tables{p: p}, &p.Stations[p.EntryOf[report.FusedID]], stats.NewRNG(1))
+	ordered := Config{PreserveOrder: true}
+	exec := func(st plan.Station, cfg Config) func(operators.Tuple, *outbox) {
+		x, _, _, _ := (&Binding{}).executor(&st, cfg)
+		return x
+	}
+	rows := []struct {
+		name string
+		exec func(operators.Tuple, *outbox)
+		outs int
+	}{
+		{"operator", opExec(identity()), 1},
+		{"meta", meta.instance(Config{NoServicePadding: true}).process, 1},
+		{"gain accumulator", exec(plan.Station{Role: plan.RoleWorker, Gain: 2}, Config{}), 2},
+		{"ordered emitter", exec(plan.Station{Role: plan.RoleEmitter}, ordered), 1},
+		{"ordered collector", exec(plan.Station{Role: plan.RoleCollector}, ordered), 1},
+	}
+	for _, row := range rows {
+		// The collector releases only the next sequence number in line.
+		var seq uint64
 		allocs := testing.AllocsPerRun(200, func() {
-			outs = outs[:0]
-			exec(operators.Tuple{Seq: 1}, &outs)
+			for i := range out.bufs {
+				out.bufs[i] = out.bufs[i][:0]
+			}
+			seq++
+			row.exec(operators.Tuple{Seq: seq}, out)
 		})
 		if allocs != 0 {
-			t.Errorf("%s executor: %v allocations per tuple, want 0", name, allocs)
+			t.Errorf("%s executor: %v allocations per tuple, want 0", row.name, allocs)
 		}
-		if len(outs) != 1 {
-			t.Errorf("%s executor: %d outputs per tuple, want 1", name, len(outs))
+		staged := 0
+		for _, buf := range out.bufs {
+			staged += len(buf)
+		}
+		if staged != row.outs {
+			t.Errorf("%s executor: %d outputs per tuple, want %d", row.name, staged, row.outs)
 		}
 	}
 }
