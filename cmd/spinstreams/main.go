@@ -9,7 +9,7 @@
 //
 //	spinstreams optimize -in topo.xml [-passes fission,fusion|fuse=a+b+c,latency] [-out opt.xml] [-max-replicas N] [-trace-json trace.json] [-trace-dot trace.dot]
 //	spinstreams dot      -in topo.xml [-out topo.dot] [-annotate=false]
-//	spinstreams generate -in topo.xml [-out main.go] [-members op3,op4]
+//	spinstreams generate -in topo.xml [-out main.go]
 //	spinstreams run      -in topo.xml [-duration 5s] [-nodes N] [-adapt off|report|apply]
 //	spinstreams simulate -in topo.xml [-horizon 40] [-shedding]
 //	spinstreams profile  [-samples N]
@@ -17,25 +17,20 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"io"
 	"os"
-	"sort"
 	"strings"
-	"time"
 
+	"spinstreams"
 	"spinstreams/internal/codegen"
 	"spinstreams/internal/core"
 	"spinstreams/internal/dot"
-	"spinstreams/internal/obs"
 	"spinstreams/internal/operators"
 	"spinstreams/internal/opt"
-	"spinstreams/internal/plan"
 	"spinstreams/internal/profiler"
 	"spinstreams/internal/qsim"
-	"spinstreams/internal/runtime"
 	"spinstreams/internal/xmlio"
 )
 
@@ -59,7 +54,7 @@ func run(args []string) error {
 	case "generate":
 		return cmdGenerate(args[1:])
 	case "run":
-		return cmdRun(args[1:])
+		return spinstreams.RunCommand(args[1:], "", os.Stdout)
 	case "simulate":
 		return cmdSimulate(args[1:])
 	case "profile":
@@ -146,43 +141,6 @@ func writeTrace(res *opt.Result, jsonPath, dotPath string) error {
 	return nil
 }
 
-// passList builds the pipeline -passes names: opt's passes after the
-// mandatory analyze, in the pinned order whatever the list order.
-func passList(list string) (*opt.Pipeline, error) {
-	var fission, latency bool
-	var fusion opt.Pass
-	for _, name := range strings.Split(list, ",") {
-		switch name = strings.TrimSpace(name); {
-		case name == "":
-		case name == "fission":
-			fission = true
-		case name == "latency":
-			latency = true
-		case name == "fusion" || strings.HasPrefix(name, "fuse="):
-			if fusion != nil {
-				return nil, fmt.Errorf("optimize: -passes: %s and %s both take the fusion slot", fusion.Name(), name)
-			}
-			fusion = opt.FusionPass{}
-			if members, ok := strings.CutPrefix(name, "fuse="); ok {
-				fusion = opt.FusePass{Members: strings.Split(members, "+")}
-			}
-		default:
-			return nil, fmt.Errorf("optimize: -passes: unknown pass %q (want fission, fusion, fuse=a+b+c or latency)", name)
-		}
-	}
-	p := &opt.Pipeline{Passes: []opt.Pass{opt.AnalyzePass{}}}
-	if fission {
-		p.Passes = append(p.Passes, opt.FissionPass{})
-	}
-	if fusion != nil {
-		p.Passes = append(p.Passes, fusion)
-	}
-	if latency {
-		p.Passes = append(p.Passes, opt.LatencyPass{})
-	}
-	return p, nil
-}
-
 func cmdOptimize(args []string) error {
 	fs := flag.NewFlagSet("optimize", flag.ContinueOnError)
 	in := fs.String("in", "", "input topology XML")
@@ -195,20 +153,19 @@ func cmdOptimize(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	p, err := passList(*passes)
+	p, err := opt.ParsePasses(*passes, opt.Options{
+		Fission: core.FissionOptions{
+			MaxReplicas:        *maxReplicas,
+			EmitterServiceTime: emitter.Seconds(),
+		},
+		AllowCycles: true,
+	})
 	if err != nil {
 		return err
 	}
 	t, _, err := load(*in)
 	if err != nil {
 		return err
-	}
-	p.Opts = opt.Options{
-		Fission: core.FissionOptions{
-			MaxReplicas:        *maxReplicas,
-			EmitterServiceTime: emitter.Seconds(),
-		},
-		AllowCycles: true,
 	}
 	res, err := p.Run(t)
 	if err != nil {
@@ -294,19 +251,6 @@ func printCandidates(t *core.Topology, a *core.Analysis) error {
 	return nil
 }
 
-func parseMembers(t *core.Topology, list string) ([]core.OpID, error) {
-	var members []core.OpID
-	for _, name := range strings.Split(list, ",") {
-		id, ok := t.Lookup(strings.TrimSpace(name))
-		if !ok {
-			return nil, fmt.Errorf("unknown operator %q", name)
-		}
-		members = append(members, id)
-	}
-	sort.Slice(members, func(a, b int) bool { return members[a] < members[b] })
-	return members, nil
-}
-
 // writeOut runs write on the file at path, or on stdout when path is
 // empty.
 func writeOut(path string, write func(io.Writer) error) error {
@@ -368,36 +312,10 @@ func cmdProfile(args []string) error {
 	return nil
 }
 
-// specsFromImpls derives operator specs from the topology's Impl fields.
-func specsFromImpls(t *core.Topology) []operators.Spec {
-	specs := make([]operators.Spec, t.Len())
-	for i := 0; i < t.Len(); i++ {
-		op := t.Op(core.OpID(i))
-		impl := op.Impl
-		if op.Kind == core.KindSource {
-			impl = "source"
-		}
-		if impl == "" {
-			impl = "identity"
-		}
-		spec := operators.Spec{Impl: impl}
-		if op.Keys != nil {
-			spec.NumKeys = len(op.Keys.Freq)
-		}
-		if op.InputSelectivity > 1 {
-			spec.WindowLen = int(op.InputSelectivity) * 10
-			spec.Slide = int(op.InputSelectivity)
-		}
-		specs[i] = spec
-	}
-	return specs
-}
-
 func cmdGenerate(args []string) error {
 	fs := flag.NewFlagSet("generate", flag.ContinueOnError)
 	in := fs.String("in", "", "input topology XML")
 	out := fs.String("out", "", "output .go file (default stdout)")
-	list := fs.String("members", "", "optional subgraph to fuse in the generated program")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -405,174 +323,7 @@ func cmdGenerate(args []string) error {
 	if err != nil {
 		return err
 	}
-	input := codegen.Input{Topology: t, Specs: specsFromImpls(t)}
-	for _, n := range replicas {
-		if n > 1 {
-			input.Replicas = replicas
-			break
-		}
-	}
-	if *list != "" {
-		input.FuseMembers, err = parseMembers(t, *list)
-		if err != nil {
-			return err
-		}
-	}
-	return writeOut(*out, func(w io.Writer) error { return codegen.Generate(w, input) })
-}
-
-func cmdRun(args []string) error {
-	fs := flag.NewFlagSet("run", flag.ContinueOnError)
-	in := fs.String("in", "", "input topology XML")
-	duration := fs.Duration("duration", 5*time.Second, "run length")
-	mailbox := fs.Int("mailbox", 64, "mailbox capacity (tuples)")
-	seed := fs.Uint64("seed", 1, "random seed")
-	nodes := fs.Int("nodes", 1, "partition the plan across N TCP-connected nodes")
-	batch := fs.Int("batch", 0, "window size: most tuples a station takes or a source generates per cycle (0 = runtime default 32; 1 = per-tuple delivery)")
-	linger := fs.Duration("linger", 0, "longest a paced source keeps a window open before delivering it; bounds nothing else (0 = runtime default 1ms)")
-	warmup := fs.Duration("warmup", 0, "measurement warmup excluded from the window (0 = duration/4; must be < duration)")
-	maxRestarts := fs.Int("max-restarts", 0, "restart a panicked operator up to N times, then degrade (0 = crash, <0 = unlimited)")
-	retryBackoff := fs.Duration("retry-backoff", 0, "initial redial backoff for failed cross-node sends with -nodes > 1 (0 = default 2ms)")
-	sendDeadline := fs.Duration("send-deadline", 0, "per-frame retry deadline for cross-node sends with -nodes > 1, after which the frame is shed (0 = default 2s)")
-	metricsAddr := fs.String("metrics-addr", "", "serve live metrics over HTTP on this address (/metrics Prometheus text, /snapshot JSON, /debug/vars expvar)")
-	adapt := fs.String("adapt", "off", "off; report (after the run: drift report, then the delta plan on measured profiles); apply (re-optimize and apply live, two rounds after warmup; single node)")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	// Flag-level validation: the library treats zero as "use default",
-	// so nonsense explicitly typed on the command line is rejected here.
-	if *mailbox <= 0 {
-		return fmt.Errorf("run: -mailbox %d, want > 0", *mailbox)
-	}
-	switch *adapt {
-	case "off", "report", "apply":
-	default:
-		return fmt.Errorf("run: -adapt %q, want off, report or apply", *adapt)
-	}
-	if *adapt == "apply" && *nodes > 1 {
-		return fmt.Errorf("run: -adapt apply reconfigures the in-process engine and is incompatible with -nodes > 1")
-	}
-	if *sendDeadline < 0 {
-		return fmt.Errorf("run: -send-deadline %v, want >= 0", *sendDeadline)
-	}
-	t, replicas, err := load(*in)
-	if err != nil {
-		return err
-	}
-	a, err := core.SteadyStateWithReplicas(t, replicas, nil)
-	if err != nil {
-		return err
-	}
-	binding, err := runtime.Bind(t, specsFromImpls(t))
-	if err != nil {
-		return err
-	}
-	runCfg := runtime.Config{
-		Duration:    *duration,
-		Warmup:      *warmup,
-		MailboxSize: *mailbox,
-		Seed:        *seed,
-		Batch:       *batch,
-		Linger:      *linger,
-		MaxRestarts: *maxRestarts,
-		// The estimator is the only source of measured profiles.
-		Estimator: *adapt != "off",
-	}
-	var reg *obs.Registry
-	if *metricsAddr != "" || runCfg.Estimator {
-		reg = obs.New()
-		runCfg.Obs = reg
-	}
-	if *metricsAddr != "" {
-		bound, shutdown, err := reg.Serve(*metricsAddr)
-		if err != nil {
-			return fmt.Errorf("run: metrics server: %w", err)
-		}
-		defer shutdown()
-		fmt.Printf("metrics: http://%s/metrics\n", bound)
-	}
-	var m *runtime.Metrics
-	if *adapt == "apply" {
-		c, err := runtime.StartTopology(t, replicas, binding, runCfg)
-		if err != nil {
-			return err
-		}
-		// Warmup, then two measure/re-optimize/apply rounds: -duration
-		// bounds the whole run.
-		warm := *warmup
-		if warm == 0 {
-			warm = *duration / 4
-		}
-		rep, aerr := c.Autotune(context.Background(), runtime.AutotuneOptions{
-			Interval: (*duration - warm) / 2,
-			Rounds:   2,
-			OnRound: func(r runtime.AutotuneRound) {
-				fmt.Printf("autotune round %d: measured %.1f items/s (model %.1f, err %+.1f%%)\n",
-					r.Round, r.Drift.MeasuredThroughput, r.Drift.PredictedThroughput, 100*r.Drift.ThroughputErr)
-				switch {
-				case r.Apply != nil:
-					fmt.Printf("  applied live (epoch %d, stall %s, %d keys migrated):\n", r.Apply.Epoch, r.Apply.Stall, r.Apply.MigratedKeys)
-					fmt.Print(r.Delta.String())
-				case r.Delta != nil && !r.Delta.Empty():
-					fmt.Println("  delta proposed but not applied:")
-					fmt.Print(r.Delta.String())
-				default:
-					fmt.Println("  deployment already optimal under the measured profiles")
-				}
-			},
-		})
-		replicas = c.Replicas()
-		m, err = c.Stop()
-		if aerr != nil {
-			return aerr
-		}
-		if err != nil {
-			return err
-		}
-		fmt.Printf("autotune: applied %d delta plan(s) over %d round(s) without a restart\n", rep.Applied(), len(rep.Rounds))
-	} else if *nodes > 1 {
-		p, err := plan.Build(t, plan.Options{Replicas: replicas})
-		if err != nil {
-			return err
-		}
-		m, err = runtime.RunDistributed(context.Background(), p, binding, runtime.DistributedConfig{
-			Config:       runCfg,
-			Nodes:        *nodes,
-			RetryBackoff: *retryBackoff,
-			SendDeadline: *sendDeadline,
-		})
-		if err != nil {
-			return err
-		}
-	} else {
-		m, err = runtime.RunTopology(context.Background(), t, replicas, binding, runCfg)
-		if err != nil {
-			return err
-		}
-	}
-	fmt.Printf("predicted throughput: %.1f items/s\n", a.Throughput())
-	fmt.Printf("measured  throughput: %.1f items/s\n", m.Throughput)
-	if m.Restarts > 0 || m.Degraded > 0 {
-		fmt.Printf("operator restarts: %d (degraded stations: %d)\n", m.Restarts, m.Degraded)
-	}
-	for op, d := range m.Departure {
-		fmt.Printf("  %-28s departure %10.1f items/s (arrival %10.1f)\n",
-			t.Op(core.OpID(op)).Name, d, m.Arrival[op])
-	}
-	if *adapt == "report" {
-		rep, err := obs.Drift(t, replicas, reg)
-		if err != nil {
-			return fmt.Errorf("run: drift: %w", err)
-		}
-		fmt.Print(rep.String())
-		delta, err := opt.Reoptimize(opt.NewSnapshot(t), rep, opt.Options{})
-		if err != nil {
-			return fmt.Errorf("run: reoptimize: %w", err)
-		}
-		fmt.Println("re-optimization on measured profiles:")
-		fmt.Print(delta.String())
-	}
-	return nil
+	return writeOut(*out, func(w io.Writer) error { return codegen.Generate(w, t, replicas) })
 }
 
 func cmdSimulate(args []string) error {

@@ -195,6 +195,13 @@ func TestCLIErrors(t *testing.T) {
 			t.Errorf("unknown pass %q accepted", bad)
 		}
 	}
+	// Fusion is optimize -passes fuse=a+b+c; generate deploys the document.
+	if err := run([]string{"generate", "-in", writePaperTopology(t), "-members", "op3,op4,op5"}); err == nil {
+		t.Error("removed generate -members flag accepted")
+	}
+	if err := run([]string{"run"}); err == nil || !strings.Contains(err.Error(), "-in is required") {
+		t.Errorf("run without -in: %v", err)
+	}
 	if err := run([]string{"help"}); err != nil {
 		t.Errorf("help failed: %v", err)
 	}
@@ -232,6 +239,8 @@ func TestCLIRunValidation(t *testing.T) {
 		{"removed -vet flag", []string{"-vet"}},
 		{"unknown adapt mode", []string{"-adapt", "bogus"}},
 		{"adapt apply across nodes", []string{"-adapt", "apply", "-nodes", "2"}},
+		{"zero nodes", []string{"-nodes", "0"}},
+		{"negative nodes", []string{"-nodes", "-2"}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -308,7 +317,8 @@ func TestCLIOptimizeThenDeploy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := fmt.Sprintf("replicas := %#v", degrees); degrees[1] < 2 || !strings.Contains(string(src), want) {
+	// The program embeds the document as a quoted string constant.
+	if want := fmt.Sprintf(`replicas=\"%d\"`, degrees[1]); degrees[1] < 2 || !strings.Contains(string(src), want) {
 		t.Errorf("generated program does not embed %q:\n%s", want, src)
 	}
 

@@ -44,15 +44,15 @@ func run() error {
 	t.MustConnect(parse, enrich, 1)
 	t.MustConnect(enrich, store, 1)
 
-	opt, err := spinstreams.Optimize(t, spinstreams.FissionOptions{})
+	opt, err := spinstreams.Optimize(t, "fission", spinstreams.OptimizerOptions{})
 	if err != nil {
 		return err
 	}
 	fmt.Printf("predicted: %.0f items/s (enrich x%d replicas)\n",
-		opt.Analysis.Throughput(), opt.Analysis.Replicas[enrich])
+		opt.Throughput(), opt.Replicas()[enrich])
 
 	ctx := context.Background()
-	local, err := spinstreams.Execute(ctx, t, opt.Analysis.Replicas, nil, spinstreams.RunConfig{
+	local, err := spinstreams.Run(ctx, t, opt.Replicas(), nil, spinstreams.RunConfig{
 		Duration: 3 * time.Second, Seed: 5,
 	})
 	if err != nil {
@@ -63,7 +63,7 @@ func run() error {
 	distCfg := spinstreams.DistributedConfig{Nodes: 3}
 	distCfg.Duration = 3 * time.Second
 	distCfg.Seed = 5
-	dist, err := spinstreams.ExecuteDistributed(ctx, t, opt.Analysis.Replicas, nil, distCfg)
+	dist, err := spinstreams.RunDistributed(ctx, t, opt.Replicas(), nil, distCfg)
 	if err != nil {
 		return err
 	}

@@ -91,13 +91,15 @@ func run() error {
 	fmt.Println()
 
 	// Optimize with a replica budget, as an operations team would.
-	opt, err := spinstreams.Optimize(t, spinstreams.FissionOptions{MaxReplicas: 12})
+	opt, err := spinstreams.Optimize(t, "fission", spinstreams.OptimizerOptions{
+		Fission: spinstreams.FissionOptions{MaxReplicas: 12},
+	})
 	if err != nil {
 		return err
 	}
-	fmt.Printf("optimized (budget 12 replicas): %.0f tx/s predicted\n", opt.Analysis.Throughput())
+	fmt.Printf("optimized (budget 12 replicas): %.0f tx/s predicted\n", opt.Throughput())
 	for i := 0; i < t.Len(); i++ {
-		if n := opt.Analysis.Replicas[i]; n > 1 {
+		if n := opt.Replicas()[i]; n > 1 {
 			fmt.Printf("  %s -> %d replicas", t.Op(core.OpID(i)).Name, n)
 			if pm := opt.Analysis.PMax[i]; pm > 0 {
 				fmt.Printf(" (hottest replica owns %.0f%% of the cards' traffic)", pm*100)
@@ -105,7 +107,7 @@ func run() error {
 			fmt.Println()
 		}
 	}
-	for _, u := range opt.Unresolved {
+	for _, u := range opt.Fission.Unresolved {
 		fmt.Printf("  unresolved: %s (%s)\n", t.Op(u).Name, t.Op(u).Kind)
 	}
 
@@ -129,7 +131,7 @@ func run() error {
 		dash:       operators.MustBuild(operators.Spec{Impl: "projection", K: 3}),
 	}}
 	var alertsSeen atomic.Uint64
-	m, err := spinstreams.Execute(context.Background(), t, opt.Analysis.Replicas, binding, spinstreams.RunConfig{
+	m, err := spinstreams.Run(context.Background(), t, opt.Replicas(), binding, spinstreams.RunConfig{
 		Duration:  3 * time.Second,
 		Seed:      7,
 		Generator: gen,

@@ -52,23 +52,25 @@ func run() error {
 	}
 
 	// Step 2 — bottleneck elimination via fission (Algorithm 2).
-	opt, err := spinstreams.Optimize(t, spinstreams.FissionOptions{})
+	// Fission only chooses degrees, so t with opt.Replicas() is the
+	// optimized deployment.
+	opt, err := spinstreams.Optimize(t, "fission", spinstreams.OptimizerOptions{})
 	if err != nil {
 		return err
 	}
 	fmt.Printf("after fission: predicted throughput %.0f events/s (enrich x%d replicas)\n",
-		opt.Analysis.Throughput(), opt.Analysis.Replicas[enrich])
+		opt.Throughput(), opt.Replicas()[enrich])
 
 	// Step 3 — check the prediction in the discrete-event simulator.
-	sim, err := spinstreams.Simulate(t, opt.Analysis.Replicas, spinstreams.SimConfig{Horizon: 30})
+	sim, err := spinstreams.Simulate(t, opt.Replicas(), spinstreams.SimConfig{Horizon: 30})
 	if err != nil {
 		return err
 	}
 	fmt.Printf("simulated: %.0f events/s\n", sim.Throughput)
 
-	// Step 4 — execute live on the goroutine runtime (actors with bounded
-	// mailboxes; replicated operators run behind emitter/collector actors).
-	m, err := spinstreams.Execute(context.Background(), t, opt.Analysis.Replicas, nil, spinstreams.RunConfig{
+	// Step 4 — execute live on the goroutine runtime (stations with bounded
+	// inboxes; replicated operators run behind emitter/collector stations).
+	m, err := spinstreams.Run(context.Background(), t, opt.Replicas(), nil, spinstreams.RunConfig{
 		Duration: 3 * time.Second,
 	})
 	if err != nil {

@@ -129,7 +129,7 @@ func run() error {
 		},
 		Meta: map[spinstreams.OpID]*runtime.MetaOperator{report.FusedID: meta},
 	}
-	m, err := spinstreams.Execute(context.Background(), fused, nil, binding, spinstreams.RunConfig{
+	m, err := spinstreams.Run(context.Background(), fused, nil, binding, spinstreams.RunConfig{
 		Duration: 3 * time.Second,
 		Seed:     11,
 	})

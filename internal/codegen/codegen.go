@@ -3,11 +3,12 @@
 // abstract topology into code for the target SPS (Section 4.2; the paper
 // targets Akka, this repo targets its own goroutine runtime).
 //
-// The generated program is a self-contained package main that rebuilds the
-// logical topology, applies the requested optimizations (replication
-// degrees from bottleneck elimination, or an operator fusion), binds the
-// operator implementations from the built-in catalog, executes the plan
-// and prints the measured throughput next to the model's prediction.
+// A generated program is package main importing only the public
+// spinstreams package: one string constant holds the deployment document
+// (the topology with its keys inlined, fused meta-operators and replica
+// degrees), and main hands it to spinstreams.RunCommand. It therefore
+// takes run's flags, binds the same catalog operators and deploys exactly
+// what spinstreams run -in deploys for that document.
 package codegen
 
 import (
@@ -16,334 +17,48 @@ import (
 	"strings"
 
 	"spinstreams/internal/core"
-	"spinstreams/internal/operators"
-	"spinstreams/internal/opt"
+	"spinstreams/internal/xmlio"
 )
 
-// Input describes the program to generate.
-type Input struct {
-	// Topology is the logical (pre-optimization) topology.
-	Topology *core.Topology
-	// Specs selects the operator implementation per vertex; the source
-	// vertex uses the built-in generator.
-	Specs []operators.Spec
-	// Replicas, when non-nil, pins the replication degree per vertex
-	// (typically Analysis.Replicas after bottleneck elimination).
-	Replicas []int
-	// FuseMembers, when non-empty, fuses the given subgraph before
-	// execution (Algorithm 4 at run time). Fusion and explicit replicas
-	// are mutually exclusive: replication degrees are indexed by the
-	// pre-fusion vertex IDs, which fusion invalidates.
-	FuseMembers []core.OpID
-	// FusedName names the meta-operator (default "fused").
-	FusedName string
-}
-
-func (in Input) validate() error {
-	if in.Topology == nil {
+// Generate writes the program deploying t with the given replication
+// degrees (nil = all ones) to w.
+func Generate(w io.Writer, t *core.Topology, replicas []int) error {
+	if t == nil {
 		return fmt.Errorf("codegen: nil topology")
 	}
-	if err := in.Topology.Validate(); err != nil {
+	if err := t.Validate(); err != nil {
 		return fmt.Errorf("codegen: %w", err)
 	}
-	if len(in.Specs) != in.Topology.Len() {
-		return fmt.Errorf("codegen: %d specs for %d operators", len(in.Specs), in.Topology.Len())
+	var doc strings.Builder
+	if err := xmlio.WriteOptimized(&doc, "deployment", t, replicas); err != nil {
+		return fmt.Errorf("codegen: %w", err)
 	}
-	if in.Replicas != nil && len(in.Replicas) != in.Topology.Len() {
-		return fmt.Errorf("codegen: %d replicas for %d operators", len(in.Replicas), in.Topology.Len())
-	}
-	if len(in.FuseMembers) > 0 {
-		if in.Replicas != nil {
-			return fmt.Errorf("codegen: fusion and explicit replicas are mutually exclusive")
-		}
-		if _, err := core.ValidateSubgraph(in.Topology, in.FuseMembers); err != nil {
-			return fmt.Errorf("codegen: %w", err)
-		}
-	}
-	return nil
-}
-
-// FromResult wires an optimizer pipeline result into an Input: the
-// final (possibly fused) topology together with the fission replication
-// degrees already mapped onto it. Specs must describe the final
-// topology's operators (fused meta-operators included); an all-ones
-// replica vector collapses to nil so the generated program is identical
-// to the unoptimized one. Fusion decisions are already materialized in
-// the final topology, so FuseMembers stays empty.
-func FromResult(res *opt.Result, specs []operators.Spec) Input {
-	in := Input{Topology: res.Final.Topology(), Specs: specs}
-	for _, n := range res.Replicas() {
-		if n != 1 {
-			in.Replicas = res.Replicas()
-			break
-		}
-	}
-	return in
-}
-
-// Generate writes the program to w.
-func Generate(w io.Writer, in Input) error {
-	if err := in.validate(); err != nil {
-		return err
-	}
-	var b strings.Builder
-	b.WriteString(header)
-	emitBuild(&b, in)
-	emitMain(&b, in)
-	_, err := io.WriteString(w, b.String())
+	_, err := fmt.Fprintf(w, program, t.Len(), t.NumEdges(), doc.String())
 	return err
 }
 
-const header = `// Code generated by spinstreams codegen. DO NOT EDIT.
-//
-// This program rebuilds an optimized SpinStreams topology, executes it on
-// the goroutine runtime and prints measured vs predicted throughput.
+const program = `// Code generated by spinstreams generate. DO NOT EDIT.
+
+// This program deploys an optimized SpinStreams topology (%d operators,
+// %d streams) on the goroutine runtime and prints measured vs predicted
+// throughput. It takes the flags of spinstreams run, without -in.
 package main
 
 import (
-	"context"
-	"flag"
 	"fmt"
 	"os"
-	"time"
 
-	"spinstreams/internal/core"
-	"spinstreams/internal/obs"
-	"spinstreams/internal/operators"
-	"spinstreams/internal/runtime"
+	"spinstreams"
 )
 
-`
+// deployment is the topology document this program runs, replica
+// degrees included.
+const deployment = %q
 
-func emitBuild(b *strings.Builder, in Input) {
-	t := in.Topology
-	fmt.Fprintf(b, "// buildTopology reconstructs the logical topology (%d operators, %d streams).\n",
-		t.Len(), t.NumEdges())
-	b.WriteString("func buildTopology() (*core.Topology, []core.OpID) {\n")
-	b.WriteString("\tt := core.NewTopology()\n\tids := make([]core.OpID, 0, ")
-	fmt.Fprintf(b, "%d)\n", t.Len())
-	for i := 0; i < t.Len(); i++ {
-		op := t.Op(core.OpID(i))
-		fmt.Fprintf(b, "\tids = append(ids, t.MustAddOperator(core.Operator{\n")
-		fmt.Fprintf(b, "\t\tName: %q,\n", op.Name)
-		fmt.Fprintf(b, "\t\tKind: core.%s,\n", kindConst(op.Kind))
-		fmt.Fprintf(b, "\t\tServiceTime: %v,\n", op.ServiceTime)
-		if op.InputSelectivity != 0 {
-			fmt.Fprintf(b, "\t\tInputSelectivity: %v,\n", op.InputSelectivity)
-		}
-		if op.OutputSelectivity != 0 {
-			fmt.Fprintf(b, "\t\tOutputSelectivity: %v,\n", op.OutputSelectivity)
-		}
-		if op.Impl != "" {
-			fmt.Fprintf(b, "\t\tImpl: %q,\n", op.Impl)
-		}
-		if op.Keys != nil {
-			fmt.Fprintf(b, "\t\tKeys: &core.KeyDistribution{Freq: %s},\n", floatSlice(op.Keys.Freq))
-		}
-		b.WriteString("\t}))\n")
-	}
-	for i := 0; i < t.Len(); i++ {
-		for _, e := range t.Out(core.OpID(i)) {
-			fmt.Fprintf(b, "\tt.MustConnect(ids[%d], ids[%d], %v)\n", e.From, e.To, e.Prob)
-		}
-	}
-	b.WriteString("\treturn t, ids\n}\n\n")
-
-	b.WriteString("// bindOperators attaches the catalog implementations.\n")
-	b.WriteString("func bindOperators(ids []core.OpID) map[core.OpID]operators.Operator {\n")
-	b.WriteString("\tops := make(map[core.OpID]operators.Operator)\n")
-	for i, spec := range in.Specs {
-		if spec.Impl == "" || spec.Impl == "source" {
-			continue
-		}
-		fmt.Fprintf(b, "\tops[ids[%d]] = operators.MustBuild(%s)\n", i, specLiteral(spec))
-	}
-	b.WriteString("\treturn ops\n}\n\n")
-}
-
-func emitMain(b *strings.Builder, in Input) {
-	b.WriteString(`func main() {
-	duration := flag.Duration("duration", 5*time.Second, "run length")
-	mailbox := flag.Int("mailbox", 64, "mailbox capacity (tuples)")
-	seed := flag.Uint64("seed", 1, "random seed")
-	batch := flag.Int("batch", 0, "window size in tuples (0 = runtime default 32; 1 = per-tuple delivery)")
-	linger := flag.Duration("linger", 0, "longest a paced source keeps a window open; bounds nothing else (0 = runtime default 1ms)")
-	maxRestarts := flag.Int("max-restarts", 0, "restart a panicked operator up to N times, then degrade (0 = crash, <0 = unlimited)")
-	metricsAddr := flag.String("metrics-addr", "", "serve live metrics over HTTP on this address (/metrics, /snapshot, /debug/vars)")
-	flag.Parse()
-	if err := run(*duration, *mailbox, *seed, *batch, *linger, *maxRestarts, *metricsAddr); err != nil {
+func main() {
+	if err := spinstreams.RunCommand(os.Args[1:], deployment, os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "error:", err)
 		os.Exit(1)
 	}
 }
-
-func run(duration time.Duration, mailbox int, seed uint64, batch int, linger time.Duration, maxRestarts int, metricsAddr string) error {
-	t, ids := buildTopology()
-	ops := bindOperators(ids)
-	binding := &runtime.Binding{Ops: ops}
-	var reg *obs.Registry
-	if metricsAddr != "" {
-		reg = obs.New()
-		bound, shutdown, err := reg.Serve(metricsAddr)
-		if err != nil {
-			return err
-		}
-		defer shutdown()
-		fmt.Printf("metrics: http://%s/metrics\n", bound)
-	}
-`)
-	switch {
-	case len(in.FuseMembers) > 0:
-		name := in.FusedName
-		if name == "" {
-			name = "fused"
-		}
-		fmt.Fprintf(b, "\tmembers := []core.OpID{")
-		for i, m := range in.FuseMembers {
-			if i > 0 {
-				b.WriteString(", ")
-			}
-			fmt.Fprintf(b, "ids[%d]", m)
-		}
-		b.WriteString("}\n")
-		fmt.Fprintf(b, `	fused, report, err := core.Fuse(t, members, %q)
-	if err != nil {
-		return err
-	}
-	protos := make(map[core.OpID]operators.Operator, len(members))
-	for _, m := range members {
-		op, ok := ops[m]
-		if !ok {
-			op = operators.MustBuild(operators.Spec{Impl: "identity"})
-		}
-		protos[m] = op
-		delete(ops, m)
-	}
-	meta, err := runtime.NewMetaOperator(t, report, protos, seed)
-	if err != nil {
-		return err
-	}
-	remapped := make(map[core.OpID]operators.Operator, len(ops))
-	for id, op := range ops {
-		remapped[report.SurvivorIDs[id]] = op
-	}
-	binding = &runtime.Binding{Ops: remapped, Meta: map[core.OpID]*runtime.MetaOperator{report.FusedID: meta}}
-	exec := fused
-	predicted := report.ThroughputAfter
-	var replicas []int
-`, name)
-	case in.Replicas != nil:
-		fmt.Fprintf(b, "\treplicas := %s\n", intSlice(in.Replicas))
-		b.WriteString(`	a, err := core.SteadyStateWithReplicas(t, replicas, nil)
-	if err != nil {
-		return err
-	}
-	predicted := a.Throughput()
-	exec := t
-`)
-	default:
-		b.WriteString(`	a, err := core.SteadyState(t)
-	if err != nil {
-		return err
-	}
-	predicted := a.Throughput()
-	exec := t
-	var replicas []int
-`)
-	}
-	b.WriteString(`	metrics, err := runtime.RunTopology(context.Background(), exec, replicas, binding, runtime.Config{
-		Duration:    duration,
-		MailboxSize: mailbox,
-		Seed:        seed,
-		Batch:       batch,
-		Linger:      linger,
-		MaxRestarts: maxRestarts,
-		Obs:         reg,
-	})
-	if err != nil {
-		return err
-	}
-	fmt.Printf("predicted throughput: %.1f items/s\n", predicted)
-	fmt.Printf("measured  throughput: %.1f items/s\n", metrics.Throughput)
-	if metrics.Restarts > 0 || metrics.Degraded > 0 {
-		fmt.Printf("operator restarts: %d (degraded stations: %d)\n", metrics.Restarts, metrics.Degraded)
-	}
-	for op, d := range metrics.Departure {
-		fmt.Printf("  operator %-24s departure %.1f items/s\n", exec.Op(core.OpID(op)).Name, d)
-	}
-	return nil
-}
-`)
-}
-
-func kindConst(k core.Kind) string {
-	switch k {
-	case core.KindSource:
-		return "KindSource"
-	case core.KindStateless:
-		return "KindStateless"
-	case core.KindPartitionedStateful:
-		return "KindPartitionedStateful"
-	case core.KindStateful:
-		return "KindStateful"
-	case core.KindSink:
-		return "KindSink"
-	default:
-		return "Kind(0)"
-	}
-}
-
-func floatSlice(xs []float64) string {
-	var b strings.Builder
-	b.WriteString("[]float64{")
-	for i, x := range xs {
-		if i > 0 {
-			b.WriteString(", ")
-		}
-		fmt.Fprintf(&b, "%v", x)
-	}
-	b.WriteString("}")
-	return b.String()
-}
-
-func intSlice(xs []int) string {
-	var b strings.Builder
-	b.WriteString("[]int{")
-	for i, x := range xs {
-		if i > 0 {
-			b.WriteString(", ")
-		}
-		fmt.Fprintf(&b, "%d", x)
-	}
-	b.WriteString("}")
-	return b.String()
-}
-
-// specLiteral renders an operators.Spec as source code, omitting zero
-// fields.
-func specLiteral(s operators.Spec) string {
-	var parts []string
-	add := func(f string, v any) {
-		parts = append(parts, fmt.Sprintf("%s: %v", f, v))
-	}
-	add("Impl", fmt.Sprintf("%q", s.Impl))
-	if s.WindowLen != 0 {
-		add("WindowLen", s.WindowLen)
-	}
-	if s.Slide != 0 {
-		add("Slide", s.Slide)
-	}
-	if s.Param != 0 {
-		add("Param", s.Param)
-	}
-	if s.K != 0 {
-		add("K", s.K)
-	}
-	if s.NumKeys != 0 {
-		add("NumKeys", s.NumKeys)
-	}
-	if s.Seed != 0 {
-		add("Seed", s.Seed)
-	}
-	return "operators.Spec{" + strings.Join(parts, ", ") + "}"
-}
+`

@@ -2,90 +2,139 @@ package codegen
 
 import (
 	"bytes"
+	"go/ast"
+	"go/format"
 	"go/parser"
 	"go/token"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
+	"spinstreams"
 	"spinstreams/internal/core"
-	"spinstreams/internal/operators"
 	"spinstreams/internal/opt"
 	"spinstreams/internal/randtopo"
+	"spinstreams/internal/xmlio"
 )
 
-func paperInput(t *testing.T) Input {
-	t.Helper()
-	topo, _ := core.PaperExampleTopology(core.PaperExampleTable1)
-	specs := make([]operators.Spec, topo.Len())
-	specs[0] = operators.Spec{Impl: "source"}
-	for i := 1; i < topo.Len(); i++ {
-		specs[i] = operators.Spec{Impl: "identity"}
-	}
-	return Input{Topology: topo, Specs: specs}
-}
-
-func generate(t *testing.T, in Input) string {
+func generate(t *testing.T, topo *core.Topology, replicas []int) string {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := Generate(&buf, in); err != nil {
+	if err := Generate(&buf, topo, replicas); err != nil {
 		t.Fatal(err)
 	}
 	return buf.String()
 }
 
-func parseOK(t *testing.T, src string) {
+// embedded parses a generated program and returns its imports and the
+// deployment document its constant holds.
+func embedded(t *testing.T, src string) (imports []string, doc string) {
 	t.Helper()
-	fset := token.NewFileSet()
-	if _, err := parser.ParseFile(fset, "gen.go", src, 0); err != nil {
+	f, err := parser.ParseFile(token.NewFileSet(), "gen.go", src, 0)
+	if err != nil {
 		t.Fatalf("generated code does not parse: %v\n%s", err, src)
+	}
+	for _, imp := range f.Imports {
+		imports = append(imports, strings.Trim(imp.Path.Value, `"`))
+	}
+	ast.Inspect(f, func(n ast.Node) bool {
+		if vs, ok := n.(*ast.ValueSpec); ok && vs.Names[0].Name == "deployment" {
+			if doc, err = strconv.Unquote(vs.Values[0].(*ast.BasicLit).Value); err != nil {
+				t.Fatalf("deployment constant: %v", err)
+			}
+		}
+		return true
+	})
+	if doc == "" {
+		t.Fatalf("generated code has no deployment constant:\n%s", src)
+	}
+	return imports, doc
+}
+
+// roundTrip checks that the program embeds exactly the deployment it was
+// generated from.
+func roundTrip(t *testing.T, src string, topo *core.Topology, replicas []int) {
+	t.Helper()
+	_, doc := embedded(t, src)
+	back, degrees, err := xmlio.ReadOptimized(strings.NewReader(doc))
+	if err != nil {
+		t.Fatalf("embedded document unreadable: %v\n%s", err, doc)
+	}
+	if back.Fingerprint() != topo.Fingerprint() {
+		t.Errorf("embedded topology differs from the generated one:\n%s", doc)
+	}
+	if replicas == nil {
+		replicas = make([]int, topo.Len())
+		for i := range replicas {
+			replicas[i] = 1
+		}
+	}
+	if !slices.Equal(degrees, replicas) {
+		t.Errorf("embedded degrees %v, want %v", degrees, replicas)
 	}
 }
 
+// optimizedTable1 is the paper's Table 1 topology optimized with
+// fission,fusion: the deployment optimize -passes fission,fusion writes.
+func optimizedTable1(t *testing.T) (*core.Topology, []int) {
+	t.Helper()
+	topo, _ := core.PaperExampleTopology(core.PaperExampleTable1)
+	p, err := opt.ParsePasses("fission,fusion", opt.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := p.Run(topo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res.Final.Topology(), res.Replicas()
+}
+
 func TestGeneratePlain(t *testing.T) {
-	src := generate(t, paperInput(t))
-	parseOK(t, src)
-	for _, want := range []string{
-		"package main", "core.NewTopology()", "MustConnect", "runtime.RunTopology",
-		"core.SteadyState(t)",
-		// The generated program exposes the dataplane knobs and routes
-		// them into the runtime config.
-		`flag.Int("batch"`, `flag.Duration("linger"`, "Batch:       batch",
-		// Fault-tolerance knob: bounded operator restart.
-		`flag.Int("max-restarts"`, "MaxRestarts: maxRestarts",
-	} {
+	topo, _ := core.PaperExampleTopology(core.PaperExampleTable1)
+	src := generate(t, topo, nil)
+	imports, _ := embedded(t, src)
+	// The program is the document plus one facade call: no internal
+	// package, no flag of its own.
+	if want := []string{"fmt", "os", "spinstreams"}; !slices.Equal(imports, want) {
+		t.Errorf("imports %v, want %v", imports, want)
+	}
+	for _, want := range []string{"package main", "spinstreams.RunCommand(os.Args[1:], deployment, os.Stdout)"} {
 		if !strings.Contains(src, want) {
 			t.Errorf("generated code missing %q", want)
 		}
 	}
+	if strings.Contains(src, "flag.") {
+		t.Error("generated code declares flags of its own")
+	}
+	roundTrip(t, src, topo, nil)
 }
 
 func TestGenerateWithReplicas(t *testing.T) {
-	in := paperInput(t)
-	// Stateless vertices for replication.
-	for i := 1; i < in.Topology.Len()-1; i++ {
-		in.Topology.Op(core.OpID(i)).Kind = core.KindStateless
+	topo, _ := core.PaperExampleTopology(core.PaperExampleTable1)
+	for i := 1; i < topo.Len()-1; i++ {
+		topo.Op(core.OpID(i)).Kind = core.KindStateless
 	}
-	in.Replicas = []int{1, 2, 1, 3, 1, 1}
-	src := generate(t, in)
-	parseOK(t, src)
-	if !strings.Contains(src, "SteadyStateWithReplicas") {
-		t.Error("replica program does not pin degrees")
-	}
+	replicas := []int{1, 2, 1, 3, 1, 1}
+	roundTrip(t, generate(t, topo, replicas), topo, replicas)
 }
 
+// TestGenerateWithFusion: a fused deployment embeds its meta-operator
+// with the members it runs (Algorithm 4 at run time).
 func TestGenerateWithFusion(t *testing.T) {
-	in := paperInput(t)
-	in.FuseMembers = []core.OpID{2, 3, 4}
-	in.FusedName = "F"
-	src := generate(t, in)
-	parseOK(t, src)
-	for _, want := range []string{"core.Fuse(t, members", "NewMetaOperator", "report.SurvivorIDs"} {
-		if !strings.Contains(src, want) {
-			t.Errorf("fusion program missing %q", want)
-		}
+	topo, replicas := optimizedTable1(t)
+	if _, ok := topo.Lookup("fused1"); !ok {
+		t.Fatal("fission,fusion did not fuse Table 1")
+	}
+	src := generate(t, topo, replicas)
+	roundTrip(t, src, topo, replicas)
+	_, doc := embedded(t, src)
+	if !strings.Contains(doc, `name="op3"`) || !strings.Contains(doc, `name="fused1"`) {
+		t.Errorf("embedded document lost the meta-operator's members:\n%s", doc)
 	}
 }
 
@@ -93,39 +142,26 @@ func TestGenerateWithKeys(t *testing.T) {
 	topo := core.NewTopology()
 	topo.MustAddOperator(core.Operator{Name: "src", Kind: core.KindSource, ServiceTime: 0.001})
 	ps := topo.MustAddOperator(core.Operator{
-		Name: "agg", Kind: core.KindPartitionedStateful, ServiceTime: 0.002,
+		Name: "agg", Kind: core.KindPartitionedStateful, ServiceTime: 0.002, Impl: "wsum",
 		Keys: &core.KeyDistribution{Freq: []float64{0.5, 0.5}},
 	})
 	topo.MustConnect(0, ps, 1)
-	src := generate(t, Input{
-		Topology: topo,
-		Specs:    []operators.Spec{{Impl: "source"}, {Impl: "wsum", WindowLen: 100, Slide: 10}},
-	})
-	parseOK(t, src)
-	if !strings.Contains(src, "KeyDistribution{Freq: []float64{0.5, 0.5}}") {
-		t.Error("key distribution not emitted")
-	}
+	roundTrip(t, generate(t, topo, []int{1, 2}), topo, []int{1, 2})
 }
 
 func TestGenerateValidation(t *testing.T) {
-	in := paperInput(t)
-	in.Specs = in.Specs[:2]
-	if err := Generate(&bytes.Buffer{}, in); err == nil {
-		t.Error("spec count mismatch accepted")
-	}
-	in = paperInput(t)
-	in.Replicas = []int{1}
-	if err := Generate(&bytes.Buffer{}, in); err == nil {
+	topo, _ := core.PaperExampleTopology(core.PaperExampleTable1)
+	if err := Generate(&bytes.Buffer{}, topo, []int{1}); err == nil {
 		t.Error("replica count mismatch accepted")
 	}
-	in = paperInput(t)
-	in.Replicas = make([]int, in.Topology.Len())
-	in.FuseMembers = []core.OpID{2, 3}
-	if err := Generate(&bytes.Buffer{}, in); err == nil {
-		t.Error("fusion+replicas accepted")
+	if err := Generate(&bytes.Buffer{}, topo, []int{1, 0, 1, 1, 1, 1}); err == nil {
+		t.Error("zero replica degree accepted")
 	}
-	if err := Generate(&bytes.Buffer{}, Input{}); err == nil {
+	if err := Generate(&bytes.Buffer{}, nil, nil); err == nil {
 		t.Error("nil topology accepted")
+	}
+	if err := Generate(&bytes.Buffer{}, core.NewTopology(), nil); err == nil {
+		t.Error("empty topology accepted")
 	}
 }
 
@@ -135,13 +171,33 @@ func TestGenerateRandomTopologiesParse(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		src := generate(t, Input{Topology: g.Topology, Specs: g.Specs})
-		parseOK(t, src)
+		roundTrip(t, generate(t, g.Topology, nil), g.Topology, nil)
+	}
+}
+
+// TestGeneratedSourceIsGofmtClean: generated programs are what gofmt
+// would write, plain and optimized.
+func TestGeneratedSourceIsGofmtClean(t *testing.T) {
+	plain, _ := core.PaperExampleTopology(core.PaperExampleTable1)
+	topo, replicas := optimizedTable1(t)
+	for name, src := range map[string]string{
+		"plain":          generate(t, plain, nil),
+		"fission,fusion": generate(t, topo, replicas),
+	} {
+		formatted, err := format.Source([]byte(src))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if string(formatted) != src {
+			t.Errorf("%s: generated source is not gofmt-clean:\n%s", name, src)
+		}
 	}
 }
 
 // TestGeneratedProgramBuildsAndRuns is the full integration check: the
-// generated program must compile inside this module and execute.
+// generated program builds where a user would build it, in a module of
+// its own outside this one that requires spinstreams through a replace
+// directive, offline, and runs the deployment run -in runs.
 func TestGeneratedProgramBuildsAndRuns(t *testing.T) {
 	if testing.Short() {
 		t.Skip("compiles and runs a generated binary")
@@ -150,94 +206,70 @@ func TestGeneratedProgramBuildsAndRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Directories starting with "." are invisible to the go tool, so a
-	// leftover cannot break ./... builds.
-	dir, err := os.MkdirTemp(root, ".codegen-test-")
+	dir, err := os.MkdirTemp("", "spinstreams-gen-")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer os.RemoveAll(dir)
 
-	src := generate(t, paperInput(t))
-	if err := os.WriteFile(filepath.Join(dir, "main.go"), []byte(src), 0o644); err != nil {
-		t.Fatal(err)
+	topo, replicas := optimizedTable1(t)
+	src := generate(t, topo, replicas)
+	gomod := "module gen\n\ngo 1.22\n\nrequire spinstreams v0.0.0\n\nreplace spinstreams => " + root + "\n"
+	for name, data := range map[string]string{"main.go": src, "go.mod": gomod} {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(data), 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
 	bin := filepath.Join(dir, "gen")
-	build := exec.Command("go", "build", "-o", bin, dir)
-	build.Dir = root
+	build := exec.Command("go", "build", "-o", bin, ".")
+	build.Dir = dir
+	build.Env = append(os.Environ(), "GOFLAGS=-mod=mod", "GOPROXY=off", "GOWORK=off")
 	if out, err := build.CombinedOutput(); err != nil {
 		t.Fatalf("go build failed: %v\n%s\n--- generated source ---\n%s", err, out, src)
 	}
-	// The default (per-edge ring selection) and both ends of the window
-	// knob — -batch 1 is per-tuple delivery — must work in generated
-	// programs.
+
+	// The prediction is the one run -in prints for the same document.
+	optFile := filepath.Join(dir, "opt.xml")
+	if err := xmlio.WriteFileOptimized(optFile, "optimized", topo, replicas); err != nil {
+		t.Fatal(err)
+	}
+	var ref bytes.Buffer
+	if err := spinstreams.RunCommand([]string{"-in", optFile, "-duration", "200ms"}, "", &ref); err != nil {
+		t.Fatal(err)
+	}
+	predicted := predictedLine(t, ref.String())
+
+	// The default and both ends of the window knob — -batch 1 is
+	// per-tuple delivery — must work in generated programs.
 	for _, args := range [][]string{
 		{"-duration", "400ms"},
 		{"-duration", "400ms", "-batch", "16", "-linger", "500us"},
 		{"-duration", "400ms", "-batch", "1"},
 	} {
-		run := exec.Command(bin, args...)
-		out, err := run.CombinedOutput()
+		out, err := exec.Command(bin, args...).CombinedOutput()
 		if err != nil {
 			t.Fatalf("generated binary %v failed: %v\n%s", args, err, out)
 		}
-		for _, want := range []string{"predicted throughput", "measured  throughput"} {
-			if !strings.Contains(string(out), want) {
-				t.Errorf("%v output missing %q:\n%s", args, want, out)
-			}
+		if got := predictedLine(t, string(out)); got != predicted {
+			t.Errorf("%v: %q, run -in printed %q", args, got, predicted)
 		}
+		if !strings.Contains(string(out), "measured  throughput:") {
+			t.Errorf("%v output missing the measured throughput:\n%s", args, out)
+		}
+	}
+	// run's flag validation holds in generated programs too.
+	if out, err := exec.Command(bin, "-mailbox", "0").CombinedOutput(); err == nil {
+		t.Errorf("generated binary accepted -mailbox 0:\n%s", out)
 	}
 }
 
-// TestFromResult wires an optimizer pipeline result into an Input: the
-// final fused topology generates a valid program, and an all-ones
-// replica vector collapses to nil.
-func TestFromResult(t *testing.T) {
-	topo, _ := core.PaperExampleTopology(core.PaperExampleTable1)
-	res, err := opt.Run(topo, opt.Options{})
-	if err != nil {
-		t.Fatal(err)
+func predictedLine(t *testing.T, out string) string {
+	t.Helper()
+	for _, line := range strings.Split(out, "\n") {
+		if strings.HasPrefix(line, "predicted throughput:") {
+			return line
+		}
 	}
-	final := res.Final.Topology()
-	if final.Len() >= topo.Len() {
-		t.Fatalf("expected fusion to shrink the topology (%d -> %d)", topo.Len(), final.Len())
-	}
-	specs := make([]operators.Spec, final.Len())
-	specs[0] = operators.Spec{Impl: "source"}
-	for i := 1; i < final.Len(); i++ {
-		specs[i] = operators.Spec{Impl: "identity"}
-	}
-	in := FromResult(res, specs)
-	if in.Topology != final {
-		t.Error("FromResult did not use the final topology")
-	}
-	if in.Replicas != nil {
-		t.Errorf("all-ones replicas should collapse to nil, got %v", in.Replicas)
-	}
-	var buf bytes.Buffer
-	if err := Generate(&buf, in); err != nil {
-		t.Fatalf("generate: %v", err)
-	}
-	if !strings.Contains(buf.String(), "package main") {
-		t.Error("generated program is not a main package")
-	}
-
-	// A replicated result carries its degrees through.
-	bott := core.NewTopology()
-	src := bott.MustAddOperator(core.Operator{Name: "src", Kind: core.KindSource, ServiceTime: 1e-3})
-	hot := bott.MustAddOperator(core.Operator{Name: "hot", Kind: core.KindStateless, ServiceTime: 4e-3})
-	snk := bott.MustAddOperator(core.Operator{Name: "snk", Kind: core.KindSink, ServiceTime: 1e-4})
-	bott.MustConnect(src, hot, 1)
-	bott.MustConnect(hot, snk, 1)
-	res2, err := (&opt.Pipeline{Passes: []opt.Pass{opt.AnalyzePass{}, opt.FissionPass{}}}).Run(bott)
-	if err != nil {
-		t.Fatal(err)
-	}
-	in2 := FromResult(res2, []operators.Spec{{Impl: "source"}, {Impl: "identity"}, {Impl: "identity"}})
-	if in2.Replicas == nil || in2.Replicas[1] != 4 {
-		t.Errorf("replicas = %v, want hot at 4", in2.Replicas)
-	}
-	if err := Generate(&buf, in2); err != nil {
-		t.Fatalf("generate replicated: %v", err)
-	}
+	t.Fatalf("no predicted throughput line:\n%s", out)
+	return ""
 }

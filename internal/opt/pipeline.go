@@ -2,6 +2,7 @@ package opt
 
 import (
 	"fmt"
+	"strings"
 
 	"spinstreams/internal/core"
 	"spinstreams/internal/lint"
@@ -81,6 +82,45 @@ type Pipeline struct {
 // Construct a Pipeline literal to run another pass list.
 func New(opts Options) *Pipeline {
 	return &Pipeline{Opts: opts, Passes: []Pass{AnalyzePass{}, FissionPass{}, FusionPass{}}}
+}
+
+// ParsePasses builds the pipeline a -passes list names: the mandatory
+// analyze, then fission, the fusion slot (fusion or fuse=a+b+c) and
+// latency in the pinned order, whatever the list order. An empty list is
+// the analysis alone.
+func ParsePasses(list string, opts Options) (*Pipeline, error) {
+	var fission, latency bool
+	var fusion Pass
+	for _, name := range strings.Split(list, ",") {
+		switch name = strings.TrimSpace(name); {
+		case name == "":
+		case name == "fission":
+			fission = true
+		case name == "latency":
+			latency = true
+		case name == "fusion" || strings.HasPrefix(name, "fuse="):
+			if fusion != nil {
+				return nil, fmt.Errorf("optimize: -passes: %s and %s both take the fusion slot", fusion.Name(), name)
+			}
+			fusion = FusionPass{}
+			if members, ok := strings.CutPrefix(name, "fuse="); ok {
+				fusion = FusePass{Members: strings.Split(members, "+")}
+			}
+		default:
+			return nil, fmt.Errorf("optimize: -passes: unknown pass %q (want fission, fusion, fuse=a+b+c or latency)", name)
+		}
+	}
+	p := &Pipeline{Opts: opts, Passes: []Pass{AnalyzePass{}}}
+	if fission {
+		p.Passes = append(p.Passes, FissionPass{})
+	}
+	if fusion != nil {
+		p.Passes = append(p.Passes, fusion)
+	}
+	if latency {
+		p.Passes = append(p.Passes, LatencyPass{})
+	}
+	return p, nil
 }
 
 // Run executes the default pipeline on t.

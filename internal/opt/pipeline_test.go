@@ -413,3 +413,53 @@ func TestSnapshotImmutability(t *testing.T) {
 		t.Error("fingerprint ignored a service-time change")
 	}
 }
+
+// TestParsePasses pins the -passes grammar: analyze always runs first,
+// the named passes follow in the pinned order whatever the list order,
+// and unknown names or a second fusion-slot pass are errors.
+func TestParsePasses(t *testing.T) {
+	names := func(p *Pipeline) string {
+		var out []string
+		for _, pass := range p.Passes {
+			out = append(out, pass.Name())
+		}
+		return strings.Join(out, ",")
+	}
+	for list, want := range map[string]string{
+		"":                        "analyze",
+		"fission":                 "analyze,fission",
+		"latency, fusion,fission": "analyze,fission,fusion,latency",
+		"latency,fuse=op3+op4":    "analyze,fuse,latency",
+		",fission,":               "analyze,fission",
+	} {
+		p, err := ParsePasses(list, Options{AllowCycles: true})
+		if err != nil {
+			t.Fatalf("%q: %v", list, err)
+		}
+		if got := names(p); got != want {
+			t.Errorf("%q: passes %s, want %s", list, got, want)
+		}
+		if !p.Opts.AllowCycles {
+			t.Errorf("%q: options not carried into the pipeline", list)
+		}
+	}
+	p, err := ParsePasses("fuse=op3+op4+op5", Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f := p.Passes[1].(FusePass); strings.Join(f.Members, " ") != "op3 op4 op5" {
+		t.Errorf("fuse members = %q", f.Members)
+	}
+	for list, want := range map[string]string{
+		"shedding":                "optimize: -passes: unknown pass \"shedding\" (want fission, fusion, fuse=a+b+c or latency)",
+		"analyze":                 "unknown pass \"analyze\"",
+		"autofuse":                "unknown pass \"autofuse\"",
+		"fusion,fuse=op3+op4+op5": "optimize: -passes: fusion and fuse=op3+op4+op5 both take the fusion slot",
+		"fuse=a,fuse=b":           "fuse and fuse=b both take the fusion slot",
+		"fusion,fusion":           "fusion and fusion both take the fusion slot",
+	} {
+		if _, err := ParsePasses(list, Options{}); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%q: error %v, want %q", list, err, want)
+		}
+	}
+}

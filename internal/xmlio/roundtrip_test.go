@@ -2,6 +2,7 @@ package xmlio_test
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -20,9 +21,17 @@ func roundTrip(t *testing.T, topo *core.Topology, replicas []int) (*core.Topolog
 		t.Fatalf("write: %v", err)
 	}
 	got, reps, err := xmlio.ReadFileOptimized(path)
+	data, _ := os.ReadFile(path)
 	if err != nil {
-		data, _ := os.ReadFile(path)
 		t.Fatalf("read back: %v\nxml:\n%s", err, data)
+	}
+	// The reader form is the same decoder: same topology, same degrees.
+	fromReader, readerReps, err := xmlio.ReadOptimized(bytes.NewReader(data))
+	if err != nil {
+		t.Fatalf("ReadOptimized: %v", err)
+	}
+	if fromReader.Fingerprint() != got.Fingerprint() || fmt.Sprint(readerReps) != fmt.Sprint(reps) {
+		t.Errorf("ReadOptimized read %v, ReadFileOptimized %v", readerReps, reps)
 	}
 	return got, reps
 }

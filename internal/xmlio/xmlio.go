@@ -338,23 +338,33 @@ func ToDocumentOptimized(name string, t *core.Topology, replicas []int) (*Docume
 	return doc, nil
 }
 
-// ReadFileOptimized parses the deployment a document at path describes:
-// the topology (keysFile references resolved relative to its directory)
-// and the replication degrees its replicas attributes record,
-// index-aligned with OpIDs (all ones when it carries none).
+// ReadOptimized parses the deployment a document describes: the
+// topology and the replication degrees its replicas attributes record,
+// index-aligned with OpIDs (all ones when it carries none). As with Read,
+// key-file references are rejected.
+func ReadOptimized(r io.Reader) (*core.Topology, []int, error) {
+	return readOptimized(r, nil)
+}
+
+// ReadFileOptimized is ReadOptimized on the document at path; keysFile
+// references resolve relative to its directory.
 func ReadFileOptimized(path string) (*core.Topology, []int, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, nil, fmt.Errorf("xmlio: %w", err)
 	}
 	defer f.Close()
-	doc, pos, err := DecodeDocument(f)
+	return readOptimized(f, func(ref string) ([]float64, error) {
+		return LoadKeyFile(filepath.Join(filepath.Dir(path), ref))
+	})
+}
+
+func readOptimized(r io.Reader, loader KeyLoader) (*core.Topology, []int, error) {
+	doc, pos, err := DecodeDocument(r)
 	if err != nil {
 		return nil, nil, err
 	}
-	t, err := fromDocument(doc, pos, func(ref string) ([]float64, error) {
-		return LoadKeyFile(filepath.Join(filepath.Dir(path), ref))
-	})
+	t, err := fromDocument(doc, pos, loader)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -154,6 +154,10 @@ func TestKeysFile(t *testing.T) {
 	if len(freq) != 2 || freq[0] != 0.6 || freq[1] != 0.4 {
 		t.Fatalf("keys = %v", freq)
 	}
+	// Only the file readers resolve key files.
+	if _, _, err := ReadOptimized(strings.NewReader(doc)); err == nil || !strings.Contains(err.Error(), "no key loader") {
+		t.Errorf("ReadOptimized resolved a key file: %v", err)
+	}
 }
 
 func TestReadErrors(t *testing.T) {

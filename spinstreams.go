@@ -3,25 +3,21 @@
 // Static Optimization Tool for Data Stream Processing Applications"
 // (Mencagli, Dazzi, Tonci — Middleware 2018).
 //
-// The package is a facade over the library's subsystems:
+// The facade follows the tool's workflow:
 //
-//   - topology modeling and the steady-state backpressure cost model
-//     (Algorithm 1), operator fission with optimal replication degrees
-//     (Algorithm 2), and operator fusion of single-front-end subgraphs
-//     (Algorithm 3) — internal/core;
-//   - the XML topology formalism — internal/xmlio;
-//   - the catalog of 20 real-world operators (maps, filters, windowed
-//     aggregations, spatial queries, band-joins) — internal/operators;
-//   - physical plan expansion (emitters, replicas, collectors,
-//     meta-operators) — internal/plan;
-//   - a deterministic discrete-event simulator of the topology as a
-//     queueing network with Blocking-After-Service semantics —
-//     internal/qsim;
-//   - a live goroutine runtime with bounded-channel mailboxes (the
-//     SS2Akka analog) — internal/runtime;
-//   - random testbed generation (Algorithm 5), profiling and Go code
-//     generation — internal/randtopo, internal/profiler,
-//     internal/codegen.
+//   - read a topology document, replica degrees included
+//     (ReadTopology, ReadTopologyFile), or build one (NewTopology);
+//   - Optimize it over the pass pipeline: steady-state analysis under
+//     backpressure (Algorithm 1), operator fission with optimal
+//     replication degrees (Algorithm 2), operator fusion of
+//     single-front-end subgraphs (Algorithm 3), the latency estimate;
+//   - deploy the result live on the goroutine runtime, whose station
+//     inboxes are bounded batched queues (Run, Start, RunDistributed);
+//   - check it in the discrete-event simulator (Simulate) and the static
+//     verifier (Vet).
+//
+// RunCommand is the tool's run subcommand; a program that spinstreams
+// generate writes is the optimized document plus one call to it.
 //
 // Quick start:
 //
@@ -31,10 +27,10 @@
 //	sink := t.MustAddOperator(spinstreams.Operator{Name: "sink", Kind: spinstreams.KindSink, ServiceTime: 1e-4})
 //	t.MustConnect(src, hot, 1)
 //	t.MustConnect(hot, sink, 1)
-//	a, _ := spinstreams.Analyze(t)              // predicted throughput: 250/s (hot is a bottleneck)
-//	res, _ := spinstreams.Optimize(t, spinstreams.FissionOptions{})
-//	_ = a
-//	_ = res                                     // hot gets ceil(4) = 4 replicas; throughput 1000/s
+//	res, _ := spinstreams.Optimize(t, "fission", spinstreams.OptimizerOptions{})
+//	_ = res.Baseline.Throughput() // 250/s: hot is a bottleneck
+//	_ = res.Replicas()            // [1 4 1]: hot gets ceil(4) = 4 replicas
+//	_ = res.Throughput()          // 1000/s
 //
 // See the runnable programs under examples/ for full scenarios.
 package spinstreams
@@ -136,9 +132,35 @@ func NewTopology() *Topology { return core.NewTopology() }
 // backpressure.
 func Analyze(t *Topology) (*Analysis, error) { return core.SteadyState(t) }
 
-// Optimize eliminates bottlenecks via operator fission (Algorithm 2).
-func Optimize(t *Topology, opts FissionOptions) (*FissionResult, error) {
-	return core.EliminateBottlenecks(t, opts)
+// Optimizer pipeline types (internal/opt): the pass pipeline that
+// composes Algorithms 1-3 over an immutable topology snapshot with a
+// memoizing steady-state solver and a structured rewrite trace.
+type (
+	// OptimizerOptions configures the pass pipeline (fission, fusion and
+	// latency parameters, cyclic admission).
+	OptimizerOptions = opt.Options
+	// OptimizerResult is the pipeline outcome: final snapshot, per-pass
+	// results, replica degrees mapped to the final topology, the rewrite
+	// trace and the solver-cache statistics.
+	OptimizerResult = opt.Result
+	// RewriteTrace is the structured record of every optimizer decision,
+	// exportable as JSON (schema opt.TraceSchema).
+	RewriteTrace = opt.Trace
+	// DeltaPlan is a re-optimization's output under measured profiles:
+	// replica changes and fusions to undo (see AutotuneRound).
+	DeltaPlan = opt.DeltaPlan
+)
+
+// Optimize runs the pass pipeline the comma-separated passes name, as
+// spinstreams optimize -passes does: analysis always, then fission,
+// fusion or fuse=a+b+c, and latency in that order ("" is the analysis
+// alone). The result's final topology and Replicas() are the deployment.
+func Optimize(t *Topology, passes string, opts OptimizerOptions) (*OptimizerResult, error) {
+	p, err := opt.ParsePasses(passes, opts)
+	if err != nil {
+		return nil, err
+	}
+	return p.Run(t)
 }
 
 // Fuse replaces the subgraph with a meta-operator (Algorithm 3) and
@@ -153,109 +175,25 @@ func Candidates(t *Topology) ([]FusionCandidate, error) {
 	return core.FusionCandidates(t, nil)
 }
 
-// AutoFuse repeatedly applies the safest fusion candidate until none
-// qualifies, coarsening the topology without hurting predicted throughput
-// (the automation the paper lists as future work).
-func AutoFuse(t *Topology, opts core.AutoFuseOptions) (*core.AutoFuseResult, error) {
-	return core.AutoFuse(t, opts)
-}
-
-// AutoFuseOptions and AutoFuseResult configure and report AutoFuse.
-type (
-	AutoFuseOptions = core.AutoFuseOptions
-	AutoFuseResult  = core.AutoFuseResult
-)
-
-// EstimateLatency predicts per-operator queueing delays and the expected
-// end-to-end latency from a steady-state analysis (pass nil to compute
-// one); an extension of the paper's throughput-only models, validated
-// against the simulator's measured waiting times.
-func EstimateLatency(t *Topology, a *Analysis, model core.LatencyModel, bufferCapacity int) (*core.LatencyEstimate, error) {
-	return core.EstimateLatency(t, a, model, bufferCapacity)
-}
-
-// Latency model selectors and result type.
-type (
-	LatencyModel    = core.LatencyModel
-	LatencyEstimate = core.LatencyEstimate
-)
-
-// Queueing approximations for EstimateLatency.
-const (
-	MM1 = core.MM1
-	MD1 = core.MD1
-)
-
-// Optimizer pipeline types (internal/opt): the pass-pipeline driver that
-// composes Algorithms 1-3 over an immutable topology snapshot with a
-// memoizing steady-state solver and a structured rewrite trace.
-type (
-	// OptimizerOptions configures the pass pipeline (fission, fusion and
-	// latency parameters, cyclic admission).
-	OptimizerOptions = opt.Options
-	// OptimizerResult is the pipeline outcome: final snapshot, per-pass
-	// results, replica degrees mapped to the final topology, the rewrite
-	// trace and the solver-cache statistics.
-	OptimizerResult = opt.Result
-	// RewriteTrace is the structured record of every optimizer decision,
-	// exportable as JSON (schema opt.TraceSchema).
-	RewriteTrace = opt.Trace
-	// DeltaPlan is Reoptimize's output: replica changes and fusions to
-	// undo under measured profiles.
-	DeltaPlan = opt.DeltaPlan
-)
-
-// OptimizePipeline runs the full pass pipeline — analysis, bottleneck
-// elimination, fusion — and returns the composite result with its
-// rewrite trace. Equivalent to running Analyze, Optimize and AutoFuse in
-// sequence, but with shared solver memoization and provenance.
-func OptimizePipeline(t *Topology, opts OptimizerOptions) (*OptimizerResult, error) {
-	return opt.Run(t, opts)
-}
-
-// Reoptimize closes the adaptation loop: it substitutes a drift report's
-// measured profiles into the topology, re-runs the optimizer pipeline,
-// and returns the delta plan (replica changes, fusions to undo) that
-// moves the deployment to the new optimum.
-func Reoptimize(t *Topology, drift *DriftReport, opts OptimizerOptions) (*DeltaPlan, error) {
-	return opt.Reoptimize(opt.NewSnapshot(t), drift, opts)
-}
-
-// AnalyzeCyclic runs the steady-state analysis extended to topologies with
-// feedback edges (the cyclic generality the paper lists as future work):
-// the traffic equations are solved by fixed-point iteration and the source
-// is scaled against the binding capacity.
-func AnalyzeCyclic(t *Topology) (*Analysis, error) { return core.SteadyStateCyclic(t) }
-
-// AnalyzeShedding evaluates the topology under load-shedding semantics
-// (Section 2's alternative to backpressure): saturated operators discard
-// their excess instead of throttling upstream, and the analysis reports
-// the resulting loss.
-func AnalyzeShedding(t *Topology) (*core.SheddingAnalysis, error) {
-	return core.SteadyStateShedding(t)
-}
-
-// SheddingAnalysis is the load-shedding steady state.
-type SheddingAnalysis = core.SheddingAnalysis
-
-// Simulate measures the topology in the discrete-event simulator; replicas
-// (from Optimize) may be nil.
+// Simulate measures the deployment in the discrete-event simulator;
+// replicas may be nil for an unreplicated one.
 func Simulate(t *Topology, replicas []int, cfg SimConfig) (*SimResult, error) {
 	return qsim.SimulateTopology(t, replicas, cfg)
 }
 
-// Execute runs the topology live on the goroutine runtime.
-func Execute(ctx context.Context, t *Topology, replicas []int, binding *Binding, cfg RunConfig) (*RunMetrics, error) {
+// Run executes the deployment live on the goroutine runtime; replicas may
+// be nil, and a nil binding runs identity operators.
+func Run(ctx context.Context, t *Topology, replicas []int, binding *Binding, cfg RunConfig) (*RunMetrics, error) {
 	return runtime.RunTopology(ctx, t, replicas, binding, cfg)
 }
 
 // Live reconfiguration re-exports (internal/runtime's controller/epoch
-// architecture): a deployment started with StartLive keeps running while
-// DeltaPlans are applied in-flight — replica rescaling, keyed-state
+// architecture): a deployment started with Start keeps running while
+// delta plans are applied in-flight — replica rescaling, keyed-state
 // migration, fusion undo — under a bounded pause fence.
 type (
 	// LiveController owns a running deployment that can be reconfigured
-	// in-flight; obtain one from StartLive.
+	// in-flight; obtain one from Start.
 	LiveController = runtime.Controller
 	// LiveApplyReport describes one in-flight DeltaPlan application.
 	LiveApplyReport = runtime.ApplyReport
@@ -267,39 +205,32 @@ type (
 	AutotuneReport = runtime.AutotuneReport
 )
 
-// StartLive deploys the topology on the goroutine runtime and returns a
-// controller that keeps it running until Stop. Unlike Execute, the
-// deployment can be reconfigured while tuples flow: ApplyDelta rescales
-// operators, migrates keyed state, and undoes fusions in-flight, and
-// Autotune closes the measure → re-optimize → apply loop automatically.
-func StartLive(t *Topology, replicas []int, binding *Binding, cfg RunConfig) (*LiveController, error) {
+// Start deploys like Run and returns a controller that keeps the
+// deployment running until Stop. Unlike Run, it can be reconfigured while
+// tuples flow: the controller's ApplyDelta rescales operators, migrates
+// keyed state and undoes fusions in-flight, and Autotune closes the
+// measure → re-optimize → apply loop.
+func Start(t *Topology, replicas []int, binding *Binding, cfg RunConfig) (*LiveController, error) {
 	return runtime.StartTopology(t, replicas, binding, cfg)
 }
 
-// ApplyDelta applies a Reoptimize delta plan to a live deployment without
-// restarting it: replica changes and fusion undos are fenced per change,
-// with unaffected stations running throughout.
-func ApplyDelta(c *LiveController, d *DeltaPlan) (*LiveApplyReport, error) {
-	return c.ApplyDelta(d)
-}
-
-// DistributedConfig tunes ExecuteDistributed.
+// DistributedConfig tunes RunDistributed.
 type DistributedConfig = runtime.DistributedConfig
 
-// NewFaultInjector builds a deterministic fault injector for
-// RunConfig.Faults. Injectors are single-use: build a fresh one per run.
-func NewFaultInjector(cfg FaultInjectorConfig) *FaultInjector { return faultinject.New(cfg) }
-
-// ExecuteDistributed partitions the topology's physical plan across nodes
+// RunDistributed partitions the deployment's physical plan across nodes
 // that exchange items over TCP (the Akka-Remoting analog the paper lists
 // as future work); backpressure propagates across the network.
-func ExecuteDistributed(ctx context.Context, t *Topology, replicas []int, binding *Binding, cfg DistributedConfig) (*RunMetrics, error) {
+func RunDistributed(ctx context.Context, t *Topology, replicas []int, binding *Binding, cfg DistributedConfig) (*RunMetrics, error) {
 	p, err := plan.Build(t, plan.Options{Replicas: replicas})
 	if err != nil {
 		return nil, err
 	}
 	return runtime.RunDistributed(ctx, p, binding, cfg)
 }
+
+// NewFaultInjector builds a deterministic fault injector for
+// RunConfig.Faults. Injectors are single-use: build a fresh one per run.
+func NewFaultInjector(cfg FaultInjectorConfig) *FaultInjector { return faultinject.New(cfg) }
 
 // NewObsRegistry builds an empty metrics registry for RunConfig.Obs. The
 // runtime binds it to the physical plan at Run time; after (or during) a
@@ -310,9 +241,8 @@ func NewObsRegistry() *ObsRegistry { return obs.New() }
 // departure rates over the registry's steady-state window and, when the
 // run had RunConfig.Estimator set, re-runs the cost model on the
 // estimator's measured profiles — the measure → predict → verify loop of
-// the paper's workflow, closed on live data. Without the estimator the
-// report carries no profiles, and Reoptimize refuses it.
-// Replicas (from Optimize) may be nil for an unreplicated run.
+// the paper's workflow, closed on live data. Replicas may be nil for an
+// unreplicated run.
 func ComputeDrift(t *Topology, replicas []int, r *ObsRegistry) (*DriftReport, error) {
 	return obs.Drift(t, replicas, r)
 }
@@ -323,14 +253,21 @@ func BuildOperator(spec Spec) (operators.Operator, error) { return operators.Bui
 // OperatorCatalog lists the built-in operator implementations.
 func OperatorCatalog() []string { return operators.Catalog() }
 
-// ReadTopology parses the XML topology formalism.
-func ReadTopology(r io.Reader) (*Topology, error) { return xmlio.Read(r) }
+// ReadTopology parses a topology document: the topology and one
+// replication degree per operator (all ones when the document records
+// none). Key-file references are rejected; ReadTopologyFile resolves them.
+func ReadTopology(r io.Reader) (*Topology, []int, error) { return xmlio.ReadOptimized(r) }
 
-// ReadTopologyFile parses an XML topology file.
-func ReadTopologyFile(path string) (*Topology, error) { return xmlio.ReadFile(path) }
+// ReadTopologyFile is ReadTopology on the document at path; keysFile
+// references resolve relative to its directory.
+func ReadTopologyFile(path string) (*Topology, []int, error) { return xmlio.ReadFileOptimized(path) }
 
-// WriteTopology serializes a topology as XML.
-func WriteTopology(w io.Writer, name string, t *Topology) error { return xmlio.Write(w, name, t) }
+// WriteTopology serializes a deployment as XML: the topology (fused
+// meta-operators included) and its replication degrees, which may be nil
+// for all ones. ReadTopology reads back both.
+func WriteTopology(w io.Writer, name string, t *Topology, replicas []int) error {
+	return xmlio.WriteOptimized(w, name, t, replicas)
+}
 
 // Static verification ("spinstreams vet") re-exports.
 type (

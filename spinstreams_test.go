@@ -3,6 +3,7 @@ package spinstreams_test
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -26,14 +27,17 @@ func TestFacadeQuickstartFlow(t *testing.T) {
 	if a.Throughput() < 249 || a.Throughput() > 251 {
 		t.Fatalf("predicted throughput = %v, want 250", a.Throughput())
 	}
-	res, err := spinstreams.Optimize(topo, spinstreams.FissionOptions{})
+	res, err := spinstreams.Optimize(topo, "fission", spinstreams.OptimizerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Analysis.Replicas[hot] != 4 {
-		t.Fatalf("replicas = %d, want 4", res.Analysis.Replicas[hot])
+	if res.Replicas()[hot] != 4 {
+		t.Fatalf("replicas = %d, want 4", res.Replicas()[hot])
 	}
-	sim, err := spinstreams.Simulate(topo, res.Analysis.Replicas, spinstreams.SimConfig{Horizon: 20})
+	if res.Baseline.Throughput() != a.Throughput() || res.Throughput() < 999 {
+		t.Fatalf("optimize predicted %v -> %v, want 250 -> 1000", res.Baseline.Throughput(), res.Throughput())
+	}
+	sim, err := spinstreams.Simulate(topo, res.Replicas(), spinstreams.SimConfig{Horizon: 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,15 +63,15 @@ func TestFacadePaperExampleAndFusion(t *testing.T) {
 		t.Fatal("table 1 fusion flagged")
 	}
 	var buf bytes.Buffer
-	if err := spinstreams.WriteTopology(&buf, "fused", fused); err != nil {
+	if err := spinstreams.WriteTopology(&buf, "fused", fused, nil); err != nil {
 		t.Fatal(err)
 	}
-	back, err := spinstreams.ReadTopology(&buf)
+	back, replicas, err := spinstreams.ReadTopology(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if back.Len() != fused.Len() {
-		t.Fatal("xml round trip changed topology")
+	if back.Fingerprint() != fused.Fingerprint() || len(replicas) != fused.Len() {
+		t.Fatal("xml round trip changed the deployment")
 	}
 }
 
@@ -76,7 +80,7 @@ func TestFacadeExecute(t *testing.T) {
 	src := topo.MustAddOperator(spinstreams.Operator{Name: "src", Kind: spinstreams.KindSource, ServiceTime: 1e-3})
 	sink := topo.MustAddOperator(spinstreams.Operator{Name: "sink", Kind: spinstreams.KindSink, ServiceTime: 1e-4})
 	topo.MustConnect(src, sink, 1)
-	m, err := spinstreams.Execute(context.Background(), topo, nil, nil, spinstreams.RunConfig{
+	m, err := spinstreams.Run(context.Background(), topo, nil, nil, spinstreams.RunConfig{
 		Duration: 800 * time.Millisecond,
 		Warmup:   200 * time.Millisecond,
 	})
@@ -103,7 +107,7 @@ func TestFacadeExecuteWithFaults(t *testing.T) {
 		Seed:      5,
 		PanicProb: 0.01,
 	})
-	m, err := spinstreams.Execute(context.Background(), topo, nil, nil, spinstreams.RunConfig{
+	m, err := spinstreams.Run(context.Background(), topo, nil, nil, spinstreams.RunConfig{
 		Duration:    800 * time.Millisecond,
 		Warmup:      200 * time.Millisecond,
 		MaxRestarts: -1,
@@ -137,8 +141,10 @@ func TestFacadeOperatorCatalog(t *testing.T) {
 	}
 }
 
+// TestFacadeExtensions drives the pipeline's extensions through
+// Optimize's pass list: the cyclic fixed-point analysis, automatic
+// fusion and the latency estimate.
 func TestFacadeExtensions(t *testing.T) {
-	// Cyclic analysis through the facade.
 	cyc := spinstreams.NewTopology()
 	src := cyc.MustAddOperator(spinstreams.Operator{Name: "src", Kind: spinstreams.KindSource, ServiceTime: 1e-3})
 	work := cyc.MustAddOperator(spinstreams.Operator{Name: "work", Kind: spinstreams.KindStateful, ServiceTime: 5e-4})
@@ -148,41 +154,30 @@ func TestFacadeExtensions(t *testing.T) {
 	cyc.MustConnect(work, sink, 0.8)
 	cyc.MustConnect(work, retry, 0.2)
 	cyc.MustConnect(retry, work, 1)
-	a, err := spinstreams.AnalyzeCyclic(cyc)
+	res, err := spinstreams.Optimize(cyc, "fission", spinstreams.OptimizerOptions{AllowCycles: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Throughput() < 999 {
-		t.Errorf("cyclic throughput = %v", a.Throughput())
+	if !res.Cyclic || res.Baseline.Throughput() < 999 {
+		t.Errorf("cyclic analysis: cyclic %v, throughput %v", res.Cyclic, res.Baseline.Throughput())
+	}
+	if _, err := spinstreams.Optimize(cyc, "", spinstreams.OptimizerOptions{}); err == nil {
+		t.Error("cyclic topology optimized without AllowCycles")
 	}
 
-	// Shedding analysis.
-	topo, _ := spinstreams.PaperExample(true)
-	shed, err := spinstreams.AnalyzeShedding(topo)
+	topo, _ := spinstreams.PaperExample(false)
+	res, err = spinstreams.Optimize(topo, "fusion,latency", spinstreams.OptimizerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if shed.SourceRate <= 0 {
-		t.Error("shedding analysis empty")
+	if res.Fusion == nil || res.Fusion.OperatorsAfter >= res.Fusion.OperatorsBefore {
+		t.Error("fusion did not coarsen the paper topology")
 	}
-
-	// Latency estimate.
-	est, err := spinstreams.EstimateLatency(topo, nil, spinstreams.MM1, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if est.EndToEnd <= 0 {
+	if res.Latency == nil || res.Latency.EndToEnd <= 0 {
 		t.Error("latency estimate empty")
 	}
-
-	// AutoFuse.
-	fuseTopo, _ := spinstreams.PaperExample(false)
-	auto, err := spinstreams.AutoFuse(fuseTopo, spinstreams.AutoFuseOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if auto.OperatorsAfter >= auto.OperatorsBefore {
-		t.Error("autofuse did not coarsen the paper topology")
+	if _, err := spinstreams.Optimize(topo, "fusion,fuse=op3+op4", spinstreams.OptimizerOptions{}); err == nil {
+		t.Error("two fusion-slot passes accepted")
 	}
 }
 
@@ -195,7 +190,7 @@ func TestFacadeDistributedAndFiles(t *testing.T) {
 	cfg := spinstreams.DistributedConfig{Nodes: 2}
 	cfg.Duration = 900 * time.Millisecond
 	cfg.Warmup = 300 * time.Millisecond
-	m, err := spinstreams.ExecuteDistributed(context.Background(), topo, nil, nil, cfg)
+	m, err := spinstreams.RunDistributed(context.Background(), topo, nil, nil, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,11 +203,11 @@ func TestFacadeDistributedAndFiles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := spinstreams.WriteTopology(f, "t", topo); err != nil {
+	if err := spinstreams.WriteTopology(f, "t", topo, nil); err != nil {
 		t.Fatal(err)
 	}
 	f.Close()
-	back, err := spinstreams.ReadTopologyFile(path)
+	back, _, err := spinstreams.ReadTopologyFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,11 +217,12 @@ func TestFacadeDistributedAndFiles(t *testing.T) {
 }
 
 // TestFacadeOptimizerPipeline covers the pass-pipeline facade: one call
-// runs analysis, fission and fusion with a rewrite trace, and Reoptimize
-// turns a drift report from a live run into a delta plan.
+// runs analysis, fission and fusion with a rewrite trace, and a live run
+// with the estimator yields a drift report re-analyzed on measured
+// profiles.
 func TestFacadeOptimizerPipeline(t *testing.T) {
 	topo, _ := spinstreams.PaperExample(false)
-	res, err := spinstreams.OptimizePipeline(topo, spinstreams.OptimizerOptions{})
+	res, err := spinstreams.Optimize(topo, "fission,fusion", spinstreams.OptimizerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +237,7 @@ func TestFacadeOptimizerPipeline(t *testing.T) {
 	}
 
 	reg := spinstreams.NewObsRegistry()
-	if _, err := spinstreams.Execute(context.Background(), topo, nil, nil, spinstreams.RunConfig{
+	if _, err := spinstreams.Run(context.Background(), topo, nil, nil, spinstreams.RunConfig{
 		Duration: 500 * time.Millisecond, Warmup: 125 * time.Millisecond, MailboxSize: 8, Obs: reg, Estimator: true,
 	}); err != nil {
 		t.Fatal(err)
@@ -250,11 +246,43 @@ func TestFacadeOptimizerPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	delta, err := spinstreams.Reoptimize(topo, rep, spinstreams.OptimizerOptions{})
+	if rep.MeasuredProfiles == nil || rep.String() == "" {
+		t.Error("drift report carries no measured profiles")
+	}
+}
+
+// TestFacadeReadersKeepDegrees: the facade readers return the degrees a
+// written deployment records, from a reader and from a file.
+func TestFacadeReadersKeepDegrees(t *testing.T) {
+	topo := spinstreams.NewTopology()
+	src := topo.MustAddOperator(spinstreams.Operator{Name: "src", Kind: spinstreams.KindSource, ServiceTime: 1e-3})
+	hot := topo.MustAddOperator(spinstreams.Operator{Name: "hot", Kind: spinstreams.KindStateless, ServiceTime: 4e-3})
+	sink := topo.MustAddOperator(spinstreams.Operator{Name: "sink", Kind: spinstreams.KindSink, ServiceTime: 1e-4})
+	topo.MustConnect(src, hot, 1)
+	topo.MustConnect(hot, sink, 1)
+	res, err := spinstreams.Optimize(topo, "fission", spinstreams.OptimizerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if delta.String() == "" {
-		t.Error("delta plan renders empty")
+	var buf bytes.Buffer
+	if err := spinstreams.WriteTopology(&buf, "opt", res.Final.Topology(), res.Replicas()); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "opt.xml")
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, fromReader, err := spinstreams.ReadTopology(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, fromFile, err := spinstreams.ReadTopologyFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, got := range map[string][]int{"ReadTopology": fromReader, "ReadTopologyFile": fromFile} {
+		if fmt.Sprint(got) != "[1 4 1]" {
+			t.Errorf("%s degrees = %v, want [1 4 1]", name, got)
+		}
 	}
 }
