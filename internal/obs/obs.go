@@ -76,6 +76,12 @@ type Station struct {
 	Drained atomic.Uint64
 	// Restarts counts panic-recovery restarts.
 	Restarts atomic.Uint64
+	// PadResets counts the times service padding dropped its completion
+	// schedule because the station had lagged more than its slack behind
+	// it: service slower than declared, a host that did not run the
+	// station, or an idle or blocked spell. On a saturated station each
+	// reset is service time the padding could not make up.
+	PadResets atomic.Uint64
 	// Degraded reports whether the station exhausted its restart budget.
 	Degraded atomic.Bool
 	// Retired reports that a live reconfiguration drained and stopped the
@@ -323,6 +329,7 @@ type StationSnapshot struct {
 	Abandoned    uint64 `json:"abandoned"`
 	Drained      uint64 `json:"drained"`
 	Restarts     uint64 `json:"restarts"`
+	PadResets    uint64 `json:"pad_resets"`
 	Degraded     bool   `json:"degraded"`
 	Retired      bool   `json:"retired,omitempty"`
 	Queued       uint64 `json:"queued"`
@@ -379,6 +386,7 @@ func (r *Registry) Snapshot() *Snapshot {
 			Abandoned:   st.Abandoned.Load(),
 			Drained:     st.Drained.Load(),
 			Restarts:    st.Restarts.Load(),
+			PadResets:   st.PadResets.Load(),
 			Degraded:    st.Degraded.Load(),
 			Retired:     st.Retired.Load(),
 		}

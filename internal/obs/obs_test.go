@@ -36,6 +36,7 @@ func goldenRegistry() *Registry {
 		st.Drained.Add(uint64(4 * i))
 	}
 	sts[3].Restarts.Add(2)
+	sts[2].PadResets.Add(5)
 	sts[5].Degraded.Store(true)
 	r.SetSampler(func(i int) Gauges {
 		return Gauges{Queued: uint64(i), Capacity: 64, BlockedSends: uint64(3 * i)}

@@ -31,6 +31,7 @@ var promCounters = []promCounter{
 	{"abandoned", func(s *StationSnapshot) uint64 { return s.Abandoned }},
 	{"drained", func(s *StationSnapshot) uint64 { return s.Drained }},
 	{"restarts", func(s *StationSnapshot) uint64 { return s.Restarts }},
+	{"pad_resets", func(s *StationSnapshot) uint64 { return s.PadResets }},
 	{"blocked_sends", func(s *StationSnapshot) uint64 { return s.BlockedSends }},
 }
 

@@ -294,8 +294,8 @@ func (mi *metaInstance) process(in operators.Tuple, out *outbox) {
 		pathCost += mi.m.Sub.Op(item.at).ServiceTime
 		mi.ops[item.at].Process(item.tup, mi.emit)
 	}
-	if mi.sched != nil {
-		mi.sched.waitFor(started, time.Duration(pathCost*float64(time.Second)))
+	if mi.sched != nil && mi.sched.waitFor(started, time.Duration(pathCost*float64(time.Second))) {
+		out.tb.st[out.st.ID].PadResets.Add(1)
 	}
 }
 

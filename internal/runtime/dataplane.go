@@ -245,8 +245,8 @@ func (e *engine) stationEpoch(tb *tables, st *plan.Station, ctl *stationCtl, rng
 					fl.OnProcess()
 				}
 				exec(win[k], out)
-				if usePace {
-					pace.wait(started)
+				if usePace && pace.wait(started) {
+					self.PadResets.Add(1)
 				}
 				if traced {
 					e.fireServe(st.ID, started)
@@ -307,8 +307,8 @@ func (e *engine) runSource(tb *tables, st *plan.Station, ctl *stationCtl, rng *s
 			if usePace || traced {
 				started := time.Now()
 				gen.NextInto(t)
-				if usePace {
-					pace.wait(started)
+				if usePace && pace.wait(started) {
+					self.PadResets.Add(1)
 				}
 				if traced {
 					e.fireServe(st.ID, started)

@@ -9,7 +9,6 @@ import (
 	"io"
 	"net"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"spinstreams/internal/mailbox"
@@ -24,6 +23,13 @@ var errShutdown = errors.New("runtime: shutdown")
 
 // maxRetryBackoff caps the exponential redial backoff.
 const maxRetryBackoff = 100 * time.Millisecond
+
+// edgeWindowMailboxes is a cross-node edge's credit window, and its
+// queue's capacity, in target mailboxes. One mailbox made every
+// wire-bound frame the whole window, one ack and one stall per frame;
+// two halve that per tuple. Deeper windows fill before the first tuple
+// reaches the sink, which set-up time pays for.
+const edgeWindowMailboxes = 2
 
 // DistributedConfig tunes a distributed execution: the plan's stations are
 // partitioned across nodes that exchange stream items over TCP — the
@@ -42,11 +48,12 @@ const maxRetryBackoff = 100 * time.Millisecond
 // Blocking-After-Service capacity across the network is accounted in
 // tuples. The reader admits each frame to the target station's inbox
 // with a blocking send and returns a cumulative tuple credit on the
-// connection's reverse direction; the writer never has more than one
-// target MailboxSize of tuples unacknowledged. When the target inbox
-// fills, credit stops, the queue fills and the sending station blocks —
-// the stall the cost model assumes, whatever the kernel's socket buffers
-// hold.
+// connection's reverse direction; the writer never has more than the
+// credit window — two target mailboxes (edgeWindowMailboxes) —
+// unacknowledged, and reads that credit itself, from its own connection,
+// only when it is short. When the target inbox fills, credit stops, the
+// queue fills and the sending station blocks — the stall the cost model
+// assumes, whatever the kernel's socket buffers hold.
 type DistributedConfig struct {
 	Config
 	// Nodes is the number of nodes to partition the plan across
@@ -167,10 +174,10 @@ type distEngine struct {
 	edges map[int]*remoteEdge
 	out   [][]*mailbox.Sender[operators.Tuple]
 
-	// transport counts the accept loops, edge writers, ack readers and
-	// frame readers. Each of them is started by a goroutine that is
-	// itself counted (or, in connect, before anything waits), so an Add
-	// never races the Wait in shutdownTransport.
+	// transport counts the accept loops, edge writers and frame readers.
+	// Each of them is started by a goroutine that is itself counted (or,
+	// in connect, before anything waits), so an Add never races the Wait
+	// in shutdownTransport.
 	transport sync.WaitGroup
 	// mu guards closed, listeners and every edge's live connection ends.
 	mu        sync.Mutex
@@ -187,13 +194,11 @@ func edgeKey(from, to plan.StationID) int { return int(from)<<16 | int(to) }
 // the live connection at either end.
 type remoteEdge struct {
 	from, target plan.StationID
-	// window is the credit window in tuples — the target's MailboxSize —
-	// and the queue's capacity, so a queued window always fits one frame.
+	// window is the credit window in tuples and the queue's capacity, so
+	// a queued window always fits one frame.
 	window int
 	queue  *mailbox.Mailbox[operators.Tuple]
 	stats  *obs.Edge
-	// credit wakes the writer: an ack arrived or the connection died.
-	credit chan struct{}
 
 	// out is the live dialled connection and in the live accepted stream
 	// (distEngine.mu): one per end, replaced on redial, so a run that
@@ -202,14 +207,34 @@ type remoteEdge struct {
 	in  *inStream
 }
 
-// outConn is the writer's end of one connection.
+// outConn is the writer's end of one connection; only the edge's writer
+// (or connect, before the writer starts) touches it.
 type outConn struct {
 	net.Conn
-	// acked is the latest cumulative credit the reader returned (ackLoop
-	// stores it); dead is set once the reverse direction fails or the
-	// writer gives the connection up.
-	acked atomic.Uint64
-	dead  atomic.Bool
+	// acks reads the reverse direction: the handshake reply, then
+	// cumulative credits, of which only the newest matters.
+	acks *bufio.Reader
+	// acked is the newest credit read; dead is set once the reverse
+	// direction fails or the writer gives the connection up.
+	acked uint64
+	dead  bool
+}
+
+// readAcks blocks for the next credit and takes every one already
+// buffered behind it, keeping the newest. An error marks the connection
+// dead.
+func (oc *outConn) readAcks() error {
+	var b [ackLen]byte
+	for {
+		if _, err := io.ReadFull(oc.acks, b[:]); err != nil {
+			oc.dead = true
+			return err
+		}
+		if oc.acks.Buffered() < ackLen {
+			oc.acked = binary.LittleEndian.Uint64(b[:])
+			return nil
+		}
+	}
 }
 
 // inStream is the reader's end of one connection.
@@ -225,14 +250,6 @@ type inStream struct {
 func (in *inStream) interrupt() {
 	in.conn.Close()
 	close(in.stop)
-}
-
-// signal leaves one pending wakeup on a 1-buffered channel.
-func signal(c chan struct{}) {
-	select {
-	case c <- struct{}{}:
-	default:
-	}
 }
 
 // sleepBackoff pauses between redial attempts; it returns false when the
@@ -265,17 +282,15 @@ func (d *distEngine) buildEdges(p *plan.Plan) error {
 			if e == nil {
 				// A window may hold the whole queue, so the writer's frame
 				// is everything the sending station queued meanwhile.
-				q, err := mailbox.New[operators.Tuple](mailbox.Config{
-					Capacity: d.cfg.MailboxSize, Batch: d.cfg.MailboxSize,
-				})
+				window := edgeWindowMailboxes * d.cfg.MailboxSize
+				q, err := mailbox.New[operators.Tuple](mailbox.Config{Capacity: window, Batch: window})
 				if err != nil {
 					return err
 				}
 				e = &remoteEdge{
 					from: from, target: pe.To,
-					window: d.cfg.MailboxSize, queue: q,
-					stats:  d.reg.Edge(i, int(pe.To)),
-					credit: make(chan struct{}, 1),
+					window: window, queue: q,
+					stats: d.reg.Edge(i, int(pe.To)),
 				}
 				d.edges[edgeKey(from, pe.To)] = e
 			}
@@ -330,7 +345,9 @@ func (d *distEngine) dial(e *remoteEdge) (*outConn, error) {
 	if d.cfg.Faults != nil {
 		conn = d.cfg.Faults.WrapConn(edgeKey(e.from, e.target), conn)
 	}
-	oc := &outConn{Conn: conn}
+	// A writer short of credit reads every ack written since it last
+	// read: at most one per frame, so at most a window of them.
+	oc := &outConn{Conn: conn, acks: bufio.NewReaderSize(conn, e.window*ackLen)}
 	d.mu.Lock()
 	if d.closed {
 		d.mu.Unlock()
@@ -348,47 +365,23 @@ func (d *distEngine) dial(e *remoteEdge) (*outConn, error) {
 
 // resync awaits the handshake reply — the reader's cumulative credit, final
 // for every earlier connection of the edge because the reader has stopped
-// their streams — settles what those connections lost, and starts reading
-// acks. From here on nothing written is in flight, so the connection
-// starts with a full window.
+// their streams — and settles what those connections lost. From here on
+// nothing written is in flight, so the connection starts with a full
+// window.
 func (d *distEngine) resync(e *remoteEdge, oc *outConn, deadline time.Time) error {
-	var b [ackLen]byte
 	_ = oc.SetReadDeadline(deadline)
-	if _, err := io.ReadFull(oc, b[:]); err != nil {
+	if err := oc.readAcks(); err != nil {
 		oc.Close()
 		return err
 	}
 	_ = oc.SetReadDeadline(time.Time{})
-	acked, wrote := binary.LittleEndian.Uint64(b[:]), e.stats.Wrote.Load()
-	if acked > wrote {
+	wrote := e.stats.Wrote.Load()
+	if oc.acked > wrote {
 		oc.Close()
-		return fmt.Errorf("runtime: edge %d->%d acknowledges %d of %d tuples written", e.from, e.target, acked, wrote)
+		return fmt.Errorf("runtime: edge %d->%d acknowledges %d of %d tuples written", e.from, e.target, oc.acked, wrote)
 	}
-	oc.acked.Store(acked)
-	e.stats.Lost.Store(wrote - acked)
-	d.transport.Add(1)
-	go d.ackLoop(e, oc)
+	e.stats.Lost.Store(wrote - oc.acked)
 	return nil
-}
-
-// ackLoop reads the reverse direction of one connection: cumulative
-// credits, of which only the newest matters.
-func (d *distEngine) ackLoop(e *remoteEdge, oc *outConn) {
-	defer d.transport.Done()
-	br := bufio.NewReaderSize(oc, 64*ackLen)
-	var b [ackLen]byte
-	for {
-		if _, err := io.ReadFull(br, b[:]); err != nil {
-			break
-		}
-		if br.Buffered() >= ackLen {
-			continue
-		}
-		oc.acked.Store(binary.LittleEndian.Uint64(b[:]))
-		signal(e.credit)
-	}
-	oc.dead.Store(true)
-	signal(e.credit)
 }
 
 // edgeWriter is the one goroutine that writes an edge's frames. It is
@@ -432,31 +425,39 @@ func (w *edgeWriter) run() {
 }
 
 // awaitCredit blocks until the next frame may be written and returns its
-// size: all want queued tuples if the window has room for them, otherwise
-// at least half a window, so a target-bound edge does not degenerate into
-// one tiny frame per returning credit. Zero means the connection died or
-// the run shut down.
+// size. Only when the credit read so far is short does it read the acks
+// waiting on the connection. Zero means the connection died, which
+// shutdown also brings about by closing it.
 func (w *edgeWriter) awaitCredit(want int) int {
-	e := w.e
 	stalled := false
-	for !w.oc.dead.Load() {
-		// Everything this goroutine has written is admitted, lost or in
-		// flight; the clamp only guards against a peer acknowledging
-		// what was never sent.
-		inflight := int(e.stats.Wrote.Load() - e.stats.Lost.Load() - w.oc.acked.Load())
-		n := min(want, e.window-max(inflight, 0))
-		if n == want || 2*n >= e.window {
+	for !w.oc.dead {
+		if n := w.frameSize(want, w.oc.acked); n > 0 {
 			return n
 		}
-		if !stalled {
+		// Acks wait unread until credit runs short, so a stall is judged
+		// against what the target has admitted: credit already returned
+		// is no stall.
+		if !stalled && w.frameSize(want, w.e.stats.Acked.Load()) == 0 {
 			stalled = true
-			e.stats.CreditStalls.Add(1)
+			w.e.stats.CreditStalls.Add(1)
 		}
-		select {
-		case <-e.credit:
-		case <-w.d.done:
-			return 0
-		}
+		_ = w.oc.readAcks() // an error marks the connection dead
+	}
+	return 0
+}
+
+// frameSize is the frame the window admits given cumulative credit acked:
+// all want queued tuples if they fit, otherwise at least half a window, so
+// a target-bound edge does not degenerate into one tiny frame per
+// returning credit, or else 0.
+func (w *edgeWriter) frameSize(want int, acked uint64) int {
+	e := w.e
+	// Everything this goroutine has written is admitted, lost or in
+	// flight; the clamp only guards against a peer acknowledging what was
+	// never sent.
+	inflight := int(e.stats.Wrote.Load() - e.stats.Lost.Load() - acked)
+	if n := min(want, e.window-max(inflight, 0)); n == want || 2*n >= e.window {
+		return n
 	}
 	return 0
 }
@@ -489,9 +490,7 @@ func (w *edgeWriter) retry(n int) bool {
 	start := time.Now()
 	back := w.d.retryBackoff
 	for {
-		// Marked here as well as by ackLoop: a connection that never got
-		// as far as reading acks must not be waited on for credit.
-		w.oc.dead.Store(true)
+		w.oc.dead = true
 		w.oc.Close()
 		if !w.d.sleepBackoff(back) {
 			return false

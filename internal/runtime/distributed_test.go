@@ -253,40 +253,64 @@ func watchEdges(reg *obs.Registry, stop <-chan struct{}) <-chan uint64 {
 }
 
 func TestDistributedInflightBounded(t *testing.T) {
-	// A slow sink on the far side of two cross-node edges: credit, not
-	// socket buffers, must bound what is unacknowledged on every edge, and
-	// the source must throttle to the sink's rate.
+	// Credit, not socket buffers, must bound what is unacknowledged on
+	// every edge to the window (two target mailboxes), whether the edge
+	// waits for its target or for the wire.
 	topo := pipeline(t, 0.0005, 0.0005, 0.005)
 	p, err := plan.Build(topo, plan.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg := obs.New()
-	cfg := DistributedConfig{Config: shortCfg(45), Nodes: 2}
-	cfg.MailboxSize = 16
-	cfg.Obs = reg
-	cfg.Duration, cfg.Warmup = 2*time.Second, time.Second
-	stop := make(chan struct{})
-	worst := watchEdges(reg, stop)
-	m, err := RunDistributed(context.Background(), p, nil, cfg)
-	close(stop)
-	if err != nil {
-		t.Fatal(err)
+	const mailboxSize = 16
+	run := func(t *testing.T, cfg DistributedConfig) (*Metrics, *obs.Snapshot) {
+		t.Helper()
+		reg := obs.New()
+		cfg.MailboxSize = mailboxSize
+		cfg.Obs = reg
+		stop := make(chan struct{})
+		worst := watchEdges(reg, stop)
+		m, err := RunDistributed(context.Background(), p, nil, cfg)
+		close(stop)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if w, window := <-worst, uint64(edgeWindowMailboxes*mailboxSize); w > window {
+			t.Errorf("sampled %d tuples in flight on an edge, window %d", w, window)
+		}
+		checkConservation(t, m)
+		return m, reg.Snapshot()
 	}
-	if w := <-worst; w > uint64(cfg.MailboxSize) {
-		t.Errorf("sampled %d tuples in flight on an edge, window %d", w, cfg.MailboxSize)
-	}
-	if e := stats.RelErr(m.Throughput, 200); e > 0.25 {
-		t.Errorf("throughput = %v, want ~200: the source is not throttled to the sink (err %.3f)", m.Throughput, e)
-	}
-	var stalls uint64
-	for _, e := range reg.Snapshot().Edges {
-		stalls += e.CreditStalls
-	}
-	if stalls == 0 {
-		t.Error("no edge ever stalled on credit, yet the sink is 10x slower than the source")
-	}
-	checkConservation(t, m)
+	t.Run("slow-sink", func(t *testing.T) {
+		// The sink on the far side of two cross-node edges is 10x slower
+		// than the source, which must throttle to the sink's rate.
+		cfg := DistributedConfig{Config: shortCfg(45), Nodes: 2}
+		cfg.Duration, cfg.Warmup = 2*time.Second, time.Second
+		m, s := run(t, cfg)
+		if e := stats.RelErr(m.Throughput, 200); e > 0.25 {
+			t.Errorf("throughput = %v, want ~200: the source is not throttled to the sink (err %.3f)", m.Throughput, e)
+		}
+		var stalls uint64
+		for _, e := range s.Edges {
+			stalls += e.CreditStalls
+		}
+		if stalls == 0 {
+			t.Error("no edge ever stalled on credit, yet the sink is 10x slower than the source")
+		}
+	})
+	t.Run("wire-bound", func(t *testing.T) {
+		// Unpadded, the source outruns its edge's writer, so the edge is
+		// bound by the wire: its frames carry what the window holds
+		// beyond one target mailbox.
+		cfg := DistributedConfig{Config: shortCfg(47), Nodes: 2}
+		cfg.NoServicePadding = true
+		cfg.Duration, cfg.Warmup = 600*time.Millisecond, 200*time.Millisecond
+		_, s := run(t, cfg)
+		for _, e := range s.Edges {
+			if e.From == 0 && (e.Frames == 0 || e.Wrote <= mailboxSize*e.Frames) {
+				t.Errorf("edge %d->%d: %d tuples in %d frames, want more than %d per frame", e.From, e.To, e.Wrote, e.Frames, mailboxSize)
+			}
+		}
+	})
 }
 
 func TestDistributedIdleEdgeSendsImmediately(t *testing.T) {
@@ -395,8 +419,8 @@ func TestDistributedNoDuplicatesUnderPartialWrites(t *testing.T) {
 }
 
 func TestDistributedLeavesNoGoroutines(t *testing.T) {
-	// Every accept loop, writer, ack reader and frame reader — including
-	// the ones redials replaced — must be gone when RunDistributed returns.
+	// Every accept loop, writer and frame reader — including the ones
+	// redials replaced — must be gone when RunDistributed returns.
 	topo := pipeline(t, 0.0005, 0.0002, 0.0001)
 	p, err := plan.Build(topo, plan.Options{})
 	if err != nil {

@@ -794,26 +794,31 @@ func newPacer(serviceTime float64) *pacer {
 }
 
 // wait blocks until the schedule allows the next completion; started is the
-// time this item's service began.
-func (p *pacer) wait(started time.Time) {
-	p.waitFor(started, p.period)
+// time this item's service began. It reports whether the schedule reset
+// because it had lagged past slack.
+func (p *pacer) wait(started time.Time) (reset bool) {
+	return p.waitFor(started, p.period)
 }
 
 // waitFor paces one item whose service time differs from the configured
 // period; meta-operators use it with the per-item path cost (Algorithm 4:
 // the sequential composition of the member functions along the item's
 // path).
-func (p *pacer) waitFor(started time.Time, period time.Duration) {
+func (p *pacer) waitFor(started time.Time, period time.Duration) (reset bool) {
 	if period <= 0 {
-		return
+		return false
 	}
-	if p.next.IsZero() || started.Sub(p.next) > p.slack {
+	switch {
+	case p.next.IsZero():
 		p.next = started
+	case started.Sub(p.next) > p.slack:
+		p.next, reset = started, true
 	}
 	p.next = p.next.Add(period)
 	if d := time.Until(p.next); d > 20*time.Microsecond {
 		time.Sleep(d)
 	}
+	return reset
 }
 
 // RunTopology plans the topology with the given replication degrees,

@@ -13,6 +13,7 @@ import (
 	"spinstreams/internal/core"
 	"spinstreams/internal/faultinject"
 	"spinstreams/internal/mailbox"
+	"spinstreams/internal/obs"
 	"spinstreams/internal/operators"
 	"spinstreams/internal/plan"
 	"spinstreams/internal/stats"
@@ -880,5 +881,45 @@ func TestZeroConfigDeploysThePlansVerdict(t *testing.T) {
 	m := e.measure(context.Background())
 	if e := stats.RelErr(m.Throughput, a.Throughput()); e > 0.15 {
 		t.Errorf("throughput = %v, predicted %v (err %.3f)", m.Throughput, a.Throughput(), e)
+	}
+}
+
+func TestPacerCountsResetsPastSlack(t *testing.T) {
+	// A 100 µs period has the 10 ms minimum slack. Every start lies in
+	// the past, so no step sleeps.
+	p := newPacer(0.0001)
+	t0 := time.Now().Add(-time.Second)
+	for i, step := range []struct {
+		at    time.Duration
+		reset bool
+	}{
+		{0, false},                        // starts the schedule
+		{5 * time.Millisecond, false},     // 4.9 ms behind: caught up
+		{20 * time.Millisecond, true},     // 19.8 ms behind: past the slack
+		{20100 * time.Microsecond, false}, // on the fresh schedule
+	} {
+		if got := p.wait(t0.Add(step.at)); got != step.reset {
+			t.Errorf("step %d at %v: reset = %v, want %v", i, step.at, got, step.reset)
+		}
+	}
+}
+
+func TestPadResetsCountedPerStation(t *testing.T) {
+	// The middle operator takes 15 ms per tuple against a declared
+	// 0.1 ms, so its schedule lags past the 10 ms slack on every tuple
+	// after the first.
+	topo := pipeline(t, 0.0001, 0.0001, 0.0001)
+	reg := obs.New()
+	cfg := shortCfg(48)
+	cfg.Obs = reg
+	cfg.Duration, cfg.Warmup = 300*time.Millisecond, 100*time.Millisecond
+	binding := &Binding{Ops: map[core.OpID]operators.Operator{1: stampOp{at: &sync.Map{}, pause: 15 * time.Millisecond}}}
+	if _, err := RunTopology(context.Background(), topo, nil, binding, cfg); err != nil {
+		t.Fatal(err)
+	}
+	for _, st := range reg.Snapshot().Stations {
+		if st.Op == 1 && (st.Consumed < 4 || 2*st.PadResets < st.Consumed) {
+			t.Errorf("%s: %d pad resets over %d tuples, want one per tuple after the first", st.Name, st.PadResets, st.Consumed)
+		}
 	}
 }
