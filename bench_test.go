@@ -369,7 +369,7 @@ func BenchmarkEstimateLatency(b *testing.B) {
 func BenchmarkAutoFuse(b *testing.B) {
 	topo, _ := core.PaperExampleTopology(core.PaperExampleTable1)
 	for i := 0; i < b.N; i++ {
-		if _, err := core.AutoFuse(topo, core.AutoFuseOptions{}); err != nil {
+		if _, err := core.AutoFuse(topo, nil, core.AutoFuseOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}

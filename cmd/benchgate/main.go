@@ -2,8 +2,9 @@
 // does not carry yet: BenchmarkReconfigStall's p99 pause-fence stall
 // (written under SS_BENCH_JSON, compared against the committed
 // BENCH_runtime.json). Transport throughput and observability overheads
-// are bench/'s mailbox.*, obs.* and workload metrics; the solver-cache
-// ratio is held by internal/opt's TestSolverCacheRatio.
+// are bench/'s mailbox.*, obs.* and workload metrics; the optimizer's
+// one-solve-per-topology count is held by internal/opt's
+// TestAutoFuseSolvesEachTopologyOnce.
 //
 // Usage:
 //

@@ -68,6 +68,12 @@ type AutoFuseResult struct {
 	ThroughputBefore, ThroughputAfter float64
 	// OperatorsBefore and OperatorsAfter count the vertices.
 	OperatorsBefore, OperatorsAfter int
+	// Analysis is the final topology's steady-state analysis.
+	Analysis *Analysis
+	// Solves counts the steady-state analyses the process ran: the
+	// input's when none was handed in, then one per candidate evaluated,
+	// accepted or not.
+	Solves int
 }
 
 // AutoFuse automates the operator-fusion process the paper leaves to the
@@ -78,45 +84,30 @@ type AutoFuseResult struct {
 // preserved, until no candidate qualifies. The result is a coarser,
 // semantically equivalent topology with fewer scheduling units and no new
 // bottleneck.
-func AutoFuse(t *Topology, opts AutoFuseOptions) (*AutoFuseResult, error) {
-	return AutoFuseWith(t, opts, DirectSolver{})
-}
-
-// AutoFuseWith is AutoFuse with every steady-state analysis routed through
-// solver. The accept/reject loop re-solves the current topology once per
-// round plus twice per candidate tried (before/after inside FuseWith); a
-// memoizing solver collapses the repeated "current topology" solves, which
-// is the win BenchmarkSolverCacheAutoFuse measures. AutoFuseWith with
-// DirectSolver is exactly AutoFuse.
-func AutoFuseWith(t *Topology, opts AutoFuseOptions, solver Solver) (*AutoFuseResult, error) {
-	if solver == nil {
-		solver = DirectSolver{}
-	}
+//
+// a is t's steady-state analysis (nil: AutoFuse solves t). Each round
+// hands the current analysis to every candidate's fusion, and the
+// accepted candidate's analysis becomes the next round's, so the process
+// solves each topology it builds once: 1 + C solves for C candidates
+// evaluated.
+func AutoFuse(t *Topology, a *Analysis, opts AutoFuseOptions) (*AutoFuseResult, error) {
 	if opts.MaxUtilization <= 0 || opts.MaxUtilization > 1 {
 		opts.MaxUtilization = 0.9
 	}
 	if opts.NamePrefix == "" {
 		opts.NamePrefix = "fused"
 	}
-	base, err := solver.SteadyState(t)
-	if err != nil {
-		return nil, err
-	}
-	res := &AutoFuseResult{
-		Topology:         t.Clone(),
-		ThroughputBefore: base.Throughput(),
-		OperatorsBefore:  t.Len(),
-	}
-	round := 0
-	for {
-		if opts.MaxRounds > 0 && round >= opts.MaxRounds {
-			break
-		}
-		cur := res.Topology
-		a, err := solver.SteadyState(cur)
-		if err != nil {
+	res := &AutoFuseResult{OperatorsBefore: t.Len()}
+	if a == nil {
+		var err error
+		if a, err = SteadyState(t); err != nil {
 			return nil, err
 		}
+		res.Solves++
+	}
+	res.ThroughputBefore = a.Throughput()
+	cur := t
+	for round := 0; opts.MaxRounds <= 0 || round < opts.MaxRounds; round++ {
 		cands, err := fusionCandidates(cur, a, func(members []OpID, rho float64) {
 			opts.Trace.reject(round, memberNames(cur, members), rho,
 				"fusing would introduce a bottleneck (alert)")
@@ -132,7 +123,11 @@ func AutoFuseWith(t *Topology, opts AutoFuseOptions, solver Solver) (*AutoFuseRe
 				continue
 			}
 			name := fmt.Sprintf("%s%d", opts.NamePrefix, round+1)
-			fused, report, err := FuseWith(cur, c.Members, name, solver)
+			fused, report, err := contract(cur, c.Members, name)
+			if err == nil {
+				res.Solves++
+				err = report.predict(a, fused)
+			}
 			if err != nil {
 				opts.Trace.reject(round, names, c.FusedUtilization, fmt.Sprintf("fusion failed: %v", err))
 				continue
@@ -153,21 +148,20 @@ func AutoFuseWith(t *Topology, opts AutoFuseOptions, solver Solver) (*AutoFuseRe
 			}
 			opts.Trace.apply(round, step, report)
 			res.Steps = append(res.Steps, step)
-			res.Topology = fused
+			cur, a = fused, report.After
 			applied = true
-			round++
 			break
 		}
 		if !applied {
 			break
 		}
 	}
-	final, err := solver.SteadyState(res.Topology)
-	if err != nil {
-		return nil, err
+	if cur == t {
+		cur = t.Clone()
 	}
-	res.ThroughputAfter = final.Throughput()
-	res.OperatorsAfter = res.Topology.Len()
+	res.Topology, res.Analysis = cur, a
+	res.ThroughputAfter = a.Throughput()
+	res.OperatorsAfter = cur.Len()
 	return res, nil
 }
 

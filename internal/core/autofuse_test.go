@@ -7,7 +7,7 @@ import (
 
 func TestAutoFusePaperExample(t *testing.T) {
 	topo, _ := PaperExampleTopology(PaperExampleTable1)
-	res, err := AutoFuse(topo, AutoFuseOptions{})
+	res, err := AutoFuse(topo, nil, AutoFuseOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,7 +29,7 @@ func TestAutoFuseTable2RejectsBottleneck(t *testing.T) {
 	// In the slow variant the {3,4,5} fusion would saturate: AutoFuse must
 	// not apply it (it may still apply other, safe fusions).
 	topo, _ := PaperExampleTopology(PaperExampleTable2)
-	res, err := AutoFuse(topo, AutoFuseOptions{})
+	res, err := AutoFuse(topo, nil, AutoFuseOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +45,7 @@ func TestAutoFuseTable2RejectsBottleneck(t *testing.T) {
 
 func TestAutoFuseMaxRounds(t *testing.T) {
 	topo, _ := PaperExampleTopology(PaperExampleTable1)
-	res, err := AutoFuse(topo, AutoFuseOptions{MaxRounds: 1})
+	res, err := AutoFuse(topo, nil, AutoFuseOptions{MaxRounds: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +57,7 @@ func TestAutoFuseMaxRounds(t *testing.T) {
 func TestAutoFuseNoCandidates(t *testing.T) {
 	// A saturated pipeline has no safe fusion; AutoFuse must be a no-op.
 	topo, ids := mustPipeline(t, 0.001, 0.001, 0.001)
-	res, err := AutoFuse(topo, AutoFuseOptions{MaxUtilization: 0.5})
+	res, err := AutoFuse(topo, nil, AutoFuseOptions{MaxUtilization: 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestAutoFuseNeverDegrades(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		res, err := AutoFuse(topo, AutoFuseOptions{})
+		res, err := AutoFuse(topo, nil, AutoFuseOptions{})
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -106,7 +106,7 @@ func TestOptimizeThenAutoFuse(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		res, err := AutoFuse(topo, AutoFuseOptions{})
+		res, err := AutoFuse(topo, nil, AutoFuseOptions{})
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}

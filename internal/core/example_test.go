@@ -57,7 +57,7 @@ func ExampleEliminateBottlenecks() {
 // predicted throughput at 1000 tuples/s.
 func ExampleFuse() {
 	t, sub := core.PaperExampleTopology(core.PaperExampleTable1)
-	fused, report, err := core.Fuse(t, sub, "F")
+	fused, report, err := core.Fuse(t, nil, sub, "F")
 	if err != nil {
 		fmt.Println("error:", err)
 		return

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -246,31 +247,35 @@ func FusionServiceTimeByPaths(t *Topology, members []OpID, front OpID) float64 {
 }
 
 // Fuse replaces the subgraph identified by members with a single
-// meta-operator named name, re-runs the steady-state analysis on both the
-// original and the fused topology, and reports the predicted outcome. The
-// original topology is left untouched; the fused topology is returned.
+// meta-operator named name, runs the steady-state analysis on the fused
+// topology, and reports the predicted outcome against a, the analysis of
+// t (nil: Fuse solves t itself). The original topology is left untouched;
+// the fused topology is returned.
 //
 // The meta-operator is marked stateful: the paper forbids applying fission
 // to meta-operators (Section 4.2). Its Fused field records the member
 // names in topological order so code generation can reconstruct the
 // internal routing (Algorithm 4).
-func Fuse(t *Topology, members []OpID, name string) (*Topology, *FusionReport, error) {
-	return FuseWith(t, members, name, DirectSolver{})
-}
-
-// FuseWith is Fuse with the steady-state analyses routed through solver,
-// so a memoizing solver (internal/opt) can avoid re-solving the unchanged
-// "before" topology across many candidate evaluations. FuseWith with
-// DirectSolver is exactly Fuse.
-func FuseWith(t *Topology, members []OpID, name string, solver Solver) (*Topology, *FusionReport, error) {
-	if solver == nil {
-		solver = DirectSolver{}
-	}
-	front, err := ValidateSubgraph(t, members)
+func Fuse(t *Topology, a *Analysis, members []OpID, name string) (*Topology, *FusionReport, error) {
+	fused, report, err := contract(t, members, name)
 	if err != nil {
 		return nil, nil, err
 	}
-	before, err := solver.SteadyState(t)
+	if a == nil {
+		if a, err = SteadyState(t); err != nil {
+			return nil, nil, err
+		}
+	}
+	if err := report.predict(a, fused); err != nil {
+		return nil, nil, err
+	}
+	return fused, report, nil
+}
+
+// contract builds the fused topology and the report's structural fields;
+// predict adds the analyses.
+func contract(t *Topology, members []OpID, name string) (*Topology, *FusionReport, error) {
+	front, err := ValidateSubgraph(t, members)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -359,28 +364,27 @@ func FuseWith(t *Topology, members []OpID, name string, solver Solver) (*Topolog
 		}
 	}
 
-	after, err := solver.SteadyState(fused)
-	if err != nil {
-		return nil, nil, fmt.Errorf("fuse: analysis of fused topology: %w", err)
-	}
-	report := &FusionReport{
+	return fused, &FusionReport{
 		FrontEnd:          front,
 		Members:           append([]OpID(nil), members...),
 		ServiceTime:       serviceTime,
 		OutputSelectivity: outSel,
-		Before:            before,
-		After:             after,
 		FusedID:           fid,
 		SurvivorIDs:       idMap,
-		ThroughputBefore:  before.Throughput(),
-		ThroughputAfter:   after.Throughput(),
+	}, nil
+}
+
+// predict solves the fused topology and fills the report's analyses
+// against before, the analysis of the original topology.
+func (r *FusionReport) predict(before *Analysis, fused *Topology) error {
+	after, err := SteadyState(fused)
+	if err != nil {
+		return fmt.Errorf("fuse: analysis of fused topology: %w", err)
 	}
-	for _, v := range after.Limiting {
-		if v == fid {
-			report.IntroducesBottleneck = true
-		}
-	}
-	return fused, report, nil
+	r.Before, r.After = before, after
+	r.ThroughputBefore, r.ThroughputAfter = before.Throughput(), after.Throughput()
+	r.IntroducesBottleneck = slices.Contains(after.Limiting, r.FusedID)
+	return nil
 }
 
 // FusionCandidate is a ranked fusion suggestion.

@@ -47,7 +47,7 @@ func TestFusionServiceTimePaperTable2(t *testing.T) {
 
 func TestFusePaperTable1(t *testing.T) {
 	topo, sub := PaperExampleTopology(PaperExampleTable1)
-	fused, report, err := Fuse(topo, sub, "F")
+	fused, report, err := Fuse(topo, nil, sub, "F")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestFusePaperTable1(t *testing.T) {
 
 func TestFusePaperTable2(t *testing.T) {
 	topo, sub := PaperExampleTopology(PaperExampleTable2)
-	_, report, err := Fuse(topo, sub, "F")
+	_, report, err := Fuse(topo, nil, sub, "F")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +101,7 @@ func TestFusePaperTable2(t *testing.T) {
 func TestFusePaperTable2Rates(t *testing.T) {
 	// Check the After rows of Table 2: delta^-1 = [1.33, 1.90, 4.42, 0.2->1.33].
 	topo, sub := PaperExampleTopology(PaperExampleTable2)
-	fused, report, err := Fuse(topo, sub, "F")
+	fused, report, err := Fuse(topo, nil, sub, "F")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +241,7 @@ func TestFuseWholeTailIntoSink(t *testing.T) {
 	// Fusing a subgraph that includes all sinks yields a sink meta-operator.
 	topo, _ := mustPipeline(t, 0.01, 0.001, 0.001)
 	ids := []OpID{1, 2}
-	fused, report, err := Fuse(topo, ids, "tail")
+	fused, report, err := Fuse(topo, nil, ids, "tail")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,7 +270,7 @@ func TestFuseWithSelectivity(t *testing.T) {
 	topo.MustConnect(fil, mp, 1)
 	topo.MustConnect(mp, sink, 1)
 
-	fused, report, err := Fuse(topo, []OpID{fil, mp}, "FM")
+	fused, report, err := Fuse(topo, nil, []OpID{fil, mp}, "FM")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -344,10 +344,10 @@ func TestFusionCandidatesSkipBottleneck(t *testing.T) {
 
 func TestFuseInvalidInputs(t *testing.T) {
 	topo, _ := PaperExampleTopology(PaperExampleTable1)
-	if _, _, err := Fuse(topo, []OpID{1}, "x"); err == nil {
+	if _, _, err := Fuse(topo, nil, []OpID{1}, "x"); err == nil {
 		t.Error("Fuse with one member succeeded")
 	}
-	if _, _, err := Fuse(topo, []OpID{0, 1}, "x"); err == nil {
+	if _, _, err := Fuse(topo, nil, []OpID{0, 1}, "x"); err == nil {
 		t.Error("Fuse including the source succeeded")
 	}
 }

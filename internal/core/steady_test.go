@@ -356,7 +356,7 @@ func TestSteadyStateFastAgrees(t *testing.T) {
 	})
 	t.Run("paper table 2 fused", func(t *testing.T) {
 		topo, sub := PaperExampleTopology(PaperExampleTable2)
-		fused, _, err := Fuse(topo, sub, "F")
+		fused, _, err := Fuse(topo, nil, sub, "F")
 		if err != nil {
 			t.Fatal(err)
 		}

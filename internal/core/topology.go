@@ -4,7 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -380,7 +380,7 @@ func (t *Topology) TopologicalOrder() ([]OpID, error) {
 	}
 	order := make([]OpID, 0, n)
 	for len(ready) > 0 {
-		sort.Slice(ready, func(a, b int) bool { return ready[a] < ready[b] })
+		slices.Sort(ready)
 		v := ready[0]
 		ready = ready[1:]
 		order = append(order, v)

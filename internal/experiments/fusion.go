@@ -42,7 +42,7 @@ type TableResult struct {
 func table(s setup, variant core.PaperExampleVariant) (*TableResult, error) {
 	s = s.withDefaults()
 	topo, sub := core.PaperExampleTopology(variant)
-	fused, report, err := core.Fuse(topo, sub, "F")
+	fused, report, err := core.Fuse(topo, nil, sub, "F")
 	if err != nil {
 		return nil, err
 	}

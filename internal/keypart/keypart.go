@@ -9,8 +9,9 @@
 package keypart
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Assignment is the result of partitioning a key domain over replicas.
@@ -42,7 +43,7 @@ func validate(freq []float64, n int) error {
 		return fmt.Errorf("keypart: empty key distribution")
 	}
 	for i, f := range freq {
-		if f <= 0 {
+		if !(f > 0) { // also rejects NaN, which no load order can rank
 			return fmt.Errorf("keypart: key %d has frequency %v, must be > 0", i, f)
 		}
 	}
@@ -51,8 +52,10 @@ func validate(freq []float64, n int) error {
 
 // Greedy is the default partitioner: longest-processing-time-first greedy
 // bin packing. Keys are sorted by decreasing frequency and each is assigned
-// to the currently least loaded replica. For skewed (e.g. ZipF) frequency
-// distributions this is a strong heuristic for minimizing pmax.
+// to the currently least loaded replica, the lowest index on a tie. For
+// skewed (e.g. ZipF) frequency distributions this is a strong heuristic
+// for minimizing pmax. The replicas sit in a min-heap ordered by (load,
+// index), so K keys over n replicas cost O(K log n).
 type Greedy struct{}
 
 var _ Partitioner = Greedy{}
@@ -69,26 +72,45 @@ func (Greedy) Partition(freq []float64, n int) (Assignment, error) {
 	for i := range idx {
 		idx[i] = i
 	}
-	sort.Slice(idx, func(a, b int) bool {
-		if freq[idx[a]] != freq[idx[b]] {
-			return freq[idx[a]] > freq[idx[b]]
+	slices.SortFunc(idx, func(a, b int) int {
+		if c := cmp.Compare(freq[b], freq[a]); c != 0 {
+			return c
 		}
-		return idx[a] < idx[b]
+		return a - b
 	})
 	asg := Assignment{
 		Replicas: n,
 		Replica:  make([]int, len(freq)),
 		Load:     make([]float64, n),
 	}
+	// heap[0] is the least-loaded replica. All loads start at zero, so the
+	// identity order is already a heap; each key raises the root's load
+	// and sifts it down.
+	heap := make([]int, n)
+	for r := range heap {
+		heap[r] = r
+	}
+	less := func(a, b int) bool {
+		return asg.Load[a] < asg.Load[b] || asg.Load[a] == asg.Load[b] && a < b
+	}
 	for _, k := range idx {
-		best := 0
-		for r := 1; r < n; r++ {
-			if asg.Load[r] < asg.Load[best] {
-				best = r
-			}
-		}
+		best := heap[0]
 		asg.Replica[k] = best
 		asg.Load[best] += freq[k]
+		for i := 0; ; {
+			c := 2*i + 1
+			if c >= n {
+				break
+			}
+			if c+1 < n && less(heap[c+1], heap[c]) {
+				c++
+			}
+			if !less(heap[c], heap[i]) {
+				break
+			}
+			heap[i], heap[c] = heap[c], heap[i]
+			i = c
+		}
 	}
 	asg.consolidate()
 	asg.trim()

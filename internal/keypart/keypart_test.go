@@ -72,6 +72,9 @@ func TestPartitionErrors(t *testing.T) {
 	if _, err := (Greedy{}).Partition([]float64{1}, 0); err == nil {
 		t.Error("zero replicas accepted")
 	}
+	if _, err := (Greedy{}).Partition([]float64{0.5, math.NaN(), 0.5}, 2); err == nil {
+		t.Error("NaN frequency accepted")
+	}
 	if _, err := (ConsistentHash{}).Partition(nil, 2); err == nil {
 		t.Error("consistent hash: empty distribution accepted")
 	}

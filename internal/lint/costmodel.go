@@ -10,7 +10,7 @@ import (
 // the optimizer cannot rescue: non-convergent feedback traffic (SS1101)
 // and saturation that fission cannot unblock (SS1102). It only runs on
 // structurally clean topologies.
-func costModel(rep *Report, t *core.Topology, cfg Config) {
+func costModel(rep *Report, t *core.Topology) {
 	if _, err := t.TopologicalOrder(); err != nil {
 		// Feedback edges: the fixed-point traffic equations are the only
 		// analysis. Divergence means the cycle re-injects at least as much
@@ -21,12 +21,13 @@ func costModel(rep *Report, t *core.Topology, cfg Config) {
 		}
 		return
 	}
-	a, err := cfg.solver().SteadyState(t)
+	a, err := core.SteadyState(t)
 	if err != nil {
 		rep.add(Diagnostic{Code: CodeNonConvergent,
 			Message: fmt.Sprintf("steady-state analysis failed: %v", err)})
 		return
 	}
+	rep.Analysis = a
 	// Theorem 3.2 corrections mark the bottlenecks: each correction is an
 	// operator that saturated and forced the source rate down. Fission
 	// fixes replicable kinds; for the rest the saturation is permanent.

@@ -11,9 +11,10 @@
 //     rooted source, reachability, selectivity and service-time sanity,
 //     key-frequency mass, replica/kind consistency (arXiv:0807.1720
 //     shows how much of this is decidable up front);
-//   - cost-model checks that dry-run the core.Solver: non-convergent
-//     feedback traffic, and saturation with no fission remedy (the
-//     stateful-operator safety conditions cataloged in arXiv:1901.09716);
+//   - cost-model checks that dry-run the steady-state solver:
+//     non-convergent feedback traffic, and saturation with no fission
+//     remedy (the stateful-operator safety conditions cataloged in
+//     arXiv:1901.09716);
 //   - provenance checks that replay a spinstreams/rewrite-trace/v1 JSON
 //     against the input topology and verify every recorded rewrite still
 //     applies and the final fingerprint matches.
@@ -225,6 +226,11 @@ type Report struct {
 	File string `json:"file,omitempty"`
 	// Diagnostics are the findings, in deterministic document order.
 	Diagnostics []Diagnostic `json:"diagnostics"`
+	// Analysis is the cost-model dry-run's steady-state analysis of the
+	// topology; nil when the dry-run did not run (structural errors,
+	// feedback edges) or failed. The optimizer pipeline reuses it rather
+	// than solving the same topology again.
+	Analysis *core.Analysis `json:"-"`
 }
 
 func (r *Report) add(d Diagnostic) {
@@ -329,17 +335,6 @@ type Config struct {
 	// Trace, when non-nil, is a spinstreams/rewrite-trace/v1 JSON to
 	// replay against the topology (SS2001).
 	Trace []byte
-	// Solver runs the cost-model dry-run; nil means core.DirectSolver.
-	// The optimizer pipeline passes its memoizing cache here so the
-	// pre-pass adds no extra solves.
-	Solver core.Solver
-}
-
-func (cfg Config) solver() core.Solver {
-	if cfg.Solver != nil {
-		return cfg.Solver
-	}
-	return core.DirectSolver{}
 }
 
 // Run lints an in-memory topology: structural checks, replica/kind
@@ -388,7 +383,7 @@ func RunDocument(doc *xmlio.Document, pos *xmlio.Positions, cfg Config) *Report 
 func extras(rep *Report, t *core.Topology, pos *xmlio.Positions, cfg Config) {
 	checkReplicas(rep, t, pos, cfg)
 	checkFusionCandidate(rep, t, cfg)
-	costModel(rep, t, cfg)
+	costModel(rep, t)
 	planChecks(rep, t, cfg)
 	if cfg.Trace != nil {
 		replayTrace(rep, t, cfg)

@@ -163,7 +163,7 @@ func replayStep(rep *Report, cur **core.Topology, cfg Config, pass string, i int
 			}
 			members = append(members, id)
 		}
-		fused, report, err := core.FuseWith(t, members, s.Operator, cfg.Solver)
+		fused, report, err := core.Fuse(t, nil, members, s.Operator)
 		if err != nil {
 			rep.add(Diagnostic{Code: CodeTraceReplay, Operator: s.Operator,
 				Message: fmt.Sprintf("%s step %d: fusing {%s} no longer applies: %v", pass, i, strings.Join(s.Members, ", "), err)})

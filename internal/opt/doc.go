@@ -5,11 +5,12 @@
 //
 // The pipeline adds three capabilities the loose core entry points lack:
 //
-//   - Incremental solving. Every steady-state analysis is routed through a
-//     SolverCache keyed by Topology.Fingerprint, so autofuse's
-//     accept/reject loop (which re-solves the unchanged current topology
-//     once per candidate) stops re-solving identical subproblems.
-//     BenchmarkSolverCacheAutoFuse quantifies the win on randtopo graphs.
+//   - One solve per topology. Each step hands the steady-state analysis
+//     it computed to the next: the vet pre-pass's dry-run to the analyze
+//     pass, a snapshot's analysis to the fusion pass, each accepted
+//     fusion's analysis to the next autofuse round and to the final
+//     result. Autofuse solves 1 + C times for C candidates evaluated
+//     (TestAutoFuseSolvesEachTopologyOnce).
 //
 //   - Rewrite provenance. Every decision — Theorem 3.2 source
 //     corrections, fission degrees with their utilization triggers,

@@ -7,17 +7,31 @@ import (
 	"spinstreams/internal/core"
 )
 
-// Context carries the run-scoped machinery every pass shares: the
-// configured options, the memoizing solver, the trace under construction
-// and the result being assembled.
+// Context carries the run-scoped state every pass shares: the configured
+// options, the trace under construction and the result being assembled.
 type Context struct {
 	Opts   Options
-	Cache  *SolverCache
 	Trace  *Trace
 	Result *Result
 	// cyclic is set by the analyze pass when the topology needs the
 	// fixed-point solver; the restructuring passes skip and say so.
 	cyclic bool
+	// solves counts the steady-state solves of the run.
+	solves int
+}
+
+// analysis returns s's steady-state analysis, solving it only when no
+// earlier step handed one forward.
+func (ctx *Context) analysis(s *Snapshot) (*core.Analysis, error) {
+	if s.analysis == nil {
+		a, err := core.SteadyState(s.topo)
+		if err != nil {
+			return nil, err
+		}
+		ctx.solves++
+		s.analysis = a
+	}
+	return s.analysis, nil
 }
 
 // Pass is one stage of the optimizer. Run receives the current snapshot
@@ -52,7 +66,7 @@ func (AnalyzePass) Run(ctx *Context, s *Snapshot) (*Snapshot, error) {
 	var a *core.Analysis
 	var err error
 	if t.Validate() == nil {
-		a, err = ctx.Cache.SteadyState(t)
+		a, err = ctx.analysis(s)
 	} else if ctx.Opts.AllowCycles && t.ValidateCyclic() == nil {
 		ctx.cyclic = true
 		ctx.Result.Cyclic = true
@@ -131,8 +145,9 @@ func (FissionPass) Run(ctx *Context, s *Snapshot) (*Snapshot, error) {
 }
 
 // FusionPass runs the automatic operator-fusion loop (Algorithm 3 inside
-// the accept/reject driver), routed through the solver cache. It returns
-// a new snapshot when fusions were applied.
+// the accept/reject driver), starting from the snapshot's analysis. It
+// returns a new snapshot, carrying the fused topology's analysis, when
+// fusions were applied.
 type FusionPass struct{}
 
 // Name implements Pass.
@@ -171,17 +186,18 @@ func (FusionPass) Run(ctx *Context, s *Snapshot) (*Snapshot, error) {
 			})
 		},
 	}
-	res, err := core.AutoFuseWith(s.Topology(), opts, ctx.Cache)
+	res, err := core.AutoFuse(s.Topology(), s.analysis, opts)
 	if err != nil {
 		return nil, fmt.Errorf("opt: fusion: %w", err)
 	}
+	ctx.solves += res.Solves
 	p.ThroughputAfter = res.ThroughputAfter
 	ctx.Result.Fusion = res
 	if len(res.Steps) == 0 {
 		return s, nil
 	}
 	// AutoFuse built res.Topology fresh (clone + rewrites); own it.
-	return newOwnedSnapshot(res.Topology), nil
+	return newOwnedSnapshot(res.Topology, res.Analysis), nil
 }
 
 // FusePass is a user-chosen fusion in the fusion slot: Algorithm 3 on
@@ -209,10 +225,15 @@ func (f FusePass) Run(ctx *Context, s *Snapshot) (*Snapshot, error) {
 		members[i] = id
 	}
 	sort.Slice(members, func(a, b int) bool { return members[a] < members[b] })
-	fused, report, err := core.FuseWith(t, members, "", ctx.Cache)
+	a, err := ctx.analysis(s)
 	if err != nil {
 		return nil, fmt.Errorf("opt: fuse: %w", err)
 	}
+	fused, report, err := core.Fuse(t, a, members, "")
+	if err != nil {
+		return nil, fmt.Errorf("opt: fuse: %w", err)
+	}
+	ctx.solves++
 	op := fused.Op(report.FusedID)
 	p := ctx.Trace.pass("fuse")
 	p.ThroughputBefore, p.ThroughputAfter = report.ThroughputBefore, report.ThroughputAfter
@@ -226,7 +247,7 @@ func (f FusePass) Run(ctx *Context, s *Snapshot) (*Snapshot, error) {
 		ThroughputAfter:  report.ThroughputAfter,
 	})
 	ctx.Result.Fuse = report
-	return newOwnedSnapshot(fused), nil
+	return newOwnedSnapshot(fused, report.After), nil
 }
 
 // LatencyPass layers the queueing-latency estimate on the final analysis

@@ -55,12 +55,33 @@ type Result struct {
 	Latency *core.LatencyEstimate
 	// Trace is the rewrite provenance.
 	Trace *Trace
-	// CacheStats reports the solver cache's traffic for this run.
+	// CacheStats counts this run's steady-state solves.
+	//
+	// Deprecated: bench/ is the only reader. ROADMAP item 1(c) removes it.
 	CacheStats CacheStats
 	// Cyclic marks runs analyzed with the fixed-point solver.
 	Cyclic bool
 
 	replicas []int
+}
+
+// CacheStats counts the steady-state solves of a run. Lookups and Misses
+// are both the number of solves, so Ratio is 1: the pipeline hands each
+// analysis forward instead of looking it up.
+//
+// Deprecated: bench/ is the only caller. ROADMAP item 1(c) removes it.
+type CacheStats struct {
+	Lookups int `json:"lookups"`
+	Hits    int `json:"hits"`
+	Misses  int `json:"misses"`
+}
+
+// Ratio returns Lookups/Misses (1 when nothing was solved).
+func (s CacheStats) Ratio() float64 {
+	if s.Misses == 0 {
+		return 1
+	}
+	return float64(s.Lookups) / float64(s.Misses)
 }
 
 // Replicas returns the replication degree per operator of the Final
@@ -136,24 +157,24 @@ func (p *Pipeline) Run(t *core.Topology) (*Result, error) {
 	snap := NewSnapshot(t)
 	ctx := &Context{
 		Opts:   p.Opts,
-		Cache:  NewSolverCache(),
 		Result: &Result{Input: snap},
 		Trace:  newTrace(snap),
 	}
 	ctx.Result.Trace = ctx.Trace
 
 	// Mandatory vet pre-pass: errors abort the run before any pass
-	// executes; warnings attach to the trace. The pre-pass dry-runs the
-	// solver through the pipeline's cache, so it adds no extra solves —
-	// the analyze pass hits the memoized result.
-	pre := lint.Run(snap.Topology(), lint.Config{
-		AllowCycles: p.Opts.AllowCycles,
-		Solver:      ctx.Cache,
-	})
+	// executes; warnings attach to the trace. The pre-pass's cost-model
+	// dry-run solves the input, and the analyze pass takes that analysis
+	// over.
+	pre := lint.Run(snap.Topology(), lint.Config{AllowCycles: p.Opts.AllowCycles})
 	if err := pre.Err(); err != nil {
 		return nil, fmt.Errorf("opt: vet: %w", err)
 	}
 	ctx.Trace.Lint = pre.Diagnostics
+	if pre.Analysis != nil {
+		snap.analysis = pre.Analysis
+		ctx.solves++
+	}
 
 	cur := snap
 	var err error
@@ -185,7 +206,7 @@ func (p *Pipeline) Run(t *core.Topology) (*Result, error) {
 	}
 	ctx.Trace.Lint = append(ctx.Trace.Lint, post.Diagnostics...)
 	ctx.Result.Final = cur
-	ctx.Result.CacheStats = ctx.Cache.Stats()
+	ctx.Result.CacheStats = CacheStats{Lookups: ctx.solves, Misses: ctx.solves}
 	ctx.Trace.ThroughputAfter = ctx.Result.Analysis.Throughput()
 	ctx.Trace.FinalFingerprint = fmt.Sprintf("%016x", cur.Fingerprint())
 	return ctx.Result, nil
@@ -225,9 +246,10 @@ func (ctx *Context) ensureFinal(cur *Snapshot) error {
 	case ctx.cyclic:
 		a, err = core.SteadyStateCyclic(final)
 	case replicated:
-		a, err = ctx.Cache.SteadyStateWithReplicas(final, replicas, ctx.Opts.Fission.Partitioner)
+		a, err = core.SteadyStateWithReplicas(final, replicas, ctx.Opts.Fission.Partitioner)
+		ctx.solves++
 	default:
-		a, err = ctx.Cache.SteadyState(final)
+		a, err = ctx.analysis(cur)
 	}
 	if err != nil {
 		return fmt.Errorf("opt: final analysis: %w", err)

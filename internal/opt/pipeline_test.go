@@ -74,7 +74,7 @@ func TestPipelineEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatalf("seed fission: %v", err)
 			}
-			seedFusion, err := core.AutoFuse(topo, core.AutoFuseOptions{})
+			seedFusion, err := core.AutoFuse(topo, nil, core.AutoFuseOptions{})
 			if err != nil {
 				t.Fatalf("seed autofuse: %v", err)
 			}
@@ -227,7 +227,7 @@ func TestPipelineEvaluationPasses(t *testing.T) {
 		id, _ := t2.Lookup(name)
 		ids = append(ids, id)
 	}
-	_, want, err := core.Fuse(t2, ids, "")
+	_, want, err := core.Fuse(t2, nil, ids, "")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,7 +15,7 @@ import (
 // field order, omission rules, or step sorting must show up here.
 func TestLiveTraceGolden(t *testing.T) {
 	topo, sub := core.PaperExampleTopology(core.PaperExampleTable1)
-	fused, _, err := core.Fuse(topo, sub, "F")
+	fused, _, err := core.Fuse(topo, nil, sub, "F")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -84,7 +84,7 @@ func TestSimulateDeterministicServiceMatchesModelTightly(t *testing.T) {
 
 func TestSimulatePaperTable2FusionDegradation(t *testing.T) {
 	topo, sub := core.PaperExampleTopology(core.PaperExampleTable2)
-	fused, report, err := core.Fuse(topo, sub, "F")
+	fused, report, err := core.Fuse(topo, nil, sub, "F")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -288,7 +288,7 @@ func TestChaosPanicDropsPartialOutputs(t *testing.T) {
 		}},
 		{"meta-member", func(t *testing.T, op operators.Operator) (*core.Topology, *Binding) {
 			topo := pipeline(t, 0.0001, 0.0001, 0.0001, 0.0001)
-			fused, report, err := core.Fuse(topo, []core.OpID{1, 2}, "F")
+			fused, report, err := core.Fuse(topo, nil, []core.OpID{1, 2}, "F")
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -173,7 +173,7 @@ func checkDiffShape(t *testing.T, label string, p *plan.Plan, d diff) {
 // fusedFixture fuses sub out of topo and binds identity members.
 func fusedFixture(t *testing.T, topo *core.Topology, sub []core.OpID) (*core.Topology, core.OpID, *MetaOperator) {
 	t.Helper()
-	fused, report, err := core.Fuse(topo, sub, "F")
+	fused, report, err := core.Fuse(topo, nil, sub, "F")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -198,7 +198,7 @@ func TestControllerKeyedRescaleMigratesState(t *testing.T) {
 
 func TestControllerUnfuseLive(t *testing.T) {
 	topo, sub := core.PaperExampleTopology(core.PaperExampleTable1)
-	fused, report, err := core.Fuse(topo, sub, "F")
+	fused, report, err := core.Fuse(topo, nil, sub, "F")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -373,7 +373,7 @@ func diamond(t *testing.T) (*core.Topology, []core.OpID) {
 // flowing through it and no tuple may be lost.
 func TestControllerUnfuseSharesTheSinkInbox(t *testing.T) {
 	topo, sub := diamond(t)
-	fused, report, err := core.Fuse(topo, sub, "F")
+	fused, report, err := core.Fuse(topo, nil, sub, "F")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -208,7 +208,7 @@ func TestRunMetaOperatorPaperExample(t *testing.T) {
 	// their profiled service times; throughput must stay ~1000/s and the
 	// fused topology must not lose items.
 	topo, sub := core.PaperExampleTopology(core.PaperExampleTable1)
-	fused, report, err := core.Fuse(topo, sub, "F")
+	fused, report, err := core.Fuse(topo, nil, sub, "F")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +237,7 @@ func TestRunMetaOperatorPaperExample(t *testing.T) {
 
 func TestNewMetaOperatorValidation(t *testing.T) {
 	topo, sub := core.PaperExampleTopology(core.PaperExampleTable1)
-	_, report, err := core.Fuse(topo, sub, "F")
+	_, report, err := core.Fuse(topo, nil, sub, "F")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -675,7 +675,7 @@ func TestExecutorsDoNotAllocatePerTuple(t *testing.T) {
 	// would routing an output into the outbox if it escaped.
 	identity := func() operators.Operator { return operators.MustBuild(operators.Spec{Impl: "identity"}) }
 	topo, sub := core.PaperExampleTopology(core.PaperExampleTable1)
-	fused, report, err := core.Fuse(topo, sub, "F")
+	fused, report, err := core.Fuse(topo, nil, sub, "F")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -133,15 +133,16 @@ func NewTopology() *Topology { return core.NewTopology() }
 func Analyze(t *Topology) (*Analysis, error) { return core.SteadyState(t) }
 
 // Optimizer pipeline types (internal/opt): the pass pipeline that
-// composes Algorithms 1-3 over an immutable topology snapshot with a
-// memoizing steady-state solver and a structured rewrite trace.
+// composes Algorithms 1-3 over immutable topology snapshots, handing each
+// steady-state analysis from pass to pass, with a structured rewrite
+// trace.
 type (
 	// OptimizerOptions configures the pass pipeline (fission, fusion and
 	// latency parameters, cyclic admission).
 	OptimizerOptions = opt.Options
 	// OptimizerResult is the pipeline outcome: final snapshot, per-pass
-	// results, replica degrees mapped to the final topology, the rewrite
-	// trace and the solver-cache statistics.
+	// results, replica degrees mapped to the final topology and the
+	// rewrite trace.
 	OptimizerResult = opt.Result
 	// RewriteTrace is the structured record of every optimizer decision,
 	// exportable as JSON (schema opt.TraceSchema).
@@ -166,7 +167,7 @@ func Optimize(t *Topology, passes string, opts OptimizerOptions) (*OptimizerResu
 // Fuse replaces the subgraph with a meta-operator (Algorithm 3) and
 // predicts the outcome; the returned topology is a new graph.
 func Fuse(t *Topology, members []OpID, name string) (*Topology, *FusionReport, error) {
-	return core.Fuse(t, members, name)
+	return core.Fuse(t, nil, members, name)
 }
 
 // Candidates proposes fusion subgraphs ranked by the meta-operator's
