@@ -119,7 +119,7 @@ func run() error {
 			metaProtos[m] = operators.MustBuild(operators.Spec{Impl: "identity"})
 		}
 	}
-	meta, err := runtime.NewMetaOperator(t, report, metaProtos, 3)
+	meta, err := runtime.NewMetaOperator(t, report, metaProtos)
 	if err != nil {
 		return err
 	}

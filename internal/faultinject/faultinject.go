@@ -152,7 +152,7 @@ func (inj *Injector) Station(id int) *StationFaults {
 		id:  id,
 		// Offset the stream so station 0 with seed 0 still gets a
 		// distinct, non-degenerate sequence.
-		rng: stats.NewRNG(splitmix(inj.cfg.Seed, uint64(id)+0x9e3779b9)),
+		rng: stats.NewRNG(stats.Mix64(inj.cfg.Seed + (uint64(id)+0x9e3779b9)*0x9e3779b97f4a7c15)),
 	}
 	inj.stations[id] = sf
 	return sf
@@ -254,13 +254,4 @@ func (c *faultyConn) Write(p []byte) (int, error) {
 	}
 	c.Conn.Close()
 	return wrote, fmt.Errorf("faultinject: injected connection reset after %d writes", n)
-}
-
-// splitmix mixes a seed and a stream id into an independent RNG seed
-// (splitmix64 finalizer).
-func splitmix(seed, stream uint64) uint64 {
-	z := seed + stream*0x9e3779b97f4a7c15
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
 }

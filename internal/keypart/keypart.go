@@ -12,6 +12,8 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
+
+	"spinstreams/internal/stats"
 )
 
 // Assignment is the result of partitioning a key domain over replicas.
@@ -189,7 +191,7 @@ func (c ConsistentHash) Partition(freq []float64, n int) (Assignment, error) {
 		Load:     make([]float64, n),
 	}
 	for k := range freq {
-		r := int(splitmix64(uint64(k)+c.Seed) % uint64(n))
+		r := int(stats.Mix64(uint64(k)+c.Seed+0x9e3779b97f4a7c15) % uint64(n))
 		asg.Replica[k] = r
 		asg.Load[r] += freq[k]
 	}
@@ -219,13 +221,4 @@ func (a *Assignment) trim() {
 	if total > 0 {
 		a.PMax = max / total
 	}
-}
-
-// splitmix64 is the SplitMix64 mixing function; a tiny, high-quality
-// integer hash.
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
 }

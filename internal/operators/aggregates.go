@@ -23,7 +23,7 @@ type aggregate struct {
 	// replicas never share reduction scratch state.
 	newReduce func() reduction
 	reduce    reduction
-	byKey     map[uint64]*window.Count[float64]
+	keyedMap[*window.Count[float64]]
 }
 
 func newAggregate(name string, spec Spec, newReduce func() reduction) *aggregate {
@@ -39,7 +39,7 @@ func newAggregate(name string, spec Spec, newReduce func() reduction) *aggregate
 		numKeys:   numKeys,
 		newReduce: newReduce,
 		reduce:    newReduce(),
-		byKey:     make(map[uint64]*window.Count[float64]),
+		keyedMap:  make(keyedMap[*window.Count[float64]]),
 	}
 }
 
@@ -55,16 +55,16 @@ func (a *aggregate) Meta() Meta {
 
 func (a *aggregate) Clone() Operator {
 	c := *a
-	c.byKey = make(map[uint64]*window.Count[float64])
+	c.keyedMap = make(keyedMap[*window.Count[float64]])
 	c.reduce = a.newReduce()
 	return &c
 }
 
 func (a *aggregate) Process(in Tuple, emit Emit) {
-	w, ok := a.byKey[in.Key]
+	w, ok := a.keyedMap[in.Key]
 	if !ok {
 		w = window.MustCount[float64](a.length, a.slide)
-		a.byKey[in.Key] = w
+		a.keyedMap[in.Key] = w
 	}
 	if !w.Add(in.Field(0)) {
 		return

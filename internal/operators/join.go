@@ -80,14 +80,16 @@ func (j *bandJoin) Process(in Tuple, emit Emit) {
 }
 
 // dedup suppresses tuples whose key was already seen within the last
-// `WindowLen` arrivals; per-key state makes it partitioned-stateful. Its
-// output selectivity is the expected novelty rate (Param, default 0.5).
+// `WindowLen` source tuples (Seq distance); the horizon counts the
+// stream's positions, not the instance's arrivals, so a key's output does
+// not depend on which other keys share its replica, and the per-key state
+// makes it partitioned-stateful. Its output selectivity is the expected
+// novelty rate (Param, default 0.5).
 type dedup struct {
-	horizon     int
-	numKeys     int
-	noveltyRate float64
-	lastSeen    map[uint64]uint64
-	arrivals    uint64
+	horizon          int
+	numKeys          int
+	noveltyRate      float64
+	keyedMap[uint64] // key -> Seq of its last tuple
 }
 
 func newDedup(spec Spec) (Operator, error) {
@@ -107,7 +109,7 @@ func newDedup(spec Spec) (Operator, error) {
 		horizon:     horizon,
 		numKeys:     numKeys,
 		noveltyRate: rate,
-		lastSeen:    make(map[uint64]uint64),
+		keyedMap:    make(keyedMap[uint64]),
 	}, nil
 }
 
@@ -123,16 +125,14 @@ func (d *dedup) Meta() Meta {
 
 func (d *dedup) Clone() Operator {
 	c := *d
-	c.lastSeen = make(map[uint64]uint64)
-	c.arrivals = 0
+	c.keyedMap = make(keyedMap[uint64])
 	return &c
 }
 
 func (d *dedup) Process(in Tuple, emit Emit) {
-	d.arrivals++
-	last, seen := d.lastSeen[in.Key]
-	d.lastSeen[in.Key] = d.arrivals
-	if seen && d.arrivals-last <= uint64(d.horizon) {
+	last, seen := d.keyedMap[in.Key]
+	d.keyedMap[in.Key] = in.Seq
+	if seen && in.Seq-last <= uint64(d.horizon) {
 		return
 	}
 	emit(in)

@@ -168,11 +168,12 @@ func (f *rangeFilter) Process(in Tuple, emit Emit) {
 	}
 }
 
-// sampler passes each tuple independently with probability rate; a
-// load-shedding-style probabilistic filter.
+// sampler passes each tuple with probability rate; a load-shedding-style
+// probabilistic filter. The decision hashes the tuple's identity (Seq,
+// Key) with the seed, so every replica, and every re-run, passes the same
+// tuples.
 type sampler struct {
 	rate float64
-	rng  *stats.RNG
 	seed uint64
 }
 
@@ -185,16 +186,15 @@ func newSampler(spec Spec) (Operator, error) {
 	if seed == 0 {
 		seed = 1
 	}
-	return &sampler{rate: rate, rng: stats.NewRNG(seed), seed: seed}, nil
+	return &sampler{rate: rate, seed: seed}, nil
 }
 
-func (s *sampler) Name() string { return "sampler" }
-func (s *sampler) Meta() Meta   { return statelessMeta(s.rate) }
-func (s *sampler) Clone() Operator {
-	return &sampler{rate: s.rate, rng: stats.NewRNG(s.seed + 0x5bd1), seed: s.seed + 0x5bd1}
-}
+func (s *sampler) Name() string    { return "sampler" }
+func (s *sampler) Meta() Meta      { return statelessMeta(s.rate) }
+func (s *sampler) Clone() Operator { c := *s; return &c }
 func (s *sampler) Process(in Tuple, emit Emit) {
-	if s.rng.Float64() < s.rate {
+	h := stats.Mix64(stats.Mix64(in.Seq^s.seed) + in.Key)
+	if float64(h>>11)/(1<<53) < s.rate {
 		emit(in)
 	}
 }

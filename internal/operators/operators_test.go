@@ -124,16 +124,78 @@ func TestSamplerRate(t *testing.T) {
 	n := 0
 	const total = 100000
 	for i := 0; i < total; i++ {
-		op.Process(tup(1), func(Tuple) { n++ })
+		op.Process(Tuple{Seq: uint64(i + 1), Key: uint64(i % 7)}, func(Tuple) { n++ })
 	}
 	if rate := float64(n) / total; math.Abs(rate-0.25) > 0.01 {
 		t.Errorf("pass rate = %v, want ~0.25", rate)
 	}
-	// Clones must not replay the same random stream.
-	clone := op.Clone().(*sampler)
-	if clone.seed == op.(*sampler).seed {
-		t.Error("clone shares RNG seed with original")
+	// The decision is the tuple's: the same tuples pass again.
+	again := 0
+	for i := 0; i < total; i++ {
+		op.Process(Tuple{Seq: uint64(i + 1), Key: uint64(i % 7)}, func(Tuple) { again++ })
 	}
+	if again != n {
+		t.Errorf("second pass over the same tuples passed %d, first %d", again, n)
+	}
+}
+
+// TestCatalogCensus runs every catalog operator, and a clone taken before
+// its first input, over one input stream: every output carries the Seq of
+// the input whose call emitted it (routing hashes it), and the clone emits
+// exactly what its prototype does, so a fissioned replica computes what
+// the unreplicated operator would on the same inputs.
+func TestCatalogCensus(t *testing.T) {
+	gen, err := NewGenerator(GeneratorConfig{Seed: 5, NumKeys: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ins := make([]Tuple, 600)
+	for i := range ins {
+		ins[i] = gen.Next()
+		ins[i].Port = int(ins[i].Seq % 2) // both sides of a join
+	}
+	for _, name := range Catalog() {
+		proto := MustBuild(Spec{Impl: name, WindowLen: 16, Slide: 4, K: 3, Param: 0.5, NumKeys: 8, Seed: 3})
+		clone := proto.Clone()
+		var a, b []Tuple
+		outputs := 0
+		for _, in := range ins {
+			proto.Process(in, func(o Tuple) {
+				outputs++
+				if o.Seq != in.Seq {
+					t.Errorf("%s: output Seq %d from input Seq %d", name, o.Seq, in.Seq)
+				}
+				a = append(a, o)
+			})
+			clone.Process(in, func(o Tuple) { b = append(b, o) })
+		}
+		if outputs == 0 {
+			t.Errorf("%s: no output from %d inputs", name, len(ins))
+		}
+		if len(a) != len(b) {
+			t.Errorf("%s: prototype emitted %d, clone %d", name, len(a), len(b))
+			continue
+		}
+		for i := range a {
+			if a[i].Seq != b[i].Seq || a[i].Key != b[i].Key || !sameFields(a[i].Fields, b[i].Fields) {
+				t.Errorf("%s: output %d differs: prototype %+v, clone %+v", name, i, a[i], b[i])
+				break
+			}
+		}
+	}
+}
+
+// sameFields compares payloads bit for bit (NaN equals NaN).
+func sameFields(x, y []float64) bool {
+	if len(x) != len(y) {
+		return false
+	}
+	for i := range x {
+		if math.Float64bits(x[i]) != math.Float64bits(y[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 func TestSplitter(t *testing.T) {
@@ -313,11 +375,11 @@ func TestDedup(t *testing.T) {
 	op := MustBuild(Spec{Impl: "dedup", WindowLen: 2, NumKeys: 8})
 	var outs []Tuple
 	emit := func(t Tuple) { outs = append(outs, t) }
-	op.Process(Tuple{Key: 1}, emit) // new -> pass
-	op.Process(Tuple{Key: 1}, emit) // dup within horizon -> drop
-	op.Process(Tuple{Key: 2}, emit) // new -> pass
-	op.Process(Tuple{Key: 3}, emit) // new -> pass
-	op.Process(Tuple{Key: 1}, emit) // horizon expired -> pass
+	op.Process(Tuple{Key: 1, Seq: 1}, emit) // new -> pass
+	op.Process(Tuple{Key: 1, Seq: 2}, emit) // dup within horizon -> drop
+	op.Process(Tuple{Key: 2, Seq: 3}, emit) // new -> pass
+	op.Process(Tuple{Key: 3, Seq: 4}, emit) // new -> pass
+	op.Process(Tuple{Key: 1, Seq: 5}, emit) // horizon expired -> pass
 	if len(outs) != 4 {
 		t.Fatalf("passed %d, want 4", len(outs))
 	}

@@ -8,12 +8,12 @@ import (
 	"spinstreams/internal/core"
 )
 
-// TestStatelessOperatorsAreDeterministic: every stateless operator except
-// the sampler must produce identical output for identical input, on both
-// the original and a clone.
+// TestStatelessOperatorsAreDeterministic: every stateless operator must
+// produce identical output for identical input, on both the original and
+// a clone.
 func TestStatelessOperatorsAreDeterministic(t *testing.T) {
 	for _, name := range []string{"identity", "scale", "affine", "magnitude",
-		"normalize", "threshold-filter", "range-filter", "splitter", "projection", "keyby"} {
+		"normalize", "threshold-filter", "range-filter", "sampler", "splitter", "projection", "keyby"} {
 		t.Run(name, func(t *testing.T) {
 			f := func(fields []float64, key uint64) bool {
 				if len(fields) > 16 {

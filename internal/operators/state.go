@@ -1,10 +1,6 @@
 package operators
 
-import (
-	"sort"
-
-	"spinstreams/internal/window"
-)
+import "sort"
 
 // KeyedState is implemented by partitioned-stateful operators whose
 // per-key state can be moved between replicas while a topology runs. The
@@ -26,34 +22,39 @@ type KeyedState interface {
 	ImportKey(key uint64, state any)
 }
 
-var _ KeyedState = (*aggregate)(nil)
+var (
+	_ KeyedState = (*aggregate)(nil)
+	_ KeyedState = (*dedup)(nil)
+)
+
+// keyedMap is per-key state held in a map; an operator that embeds it is
+// KeyedState, and each key's value migrates whole (a partially filled
+// window keeps its buffered items).
+type keyedMap[V any] map[uint64]V
 
 // StateKeys implements KeyedState.
-func (a *aggregate) StateKeys() []uint64 {
-	keys := make([]uint64, 0, len(a.byKey))
-	for k := range a.byKey {
+func (m keyedMap[V]) StateKeys() []uint64 {
+	keys := make([]uint64, 0, len(m))
+	for k := range m {
 		keys = append(keys, k)
 	}
 	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
 	return keys
 }
 
-// ExportKey implements KeyedState: the window itself is handed over, so a
-// partially filled window keeps its buffered items across the migration.
-func (a *aggregate) ExportKey(key uint64) any {
-	w, ok := a.byKey[key]
+// ExportKey implements KeyedState.
+func (m keyedMap[V]) ExportKey(key uint64) any {
+	v, ok := m[key]
 	if !ok {
 		return nil
 	}
-	delete(a.byKey, key)
-	return w
+	delete(m, key)
+	return v
 }
 
 // ImportKey implements KeyedState.
-func (a *aggregate) ImportKey(key uint64, state any) {
-	w, ok := state.(*window.Count[float64])
-	if !ok || w == nil {
-		return
+func (m keyedMap[V]) ImportKey(key uint64, state any) {
+	if v, ok := state.(V); ok {
+		m[key] = v
 	}
-	a.byKey[key] = w
 }

@@ -82,6 +82,10 @@ type Station struct {
 	Role Role
 	// Op is the logical operator this station belongs to.
 	Op core.OpID
+	// OpName names the operator (on a member station, the member) whose
+	// outputs the station routes: fission and fusion keep it, and routing
+	// hashes it.
+	OpName string
 	// Replica is the replica index for workers of replicated operators.
 	Replica int
 	// ServiceTime is the station's mean time per consumed item in seconds.
@@ -268,7 +272,7 @@ func Unreplicated(id core.OpID, op *core.Operator) Station {
 		role = RoleSource
 	}
 	return Station{
-		Name: op.Name, Role: role, Op: id,
+		Name: op.Name, OpName: op.Name, Role: role, Op: id,
 		ServiceTime: op.ServiceTime, Gain: op.Gain(),
 		InputSelectivity:  op.InputSelectivity,
 		OutputSelectivity: op.OutputSelectivity,
@@ -293,7 +297,7 @@ func Fission(w Station, asg keypart.Assignment, emitterTime float64) []Station {
 		discipline = KeyHash
 	}
 	ss := []Station{{
-		Name: w.Name + "/emitter", Role: RoleEmitter, Op: w.Op,
+		Name: w.Name + "/emitter", OpName: w.OpName, Role: RoleEmitter, Op: w.Op,
 		ServiceTime: emitterTime, Gain: 1,
 		Discipline: discipline,
 		KeyReplica: append([]int(nil), asg.Replica...),
@@ -307,7 +311,7 @@ func Fission(w Station, asg keypart.Assignment, emitterTime float64) []Station {
 		}
 		ss[0].Out = append(ss[0].Out, Edge{To: StationID(r + 1), Prob: share})
 		ss = append(ss, Station{
-			Name: fmt.Sprintf("%s/replica%d", w.Name, r), Role: RoleWorker, Op: w.Op, Replica: r,
+			Name: fmt.Sprintf("%s/replica%d", w.Name, r), OpName: w.OpName, Role: RoleWorker, Op: w.Op, Replica: r,
 			ServiceTime: w.ServiceTime, Gain: w.Gain,
 			InputSelectivity:  w.InputSelectivity,
 			OutputSelectivity: w.OutputSelectivity,
@@ -316,7 +320,7 @@ func Fission(w Station, asg keypart.Assignment, emitterTime float64) []Station {
 		})
 	}
 	return append(ss, Station{
-		Name: w.Name + "/collector", Role: RoleCollector, Op: w.Op,
+		Name: w.Name + "/collector", OpName: w.OpName, Role: RoleCollector, Op: w.Op,
 		ServiceTime: emitterTime, Gain: 1,
 		InputSelectivity:  w.InputSelectivity,
 		OutputSelectivity: w.OutputSelectivity,

@@ -7,7 +7,6 @@ import (
 	"spinstreams/internal/core"
 	"spinstreams/internal/operators"
 	"spinstreams/internal/plan"
-	"spinstreams/internal/stats"
 )
 
 // Binding supplies the executable implementations behind a plan's logical
@@ -184,6 +183,8 @@ func stationGain(st *plan.Station) float64 {
 // results headed to members of the subgraph are processed in turn by those
 // members' functions (following the subgraph's routing), and results headed
 // outside are emitted to the corresponding operator of the fused topology.
+// Members' outputs are routed as a station running the member would
+// route them (split), so fusing a subgraph changes no tuple's path.
 type MetaOperator struct {
 	// Sub is the original (pre-fusion) topology.
 	Sub *core.Topology
@@ -196,12 +197,10 @@ type MetaOperator struct {
 	// SurvivorIDs translates external destinations from Sub IDs to IDs in
 	// the fused topology (FusionReport.SurvivorIDs).
 	SurvivorIDs map[core.OpID]core.OpID
-	// Seed drives the internal probabilistic routing.
-	Seed uint64
 }
 
 // NewMetaOperator builds the meta-operator for a fusion performed on sub.
-func NewMetaOperator(sub *core.Topology, report *core.FusionReport, protos map[core.OpID]operators.Operator, seed uint64) (*MetaOperator, error) {
+func NewMetaOperator(sub *core.Topology, report *core.FusionReport, protos map[core.OpID]operators.Operator) (*MetaOperator, error) {
 	if report == nil {
 		return nil, fmt.Errorf("runtime: nil fusion report")
 	}
@@ -216,28 +215,28 @@ func NewMetaOperator(sub *core.Topology, report *core.FusionReport, protos map[c
 		Front:       report.FrontEnd,
 		Prototypes:  protos,
 		SurvivorIDs: report.SurvivorIDs,
-		Seed:        seed,
 	}, nil
 }
 
 // metaInstance is the per-actor instantiation: cloned member operators plus
 // routing state.
 type metaInstance struct {
-	m       *MetaOperator
-	ops     map[core.OpID]operators.Operator
-	members map[core.OpID]bool
-	rng     *stats.RNG
+	m   *MetaOperator
+	ops map[core.OpID]operators.Operator
+	// idents holds each member's routing identity, opIdent of its name.
+	idents map[core.OpID]uint64
 	// sched paces the whole meta-operator: each item is padded to the sum
 	// of the service times of the members it traversed.
 	sched *pacer
 	// work is the traversal queue of (vertex, tuple) pairs.
 	work []metaItem
 	// emit routes one member output; built once per instance (see
-	// opExec), it reads the member in hand and the station's outbox from
-	// at and out, which process sets per item.
-	emit operators.Emit
-	at   core.OpID
-	out  *outbox
+	// opExec), it reads the member in hand, its call's outputs so far and
+	// the station's outbox from at, emits and out.
+	emit  operators.Emit
+	at    core.OpID
+	emits int
+	out   *outbox
 }
 
 type metaItem struct {
@@ -247,30 +246,30 @@ type metaItem struct {
 
 func (m *MetaOperator) instance(cfg Config) *metaInstance {
 	inst := &metaInstance{
-		m:       m,
-		ops:     make(map[core.OpID]operators.Operator, len(m.Members)),
-		members: make(map[core.OpID]bool, len(m.Members)),
-		rng:     stats.NewRNG(m.Seed + 0xfeed),
+		m:      m,
+		ops:    make(map[core.OpID]operators.Operator, len(m.Members)),
+		idents: make(map[core.OpID]uint64, len(m.Members)),
 	}
 	if !cfg.NoServicePadding {
 		inst.sched = newPacer(0)
 	}
 	inst.emit = func(t operators.Tuple) {
-		dest := inst.route(inst.at, t)
-		if dest < 0 {
+		out := m.Sub.Out(inst.at)
+		i := split(len(out), func(i int) float64 { return out[i].Prob }, &t, inst.idents[inst.at], inst.emits)
+		inst.emits++
+		if i < 0 {
 			return
 		}
-		if inst.members[dest] {
+		dest := out[i].To
+		if _, member := inst.ops[dest]; member {
 			inst.work = append(inst.work, metaItem{at: dest, tup: t})
-			return
-		}
-		if fusedID, ok := m.SurvivorIDs[dest]; ok {
+		} else if fusedID, ok := m.SurvivorIDs[dest]; ok {
 			inst.out.add(&t, fusedID)
 		}
 	}
 	for _, id := range m.Members {
 		inst.ops[id] = m.Prototypes[id].Clone()
-		inst.members[id] = true
+		inst.idents[id] = opIdent(m.Sub.Op(id).Name, cfg.Seed)
 	}
 	return inst
 }
@@ -290,33 +289,11 @@ func (mi *metaInstance) process(in operators.Tuple, out *outbox) {
 	// buffer keeps its capacity from one item to the next.
 	for i := 0; i < len(mi.work); i++ {
 		item := mi.work[i]
-		mi.at = item.at
+		mi.at, mi.emits = item.at, 0
 		pathCost += mi.m.Sub.Op(item.at).ServiceTime
 		mi.ops[item.at].Process(item.tup, mi.emit)
 	}
 	if mi.sched != nil && mi.sched.waitFor(started, time.Duration(pathCost*float64(time.Second))) {
 		out.tb.st[out.st.ID].PadResets.Add(1)
 	}
-}
-
-// route samples the destination of one output of member v using the
-// original subgraph's edge probabilities.
-func (mi *metaInstance) route(v core.OpID, t operators.Tuple) core.OpID {
-	out := mi.m.Sub.Out(v)
-	if len(out) == 0 {
-		return -1
-	}
-	if len(out) == 1 {
-		return out[0].To
-	}
-	_ = t
-	u := mi.rng.Float64()
-	acc := 0.0
-	for _, e := range out {
-		acc += e.Prob
-		if u < acc {
-			return e.To
-		}
-	}
-	return out[len(out)-1].To
 }

@@ -292,7 +292,7 @@ func TestChaosPanicDropsPartialOutputs(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			meta, err := NewMetaOperator(topo, report, map[core.OpID]operators.Operator{1: identity(), 2: op}, 3)
+			meta, err := NewMetaOperator(topo, report, map[core.OpID]operators.Operator{1: identity(), 2: op})
 			if err != nil {
 				t.Fatal(err)
 			}

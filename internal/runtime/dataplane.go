@@ -7,7 +7,6 @@ import (
 	"spinstreams/internal/mailbox"
 	"spinstreams/internal/operators"
 	"spinstreams/internal/plan"
-	"spinstreams/internal/stats"
 )
 
 // The dataplane: one station loop and one source loop, written once
@@ -76,19 +75,30 @@ func (e *engine) bindStation(st *plan.Station, ctl *stationCtl) (exec func(opera
 // window is released. A sink stages the outputs of the tuple in hand in
 // sunk instead, which the station loop reports once the call returns.
 type outbox struct {
-	e     *engine
-	tb    *tables
-	st    *plan.Station
-	rng   *stats.RNG
-	rr    int
-	bufs  [][]operators.Tuple
-	sunk  []operators.Tuple
-	marks []int // each buffer's length before the tuple in hand (see mark)
-	held  int   // tuples a PreserveOrder collector holds for reordering
+	e  *engine
+	tb *tables
+	st *plan.Station
+	op uint64 // the station's routing identity, opIdent(st.OpName, Seed)
+	// emits is the next output's emit index (outputs of the tuple in
+	// hand so far); the station loop zeroes it before each tuple.
+	emits int
+	// replica marks a fissioned operator's replica. Its collector routes
+	// for the operator, so its outputs carry their emit index there in
+	// Port, which an intra-operator link does not use.
+	replica bool
+	rr      int
+	bufs    [][]operators.Tuple
+	sunk    []operators.Tuple
+	marks   []int // each buffer's length before the tuple in hand (see mark)
+	held    int   // tuples a PreserveOrder collector holds for reordering
 }
 
-func (e *engine) newOutbox(tb *tables, st *plan.Station, rng *stats.RNG) *outbox {
-	o := &outbox{e: e, tb: tb, st: st, rng: rng, bufs: make([][]operators.Tuple, len(st.Out)), marks: make([]int, len(st.Out))}
+func (e *engine) newOutbox(tb *tables, st *plan.Station) *outbox {
+	o := &outbox{
+		e: e, tb: tb, st: st, op: opIdent(st.OpName, e.cfg.Seed),
+		replica: st.Role == plan.RoleWorker && tb.p.CollectorOf[st.Op] >= 0,
+		bufs:    make([][]operators.Tuple, len(st.Out)), marks: make([]int, len(st.Out)),
+	}
 	for i := range o.bufs {
 		o.bufs[i] = make([]operators.Tuple, 0, e.cfg.Batch)
 	}
@@ -99,7 +109,12 @@ func (e *engine) newOutbox(tb *tables, st *plan.Station, rng *stats.RNG) *outbox
 // meta-operator destination, or -1 for the station's routing discipline)
 // selects, dropping it when it has none; at a sink it stages it in sunk.
 func (o *outbox) add(t *operators.Tuple, dest core.OpID) {
-	idx := o.e.pickEdge(o.tb, o.st, dest, t.Key, o.rng, &o.rr)
+	emit := o.emits
+	o.emits++
+	if o.st.Role == plan.RoleCollector {
+		emit = t.Port
+	}
+	idx := pickEdge(o.tb, o.st, dest, t, o.op, emit, &o.rr)
 	if idx < 0 {
 		if len(o.st.Out) == 0 {
 			o.sunk = append(o.sunk, *t)
@@ -108,6 +123,9 @@ func (o *outbox) add(t *operators.Tuple, dest core.OpID) {
 	}
 	buf := append(o.bufs[idx], *t)
 	buf[len(buf)-1].Port = o.st.Out[idx].Port
+	if o.replica {
+		buf[len(buf)-1].Port = emit
+	}
 	o.bufs[idx] = buf
 }
 
@@ -147,7 +165,7 @@ func (o *outbox) deliver() bool {
 // corrupted. Operator execution, pacing, tracer timing, routing (at emit,
 // inside the service episode) and shedding are all per tuple; queue
 // synchronization and counter updates are amortized over the window.
-func (e *engine) stationEpoch(tb *tables, st *plan.Station, ctl *stationCtl, rng *stats.RNG) (clean bool) {
+func (e *engine) stationEpoch(tb *tables, st *plan.Station, ctl *stationCtl) (clean bool) {
 	exec, selfPaced, inst, minst := e.bindStation(st, ctl)
 	pace := newPacer(st.ServiceTime)
 	// Without padding the clock read per item is pure dataplane overhead
@@ -159,7 +177,7 @@ func (e *engine) stationEpoch(tb *tables, st *plan.Station, ctl *stationCtl, rng
 	sink := len(st.Out) == 0
 	fl := tb.stFaults[st.ID]
 	traced := len(e.tracers) != 0
-	out := e.newOutbox(tb, st, rng)
+	out := e.newOutbox(tb, st)
 	// What a reorder buffer still holds when the epoch ends is drained.
 	defer func() { self.Drained.Add(uint64(out.held)) }()
 	// n is the size of the window in hand (0 between windows), k the
@@ -244,6 +262,7 @@ func (e *engine) stationEpoch(tb *tables, st *plan.Station, ctl *stationCtl, rng
 				if fl != nil {
 					fl.OnProcess()
 				}
+				out.emits = 0
 				exec(win[k], out)
 				if usePace && pace.wait(started) {
 					self.PadResets.Add(1)
@@ -287,14 +306,14 @@ func (e *engine) stationEpoch(tb *tables, st *plan.Station, ctl *stationCtl, rng
 // linger bound closes a window early so a slow source still feeds the
 // pipeline promptly. Nothing is held between windows, so a pause parks
 // the source with nothing to flush.
-func (e *engine) runSource(tb *tables, st *plan.Station, ctl *stationCtl, rng *stats.RNG) {
+func (e *engine) runSource(tb *tables, st *plan.Station, ctl *stationCtl) {
 	pace := newPacer(st.ServiceTime)
 	usePace := !e.cfg.NoServicePadding
 	traced := len(e.tracers) != 0
 	stop := ctl.stopCh()
 	gen := e.cfg.Generator
 	self := tb.st[st.ID]
-	out := e.newOutbox(tb, st, rng)
+	out := e.newOutbox(tb, st)
 	win := make([]operators.Tuple, e.cfg.Batch)
 	for !stopped(stop) {
 		n := 0
@@ -326,6 +345,7 @@ func (e *engine) runSource(tb *tables, st *plan.Station, ctl *stationCtl, rng *s
 		}
 		self.Consumed.Add(uint64(n))
 		for i := range win[:n] {
+			out.emits = 0
 			out.add(&win[i], -1)
 		}
 		if !out.deliver() {

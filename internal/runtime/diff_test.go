@@ -181,7 +181,7 @@ func fusedFixture(t *testing.T, topo *core.Topology, sub []core.OpID) (*core.Top
 	for _, m := range sub {
 		protos[m] = operators.MustBuild(operators.Spec{Impl: "identity"})
 	}
-	meta, err := NewMetaOperator(topo, report, protos, 1)
+	meta, err := NewMetaOperator(topo, report, protos)
 	if err != nil {
 		t.Fatal(err)
 	}

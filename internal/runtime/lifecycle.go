@@ -200,7 +200,7 @@ func (e *engine) ctl(id plan.StationID) *stationCtl {
 // spawnStation registers a lifecycle handle for the station and starts
 // its goroutine; a non-nil preset seeds its first epoch with a migrated
 // operator instance.
-func (e *engine) spawnStation(id plan.StationID, seed uint64, preset operators.Operator) {
+func (e *engine) spawnStation(id plan.StationID, preset operators.Operator) {
 	ctl := &stationCtl{stop: make(chan struct{}), preset: preset}
 	e.ctlMu.Lock()
 	for len(e.ctls) <= int(id) {
@@ -209,7 +209,7 @@ func (e *engine) spawnStation(id plan.StationID, seed uint64, preset operators.O
 	e.ctls[id] = ctl
 	e.ctlMu.Unlock()
 	e.wg.Add(1)
-	go e.runStation(id, ctl, seed)
+	go e.runStation(id, ctl)
 }
 
 // isShutdown reports whether the engine-wide done channel fired.

@@ -466,7 +466,7 @@ func (e *engine) applyDiff(f *fence, d diff) (ApplyReport, error) {
 	}
 	e.live.Store(nt)
 	for _, id := range d.added {
-		e.spawnStation(id, e.seeds.Uint64(), presets[id])
+		e.spawnStation(id, presets[id])
 	}
 	for _, ctl := range f.paused {
 		ctl.resume(retire[ctl])

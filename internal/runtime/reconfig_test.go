@@ -206,7 +206,7 @@ func TestControllerUnfuseLive(t *testing.T) {
 	for _, m := range sub {
 		protos[m] = operators.MustBuild(operators.Spec{Impl: "identity"})
 	}
-	meta, err := NewMetaOperator(topo, report, protos, 24)
+	meta, err := NewMetaOperator(topo, report, protos)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -381,7 +381,7 @@ func TestControllerUnfuseSharesTheSinkInbox(t *testing.T) {
 	for _, m := range sub {
 		protos[m] = operators.MustBuild(operators.Spec{Impl: "identity"})
 	}
-	meta, err := NewMetaOperator(topo, report, protos, 24)
+	meta, err := NewMetaOperator(topo, report, protos)
 	if err != nil {
 		t.Fatal(err)
 	}

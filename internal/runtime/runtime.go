@@ -32,6 +32,7 @@ package runtime
 import (
 	"context"
 	"fmt"
+	"hash/fnv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -57,7 +58,9 @@ type Config struct {
 	Duration time.Duration
 	// Warmup is the prefix excluded from measurement (default Duration/4).
 	Warmup time.Duration
-	// Seed drives probabilistic routing and the default source generator.
+	// Seed seeds the default source generator and salts the routing
+	// hash: routing is a function of the tuple and Seed (see split), so
+	// deployments run with one Seed send every tuple down the same edges.
 	Seed uint64
 	// Generator produces source tuples; nil uses a default generator
 	// derived from Seed.
@@ -87,7 +90,10 @@ type Config struct {
 	// Tuples still held for reordering when the run stops count as
 	// drained. Live reconfiguration refuses ordered plans (the reorder
 	// state cannot yet be migrated), so PreserveOrder and
-	// Controller.ApplyDelta are mutually exclusive.
+	// Controller.ApplyDelta are mutually exclusive. The emitter overwrites
+	// Seq with its own count (the tuple has no field to keep the source's
+	// in), so downstream of ordered replicas tuples are routed otherwise
+	// than in a deployment without them.
 	PreserveOrder bool
 	// Mailbox is the window policy of every inbox. The zero value,
 	// mailbox.Auto, and mailbox.Batched take windows of Batch tuples;
@@ -331,10 +337,6 @@ type engine struct {
 	// tracers are the registry's lifecycle hooks, fetched once; while any
 	// is attached the stations time every tuple for OnServe.
 	tracers []obs.Tracer
-	// seeds draws each spawned station's routing seed, in the order
-	// applyDiff spawns them: the deployment's stations in ID order, then
-	// every later diff's.
-	seeds *stats.RNG
 	// settleTransport, set by the distributed engine, stops a transport
 	// that holds tuples outside the mailboxes once every station has
 	// exited, accounts what it still holds, and returns the tuples lost in
@@ -357,7 +359,6 @@ func newEngine(p *plan.Plan, binding *Binding, cfg Config) (*engine, error) {
 		binding: binding,
 		done:    make(chan struct{}),
 		reg:     cfg.Obs,
-		seeds:   stats.NewRNG(cfg.Seed + 0x9e37),
 	}
 	if e.reg == nil {
 		e.reg = obs.New()
@@ -670,11 +671,10 @@ func sleepCtx(ctx context.Context, d time.Duration) {
 // segments the station parks and waits for the controller to release or
 // retire it, re-reading the routing tables afterwards so an epoch fence
 // can swap them while it is parked.
-func (e *engine) runStation(id plan.StationID, ctl *stationCtl, seed uint64) {
+func (e *engine) runStation(id plan.StationID, ctl *stationCtl) {
 	defer e.wg.Done()
-	rng := stats.NewRNG(seed)
 	for {
-		e.stationSegment(id, ctl, rng)
+		e.stationSegment(id, ctl)
 		if e.isShutdown() {
 			return
 		}
@@ -691,11 +691,11 @@ func (e *engine) runStation(id plan.StationID, ctl *stationCtl, seed uint64) {
 // restarts with a freshly bound operator instance until its budget is
 // spent, after which it degrades into an accounted discard sink
 // (runDegraded).
-func (e *engine) stationSegment(id plan.StationID, ctl *stationCtl, rng *stats.RNG) {
+func (e *engine) stationSegment(id plan.StationID, ctl *stationCtl) {
 	tb := e.tab()
 	st := &tb.p.Stations[id]
 	if st.Role == plan.RoleSource {
-		e.runSource(tb, st, ctl, rng)
+		e.runSource(tb, st, ctl)
 		return
 	}
 	if tb.st[id].Degraded.Load() {
@@ -703,7 +703,7 @@ func (e *engine) stationSegment(id plan.StationID, ctl *stationCtl, rng *stats.R
 		return
 	}
 	for {
-		if e.stationEpoch(tb, st, ctl, rng) {
+		if e.stationEpoch(tb, st, ctl) {
 			return
 		}
 		if max := e.cfg.MaxRestarts; max >= 0 && tb.st[id].Restarts.Load() >= uint64(max) {
@@ -721,10 +721,11 @@ func (e *engine) stationSegment(id plan.StationID, ctl *stationCtl, rng *stats.R
 	}
 }
 
-// pickEdge selects the index of the output edge for one item per the
+// pickEdge selects the index of st's output edge for t, the emit-th
+// output of one call of the operator whose routing identity is op, per the
 // station's routing discipline, or honors an explicit meta-operator
 // destination; -1 means the item has no destination.
-func (e *engine) pickEdge(tb *tables, st *plan.Station, dest core.OpID, key uint64, rng *stats.RNG, rr *int) int {
+func pickEdge(tb *tables, st *plan.Station, dest core.OpID, t *operators.Tuple, op uint64, emit int, rr *int) int {
 	out := st.Out
 	if len(out) == 0 {
 		return -1
@@ -748,23 +749,46 @@ func (e *engine) pickEdge(tb *tables, st *plan.Station, dest core.OpID, key uint
 		return idx
 	case plan.KeyHash:
 		if n := len(st.KeyReplica); n > 0 {
-			r := st.KeyReplica[key%uint64(n)]
+			r := st.KeyReplica[t.Key%uint64(n)]
 			if r >= 0 && r < len(out) {
 				return r
 			}
 		}
-		return int(key % uint64(len(out)))
+		return int(t.Key % uint64(len(out)))
 	default:
-		u := rng.Float64()
-		acc := 0.0
-		for i := range out {
-			acc += out[i].Prob
-			if u < acc {
-				return i
-			}
-		}
-		return len(out) - 1
+		return split(len(out), func(i int) float64 { return out[i].Prob }, t, op, emit)
 	}
+}
+
+// split routes t, the emit-th output of one call of operator op
+// (opIdent), across n probabilistic edges whose probabilities prob gives
+// in order: it returns the edge a uniform draw hashed from the tuple's
+// identity (Seq, Key), op and emit falls on (the last absorbs rounding),
+// or -1 when n is 0. op keeps successive splits of one tuple
+// independent, emit the copies one call emits; fission and fusion keep
+// all four, so every deployment of a topology run with one Config.Seed
+// routes every tuple alike.
+func split(n int, prob func(int) float64, t *operators.Tuple, op uint64, emit int) int {
+	if n < 2 {
+		return n - 1
+	}
+	h := stats.Mix64(stats.Mix64(stats.Mix64(t.Seq^op)+t.Key) + uint64(emit))
+	u, acc := float64(h>>11)/(1<<53), 0.0
+	for i := 0; i < n-1; i++ {
+		if acc += prob(i); u < acc {
+			return i
+		}
+	}
+	return n - 1
+}
+
+// opIdent is the routing identity of the operator named name under
+// Config.Seed seed (FNV-1a of the name, salted), computed once per
+// station or fused member.
+func opIdent(name string, seed uint64) uint64 {
+	h := fnv.New64a()
+	h.Write([]byte(name))
+	return h.Sum64() ^ stats.Mix64(seed)
 }
 
 // pacer stretches item handling to a station's profiled service time.

@@ -216,7 +216,7 @@ func TestRunMetaOperatorPaperExample(t *testing.T) {
 	for _, m := range sub {
 		protos[m] = operators.MustBuild(operators.Spec{Impl: "identity"})
 	}
-	meta, err := NewMetaOperator(topo, report, protos, 6)
+	meta, err := NewMetaOperator(topo, report, protos)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,10 +241,10 @@ func TestNewMetaOperatorValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewMetaOperator(topo, nil, nil, 0); err == nil {
+	if _, err := NewMetaOperator(topo, nil, nil); err == nil {
 		t.Error("nil report accepted")
 	}
-	if _, err := NewMetaOperator(topo, report, map[core.OpID]operators.Operator{}, 0); err == nil {
+	if _, err := NewMetaOperator(topo, report, map[core.OpID]operators.Operator{}); err == nil {
 		t.Error("missing prototypes accepted")
 	}
 }
@@ -683,7 +683,7 @@ func TestExecutorsDoNotAllocatePerTuple(t *testing.T) {
 	for _, m := range sub {
 		protos[m] = identity()
 	}
-	meta, err := NewMetaOperator(topo, report, protos, 6)
+	meta, err := NewMetaOperator(topo, report, protos)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -694,7 +694,7 @@ func TestExecutorsDoNotAllocatePerTuple(t *testing.T) {
 	// Every executor emits into the meta-operator station's outbox: its
 	// out-edges are where the meta-operator's explicit destinations lead.
 	e := &engine{cfg: Config{Batch: 8}}
-	out := e.newOutbox(&tables{p: p}, &p.Stations[p.EntryOf[report.FusedID]], stats.NewRNG(1))
+	out := e.newOutbox(&tables{p: p}, &p.Stations[p.EntryOf[report.FusedID]])
 	ordered := Config{PreserveOrder: true}
 	exec := func(st plan.Station, cfg Config) func(operators.Tuple, *outbox) {
 		x, _, _, _ := (&Binding{}).executor(&st, cfg)
@@ -741,7 +741,6 @@ func TestPickEdgeKeyHashAnyKey(t *testing.T) {
 	out := []plan.Edge{{To: 1}, {To: 2}, {To: 3}}
 	plain := &plan.Station{Discipline: plan.KeyHash, Out: out}
 	table := &plan.Station{Discipline: plan.KeyHash, Out: out, KeyReplica: []int{2, 0, 1, 1}}
-	e := &engine{}
 	for _, tc := range []struct {
 		key          uint64
 		plain, table int
@@ -752,10 +751,10 @@ func TestPickEdgeKeyHashAnyKey(t *testing.T) {
 		{math.MaxUint64, 0, 1},
 	} {
 		var rr int
-		if got := e.pickEdge(nil, plain, -1, tc.key, nil, &rr); got != tc.plain {
+		if got := pickEdge(nil, plain, -1, &operators.Tuple{Key: tc.key}, 0, 0, &rr); got != tc.plain {
 			t.Errorf("key %d without a table: edge %d, want %d", tc.key, got, tc.plain)
 		}
-		if got := e.pickEdge(nil, table, -1, tc.key, nil, &rr); got != tc.table {
+		if got := pickEdge(nil, table, -1, &operators.Tuple{Key: tc.key}, 0, 0, &rr); got != tc.table {
 			t.Errorf("key %d with table %v: edge %d, want %d", tc.key, table.KeyReplica, got, tc.table)
 		}
 	}
@@ -814,40 +813,6 @@ func TestRunKeysAbove2To63(t *testing.T) {
 	}
 }
 
-// TestDeployDrawsOneSeedPerStation pins the routing-seed stream: the
-// deployment, a diff adding every station in ID order, draws exactly one
-// seed per station from the engine's stream, so an unreconfigured run
-// routes as the stations' seeds always have, and the first later diff
-// continues the same stream.
-func TestDeployDrawsOneSeedPerStation(t *testing.T) {
-	p, err := plan.Build(pipeline(t, 0.001, 0.001, 0.001), plan.Options{Replicas: []int{1, 3, 1}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg, err := Config{Seed: 11, Duration: 100 * time.Millisecond, NoServicePadding: true}.withDefaults()
-	if err != nil {
-		t.Fatal(err)
-	}
-	e, err := newEngine(p, nil, cfg)
-	if err == nil {
-		err = e.deploy(p)
-	}
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := stats.NewRNG(cfg.Seed + 0x9e37)
-	for range p.Stations {
-		want.Uint64()
-	}
-	if got, w := e.seeds.Uint64(), want.Uint64(); got != w {
-		t.Errorf("next seed after deploying %d stations = %d, want %d", len(p.Stations), got, w)
-	}
-	if ep := e.tab().epoch; ep != 0 {
-		t.Errorf("deployment epoch = %d, want 0", ep)
-	}
-	e.measure(context.Background())
-}
-
 // TestZeroConfigDeploysThePlansVerdict runs the paper's Table 1 topology
 // with nothing set but seed and run length: every inbox is the default
 // queue at the default capacity, and throughput must meet the model
@@ -872,6 +837,9 @@ func TestZeroConfigDeploysThePlansVerdict(t *testing.T) {
 	}
 	if err != nil {
 		t.Fatal(err)
+	}
+	if ep := e.tab().epoch; ep != 0 {
+		t.Errorf("deployment epoch = %d, want 0", ep)
 	}
 	for i, m := range e.tab().mailboxes {
 		if m.Capacity() != 64 {

@@ -22,13 +22,19 @@ func NewRNG(seed uint64) *RNG {
 	return &RNG{state: seed}
 }
 
-// Uint64 returns the next 64 random bits.
-func (r *RNG) Uint64() uint64 {
-	r.state += 0x9e3779b97f4a7c15
-	z := r.state
+// Mix64 is the splitmix64 finalizer: a bijective mix of z whose every
+// output bit depends on every input bit. The RNG, stable hashes and the
+// runtime's tuple routing all derive their bits from it.
+func Mix64(z uint64) uint64 {
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 	return z ^ (z >> 31)
+}
+
+// Uint64 returns the next 64 random bits.
+func (r *RNG) Uint64() uint64 {
+	r.state += 0x9e3779b97f4a7c15
+	return Mix64(r.state)
 }
 
 // Float64 returns a uniform value in [0, 1).
